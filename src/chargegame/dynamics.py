@@ -20,14 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NumericsError, UndefinedAverageError
-from .model import (
-    Flow,
-    GameSpec,
-    LoadDecomposition,
-    Profile,
-    decompose_loads,
-    _window_sum,
-)
+from .model import Flow, GameSpec, Profile, _incidence, validate_profile
 
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_GAP_TOL = 1e-6
@@ -73,51 +66,52 @@ def initial_state(spec: GameSpec, step_size: StepSize = default_step_schedule) -
 #
 # The functions below work on the raw (players x start slots) weight matrix
 # so the solver loop does not rebuild Flow/Profile objects every iteration.
-# The public operations wrap them, which keeps one implementation of the
-# gradient and gap formulas.
+# With the start-slot/slot incidence matrix A (S x T), loads are ``rows @ A``
+# and one product ``terms @ A.T`` window-sums the slot prices and every
+# coalition's load-weighted marginal prices.  The public operations wrap the
+# same kernel, gap and softmax, which keeps one implementation of each formula.
 
 
-def _load_matrix(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    return np.array([np.convolve(row, kernel) for row in rows])
+def _gradient_kernel(spec: GameSpec, value, derivative) -> Callable[[np.ndarray], np.ndarray]:
+    """Map weight rows to marginal-cost rows for one game.
 
+    Row i is (u + share_i * crowding_i) / divisor_i, with u the strategy
+    costs and crowding_i the window sums of player i's load times f': the
+    individuals get u (share 0, divisor 1), a coalition its average-cost
+    gradient (share P, divisor its mass) and a zero-mass player zeros
+    (divisor inf).  ``value`` and ``derivative`` evaluate f and f' on the
+    slot loads; ``derivative`` is only called when some coalition has mass.
+    """
+    incidence = _incidence(spec.horizon, spec.duration)
+    base_load, power, weights = spec.base_load, spec.power, spec.weights
+    is_coalition = np.arange(spec.num_players) > 0
+    shares = np.where(is_coalition, power, 0.0)[:, None]
+    divisors = np.where(weights > 0.0, np.where(is_coalition, weights, 1.0), np.inf)[:, None]
+    crowded = bool((weights[is_coalition] > 0.0).any())
 
-def _gradient_rows(spec: GameSpec, rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    per_player = _load_matrix(rows, kernel)
-    slot_load = spec.base_load + spec.power * per_player.sum(axis=0)
-    costs = np.convolve(spec.cost.value(slot_load), kernel, mode="valid")
-    out = np.zeros_like(rows)
-    if spec.weights[0] > 0.0:
-        out[0] = costs
-    if spec.num_coalitions and spec.weights[1:].max() > 0.0:
-        marginal = spec.cost.derivative(slot_load)
-        for k in range(1, len(rows)):
-            mass = spec.weights[k]
-            if mass <= 0.0:
-                continue
-            crowding = np.convolve(per_player[k] * marginal, kernel, mode="valid")
-            out[k] = (costs + spec.power * crowding) / mass
-    return out
+    def gradients(rows: np.ndarray) -> np.ndarray:
+        per_player = np.dot(rows, incidence)
+        slot_load = base_load + power * per_player.sum(axis=0)
+        terms = per_player * derivative(slot_load) if crowded else per_player
+        terms[0] = value(slot_load)
+        sums = np.dot(terms, incidence.T)  # row 0: u, row i > 0: crowding_i
+        return (sums[0] + shares * sums) / divisors
+
+    return gradients
 
 
 def _gap_rows(weights: np.ndarray, rows: np.ndarray, gradients: np.ndarray) -> float:
     gap = 0.0
-    for i, mass in enumerate(weights):
-        if mass <= 0.0:
-            continue
-        row = gradients[i]
-        gap += max(float(rows[i] @ row) - mass * float(row.min()), 0.0)
+    lows = gradients.min(axis=1).tolist()
+    for mass, row, grad, low in zip(weights.tolist(), rows, gradients, lows):
+        if mass > 0.0:
+            gap += max(float(np.dot(row, grad)) - mass * low, 0.0)
     return gap
 
 
 def _softmax_rows(cum_costs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    rows = np.zeros_like(cum_costs)
-    for i, mass in enumerate(weights):
-        if mass <= 0.0:
-            continue
-        logits = -cum_costs[i]
-        scaled = np.exp(logits - logits.max())
-        rows[i] = (mass / scaled.sum()) * scaled
-    return rows
+    scaled = np.exp(cum_costs.min(axis=1, keepdims=True) - cum_costs)
+    return (weights / scaled.sum(axis=1))[:, None] * scaled
 
 
 def _step_value(step: StepSize, iteration: int) -> float:
@@ -127,13 +121,7 @@ def _step_value(step: StepSize, iteration: int) -> float:
 # --- public operations ------------------------------------------------------
 
 
-def coalition_gradient(
-    spec: GameSpec,
-    profile: Profile,
-    k: int,
-    *,
-    loads: LoadDecomposition | None = None,
-) -> np.ndarray:
+def coalition_gradient(spec: GameSpec, profile: Profile, k: int) -> np.ndarray:
     """Gradient of coalition ``k``'s average cost in its own flow.
 
     Component s is the marginal cost of routing more coalition weight to
@@ -143,32 +131,21 @@ def coalition_gradient(
     """
     if not 1 <= k <= spec.num_coalitions:
         raise IndexError(f"coalition index {k} out of range [1, {spec.num_coalitions}]")
-    mass = float(spec.weights[k])
-    if mass <= 0.0:
+    if spec.weights[k] <= 0.0:
         raise UndefinedAverageError(f"coalition {k} has zero mass")
-    if loads is None:
-        loads = decompose_loads(spec, profile)
-    slot_load = spec.base_load + spec.power * loads.aggregate
-    costs = _window_sum(spec.cost.value(slot_load), spec.duration)
-    crowding = _window_sum(
-        loads.per_player[k] * spec.cost.derivative(slot_load), spec.duration
-    )
-    return (costs + spec.power * crowding) / mass
+    return player_gradients(spec, profile)[k]
 
 
-def player_gradients(
-    spec: GameSpec,
-    profile: Profile,
-    *,
-    loads: LoadDecomposition | None = None,
-) -> np.ndarray:
+def player_gradients(spec: GameSpec, profile: Profile) -> np.ndarray:
     """Stacked per-strategy marginal costs, one row per player.
 
     Row 0 holds the plain strategy costs (what a vanishing individual
     pays); coalition rows hold their average-cost gradients.  Zero-mass
     players get a zero row, matching their zero flow.
     """
-    return _gradient_rows(spec, profile.matrix(), np.ones(spec.duration))
+    validate_profile(spec, profile)
+    kernel = _gradient_kernel(spec, spec.cost.value, spec.cost.derivative)
+    return kernel(profile.matrix())
 
 
 def learning_step(
@@ -228,15 +205,22 @@ def solve_dynamics(
     # Imported here to avoid a module cycle (verify wraps the gap core).
     from .verify import SolverStatus, make_report
 
-    kernel = np.ones(spec.duration)
-    weights = spec.weights
+    weights, cost = spec.weights, spec.cost
+    # Rows sum to their masses, which sum to one, so every iterate's slot loads
+    # lie in [min L, max L + P]: checking the cost domain (and f', if needed)
+    # on that envelope once lets the loop call the raw cost functions.
+    envelope = np.array([spec.base_load.min(), spec.base_load.max() + spec.power])
+    cost.value(envelope)
+    if weights[1:].max(initial=0.0) > 0.0:
+        cost.derivative(envelope)
+    kernel = _gradient_kernel(spec, cost._raw_value, cost._raw_derivative)
     cum_costs = np.zeros((spec.num_players, spec.num_start_slots))
     rows = _softmax_rows(cum_costs, weights)
     iteration = 0
     trace: list[TraceRow] | None = [] if trace_every > 0 else None
     while True:
-        gradients = _gradient_rows(spec, rows, kernel)
-        if not np.all(np.isfinite(gradients)):
+        gradients = kernel(rows)
+        if not np.isfinite(gradients).all():
             raise NumericsError(
                 "non-finite strategy costs encountered; check the cost family scale"
             )

@@ -11,6 +11,7 @@ start-slot and player indices in this package are 0-based.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,21 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _window_sum(values: np.ndarray, width: int) -> np.ndarray:
-    """Moving sum over windows of ``width`` consecutive entries."""
-    return np.convolve(values, np.ones(width), mode="valid")
+@functools.lru_cache(maxsize=64)
+def _incidence(horizon: int, duration: int) -> np.ndarray:
+    """Start-slot/slot incidence matrix A (S x T), read-only.
+
+    A[s, t] = 1 exactly when an EV starting at s charges in slot t, so a
+    flow's per-slot load is ``flow @ A`` and per-slot prices add up to
+    start-slot costs as ``A @ prices``.
+    """
+    offset = np.arange(horizon) - np.arange(horizon - duration + 1)[:, None]
+    return _frozen_array((offset >= 0) & (offset < duration))
+
+
+def _window_sum(spec: GameSpec, values: np.ndarray) -> np.ndarray:
+    """Per start slot, the sum of ``values`` over its charging window."""
+    return _incidence(spec.horizon, spec.duration) @ values
 
 
 @dataclass(frozen=True)
@@ -249,13 +262,13 @@ def charging_load(spec: GameSpec, flow: Flow) -> np.ndarray:
         raise SpecError(
             f"flow has length {len(flow.values)}, expected {spec.num_start_slots}"
         )
-    return np.convolve(flow.values, np.ones(spec.duration))
+    return flow.values @ _incidence(spec.horizon, spec.duration)
 
 
 def decompose_loads(spec: GameSpec, profile: Profile) -> LoadDecomposition:
     """Per-player charging loads and their per-slot aggregate."""
     validate_profile(spec, profile)
-    per_player = np.array([charging_load(spec, f) for f in profile.flows])
+    per_player = profile.matrix() @ _incidence(spec.horizon, spec.duration)
     return LoadDecomposition(per_player, per_player.sum(axis=0))
 
 
@@ -266,7 +279,7 @@ def strategy_costs(
     if loads is None:
         loads = decompose_loads(spec, profile)
     prices = spec.cost.value(spec.base_load + spec.power * loads.aggregate)
-    return _window_sum(prices, spec.duration)
+    return _window_sum(spec, prices)
 
 
 def strategy_cost(spec: GameSpec, profile: Profile, start: int) -> float:

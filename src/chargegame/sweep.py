@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, StepSize, default_step_schedule, solve_dynamics
 from .errors import ChargeGameError, SpecError
-from .model import GameSpec, _window_sum
+from .model import GameSpec, _window_sum, supports_reduced_costs
 from .threeslot import (
     ThreeSlotInstance,
     ce_costs,
@@ -91,7 +92,7 @@ class SweepResult:
 
 def peak_start_slot(spec: GameSpec) -> int:
     """Start slot with the largest non-EV load over its charging window."""
-    return int(np.argmax(_window_sum(spec.base_load, spec.duration)))
+    return int(np.argmax(_window_sum(spec, spec.base_load)))
 
 
 def audit_monotone(values, direction: str, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
@@ -203,14 +204,16 @@ def run_sweep(
     options = {"max_iter": max_iter, "gap_tol": gap_tol, "step_size": step_size}
     args = [(base, float(m), solver, options) for m in grid]
     if jobs > 1:
+        try:
+            pickle.dumps((base, options))
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise SpecError(f"jobs > 1 needs a picklable game and step size: {exc}") from exc
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_solve_point, args))
     else:
         points = [_solve_point(a) for a in args]
 
-    reduced = isinstance(base, ThreeSlotInstance) or (
-        base.horizon == 3 and base.duration == 2 and abs(base.power - 1.0) <= 1e-12
-    )
+    reduced = isinstance(base, ThreeSlotInstance) or supports_reduced_costs(base)
     audits = _run_audits(points, solver, audit_tol)
     return SweepResult(
         grid=grid, points=tuple(points), audits=audits, reduced=reduced

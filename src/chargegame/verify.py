@@ -192,7 +192,7 @@ def make_report(
 ) -> EquilibriumReport:
     """Assemble the full diagnostic report for a solved profile."""
     loads = decompose_loads(spec, profile)
-    gradients = player_gradients(spec, profile, loads=loads)
+    gradients = player_gradients(spec, profile)
     if gap is None:
         gap = vi_gap(spec, profile, gradients=gradients)
     costs = evaluate_costs(spec, profile, loads=loads)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from chargegame import (
+    AffineCost,
+    CustomCost,
     ExponentialCost,
     GameSpec,
     LearnerState,
@@ -12,6 +14,7 @@ from chargegame import (
     Profile,
     QuadraticCost,
     SolverStatus,
+    SpecError,
     ThreeSlotInstance,
     UndefinedAverageError,
     coalition_average_cost,
@@ -20,8 +23,9 @@ from chargegame import (
     player_gradients,
     solve_dynamics,
     strategy_costs,
+    vi_gap,
 )
-from chargegame.dynamics import initial_state
+from chargegame.dynamics import _softmax_rows, default_step_schedule, initial_state
 from conftest import random_profile, random_three_slot
 
 
@@ -115,6 +119,170 @@ def test_player_gradients_rows():
     )
 
 
+# --- kernel vs the per-row reference -----------------------------------------
+#
+# The reference below is the per-row formulation the matrix kernel replaced:
+# one np.convolve per player and per coalition, and a per-row softmax.  The
+# kernel sums the same terms in a possibly different order, so results must
+# agree to 1e-12 relative; with duration <= 2 every window sum has at most
+# two terms, whose sum does not depend on the order, so they must be equal.
+
+REFERENCE_RTOL = 1e-12
+
+
+def reference_gradients(spec, rows):
+    kernel = np.ones(spec.duration)
+    per_player = np.array([np.convolve(row, kernel) for row in rows])
+    slot_load = spec.base_load + spec.power * per_player.sum(axis=0)
+    costs = np.convolve(spec.cost.value(slot_load), kernel, mode="valid")
+    out = np.zeros_like(rows)
+    if spec.weights[0] > 0.0:
+        out[0] = costs
+    if spec.num_coalitions and spec.weights[1:].max() > 0.0:
+        marginal = spec.cost.derivative(slot_load)
+        for k in range(1, len(rows)):
+            mass = spec.weights[k]
+            if mass <= 0.0:
+                continue
+            crowding = np.convolve(per_player[k] * marginal, kernel, mode="valid")
+            out[k] = (costs + spec.power * crowding) / mass
+    return out
+
+
+def reference_gap(weights, rows, gradients):
+    gap = 0.0
+    for i, mass in enumerate(weights):
+        if mass <= 0.0:
+            continue
+        row = gradients[i]
+        gap += max(float(rows[i] @ row) - mass * float(row.min()), 0.0)
+    return gap
+
+
+def reference_softmax(cum_costs, weights):
+    rows = np.zeros_like(cum_costs)
+    for i, mass in enumerate(weights):
+        if mass <= 0.0:
+            continue
+        logits = -cum_costs[i]
+        scaled = np.exp(logits - logits.max())
+        rows[i] = (mass / scaled.sum()) * scaled
+    return rows
+
+
+def reference_solve(spec, max_iter, gap_tol):
+    cum_costs = np.zeros((spec.num_players, spec.num_start_slots))
+    rows = reference_softmax(cum_costs, spec.weights)
+    iteration = 0
+    while True:
+        gradients = reference_gradients(spec, rows)
+        gap = reference_gap(spec.weights, rows, gradients)
+        if gap <= gap_tol or iteration >= max_iter:
+            return rows, gap, iteration
+        cum_costs += default_step_schedule(iteration) * gradients
+        rows = reference_softmax(cum_costs, spec.weights)
+        iteration += 1
+
+
+def assert_matches_reference(actual, expected, exact, scale=None):
+    """``scale`` is the magnitude the tolerance is relative to; it defaults
+    to the largest expected entry."""
+    if exact:
+        np.testing.assert_array_equal(actual, expected)
+    else:
+        if scale is None:
+            scale = float(np.max(np.abs(expected), initial=0.0))
+        np.testing.assert_allclose(
+            actual, expected, rtol=REFERENCE_RTOL, atol=REFERENCE_RTOL * scale
+        )
+
+
+def gap_scale(spec, gradients):
+    return float(spec.weights @ np.abs(gradients).max(axis=1))
+
+
+def reference_families(rng):
+    cubic = CustomCost(
+        value_fn=lambda x: x**3 + x,
+        derivative_fn=lambda x: 3.0 * x**2 + 1.0,
+        domain_bound=30.0,
+    )
+    base = [LinearCost(slope=rng.uniform(0.5, 2.0), intercept=rng.uniform(0.0, 1.0)),
+            QuadraticCost(), ExponentialCost(rate=rng.uniform(0.3, 1.5))]
+    return base + [
+        AffineCost(base[int(rng.integers(0, 3))], rng.uniform(0.5, 3.0), rng.uniform(-1.0, 2.0)),
+        cubic,
+    ]
+
+
+def random_reference_game(rng, horizon, duration, family):
+    raw = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 5)))
+    raw[rng.uniform(size=raw.size) < 0.3] = 0.0  # zero-mass players
+    if raw.sum() == 0.0:
+        raw[int(rng.integers(0, raw.size))] = 1.0
+    return GameSpec(
+        horizon,
+        duration,
+        float(rng.uniform(0.1, 1.0)),
+        rng.uniform(0.0, 2.0, size=horizon),
+        family,
+        raw / raw.sum(),
+    )
+
+
+def test_kernel_matches_per_row_reference(rng):
+    for horizon in range(1, 9):
+        for duration in range(1, horizon + 1):
+            for family in reference_families(rng):
+                spec = random_reference_game(rng, horizon, duration, family)
+                profile = random_profile(rng, spec)
+                rows = profile.matrix()
+                exact = duration <= 2
+                expected = reference_gradients(spec, rows)
+                got = player_gradients(spec, profile)
+                assert_matches_reference(got, expected, exact)
+                # The gap is a difference of mass-weighted gradient entries,
+                # so its tolerance is relative to their size, not its own.
+                assert_matches_reference(
+                    vi_gap(spec, profile),
+                    reference_gap(spec.weights, rows, expected),
+                    exact,
+                    gap_scale(spec, expected),
+                )
+                cum_costs = rng.normal(0.0, 5.0, size=rows.shape)
+                assert_matches_reference(
+                    _softmax_rows(cum_costs, spec.weights),
+                    reference_softmax(cum_costs, spec.weights),
+                    exact,
+                )
+                report = solve_dynamics(spec, max_iter=12, gap_tol=1e-9)
+                ref_rows, ref_gap, ref_iterations = reference_solve(spec, 12, 1e-9)
+                assert report.iterations == ref_iterations
+                assert_matches_reference(
+                    report.profile.matrix(),
+                    Profile.from_rows(spec, ref_rows).matrix(),
+                    exact,
+                )
+                assert_matches_reference(
+                    report.vi_gap,
+                    ref_gap,
+                    exact,
+                    gap_scale(spec, reference_gradients(spec, ref_rows)),
+                )
+
+
+def test_derivative_needed_only_for_massive_coalitions():
+    exp_without_derivative = CustomCost(value_fn=np.exp, derivative_fn=None, domain_bound=10.0)
+    loads = np.array([1.5, 1.0, 1.0])
+    with pytest.raises(SpecError, match="no derivative"):
+        solve_dynamics(GameSpec(3, 2, 1.0, loads, exp_without_derivative, np.array([0.5, 0.5])))
+    for weights in ([1.0], [1.0, 0.0]):
+        spec = GameSpec(3, 2, 1.0, loads, exp_without_derivative, np.array(weights))
+        report = solve_dynamics(spec)
+        assert report.status is SolverStatus.CONVERGED
+        assert report.profile.flows[0].values[0] == pytest.approx(0.25, abs=1e-3)
+
+
 # --- learning step -----------------------------------------------------------
 
 
@@ -173,6 +341,7 @@ def test_iterates_stay_on_scaled_simplices():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_non_finite_costs_raise():
     spec = GameSpec(
         3, 2, 1.0, np.array([2.0, 1.0, 1.0]),

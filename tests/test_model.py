@@ -340,7 +340,8 @@ def test_flow_scaling_lands_on_simplex(raw, mass):
     if total <= 0:
         values = [mass / len(raw)] * len(raw)
     else:
-        values = [mass * v / total for v in raw]
+        # Normalize before scaling: mass * v underflows for subnormal v.
+        values = [mass * (v / total) for v in raw]
     flow = Flow(np.array(values), mass)
     assert abs(float(flow.values.sum()) - mass) <= 1e-12
     assert float(flow.values.min()) >= 0.0

@@ -194,6 +194,18 @@ def test_parallel_sweep_matches_serial():
         assert a == b
 
 
+def test_parallel_sweep_rejects_unpicklable_game():
+    # Workers receive the game by pickling; a lambda-based family cannot be
+    # sent, which must surface as a typed error before any worker starts.
+    cost = CustomCost(value_fn=lambda x: x * x, derivative_fn=lambda x: 2.0 * x,
+                      domain_bound=10.0)
+    inst = band_instance(cost)
+    with pytest.raises(SpecError, match="picklable"):
+        run_sweep(inst, np.array([0.3, 0.6]), jobs=2)
+    with pytest.raises(SpecError, match="picklable"):
+        run_sweep(inst.to_game_spec(), np.array([0.3, 0.6]), solver="dynamics", jobs=2)
+
+
 def test_csv_round_trip(tmp_path):
     result = run_sweep(band_instance(QuadraticCost()), default_grid(11))
     path = tmp_path / "sweep.csv"
