@@ -25,10 +25,18 @@ import sys
 import numpy as np
 
 from .costs import cost_from_config, cost_to_config
-from .dynamics import default_step_schedule, solve_dynamics
+from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, default_step_schedule, solve_dynamics
 from .errors import ChargeGameError, SpecError
 from .model import GameSpec, Profile, supports_reduced_costs
-from .sweep import audits_to_dict, run_sweep, write_csv
+from .sweep import (
+    DEFAULT_GRID_SIZE,
+    DEFAULT_GRID_START,
+    DEFAULT_GRID_STOP,
+    audits_to_dict,
+    default_grid,
+    run_sweep,
+    write_csv,
+)
 from .threeslot import equilibrium_profile, instance_from_spec, solve_ce
 from .verify import (
     EquilibriumReport,
@@ -45,13 +53,17 @@ EXIT_CONFIG_ERROR = 2
 
 SOLVER_DEFAULTS = {
     "method": "auto",
-    "max_iter": 100_000,
-    "gap_tol": 1e-6,
+    "max_iter": DEFAULT_MAX_ITER,
+    "gap_tol": DEFAULT_GAP_TOL,
     "step_size": "default",
     "trace_every": 1,
 }
 
-SWEEP_DEFAULTS = {"start": 0.01, "stop": 1.0, "count": 101}
+SWEEP_DEFAULTS = {
+    "start": DEFAULT_GRID_START,
+    "stop": DEFAULT_GRID_STOP,
+    "count": DEFAULT_GRID_SIZE,
+}
 
 
 def _sig12(value: float) -> float:
@@ -369,8 +381,8 @@ def _cmd_sweep(args) -> int:
     if "grid" in sweep_cfg:
         grid = np.array(sweep_cfg["grid"], dtype=float)
     else:
-        grid = np.linspace(
-            float(sweep_cfg["start"]), float(sweep_cfg["stop"]), int(sweep_cfg["count"])
+        grid = default_grid(
+            int(sweep_cfg["count"]), float(sweep_cfg["start"]), float(sweep_cfg["stop"])
         )
     method = _resolve_method(resolved, spec)
     solver_cfg = resolved["solver"]

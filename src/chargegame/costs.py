@@ -56,32 +56,33 @@ class CostFunction(abc.ABC):
 
     def value(self, load):
         """Evaluate f at a scalar or array load inside [0, W]."""
-        arr = self._check_domain(load)
-        out = self._raw_value(arr)
-        return float(out) if np.ndim(load) == 0 else out
+        return self._evaluate(self._raw_value, load)
 
     def derivative(self, load):
         """Evaluate f' at a scalar or array load inside [0, W]."""
         if not self.has_derivative():
             raise SpecError(f"{type(self).__name__} provides no derivative")
-        arr = self._check_domain(load)
-        out = self._raw_derivative(arr)
-        return float(out) if np.ndim(load) == 0 else out
+        return self._evaluate(self._raw_derivative, load)
 
-    def _check_domain(self, load) -> np.ndarray:
+    def _evaluate(self, raw, load):
+        # A float (np.float64 included) skips the array round trip: the
+        # closed form's bisection evaluates f and f' on scalars only.
+        if isinstance(load, float):
+            load = float(load)
+            self._check_domain(load, load)
+            return float(raw(load))
         arr = np.asarray(load, dtype=float)
         if arr.size:
-            lo = float(arr.min())
-            if lo < -DOMAIN_SLACK:
-                raise DomainError(f"load {lo} lies below the validity interval [0, W]")
-            bound = self.domain_bound
-            if bound is not None:
-                hi = float(arr.max())
-                if hi > bound + DOMAIN_SLACK * max(1.0, bound):
-                    raise DomainError(
-                        f"load {hi} lies above the validity interval [0, {bound}]"
-                    )
-        return arr
+            self._check_domain(float(arr.min()), float(arr.max()))
+        out = raw(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    def _check_domain(self, lo: float, hi: float) -> None:
+        if lo < -DOMAIN_SLACK:
+            raise DomainError(f"load {lo} lies below the validity interval [0, W]")
+        bound = self.domain_bound
+        if bound is not None and hi > bound + DOMAIN_SLACK * max(1.0, bound):
+            raise DomainError(f"load {hi} lies above the validity interval [0, {bound}]")
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ class CustomCost(CostFunction):
     """Host-supplied cost family.
 
     ``value_fn`` (and ``derivative_fn`` when given) must accept numpy
-    arrays.  The validity interval must be declared up front because the
+    arrays; they are always called with one, scalar loads as 0-d arrays.
+    The validity interval must be declared up front because the
     shape requirements (finite, nonnegative, strictly increasing, convex)
     are spot-checked on a uniform sample grid of [0, domain_bound] at
     construction; the derivative is trusted as supplied.
@@ -182,10 +184,10 @@ class CustomCost(CostFunction):
         return self.derivative_fn is not None
 
     def _raw_value(self, load):
-        return np.asarray(self.value_fn(load), dtype=float)
+        return np.asarray(self.value_fn(np.asarray(load)), dtype=float)
 
     def _raw_derivative(self, load):
-        return np.asarray(self.derivative_fn(load), dtype=float)
+        return np.asarray(self.derivative_fn(np.asarray(load)), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NumericsError, UndefinedAverageError
-from .model import Flow, GameSpec, Profile, _incidence, validate_profile
+from .errors import NumericsError
+from .model import Flow, GameSpec, Profile, _coalition_mass, _incidence, validate_profile
 
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_GAP_TOL = 1e-6
@@ -129,10 +129,7 @@ def coalition_gradient(spec: GameSpec, profile: Profile, k: int) -> np.ndarray:
     coalition's own members already charging in that window would pay,
     all divided by the coalition's mass.
     """
-    if not 1 <= k <= spec.num_coalitions:
-        raise IndexError(f"coalition index {k} out of range [1, {spec.num_coalitions}]")
-    if spec.weights[k] <= 0.0:
-        raise UndefinedAverageError(f"coalition {k} has zero mass")
+    _coalition_mass(spec, k)
     return player_gradients(spec, profile)[k]
 
 

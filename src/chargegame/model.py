@@ -272,14 +272,18 @@ def decompose_loads(spec: GameSpec, profile: Profile) -> LoadDecomposition:
     return LoadDecomposition(per_player, per_player.sum(axis=0))
 
 
+def _slot_prices(spec: GameSpec, loads: LoadDecomposition) -> np.ndarray:
+    """Per-unit price of each slot, f(L_t + P * z_t), at the given loads."""
+    return spec.cost.value(spec.base_load + spec.power * loads.aggregate)
+
+
 def strategy_costs(
     spec: GameSpec, profile: Profile, *, loads: LoadDecomposition | None = None
 ) -> np.ndarray:
     """Cost of each start-slot strategy: window sum of per-slot unit prices."""
     if loads is None:
         loads = decompose_loads(spec, profile)
-    prices = spec.cost.value(spec.base_load + spec.power * loads.aggregate)
-    return _window_sum(spec, prices)
+    return _window_sum(spec, _slot_prices(spec, loads))
 
 
 def strategy_cost(spec: GameSpec, profile: Profile, start: int) -> float:
@@ -299,24 +303,19 @@ def coalition_average_cost(
     loads: LoadDecomposition | None = None,
 ) -> float:
     """Average cost paid by coalition ``k`` (player index, 1-based up to K)."""
+    mass = _coalition_mass(spec, k)
+    costs = strategy_costs(spec, profile, loads=loads)
+    return float(profile.flows[k].values @ costs) / mass
+
+
+def _coalition_mass(spec: GameSpec, k: int) -> float:
+    """Mass of coalition ``k``; raises unless 1 <= k <= K and the mass is positive."""
     if not 1 <= k <= spec.num_coalitions:
         raise IndexError(f"coalition index {k} out of range [1, {spec.num_coalitions}]")
     mass = float(spec.weights[k])
     if mass <= 0.0:
         raise UndefinedAverageError(f"coalition {k} has zero mass")
-    if loads is None:
-        loads = decompose_loads(spec, profile)
-    costs = strategy_costs(spec, profile, loads=loads)
-    flow_form = float(profile.flows[k].values @ costs) / mass
-    if __debug__:
-        # Same double sum grouped by slot instead of by start; the two
-        # forms must agree up to rounding.
-        prices = spec.cost.value(spec.base_load + spec.power * loads.aggregate)
-        load_form = float(loads.per_player[k] @ prices) / mass
-        assert abs(flow_form - load_form) <= 1e-9 * max(1.0, abs(flow_form)), (
-            f"flow-form cost {flow_form} disagrees with load-form {load_form}"
-        )
-    return flow_form
+    return mass
 
 
 def individuals_average_cost(
@@ -342,8 +341,7 @@ def social_cost(
     """Total cost across all charging EVs."""
     if loads is None:
         loads = decompose_loads(spec, profile)
-    prices = spec.cost.value(spec.base_load + spec.power * loads.aggregate)
-    return float(loads.aggregate @ prices)
+    return float(loads.aggregate @ _slot_prices(spec, loads))
 
 
 @dataclass(frozen=True)
@@ -371,22 +369,27 @@ def evaluate_costs(
     """All entity costs at ``profile`` in one pass."""
     if loads is None:
         loads = decompose_loads(spec, profile)
-    costs = strategy_costs(spec, profile, loads=loads)
-    extended = bool(spec.weights[0] <= 0.0)
-    if extended:
-        individuals = float(costs.min())
-    else:
-        individuals = float(profile.flows[0].values @ costs) / float(spec.weights[0])
-    coalitions = []
-    for k in range(1, spec.num_players):
-        if spec.weights[k] <= 0.0:
-            coalitions.append(None)
-        else:
-            coalitions.append(coalition_average_cost(spec, profile, k, loads=loads))
+    prices = _slot_prices(spec, loads)
+    return _summarize_costs(spec, profile, loads, prices, _window_sum(spec, prices))
+
+
+def _summarize_costs(
+    spec: GameSpec,
+    profile: Profile,
+    loads: LoadDecomposition,
+    prices: np.ndarray,
+    costs: np.ndarray,
+) -> CostSummary:
+    """Entity costs from the slot prices and their strategy-cost window sums."""
+    averages = [
+        float(flow.values @ costs) / float(mass) if mass > 0.0 else None
+        for flow, mass in zip(profile.flows, spec.weights)
+    ]
+    extended = averages[0] is None
     return CostSummary(
-        individuals=individuals,
-        coalitions=tuple(coalitions),
-        social=social_cost(spec, profile, loads=loads),
+        individuals=float(costs.min()) if extended else averages[0],
+        coalitions=tuple(averages[1:]),
+        social=float(loads.aggregate @ prices),
         individuals_extended=extended,
     )
 

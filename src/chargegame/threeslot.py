@@ -29,7 +29,7 @@ import numpy as np
 
 from .costs import CostFunction
 from .errors import BracketingError, SpecError
-from .model import Flow, GameSpec, Profile
+from .model import Flow, GameSpec, Profile, supports_reduced_costs
 
 # Absolute tolerance on the coalition split found by bisection.
 BISECTION_TOL = 1e-12
@@ -286,7 +286,7 @@ def instance_from_spec(spec: GameSpec, coalition_size: float) -> ThreeSlotInstan
     Requires the normalized shape (T=3, C=2, P=1) with the first slot at
     least as loaded as the last.
     """
-    if spec.horizon != 3 or spec.duration != 2 or abs(spec.power - 1.0) > 1e-12:
+    if not supports_reduced_costs(spec):
         raise SpecError("closed form requires horizon=3, duration=2, power=1")
     return ThreeSlotInstance(
         peak_load=float(spec.base_load[0]),

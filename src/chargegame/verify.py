@@ -23,8 +23,11 @@ from .model import (
     GameSpec,
     LoadDecomposition,
     Profile,
+    _coalition_mass,
+    _slot_prices,
+    _summarize_costs,
+    _window_sum,
     decompose_loads,
-    evaluate_costs,
     reduced_costs,
     strategy_costs,
     supports_reduced_costs,
@@ -44,12 +47,7 @@ def support_threshold(mass: float) -> float:
     return DEFAULT_SUPPORT_RATIO * mass
 
 
-def vi_gap(
-    spec: GameSpec,
-    profile: Profile,
-    *,
-    gradients: np.ndarray | None = None,
-) -> float:
+def vi_gap(spec: GameSpec, profile: Profile) -> float:
     """Total linearized improvement available to all players at once.
 
     Per player this is the inner product of its marginal costs with its own
@@ -57,9 +55,7 @@ def vi_gap(
     linearized unilateral deviation over the player's scaled simplex could
     reach.  Nonnegative always; zero exactly at composite equilibria.
     """
-    if gradients is None:
-        gradients = player_gradients(spec, profile)
-    return _gap_rows(spec.weights, profile.matrix(), gradients)
+    return _gap_rows(spec.weights, profile.matrix(), player_gradients(spec, profile))
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,16 @@ def check_wardrop(
     support_tol: float | None = None,
 ) -> WardropCheck:
     """Pass iff every strategy the individuals use is within eps of cheapest."""
-    costs = strategy_costs(spec, profile)
+    return _wardrop_at(spec, profile, strategy_costs(spec, profile), eps, support_tol)
+
+
+def _wardrop_at(
+    spec: GameSpec,
+    profile: Profile,
+    costs: np.ndarray,
+    eps: float,
+    support_tol: float | None = None,
+) -> WardropCheck:
     mass = float(spec.weights[0])
     if support_tol is None:
         support_tol = support_threshold(mass)
@@ -121,10 +126,14 @@ def check_coalition_optimality(
     *,
     gradients: np.ndarray | None = None,
 ) -> OptimalityCheck:
-    """Pass iff coalition ``k``'s linearized improvement is at most eps."""
+    """Pass iff coalition ``k``'s linearized improvement is at most eps.
+
+    ``k`` runs from 1 to K; an index outside raises IndexError and a
+    zero-mass coalition UndefinedAverageError.
+    """
+    mass = _coalition_mass(spec, k)
     if gradients is None:
         gradients = player_gradients(spec, profile)
-    mass = float(spec.weights[k])
     row = gradients[k]
     gap = float(profile.flows[k].values @ row) - mass * float(row.min())
     gap = max(gap, 0.0)
@@ -190,14 +199,20 @@ def make_report(
     gap: float | None = None,
     trace: tuple[TraceRow, ...] | None = None,
 ) -> EquilibriumReport:
-    """Assemble the full diagnostic report for a solved profile."""
-    loads = decompose_loads(spec, profile)
-    gradients = player_gradients(spec, profile)
+    """Assemble the full diagnostic report for a solved profile.
+
+    ``gap`` is the profile's variational gap when the caller already has
+    it; otherwise it is computed here.  The entity costs and the Wardrop
+    slack share one load decomposition and one evaluation of the prices.
+    """
     if gap is None:
-        gap = vi_gap(spec, profile, gradients=gradients)
-    costs = evaluate_costs(spec, profile, loads=loads)
+        gap = vi_gap(spec, profile)
+    loads = decompose_loads(spec, profile)
+    prices = _slot_prices(spec, loads)
+    strategy = _window_sum(spec, prices)
+    costs = _summarize_costs(spec, profile, loads, prices, strategy)
     reduced = reduced_costs(spec, costs) if supports_reduced_costs(spec) else None
-    wardrop = check_wardrop(spec, profile, eps=np.inf)
+    wardrop = _wardrop_at(spec, profile, strategy, eps=np.inf)
     boundary = any(
         mass > 0.0 and float(flow.values.min()) <= support_threshold(mass)
         for mass, flow in zip(spec.weights, profile.flows)

@@ -18,6 +18,7 @@ from chargegame import (
     cost_to_config,
     with_domain_bound,
 )
+from chargegame.costs import DOMAIN_SLACK
 
 FAMILIES = [
     LinearCost(slope=1.0, intercept=0.0, domain_bound=5.0),
@@ -32,6 +33,9 @@ def test_named_family_values():
     assert QuadraticCost().value(1.75) == pytest.approx(3.0625, abs=1e-15)
     assert ExponentialCost(rate=1.0).value(0.0) == pytest.approx(1.0, abs=1e-15)
     assert LinearCost(slope=1.0, intercept=0.0).value(2.3) == pytest.approx(2.3)
+    np.testing.assert_allclose(
+        QuadraticCost(domain_bound=4.0).value(np.array([0.0, 1.0, 1.75])), [0.0, 1.0, 3.0625]
+    )
 
 
 def test_named_family_derivatives():
@@ -59,23 +63,63 @@ def test_monotone_and_convex_on_grid(fn):
     assert second.min() >= -1e-9
 
 
-def test_scalar_and_array_evaluation_agree():
-    fn = QuadraticCost(domain_bound=4.0)
-    arr = np.array([0.0, 1.0, 1.75])
-    assert isinstance(fn.value(1.75), float)
-    np.testing.assert_allclose(fn.value(arr), [0.0, 1.0, 3.0625])
+# Every family, including the wrappers, on both evaluation paths: a float
+# (np.float64 included) takes the scalar path, anything else the array one.
+EVALUATION_FAMILIES = [
+    LinearCost(slope=1.7, intercept=0.3, domain_bound=4.0),
+    QuadraticCost(domain_bound=4.0),
+    ExponentialCost(rate=0.8, domain_bound=4.0),
+    AffineCost(QuadraticCost(domain_bound=4.0), 2.0, -1.0),
+    CustomCost(value_fn=np.cosh, derivative_fn=np.sinh, domain_bound=4.0),
+]
+LOAD_KINDS = {
+    "float": float,
+    "float64": np.float64,
+    "0d-array": np.array,
+    "1-element-array": lambda x: np.array([x]),
+}
 
 
-def test_domain_errors():
-    fn = QuadraticCost(domain_bound=2.0)
-    with pytest.raises(DomainError):
-        fn.value(2.5)
-    with pytest.raises(DomainError):
-        fn.value(-0.5)
-    with pytest.raises(DomainError):
-        fn.derivative(np.array([0.5, 3.0]))
-    # unresolved bound: only the lower end is enforced
-    assert QuadraticCost().value(100.0) == 10000.0
+def _upper_edge(fn):
+    return fn.domain_bound + DOMAIN_SLACK * max(1.0, fn.domain_bound)
+
+
+@pytest.mark.parametrize("kind", LOAD_KINDS)
+@pytest.mark.parametrize("fn", EVALUATION_FAMILIES, ids=lambda f: type(f).__name__)
+def test_scalar_and_array_evaluation_agree(fn, kind):
+    """Each load evaluates bit-identically to its entry in an array call."""
+    make = LOAD_KINDS[kind]
+    loads = np.array([-DOMAIN_SLACK, 0.0, 1.0, 1.75, 3.3, 4.0, _upper_edge(fn)])
+    values, slopes = fn.value(loads), fn.derivative(loads)
+    for load, value, slope in zip(loads.tolist(), values, slopes):
+        got_value, got_slope = fn.value(make(load)), fn.derivative(make(load))
+        if kind == "1-element-array":
+            assert got_value.shape == got_slope.shape == (1,)
+            got_value, got_slope = got_value[0], got_slope[0]
+        else:
+            assert type(got_value) is float and type(got_slope) is float
+        assert got_value == value and got_slope == slope
+
+
+@pytest.mark.parametrize("kind", LOAD_KINDS)
+@pytest.mark.parametrize("fn", EVALUATION_FAMILIES, ids=lambda f: type(f).__name__)
+def test_domain_errors(fn, kind):
+    """DomainError just outside [-DOMAIN_SLACK, W + DOMAIN_SLACK*max(1, W)], none on it."""
+    make = LOAD_KINDS[kind]
+    upper = _upper_edge(fn)
+    for evaluate in (fn.value, fn.derivative):
+        evaluate(make(-DOMAIN_SLACK))
+        evaluate(make(upper))
+        with pytest.raises(DomainError, match="below the validity interval"):
+            evaluate(make(np.nextafter(-DOMAIN_SLACK, -np.inf)))
+        with pytest.raises(DomainError, match="above the validity interval"):
+            evaluate(make(np.nextafter(upper, np.inf)))
+        with pytest.raises(DomainError):
+            evaluate(make(-0.5))
+        with pytest.raises(DomainError):
+            evaluate(make(upper + 0.5))
+        with pytest.raises(DomainError):
+            evaluate(np.array([0.5, np.nextafter(upper, np.inf)]))
 
 
 def test_structural_validation():
@@ -139,6 +183,8 @@ def test_custom_cost_without_derivative():
 
 
 def test_with_domain_bound():
+    # unresolved bound: only the lower end is enforced
+    assert QuadraticCost().value(100.0) == 10000.0
     fn = with_domain_bound(QuadraticCost(), 7.0)
     assert fn.domain_bound == 7.0
     wrapped = with_domain_bound(affine_transform(QuadraticCost(), 2.0, 0.0), 7.0)

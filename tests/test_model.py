@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargegame import (
+    AffineCost,
     CostSummary,
     Flow,
     GameSpec,
@@ -230,6 +231,40 @@ def test_flow_and_load_cost_forms_agree(rng):
             load_form = float(loads.per_player[k] @ prices) / spec.weights[k]
             flow_form = coalition_average_cost(spec, profile, k)
             assert flow_form == pytest.approx(load_form, abs=1e-9)
+
+
+def test_cost_forms_agree_on_random_games(rng):
+    """Coalition costs summed by start (flow form) and by slot (load form)
+    agree on random games, and evaluate_costs matches the per-entity
+    functions exactly."""
+    families = [LinearCost(1.3, 0.2), QuadraticCost(), ExponentialCost(rate=0.7),
+                AffineCost(QuadraticCost(), 2.0, -0.5)]
+    for _ in range(60):
+        horizon = int(rng.integers(1, 9))
+        raw = rng.uniform(0.0, 1.0, size=int(rng.integers(2, 5)))
+        raw[1:][rng.uniform(size=raw.size - 1) < 0.25] = 0.0  # zero-mass coalitions
+        spec = GameSpec(
+            horizon,
+            int(rng.integers(1, horizon + 1)),
+            float(rng.uniform(0.1, 1.5)),
+            rng.uniform(0.0, 2.0, size=horizon),
+            families[int(rng.integers(0, len(families)))],
+            raw / raw.sum(),
+        )
+        profile = random_profile(rng, spec)
+        loads = decompose_loads(spec, profile)
+        prices = spec.cost.value(spec.base_load + spec.power * loads.aggregate)
+        summary = evaluate_costs(spec, profile)
+        assert summary.individuals == individuals_average_cost(spec, profile)
+        assert summary.social == social_cost(spec, profile)
+        for k in range(1, spec.num_players):
+            if spec.weights[k] <= 0:
+                assert summary.coalitions[k - 1] is None
+                continue
+            flow_form = coalition_average_cost(spec, profile, k)
+            load_form = float(loads.per_player[k] @ prices) / spec.weights[k]
+            assert abs(flow_form - load_form) <= 1e-9 * max(1.0, abs(flow_form))
+            assert summary.coalitions[k - 1] == flow_form
 
 
 def test_weighted_average_identity(rng):

@@ -12,17 +12,25 @@ from chargegame import (
     GameSpec,
     LinearCost,
     QuadraticCost,
+    Regime,
+    SolverStatus,
     SpecError,
     ThreeSlotInstance,
     audit_concave,
     audit_concave_branches,
     audit_monotone,
     default_grid,
+    equilibrium_profile,
+    make_report,
     peak_start_slot,
     run_sweep,
+    solve_ce,
     sweep_rows,
+    with_coalition_size,
 )
+from chargegame import sweep, verify
 from chargegame.sweep import write_csv
+from conftest import random_three_slot
 
 
 def gap_instance(cost=None):
@@ -131,6 +139,38 @@ def test_social_dilemma_witness():
     first, last = result.points[0], result.points[-1]
     assert last.cost_social < first.cost_social
     assert last.cost_individuals < last.cost_coalition
+
+
+# --- the per-point certificate -----------------------------------------------
+
+
+def test_sweep_gap_equals_report_gap_in_every_regime(rng):
+    """An analytic point's gap is exactly the full report's vi_gap."""
+    grid = default_grid(21)
+    seen = set()
+    for _ in range(12):
+        inst = random_three_slot(rng)
+        for point in run_sweep(inst, grid).points:
+            at = with_coalition_size(inst, point.m)
+            report = make_report(
+                at.to_game_spec(), equilibrium_profile(at, solve_ce(at)), SolverStatus.ANALYTIC
+            )
+            assert point.gap == report.vi_gap
+            seen.add(point.regime)
+    assert seen == {regime.value for regime in Regime}
+
+
+def test_analytic_sweep_builds_no_report(monkeypatch):
+    """Each analytic point costs its closed form and its gap certificate only."""
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("an analytic sweep point assembled a full report")
+
+    monkeypatch.setattr(verify, "make_report", no_report)
+    monkeypatch.setattr(sweep, "make_report", no_report, raising=False)
+    for inst in (gap_instance(QuadraticCost()), band_instance(ExponentialCost(rate=1.0))):
+        result = run_sweep(inst, default_grid(21))
+        assert all(p.error is None and p.gap <= 1e-9 for p in result.points)
 
 
 # --- dynamics-backed sweeps --------------------------------------------------

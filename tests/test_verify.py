@@ -11,12 +11,14 @@ from chargegame import (
     QuadraticCost,
     SolverStatus,
     ThreeSlotInstance,
+    UndefinedAverageError,
     affine_transform,
     check_coalition_optimality,
     check_cost_ordering,
     check_wardrop,
     equilibrium_profile,
     make_report,
+    player_gradients,
     solve_ce,
     solve_dynamics,
     vi_gap,
@@ -124,6 +126,22 @@ def test_coalition_optimality_trio():
     assert not bad.passed and bad.gap > 0.1
     single = GameSpec(3, 3, 1.0, np.ones(3), LinearCost(), np.array([0.5, 0.5]))
     assert check_coalition_optimality(single, Profile.uniform(single), 1, eps=0.0).passed
+
+
+def test_coalition_optimality_validates_index():
+    """k outside [1, K] and zero-mass coalitions raise, as coalition_gradient does."""
+    spec = GameSpec(3, 2, 1.0, np.array([2.3, 1, 1]), LinearCost(), np.array([0.5, 0.5, 0.0]))
+    profile = corner_profile(spec)
+    gradients = player_gradients(spec, profile)
+    for k in (0, -1, 3):
+        with pytest.raises(IndexError):
+            check_coalition_optimality(spec, profile, k, eps=1.0)
+        with pytest.raises(IndexError):
+            check_coalition_optimality(spec, profile, k, eps=1.0, gradients=gradients)
+    for given in (None, gradients):
+        with pytest.raises(UndefinedAverageError):
+            check_coalition_optimality(spec, profile, 2, eps=1.0, gradients=given)
+    assert not check_coalition_optimality(spec, profile, 1, eps=1e-8).passed
 
 
 # --- reports and orderings ---------------------------------------------------
