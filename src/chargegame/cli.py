@@ -390,7 +390,6 @@ def _cmd_sweep(args) -> int:
         spec if method == "dynamics" else instance_from_spec(spec, float(grid[0])),
         grid,
         solver=method,
-        jobs=args.jobs,
         max_iter=int(solver_cfg["max_iter"]),
         gap_tol=float(solver_cfg["gap_tol"]),
         step_size=_step_size(solver_cfg),
@@ -423,7 +422,7 @@ def _cmd_verify(args) -> int:
     gap = vi_gap(spec, profile)
     wardrop = check_wardrop(spec, profile, eps=args.gap_tol)
     report = make_report(
-        spec, profile, SolverStatus(stored["status"]), iterations=stored["iterations"]
+        spec, profile, SolverStatus(stored["status"]), iterations=stored["iterations"], gap=gap
     )
     ordering = check_cost_ordering(report, tol=max(args.gap_tol, 1e-9))
     stored_gap = float(stored["vi_gap"])
@@ -465,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sweep the coalition size")
     add_common(sweep)
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
 
     trace = sub.add_parser(
         "dynamics-trace", help="run the learning dynamics with a per-iteration trace"

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, StepSize, default_step_schedule, solve_dynamics
+from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, StepSize, _solve_batch, default_step_schedule
 from .errors import ChargeGameError, SpecError
 from .model import GameSpec, _window_sum, supports_reduced_costs
 from .threeslot import (
@@ -172,7 +170,6 @@ def run_sweep(
     solver: str = "analytic",
     *,
     audit_tol: float = DEFAULT_AUDIT_TOL,
-    jobs: int = 1,
     max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
     step_size: StepSize = default_step_schedule,
@@ -181,9 +178,11 @@ def run_sweep(
 
     ``base`` fixes the loads, duration and cost family; the weights become
     (1 - m, m) at each grid point.  ``solver`` is "analytic" (closed form,
-    three-slot instances only) or "dynamics".  Grid points are independent;
-    ``jobs`` > 1 evaluates them in a process pool, with results always
-    ordered by m.
+    three-slot instances only) or "dynamics".  The dynamics solve the whole
+    grid as one batch, each point leaving it once its gap reaches
+    ``gap_tol`` or ``max_iter`` is hit; every point equals a separate
+    :func:`~chargegame.dynamics.solve_dynamics` run bit for bit.  Points
+    are ordered by m, and a point whose solve fails carries the error.
     """
     if grid is None:
         grid = default_grid()
@@ -202,18 +201,12 @@ def run_sweep(
     if isinstance(base, GameSpec) and base.num_coalitions != 1:
         raise SpecError("sweeps require a game shape with exactly one coalition")
 
-    options = {"max_iter": max_iter, "gap_tol": gap_tol, "step_size": step_size}
-    args = [(base, float(m), solver, options) for m in grid]
-    if jobs > 1:
-        try:
-            pickle.dumps((base, options))
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise SpecError(f"jobs > 1 needs a picklable game and step size: {exc}") from exc
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_solve_point, args))
+    if solver == "analytic":
+        points = [_analytic_point(base, float(m)) for m in grid]
     else:
-        points = [_solve_point(a) for a in args]
-
+        points = _dynamics_points(
+            base, [float(m) for m in grid], max_iter=max_iter, gap_tol=gap_tol, step_size=step_size
+        )
     reduced = isinstance(base, ThreeSlotInstance) or supports_reduced_costs(base)
     audits = _run_audits(points, solver, audit_tol)
     return SweepResult(
@@ -221,55 +214,67 @@ def run_sweep(
     )
 
 
-def _solve_point(task) -> SweepPoint:
-    base, m, solver, options = task
+def _analytic_point(base: ThreeSlotInstance, m: float) -> SweepPoint:
     try:
-        if solver == "analytic":
-            inst = with_coalition_size(base, m)
-            point = solve_ce(inst)
-            costs = ce_costs(inst, point)
-            # The certificate is all a sweep point keeps of a report.
-            gap = vi_gap(inst.to_game_spec(), equilibrium_profile(inst, point))
-            return SweepPoint(
-                m=m,
-                x1=point.coalition_on_peak,
-                x0=point.individuals_on_peak,
-                cost_individuals=costs.individuals,
-                cost_coalition=costs.coalition,
-                cost_social=costs.social,
-                regime=point.regime.value,
-                gap=gap,
-                status=SolverStatus.ANALYTIC.value,
-            )
-        spec = _spec_at(base, m)
-        report = solve_dynamics(spec, **options)
-        costs = report.reduced if report.reduced is not None else report.costs
-        peak = peak_start_slot(spec)
-        return SweepPoint(
-            m=m,
-            x1=float(report.profile.flows[1].values[peak]),
-            x0=float(report.profile.flows[0].values[peak]),
-            cost_individuals=costs.individuals,
-            cost_coalition=costs.coalitions[0],
-            cost_social=costs.social,
-            regime=None,
-            gap=report.vi_gap,
-            status=report.status.value,
-        )
+        inst = with_coalition_size(base, m)
+        point = solve_ce(inst)
+        costs = ce_costs(inst, point)
+        # The certificate is all a sweep point keeps of a report.
+        gap = vi_gap(inst.to_game_spec(), equilibrium_profile(inst, point))
     except ChargeGameError as exc:
-        nan = float("nan")
-        return SweepPoint(
-            m=m,
-            x1=nan,
-            x0=nan,
-            cost_individuals=nan,
-            cost_coalition=nan,
-            cost_social=nan,
-            regime=None,
-            gap=nan,
-            status="error",
-            error=str(exc),
+        return _error_point(m, exc)
+    return SweepPoint(
+        m=m,
+        x1=point.coalition_on_peak,
+        x0=point.individuals_on_peak,
+        cost_individuals=costs.individuals,
+        cost_coalition=costs.coalition,
+        cost_social=costs.social,
+        regime=point.regime.value,
+        gap=gap,
+        status=SolverStatus.ANALYTIC.value,
+    )
+
+
+def _dynamics_points(base, grid: list[float], **options) -> list[SweepPoint]:
+    specs = [_spec_at(base, m) for m in grid]
+    peak = peak_start_slot(specs[0])
+    points = []
+    for m, report in zip(grid, _solve_batch(specs, **options)):
+        if isinstance(report, ChargeGameError):
+            points.append(_error_point(m, report))
+            continue
+        costs = report.reduced if report.reduced is not None else report.costs
+        points.append(
+            SweepPoint(
+                m=m,
+                x1=float(report.profile.flows[1].values[peak]),
+                x0=float(report.profile.flows[0].values[peak]),
+                cost_individuals=costs.individuals,
+                cost_coalition=costs.coalitions[0],
+                cost_social=costs.social,
+                regime=None,
+                gap=report.vi_gap,
+                status=report.status.value,
+            )
         )
+    return points
+
+
+def _error_point(m: float, exc: ChargeGameError) -> SweepPoint:
+    nan = float("nan")
+    return SweepPoint(
+        m=m,
+        x1=nan,
+        x0=nan,
+        cost_individuals=nan,
+        cost_coalition=nan,
+        cost_social=nan,
+        regime=None,
+        gap=nan,
+        status="error",
+        error=str(exc),
+    )
 
 
 def _spec_at(base, m: float) -> GameSpec:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TraceRow, _gap_rows, player_gradients
+from .dynamics import TraceRow, _gaps, player_gradients
 from .model import (
     CostSummary,
     GameSpec,
@@ -55,7 +55,8 @@ def vi_gap(spec: GameSpec, profile: Profile) -> float:
     linearized unilateral deviation over the player's scaled simplex could
     reach.  Nonnegative always; zero exactly at composite equilibria.
     """
-    return _gap_rows(spec.weights, profile.matrix(), player_gradients(spec, profile))
+    gradients = player_gradients(spec, profile)
+    return _gaps(spec.weights.tolist(), profile.matrix(), gradients, spec.num_players)[0]
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from chargegame import SpecError
+import chargegame
+from chargegame import SpecError, verify
 from chargegame.cli import load_profile_csv, main, resolve_config
 
 NIGHT_LOADS = [0.9, 1.0, 0.95, 0.7, 0.5, 0.45, 0.6]
@@ -240,10 +244,10 @@ def test_sweep_quadratic_normalized_ratio(tmp_path):
     assert all(entry["passed"] for entry in audits["audits"].values())
 
 
-def test_sweep_explicit_grid_and_jobs(tmp_path):
+def test_sweep_explicit_grid(tmp_path):
     config = band_config(tmp_path, sweep={"grid": [0.25, 0.5, 1.0]})
     out = tmp_path / "out"
-    assert main(["sweep", "--config", config, "--out", str(out), "--jobs", "2"]) == 0
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
     with open(out / "sweep.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [float(r["m"]) for r in rows] == [0.25, 0.5, 1.0]
@@ -278,6 +282,22 @@ def test_verify_certifies_emitted_report(tmp_path):
     assert main(["verify", "--report", report_path, "--gap-tol", "1e-8"]) == 0
 
 
+def test_verify_computes_the_gap_once(tmp_path, monkeypatch):
+    config = band_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    calls = []
+    real = verify.player_gradients
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "player_gradients", counted)
+    assert main(["verify", "--report", str(out / "report.json"), "--gap-tol", "1e-8"]) == 0
+    assert len(calls) == 1
+
+
 def test_verify_rejects_tampered_report(tmp_path):
     config = band_config(tmp_path)
     out = tmp_path / "out"
@@ -291,3 +311,21 @@ def test_verify_rejects_tampered_report(tmp_path):
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+# --- import cost -------------------------------------------------------------
+
+
+def test_cli_import_starts_no_process_pool_machinery():
+    # Sweeps batch their grid in one process; importing the CLI must not
+    # pull in multiprocessing or concurrent.futures.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chargegame.__file__)))
+    code = (
+        "import sys, chargegame.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -25,7 +25,13 @@ from chargegame import (
     strategy_costs,
     vi_gap,
 )
-from chargegame.dynamics import _softmax_rows, default_step_schedule, initial_state
+from chargegame.dynamics import (
+    _gaps,
+    _softmax_rows,
+    _solve_batch,
+    default_step_schedule,
+    initial_state,
+)
 from conftest import random_profile, random_three_slot
 
 
@@ -269,6 +275,59 @@ def test_kernel_matches_per_row_reference(rng):
                     exact,
                     gap_scale(spec, reference_gradients(spec, ref_rows)),
                 )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_gap_marks_every_non_finite_gradient(rng):
+    # The solver checks the gradients for NaN and inf through the gap's
+    # per-row minimum and dot; rows put zero weight on some slots and some
+    # players have no mass, where the bad entry meets a zero.
+    players, games, slots = 3, 4, 5
+    masses = np.array([[0.5, 0.0, 0.3, 1.0], [0.5, 0.6, 0.0, 0.0], [0.0, 0.4, 0.7, 0.0]])
+    weights = masses.ravel()  # player-major: row i * games + g
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in range(players * games):
+            for slot in range(slots):
+                raw = rng.uniform(size=(players * games, slots))
+                raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
+                raw[:, 0] += 1e-3
+                rows = weights[:, None] * raw / raw.sum(axis=1, keepdims=True)
+                gradients = rng.normal(size=rows.shape)
+                clean = _gaps(weights.tolist(), rows, gradients, players)
+                gradients[row, slot] = bad
+                gaps = _gaps(weights.tolist(), rows, gradients, players)
+                game = row % games
+                assert np.isnan(gaps[game])
+                assert gaps[:game] + gaps[game + 1:] == clean[:game] + clean[game + 1:]
+
+
+def test_batch_of_games_matches_single_solves(rng):
+    # Games that differ only in their weights, 2-4 players, zero-mass
+    # individuals or coalitions included: each outcome of the stack is the
+    # separate solve's report, bit for bit.  (A one-player game solved alone
+    # is a single row, which numpy multiplies as a vector, not a matrix.)
+    for case in range(12):
+        players = case % 3 + 2
+        horizon = int(rng.integers(2, 8))
+        duration = int(rng.integers(1, horizon + 1))
+        family = reference_families(rng)[case % 5]
+        base_load, power = rng.uniform(0.0, 2.0, size=horizon), float(rng.uniform(0.1, 1.0))
+        specs = []
+        for _ in range(int(rng.integers(1, 6))):
+            raw = rng.uniform(0.05, 1.0, size=players)
+            # The last coalition keeps its mass.
+            raw[int(rng.integers(0, players - 1))] *= float(rng.integers(0, 2))
+            specs.append(GameSpec(horizon, duration, power, base_load, family, raw / raw.sum()))
+        options = {"max_iter": 60, "gap_tol": 1e-5, "trace_every": 7}
+        for spec, report in zip(specs, _solve_batch(specs, **options)):
+            single = solve_dynamics(spec, **options)
+            assert (report.iterations, report.status) == (single.iterations, single.status)
+            assert repr(report.vi_gap) == repr(single.vi_gap)
+            assert report.profile.matrix().tobytes() == single.profile.matrix().tobytes()
+            assert report.costs == single.costs
+            assert [(r.iteration, repr(r.gap), r.flows.tobytes()) for r in report.trace] == [
+                (r.iteration, repr(r.gap), r.flows.tobytes()) for r in single.trace
+            ]
 
 
 def test_derivative_needed_only_for_massive_coalitions():

@@ -1,13 +1,17 @@
 """Coalition-size sweeps, audits and CSV emission."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from chargegame import (
+    AffineCost,
+    ChargeGameError,
     CustomCost,
+    DomainError,
     ExponentialCost,
     GameSpec,
     LinearCost,
@@ -15,6 +19,7 @@ from chargegame import (
     Regime,
     SolverStatus,
     SpecError,
+    SweepPoint,
     ThreeSlotInstance,
     audit_concave,
     audit_concave_branches,
@@ -25,10 +30,12 @@ from chargegame import (
     peak_start_slot,
     run_sweep,
     solve_ce,
+    solve_dynamics,
     sweep_rows,
     with_coalition_size,
 )
 from chargegame import sweep, verify
+from chargegame.dynamics import default_step_schedule
 from chargegame.sweep import write_csv
 from conftest import random_three_slot
 
@@ -225,25 +232,129 @@ def test_grid_validation():
         run_sweep(inst, np.array([0.5]), solver="newton")
 
 
-def test_parallel_sweep_matches_serial():
-    inst = band_instance(QuadraticCost())
-    grid = default_grid(21)
-    serial = run_sweep(inst, grid, jobs=1)
-    parallel = run_sweep(inst, grid, jobs=2)
-    for a, b in zip(serial.points, parallel.points):
-        assert a == b
+# --- batched dynamics sweep vs per-point solves ---------------------------------
+#
+# run_sweep(solver="dynamics") solves the grid as one stack of games; every
+# point must equal a separate solve_dynamics run of its game bit for bit.
 
 
-def test_parallel_sweep_rejects_unpicklable_game():
-    # Workers receive the game by pickling; a lambda-based family cannot be
-    # sent, which must surface as a typed error before any worker starts.
-    cost = CustomCost(value_fn=lambda x: x * x, derivative_fn=lambda x: 2.0 * x,
-                      domain_bound=10.0)
-    inst = band_instance(cost)
-    with pytest.raises(SpecError, match="picklable"):
-        run_sweep(inst, np.array([0.3, 0.6]), jobs=2)
-    with pytest.raises(SpecError, match="picklable"):
-        run_sweep(inst.to_game_spec(), np.array([0.3, 0.6]), solver="dynamics", jobs=2)
+def one_dimensional(fn):
+    """Wrap a cost function so that it fails on anything but a load vector."""
+
+    def checked(load):
+        assert np.ndim(load) == 1, f"cost evaluated on a {np.ndim(load)}-d load"
+        return fn(load)
+
+    return checked
+
+
+def per_point_sweep(base, grid, **options):
+    """The sweep's points from one solve_dynamics run per grid point."""
+    points = []
+    for m in grid:
+        m = float(m)
+        spec = GameSpec(base.horizon, base.duration, base.power, base.base_load,
+                        base.cost, np.array([1.0 - m, m]))
+        try:
+            report = solve_dynamics(spec, **options)
+        except ChargeGameError as exc:
+            nan = float("nan")
+            points.append(SweepPoint(m, nan, nan, nan, nan, nan, None, nan, "error", str(exc)))
+            continue
+        costs = report.reduced if report.reduced is not None else report.costs
+        peak = peak_start_slot(spec)
+        points.append(SweepPoint(
+            m=m,
+            x1=float(report.profile.flows[1].values[peak]),
+            x0=float(report.profile.flows[0].values[peak]),
+            cost_individuals=costs.individuals,
+            cost_coalition=costs.coalitions[0],
+            cost_social=costs.social,
+            regime=None,
+            gap=report.vi_gap,
+            status=report.status.value,
+        ))
+    return points
+
+
+def point_bits(point):
+    # repr keeps every float bit, tells -0.0 from 0.0 and prints NaN as nan.
+    return [repr(getattr(point, field.name)) for field in dataclasses.fields(point)]
+
+
+def assert_batch_matches_per_point(base, grid, **options):
+    batched = run_sweep(base, grid, solver="dynamics", **options).points
+    expected = per_point_sweep(base, grid, **options)
+    assert [point_bits(p) for p in batched] == [point_bits(p) for p in expected]
+    return batched
+
+
+def test_batched_dynamics_sweep_matches_per_point_solves(rng):
+    linear = LinearCost(slope=rng.uniform(0.5, 2.0), intercept=rng.uniform(0.0, 1.0))
+    families = [
+        linear,
+        QuadraticCost(),
+        ExponentialCost(rate=rng.uniform(0.3, 1.5)),
+        AffineCost(linear, rng.uniform(0.5, 3.0), rng.uniform(-1.0, 2.0)),
+        CustomCost(
+            value_fn=one_dimensional(lambda x: x**3 + x),
+            derivative_fn=one_dimensional(lambda x: 3.0 * x**2 + 1.0),
+            domain_bound=30.0,
+        ),
+    ]
+    steps = [default_step_schedule, 1.0, lambda n: 0.5 / math.sqrt(1.0 + n)]
+    statuses = set()
+    case = 0
+    for horizon in range(1, 9):
+        for duration in range(1, horizon + 1):
+            base = GameSpec(horizon, duration, float(rng.uniform(0.1, 1.0)),
+                            rng.uniform(0.0, 2.0, size=horizon),
+                            families[case % len(families)], np.array([0.5, 0.5]))
+            # M = 1.0 leaves the individuals without mass.
+            grid = np.append(np.sort(rng.uniform(0.02, 0.98, size=3)), 1.0)
+            points = assert_batch_matches_per_point(
+                base, grid, max_iter=120, gap_tol=1e-5, step_size=steps[case % len(steps)]
+            )
+            statuses.update(p.status for p in points)
+            case += 1
+    # The budget stalls some points and not others.
+    assert statuses == {"converged", "max-iter-reached"}
+
+
+def test_batched_sweep_fails_only_the_points_whose_costs_turn_nan():
+    # On this game the slot loads the dynamics reach grow with M: the first
+    # 100 iterations peak at 1.98 for M = 0.5 and at 2.17 for M = 0.7.
+    cost = CustomCost(
+        value_fn=lambda x: x * x + x,
+        derivative_fn=lambda x: np.where(x > 2.05, np.nan, 2.0 * x + 1.0),
+        domain_bound=10.0,
+    )
+    base = GameSpec(4, 2, 1.0, np.array([1.5, 1.0, 0.5, 1.2]), cost, np.array([0.5, 0.5]))
+    grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+    points = assert_batch_matches_per_point(base, grid, max_iter=100, gap_tol=1e-6, step_size=1.0)
+    assert [p.error is None for p in points] == [True, True, True, False, False, False]
+    assert all("non-finite strategy costs" in p.error for p in points[3:])
+
+
+@dataclasses.dataclass(frozen=True)
+class CappedLinearCost(LinearCost):
+    """A linear family whose domain check also rejects loads above ``cap``."""
+
+    cap: float = 1.0
+
+    def _check_domain(self, lo: float, hi: float) -> None:
+        super()._check_domain(lo, hi)
+        if hi > self.cap:
+            raise DomainError(f"load {hi} lies above the cap {self.cap}")
+
+
+def test_batched_sweep_reports_a_domain_error_on_every_point():
+    # The load envelope [1.0, 2.5] crosses the cap, so the once-per-solve
+    # domain check fails for every grid point.
+    base = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), CappedLinearCost(cap=2.0),
+                    np.array([0.5, 0.5]))
+    points = assert_batch_matches_per_point(base, np.array([0.25, 0.5, 1.0]))
+    assert all(p.status == "error" and "above the cap" in p.error for p in points)
 
 
 def test_csv_round_trip(tmp_path):
