@@ -16,6 +16,7 @@ precision so re-ingesting it reproduces the game bit-exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -274,15 +275,7 @@ def report_to_dict(report: EquilibriumReport, resolved: dict) -> dict:
 
 
 def report_from_dict(data: dict) -> tuple[GameSpec, Profile, dict]:
-    game = data["game"]
-    spec = GameSpec(
-        horizon=int(game["horizon"]),
-        duration=int(game["duration"]),
-        power=float(game["power"]),
-        base_load=np.array(game["base_load"], dtype=float),
-        cost=cost_from_config(game["cost"]),
-        weights=np.array(game["weights"], dtype=float),
-    )
+    spec = build_game({"game": data["game"], "load_profile": data["game"]["base_load"]})
     profile = Profile.from_rows(spec, np.array(data["profile"], dtype=float))
     return spec, profile, data
 
@@ -343,19 +336,42 @@ def _write_trace(path: str, report: EquilibriumReport) -> None:
             writer.writerow([row.iteration, f"{row.gap:.12g}"] + flat)
 
 
-def _load_config(args) -> dict:
+@contextlib.contextmanager
+def _ingesting(what: str):
+    """Report a malformed input's TypeError, ValueError or KeyError as a
+    SpecError, so the CLI exits with EXIT_CONFIG_ERROR and no traceback."""
+    try:
+        yield
+    except ChargeGameError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise SpecError(f"malformed {what}: {detail}") from exc
+
+
+def _load_config(args) -> tuple[dict, GameSpec] | None:
+    """Read, resolve and build the scenario of ``args.config``.
+
+    Returns the resolved config and its game, or None once --print-config
+    has printed the resolved config.
+    """
     with open(args.config) as handle:
         raw = json.load(handle)
     config_dir = os.path.dirname(os.path.abspath(args.config))
-    return resolve_config(raw, config_dir, normalize_flag=args.normalize)
+    with _ingesting("config"):
+        resolved = resolve_config(raw, config_dir, normalize_flag=args.normalize)
+        spec = build_game(resolved)
+    if args.print_config:
+        print(json.dumps(_round_floats(resolved), indent=2, sort_keys=True))
+        return None
+    return resolved, spec
 
 
 def _cmd_solve(args, trace_every: int = 0) -> int:
-    resolved = _load_config(args)
-    spec = build_game(resolved)
-    if args.print_config:
-        print(json.dumps(_round_floats(resolved), indent=2, sort_keys=True))
+    loaded = _load_config(args)
+    if loaded is None:
         return EXIT_OK
+    resolved, spec = loaded
     report = _solve(resolved, spec, trace_every=trace_every)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), report_to_dict(report, resolved))
@@ -372,11 +388,10 @@ def _cmd_solve(args, trace_every: int = 0) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    resolved = _load_config(args)
-    spec = build_game(resolved)
-    if args.print_config:
-        print(json.dumps(_round_floats(resolved), indent=2, sort_keys=True))
+    loaded = _load_config(args)
+    if loaded is None:
         return EXIT_OK
+    resolved, spec = loaded
     sweep_cfg = resolved["sweep"] or dict(SWEEP_DEFAULTS)
     if "grid" in sweep_cfg:
         grid = np.array(sweep_cfg["grid"], dtype=float)
@@ -418,14 +433,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.report) as handle:
         data = json.load(handle)
-    spec, profile, stored = report_from_dict(data)
+    with _ingesting("report"):
+        spec, profile, stored = report_from_dict(data)
+        status, iterations = SolverStatus(stored["status"]), stored["iterations"]
+        stored_gap = float(stored["vi_gap"])
     gap = vi_gap(spec, profile)
     wardrop = check_wardrop(spec, profile, eps=args.gap_tol)
-    report = make_report(
-        spec, profile, SolverStatus(stored["status"]), iterations=stored["iterations"], gap=gap
-    )
+    report = make_report(spec, profile, status, iterations=iterations, gap=gap)
     ordering = check_cost_ordering(report, tol=max(args.gap_tol, 1e-9))
-    stored_gap = float(stored["vi_gap"])
     drift = abs(gap - stored_gap)
     ok = gap <= args.gap_tol and wardrop.passed and ordering.passed
     print(f"recomputed vi_gap={gap:.3e} (stored {stored_gap:.3e}, drift {drift:.1e})")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -342,6 +343,79 @@ def social_cost(
     if loads is None:
         loads = decompose_loads(spec, profile)
     return float(loads.aggregate @ _slot_prices(spec, loads))
+
+
+# --- marginal costs ----------------------------------------------------------
+
+
+def _gradient_kernel(
+    spec: GameSpec, value, derivative, weights: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Map a stack of weight rows to marginal-cost rows.
+
+    The stack holds games that differ from ``spec`` only in their masses,
+    ``weights`` in stack order.  It is player-major: row i*B + g holds
+    player i of game g.  Row i of a game is
+    (u + share_i * crowding_i) / divisor_i, with u the game's strategy costs
+    and crowding_i the window sums of player i's load times f': the
+    individuals get u (share 0, divisor 1), a coalition its average-cost
+    gradient (share P, divisor its mass) and a zero-mass player zeros
+    (divisor inf).  Loads are ``rows @ A`` and one product ``terms @ A.T``
+    window-sums the slot prices and every coalition's load-weighted
+    marginal prices; per-game terms are basic views, so a stack of one game
+    runs the single-game array shapes.  ``value`` and ``derivative``
+    evaluate f and f' on the slot loads of all games end to end;
+    ``derivative`` is only called when some coalition has mass.
+    """
+    incidence = _incidence(spec.horizon, spec.duration)
+    players, slots, power = spec.num_players, spec.num_start_slots, spec.power
+    # ufunc calls and array methods skip numpy's Python-level wrappers: an
+    # analytic sweep builds one kernel per point, through vi_gap.
+    masses = weights.reshape(players, -1)  # (players, games)
+    crowded = np.maximum.reduce(masses[1:], axis=None, initial=0.0) > 0.0
+    base_load = np.concatenate((spec.base_load,) * masses.shape[1])
+    shares = np.array([[0.0]] + [[power]] * (players - 1))
+    divisors = masses.copy()
+    divisors[0] = 1.0
+    divisors[masses <= 0.0] = np.inf
+    divisors = divisors.repeat(slots, axis=1)
+
+    def gradients(rows: np.ndarray) -> np.ndarray:
+        per_player = np.dot(rows, incidence)
+        by_player = per_player.reshape(players, -1)  # a view: writes reach per_player
+        slot_load = base_load + power * np.add.reduce(by_player, 0)
+        if crowded:
+            by_player *= derivative(slot_load)
+        by_player[0] = value(slot_load)
+        # Row 0: u of every game; row i > 0: crowding_i.
+        sums = np.dot(per_player, incidence.T).reshape(players, -1)
+        return ((sums[0] + shares * sums) / divisors).reshape(-1, slots)
+
+    return gradients
+
+
+def player_gradients(spec: GameSpec, profile: Profile) -> np.ndarray:
+    """Stacked per-strategy marginal costs, one row per player.
+
+    Row 0 holds the plain strategy costs (what a vanishing individual
+    pays); coalition rows hold their average-cost gradients.  Zero-mass
+    players get a zero row, matching their zero flow.
+    """
+    validate_profile(spec, profile)
+    kernel = _gradient_kernel(spec, spec.cost.value, spec.cost.derivative, spec.weights)
+    return kernel(profile.matrix())
+
+
+def coalition_gradient(spec: GameSpec, profile: Profile, k: int) -> np.ndarray:
+    """Gradient of coalition ``k``'s average cost in its own flow.
+
+    Component s is the marginal cost of routing more coalition weight to
+    start slot s: the strategy cost u_s plus the extra price the
+    coalition's own members already charging in that window would pay,
+    all divided by the coalition's mass.
+    """
+    _coalition_mass(spec, k)
+    return player_gradients(spec, profile)[k]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -280,14 +280,7 @@ def _error_point(m: float, exc: ChargeGameError) -> SweepPoint:
 def _spec_at(base, m: float) -> GameSpec:
     if isinstance(base, ThreeSlotInstance):
         return with_coalition_size(base, m).to_game_spec()
-    return GameSpec(
-        horizon=base.horizon,
-        duration=base.duration,
-        power=base.power,
-        base_load=base.base_load,
-        cost=base.cost,
-        weights=np.array([1.0 - m, m]),
-    )
+    return replace(base, weights=np.array([1.0 - m, m]))
 
 
 def _run_audits(points, solver: str, tol: float) -> dict[str, AuditVerdict]:

@@ -13,11 +13,11 @@ carry it as the certification value.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TraceRow, _gaps, player_gradients
 from .model import (
     CostSummary,
     GameSpec,
@@ -28,6 +28,7 @@ from .model import (
     _summarize_costs,
     _window_sum,
     decompose_loads,
+    player_gradients,
     reduced_costs,
     strategy_costs,
     supports_reduced_costs,
@@ -57,6 +58,32 @@ def vi_gap(spec: GameSpec, profile: Profile) -> float:
     """
     gradients = player_gradients(spec, profile)
     return _gaps(spec.weights.tolist(), profile.matrix(), gradients, spec.num_players)[0]
+
+
+def _gaps(masses: list, rows: np.ndarray, gradients: np.ndarray, players: int) -> list:
+    """Variational gap of every game in a player-major stack of rows; NaN
+    for a game whose gradients are not all finite.
+
+    ``masses`` lists the rows' masses.  Each row with mass adds
+    max(<row, gradient> - mass * min gradient, 0), in player order.  The
+    finiteness check rides on the same per-row reductions: a NaN entry
+    makes the row's minimum NaN, -inf makes it -inf, and +inf makes the
+    row's dot inf (NaN where the row puts no weight, as 0 * inf).
+    """
+    dots = np.matmul(rows[:, None], gradients[:, :, None]).ravel().tolist()  # a BLAS ddot per row
+    lows = np.minimum.reduce(gradients, 1).tolist()
+    games = len(dots) // players
+    gaps = []
+    for game in range(games):
+        gap = 0.0
+        for i in range(game, len(dots), games):
+            if not (math.isfinite(dots[i]) and math.isfinite(lows[i])):
+                gap = math.nan
+                break
+            if masses[i] > 0.0:
+                gap += max(dots[i] - masses[i] * lows[i], 0.0)
+        gaps.append(gap)
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -135,9 +162,7 @@ def check_coalition_optimality(
     mass = _coalition_mass(spec, k)
     if gradients is None:
         gradients = player_gradients(spec, profile)
-    row = gradients[k]
-    gap = float(profile.flows[k].values @ row) - mass * float(row.min())
-    gap = max(gap, 0.0)
+    (gap,) = _gaps([mass], profile.flows[k].values[None], gradients[k][None], 1)
     return OptimalityCheck(passed=gap <= eps, gap=gap)
 
 
@@ -147,6 +172,15 @@ class OrderingCheck:
 
     passed: bool
     violations: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class TraceRow:
+    """Convergence-log entry: the profile and its gap at one iteration."""
+
+    iteration: int
+    gap: float
+    flows: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -21,17 +21,17 @@ def write_config(path, payload):
     return str(path)
 
 
+BAND_GAME = {
+    "horizon": 3,
+    "duration": 2,
+    "power": 1.0,
+    "cost": {"kind": "linear", "slope": 1.0, "intercept": 0.0},
+    "weights": [0.0, 1.0],
+}
+
+
 def band_config(tmp_path, **overrides):
-    payload = {
-        "game": {
-            "horizon": 3,
-            "duration": 2,
-            "power": 1.0,
-            "cost": {"kind": "linear", "slope": 1.0, "intercept": 0.0},
-            "weights": [0.0, 1.0],
-        },
-        "load_profile": [1.5, 1.0, 1.0],
-    }
+    payload = {"game": BAND_GAME, "load_profile": [1.5, 1.0, 1.0]}
     payload.update(overrides)
     return write_config(tmp_path / "config.json", payload)
 
@@ -311,6 +311,40 @@ def test_verify_rejects_tampered_report(tmp_path):
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+MALFORMED_CONFIGS = {
+    "solver-not-a-mapping": {"solver": 5},
+    "game-not-a-mapping": {"game": 5},
+    "horizon-not-a-number": {"game": dict(BAND_GAME, horizon="x")},
+    "load-profile-not-numeric": {"load_profile": "abc"},
+    "slope-not-a-number": {"game": dict(BAND_GAME, cost={"kind": "linear", "slope": "s"})},
+    "sweep-not-a-mapping": {"sweep": [1, 2]},
+}
+
+
+def report_without_status(tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", band_config(tmp_path), "--out", str(out)]) == 0
+    data = json.loads((out / "report.json").read_text())
+    del data["status"]
+    (out / "report.json").write_text(json.dumps(data))
+    return ["verify", "--report", str(out / "report.json")]
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_CONFIGS, "report-without-status"])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
+    # Wrong types and values in a config or a report are input errors
+    # (exit 2), not a raw traceback that reads as "not converged".
+    if case in MALFORMED_CONFIGS:
+        config = band_config(tmp_path, **MALFORMED_CONFIGS[case])
+        argv = ["solve", "--config", config, "--out", str(tmp_path / "out")]
+    else:
+        argv = report_without_status(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed") and "Traceback" not in err
 
 
 # --- import cost -------------------------------------------------------------

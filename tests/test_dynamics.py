@@ -8,7 +8,6 @@ from chargegame import (
     CustomCost,
     ExponentialCost,
     GameSpec,
-    LearnerState,
     LinearCost,
     NumericsError,
     Profile,
@@ -19,19 +18,13 @@ from chargegame import (
     UndefinedAverageError,
     coalition_average_cost,
     coalition_gradient,
-    learning_step,
     player_gradients,
     solve_dynamics,
     strategy_costs,
     vi_gap,
 )
-from chargegame.dynamics import (
-    _gaps,
-    _softmax_rows,
-    _solve_batch,
-    default_step_schedule,
-    initial_state,
-)
+from chargegame.dynamics import _softmax_rows, _solve_batch, default_step_schedule
+from chargegame.verify import _gaps
 from conftest import random_profile, random_three_slot
 
 
@@ -345,44 +338,41 @@ def test_derivative_needed_only_for_massive_coalitions():
 # --- learning step -----------------------------------------------------------
 
 
+def every_iterate(spec, steps):
+    """Flows of the uniform start and of each of ``steps`` learning steps.
+
+    A negative gap tolerance keeps the solver stepping up to ``max_iter``.
+    """
+    report = solve_dynamics(spec, max_iter=steps, gap_tol=-1.0, trace_every=1)
+    assert [row.iteration for row in report.trace] == list(range(steps + 1))
+    return [row.flows for row in report.trace]
+
+
 def test_symmetric_start_stays_uniform():
     spec = GameSpec(4, 1, 0.5, np.full(4, 1.0), QuadraticCost(), np.array([0.5, 0.5]))
-    state = initial_state(spec)
-    for _ in range(10):
-        state = learning_step(spec, state)
-        for flow, mass in zip(state.profile.flows, spec.weights):
-            np.testing.assert_allclose(flow.values, mass / 4.0, atol=1e-15)
+    for flows in every_iterate(spec, 10):
+        for row, mass in zip(flows, spec.weights):
+            np.testing.assert_allclose(row, mass / 4.0, atol=1e-15)
 
 
 def test_dominated_strategy_weight_strictly_decreases():
     spec = GameSpec(
         3, 2, 1.0, np.array([5.0, 1.0, 1.0]), LinearCost(), np.array([1.0])
     )
-    state = initial_state(spec)
-    previous = state.profile.flows[0].values[0]
-    for _ in range(20):
-        state = learning_step(spec, state)
-        current = state.profile.flows[0].values[0]
-        assert current < previous
-        previous = current
+    dominated = [flows[0, 0] for flows in every_iterate(spec, 20)]
+    assert all(after < before for before, after in zip(dominated, dominated[1:]))
 
 
 def test_max_shift_invariance():
     spec = GameSpec(
         3, 2, 1.0, np.array([1.5, 1, 1]), QuadraticCost(), np.array([0.4, 0.6])
     )
-    state = initial_state(spec)
-    state = learning_step(spec, state)
-    shifted = LearnerState(
-        state.cum_costs + np.array([[100.0], [250.0]]),
-        state.profile,
-        state.iteration,
-        state.step_size,
-    )
-    after = learning_step(spec, state)
-    after_shifted = learning_step(spec, shifted)
+    cum_costs = player_gradients(spec, Profile.uniform(spec))
+    shifted = cum_costs + np.array([[100.0], [250.0]])
     np.testing.assert_allclose(
-        after.profile.matrix(), after_shifted.profile.matrix(), atol=1e-12
+        _softmax_rows(cum_costs, spec.weights),
+        _softmax_rows(shifted, spec.weights),
+        atol=1e-12,
     )
 
 
@@ -391,12 +381,10 @@ def test_iterates_stay_on_scaled_simplices():
         5, 2, 0.3, np.array([2.0, 1.5, 1.0, 0.5, 1.0]), QuadraticCost(),
         np.array([0.3, 0.7]),
     )
-    state = initial_state(spec)
-    for _ in range(50):
-        state = learning_step(spec, state)
-        for flow, mass in zip(state.profile.flows, spec.weights):
-            assert float(flow.values.sum()) == pytest.approx(mass, abs=1e-12)
-            assert float(flow.values.min()) >= 0.0
+    for flows in every_iterate(spec, 50):
+        for row, mass in zip(flows, spec.weights):
+            assert float(row.sum()) == pytest.approx(mass, abs=1e-12)
+            assert float(row.min()) >= 0.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
