@@ -28,7 +28,7 @@ import numpy as np
 from .costs import cost_from_config, cost_to_config
 from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, default_step_schedule, solve_dynamics
 from .errors import ChargeGameError, SpecError
-from .model import GameSpec, Profile, supports_reduced_costs
+from .model import GameSpec, Profile
 from .sweep import (
     DEFAULT_GRID_SIZE,
     DEFAULT_GRID_START,
@@ -38,7 +38,7 @@ from .sweep import (
     run_sweep,
     write_csv,
 )
-from .threeslot import equilibrium_profile, instance_from_spec, solve_ce
+from .threeslot import _closed_form_applies, equilibrium_profile, instance_from_spec, solve_ce
 from .verify import (
     EquilibriumReport,
     SolverStatus,
@@ -57,7 +57,6 @@ SOLVER_DEFAULTS = {
     "max_iter": DEFAULT_MAX_ITER,
     "gap_tol": DEFAULT_GAP_TOL,
     "step_size": "default",
-    "trace_every": 1,
 }
 
 SWEEP_DEFAULTS = {
@@ -131,7 +130,14 @@ def load_profile_csv(path: str, normalize: bool = False) -> np.ndarray:
 
 
 def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> dict:
-    """Fill in every default and resolve the load profile to a vector."""
+    """Fill in every default, check and convert every solver and sweep
+    field, and resolve the load profile to a vector.
+
+    This is the one place that reads a raw config: the rest of the CLI
+    reads the typed values it returns.  A wrong type, an out-of-range value
+    or an unknown solver/sweep key raises ``SpecError("malformed config:
+    <field> ...")``.
+    """
     if not isinstance(raw, dict):
         raise SpecError("config must be a JSON object")
     for key in ("game", "load_profile"):
@@ -153,7 +159,9 @@ def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> 
         path = profile_cfg["csv"]
         if not os.path.isabs(path):
             path = os.path.join(config_dir, path)
-        normalize = bool(profile_cfg.get("normalize", False)) or normalize_flag
+        normalize = profile_cfg.get("normalize", False)
+        _check("load_profile.normalize", normalize, "true or false", isinstance(normalize, bool))
+        normalize = normalize or normalize_flag
         loads = load_profile_csv(path, normalize=normalize)
         meta.update({"source": profile_cfg["csv"], "normalized": normalize})
     else:
@@ -166,31 +174,88 @@ def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> 
             meta["normalized"] = True
         meta["source"] = "inline"
 
-    solver = dict(SOLVER_DEFAULTS)
-    solver.update(raw.get("solver", {}))
-    if solver["method"] not in ("auto", "analytic", "dynamics"):
-        raise SpecError(f"unknown solver method {solver['method']!r}")
-
-    sweep_cfg = raw.get("sweep")
-    if sweep_cfg is not None and "grid" not in sweep_cfg:
-        merged = dict(SWEEP_DEFAULTS)
-        merged.update(sweep_cfg)
-        sweep_cfg = merged
-
+    sweep = None
+    if raw.get("sweep") is not None:
+        sweep = _resolve_sweep(_section(raw, "sweep", (*SWEEP_DEFAULTS, "grid")))
     return {
         "game": game,
         "load_profile": [float(x) for x in loads],
         "load_profile_meta": meta,
-        "solver": solver,
-        "sweep": sweep_cfg,
+        "solver": _resolve_solver(_section(raw, "solver", SOLVER_DEFAULTS)),
+        "sweep": sweep,
     }
+
+
+def _check(field: str, value, want: str, ok: bool):
+    """Return ``value``, or raise the malformed-config error for ``field``."""
+    if not ok:
+        raise SpecError(f"malformed config: {field} must be {want}, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    # JSON booleans are Python ints, but no number field takes one.
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _integer(field: str, value, minimum: int) -> int:
+    ok = _is_number(value) and value == int(value) and value >= minimum
+    return int(_check(field, value, f"an integer >= {minimum}", ok))
+
+
+def _real(field: str, value) -> float:
+    return float(_check(field, value, "a finite number", _is_number(value)))
+
+
+def _section(raw: dict, name: str, keys) -> dict:
+    """The ``name`` mapping of a config, after rejecting keys not in ``keys``."""
+    given = raw.get(name, {})
+    _check(name, given, "a mapping", isinstance(given, dict))
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise SpecError(
+            f"malformed config: {name} has unknown keys {unknown}; accepted: {sorted(keys)}"
+        )
+    return given
+
+
+def _resolve_solver(given: dict) -> dict:
+    solver = {**SOLVER_DEFAULTS, **given}
+    method, step = solver["method"], solver["step_size"]
+    if step != "default":
+        ok = _is_number(step) and step > 0
+        step = float(_check("solver.step_size", step, '"default" or a number > 0', ok))
+    return {
+        "method": _check(
+            "solver.method", method, "one of auto/analytic/dynamics",
+            method in ("auto", "analytic", "dynamics"),
+        ),
+        "max_iter": _integer("solver.max_iter", solver["max_iter"], 0),
+        "gap_tol": _real("solver.gap_tol", solver["gap_tol"]),
+        "step_size": step,
+    }
+
+
+def _resolve_sweep(given: dict) -> dict:
+    if "grid" not in given:
+        sweep = {**SWEEP_DEFAULTS, **given}
+        return {
+            "start": _real("sweep.start", sweep["start"]),
+            "stop": _real("sweep.stop", sweep["stop"]),
+            "count": _integer("sweep.count", sweep["count"], 1),
+        }
+    _check("sweep.grid", given, "given without start/stop/count", len(given) == 1)
+    grid = given["grid"]
+    ok = isinstance(grid, list) and bool(grid) and all(_is_number(m) for m in grid)
+    _check("sweep.grid", grid, "a nonempty list of numbers", ok)
+    return {"grid": [float(m) for m in grid]}
 
 
 def build_game(resolved: dict) -> GameSpec:
     game = resolved["game"]
     return GameSpec(
-        horizon=int(game["horizon"]),
-        duration=int(game["duration"]),
+        horizon=_integer("game.horizon", game["horizon"], 1),
+        duration=_integer("game.duration", game["duration"], 1),
         power=float(game["power"]),
         base_load=np.array(resolved["load_profile"]),
         cost=cost_from_config(game["cost"]),
@@ -202,19 +267,18 @@ def _resolve_method(resolved: dict, spec: GameSpec) -> str:
     method = resolved["solver"]["method"]
     if method != "auto":
         return method
-    analytic_capable = (
-        spec.num_coalitions == 1
-        and supports_reduced_costs(spec)
-        and spec.base_load[0] >= spec.base_load[2]
-    )
-    return "analytic" if analytic_capable else "dynamics"
+    return "analytic" if _closed_form_applies(spec) else "dynamics"
 
 
-def _step_size(solver_cfg: dict):
-    step = solver_cfg["step_size"]
-    if step == "default":
-        return default_step_schedule
-    return float(step)
+def _solver_options(resolved: dict) -> dict:
+    """The learning-dynamics keyword arguments of a resolved config."""
+    solver = resolved["solver"]
+    step = solver["step_size"]
+    return {
+        "max_iter": solver["max_iter"],
+        "gap_tol": solver["gap_tol"],
+        "step_size": default_step_schedule if step == "default" else step,
+    }
 
 
 def _solve(resolved: dict, spec: GameSpec, trace_every: int = 0) -> EquilibriumReport:
@@ -226,14 +290,7 @@ def _solve(resolved: dict, spec: GameSpec, trace_every: int = 0) -> EquilibriumR
         return make_report(
             spec, equilibrium_profile(inst, point), SolverStatus.ANALYTIC
         )
-    solver = resolved["solver"]
-    return solve_dynamics(
-        spec,
-        max_iter=int(solver["max_iter"]),
-        gap_tol=float(solver["gap_tol"]),
-        step_size=_step_size(solver),
-        trace_every=trace_every,
-    )
+    return solve_dynamics(spec, trace_every=trace_every, **_solver_options(resolved))
 
 
 def _summary_to_dict(summary) -> dict:
@@ -344,7 +401,7 @@ def _ingesting(what: str):
         yield
     except ChargeGameError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise SpecError(f"malformed {what}: {detail}") from exc
 
@@ -394,21 +451,11 @@ def _cmd_sweep(args) -> int:
     resolved, spec = loaded
     sweep_cfg = resolved["sweep"] or dict(SWEEP_DEFAULTS)
     if "grid" in sweep_cfg:
-        grid = np.array(sweep_cfg["grid"], dtype=float)
+        grid = np.array(sweep_cfg["grid"])
     else:
-        grid = default_grid(
-            int(sweep_cfg["count"]), float(sweep_cfg["start"]), float(sweep_cfg["stop"])
-        )
+        grid = default_grid(sweep_cfg["count"], sweep_cfg["start"], sweep_cfg["stop"])
     method = _resolve_method(resolved, spec)
-    solver_cfg = resolved["solver"]
-    result = run_sweep(
-        spec if method == "dynamics" else instance_from_spec(spec, float(grid[0])),
-        grid,
-        solver=method,
-        max_iter=int(solver_cfg["max_iter"]),
-        gap_tol=float(solver_cfg["gap_tol"]),
-        step_size=_step_size(solver_cfg),
-    )
+    result = run_sweep(spec, grid, solver=method, **_solver_options(resolved))
     os.makedirs(args.out, exist_ok=True)
     write_csv(result, os.path.join(args.out, "sweep.csv"))
     _write_json(

@@ -35,13 +35,10 @@ class CostFunction(abc.ABC):
 
     ``domain_bound`` is the upper end W of the validity interval.  ``None``
     means "not yet pinned to a game"; it is resolved when the family is
-    attached to a :class:`~chargegame.model.GameSpec`.  ``smooth`` records
-    whether a continuous second derivative exists as well (true for the
-    named families).
+    attached to a :class:`~chargegame.model.GameSpec`.
     """
 
     domain_bound: float | None
-    smooth: bool
 
     @abc.abstractmethod
     def _raw_value(self, load: np.ndarray) -> np.ndarray:
@@ -93,8 +90,6 @@ class LinearCost(CostFunction):
     intercept: float = 0.0
     domain_bound: float | None = None
 
-    smooth = True
-
     def __post_init__(self):
         if self.slope <= 0:
             raise SpecError("linear cost requires a positive slope")
@@ -115,8 +110,6 @@ class QuadraticCost(CostFunction):
 
     domain_bound: float | None = None
 
-    smooth = True
-
     def __post_init__(self):
         _check_bound(self.domain_bound)
 
@@ -133,8 +126,6 @@ class ExponentialCost(CostFunction):
 
     rate: float = 1.0
     domain_bound: float | None = None
-
-    smooth = True
 
     def __post_init__(self):
         if self.rate <= 0:
@@ -163,7 +154,6 @@ class CustomCost(CostFunction):
     value_fn: Callable[[np.ndarray], np.ndarray]
     derivative_fn: Callable[[np.ndarray], np.ndarray] | None
     domain_bound: float
-    smooth: bool = False
 
     def __post_init__(self):
         if self.domain_bound is None or self.domain_bound <= 0:
@@ -211,10 +201,6 @@ class AffineCost(CostFunction):
     def domain_bound(self) -> float | None:
         return self.base.domain_bound
 
-    @property
-    def smooth(self) -> bool:
-        return self.base.smooth
-
     def has_derivative(self) -> bool:
         return self.base.has_derivative()
 
@@ -223,11 +209,6 @@ class AffineCost(CostFunction):
 
     def _raw_derivative(self, load):
         return self.scale * self.base._raw_derivative(load)
-
-
-def affine_transform(base: CostFunction, scale: float, shift: float) -> CostFunction:
-    """Return the family computing scale * f + shift (scale > 0)."""
-    return AffineCost(base, scale, shift)
 
 
 def with_domain_bound(fn: CostFunction, bound: float) -> CostFunction:

@@ -253,19 +253,6 @@ def validate_profile(spec: GameSpec, profile: Profile) -> None:
             )
 
 
-def charging_load(spec: GameSpec, flow: Flow) -> np.ndarray:
-    """Per-slot load induced by one flow: its moving sum over the window.
-
-    Slot t collects every start s with s <= t <= s + duration - 1, with
-    both ends clipped to the feasible start range.
-    """
-    if len(flow.values) != spec.num_start_slots:
-        raise SpecError(
-            f"flow has length {len(flow.values)}, expected {spec.num_start_slots}"
-        )
-    return flow.values @ _incidence(spec.horizon, spec.duration)
-
-
 def decompose_loads(spec: GameSpec, profile: Profile) -> LoadDecomposition:
     """Per-player charging loads and their per-slot aggregate."""
     validate_profile(spec, profile)
@@ -285,15 +272,6 @@ def strategy_costs(
     if loads is None:
         loads = decompose_loads(spec, profile)
     return _window_sum(spec, _slot_prices(spec, loads))
-
-
-def strategy_cost(spec: GameSpec, profile: Profile, start: int) -> float:
-    """Cost of starting to charge at 0-based slot ``start``."""
-    if not 0 <= start < spec.num_start_slots:
-        raise IndexError(
-            f"start slot {start} out of range [0, {spec.num_start_slots})"
-        )
-    return float(strategy_costs(spec, profile)[start])
 
 
 def coalition_average_cost(
@@ -317,32 +295,6 @@ def _coalition_mass(spec: GameSpec, k: int) -> float:
     if mass <= 0.0:
         raise UndefinedAverageError(f"coalition {k} has zero mass")
     return mass
-
-
-def individuals_average_cost(
-    spec: GameSpec,
-    profile: Profile,
-    *,
-    loads: LoadDecomposition | None = None,
-) -> float:
-    """Average cost paid by the individuals (player 0)."""
-    mass = float(spec.weights[0])
-    if mass <= 0.0:
-        raise UndefinedAverageError("individuals have zero mass")
-    costs = strategy_costs(spec, profile, loads=loads)
-    return float(profile.flows[0].values @ costs) / mass
-
-
-def social_cost(
-    spec: GameSpec,
-    profile: Profile,
-    *,
-    loads: LoadDecomposition | None = None,
-) -> float:
-    """Total cost across all charging EVs."""
-    if loads is None:
-        loads = decompose_loads(spec, profile)
-    return float(loads.aggregate @ _slot_prices(spec, loads))
 
 
 # --- marginal costs ----------------------------------------------------------
@@ -398,24 +350,15 @@ def player_gradients(spec: GameSpec, profile: Profile) -> np.ndarray:
     """Stacked per-strategy marginal costs, one row per player.
 
     Row 0 holds the plain strategy costs (what a vanishing individual
-    pays); coalition rows hold their average-cost gradients.  Zero-mass
-    players get a zero row, matching their zero flow.
+    pays).  Row k > 0 holds coalition k's average-cost gradient in its own
+    flow: component s is the strategy cost u_s plus the extra price the
+    coalition's members already charging in that window would pay, all
+    divided by the coalition's mass.  Zero-mass players get a zero row,
+    matching their zero flow.
     """
     validate_profile(spec, profile)
     kernel = _gradient_kernel(spec, spec.cost.value, spec.cost.derivative, spec.weights)
     return kernel(profile.matrix())
-
-
-def coalition_gradient(spec: GameSpec, profile: Profile, k: int) -> np.ndarray:
-    """Gradient of coalition ``k``'s average cost in its own flow.
-
-    Component s is the marginal cost of routing more coalition weight to
-    start slot s: the strategy cost u_s plus the extra price the
-    coalition's own members already charging in that window would pay,
-    all divided by the coalition's mass.
-    """
-    _coalition_mass(spec, k)
-    return player_gradients(spec, profile)[k]
 
 
 @dataclass(frozen=True)
@@ -473,8 +416,8 @@ def supports_reduced_costs(spec: GameSpec) -> bool:
     return spec.horizon == 3 and spec.duration == 2 and abs(spec.power - 1.0) <= 1e-12
 
 
-def reduction_offset(spec: GameSpec) -> float:
-    """Common middle-slot term shared by every EV in the three-slot game.
+def reduced_costs(spec: GameSpec, summary: CostSummary) -> CostSummary:
+    """Subtract the common middle-slot term from every entity cost.
 
     With two charging slots out of three, every EV charges through the
     middle slot at aggregate load one, so that term cancels from all cost
@@ -484,12 +427,7 @@ def reduction_offset(spec: GameSpec) -> float:
         raise UnsupportedInstanceError(
             "reduced costs require horizon=3, duration=2 and power=1"
         )
-    return spec.cost.value(1.0 + float(spec.base_load[1]))
-
-
-def reduced_costs(spec: GameSpec, summary: CostSummary) -> CostSummary:
-    """Subtract the common middle-slot term from every entity cost."""
-    offset = reduction_offset(spec)
+    offset = spec.cost.value(1.0 + float(spec.base_load[1]))
     return CostSummary(
         individuals=summary.individuals - offset,
         coalitions=tuple(

@@ -280,6 +280,17 @@ def _imbalance_scale(inst: ThreeSlotInstance) -> float:
     )
 
 
+def _closed_form_applies(spec: GameSpec) -> bool:
+    """True when :func:`solve_ce` covers ``spec``: one coalition, the
+    normalized three-slot shape (T=3, C=2, P=1) and a first slot at least as
+    loaded as the last, as :class:`ThreeSlotInstance` requires."""
+    return (
+        spec.num_coalitions == 1
+        and supports_reduced_costs(spec)
+        and spec.base_load[0] >= spec.base_load[2]
+    )
+
+
 def instance_from_spec(spec: GameSpec, coalition_size: float) -> ThreeSlotInstance:
     """Three-slot instance with the given coalition size from a game shape.
 

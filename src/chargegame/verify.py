@@ -100,28 +100,15 @@ class WardropCheck:
     witness: tuple[int, float, float] | None = None
 
 
-def check_wardrop(
-    spec: GameSpec,
-    profile: Profile,
-    eps: float,
-    *,
-    support_tol: float | None = None,
-) -> WardropCheck:
+def check_wardrop(spec: GameSpec, profile: Profile, eps: float) -> WardropCheck:
     """Pass iff every strategy the individuals use is within eps of cheapest."""
-    return _wardrop_at(spec, profile, strategy_costs(spec, profile), eps, support_tol)
+    return _wardrop_at(spec, profile, strategy_costs(spec, profile), eps)
 
 
 def _wardrop_at(
-    spec: GameSpec,
-    profile: Profile,
-    costs: np.ndarray,
-    eps: float,
-    support_tol: float | None = None,
+    spec: GameSpec, profile: Profile, costs: np.ndarray, eps: float
 ) -> WardropCheck:
-    mass = float(spec.weights[0])
-    if support_tol is None:
-        support_tol = support_threshold(mass)
-    used = profile.flows[0].values > support_tol
+    used = profile.flows[0].values > support_threshold(float(spec.weights[0]))
     if not used.any():
         return WardropCheck(passed=True, worst_slack=0.0)
     best = float(costs.min())
@@ -147,12 +134,7 @@ class OptimalityCheck:
 
 
 def check_coalition_optimality(
-    spec: GameSpec,
-    profile: Profile,
-    k: int,
-    eps: float,
-    *,
-    gradients: np.ndarray | None = None,
+    spec: GameSpec, profile: Profile, k: int, eps: float
 ) -> OptimalityCheck:
     """Pass iff coalition ``k``'s linearized improvement is at most eps.
 
@@ -160,8 +142,7 @@ def check_coalition_optimality(
     zero-mass coalition UndefinedAverageError.
     """
     mass = _coalition_mass(spec, k)
-    if gradients is None:
-        gradients = player_gradients(spec, profile)
+    gradients = player_gradients(spec, profile)
     (gap,) = _gaps([mass], profile.flows[k].values[None], gradients[k][None], 1)
     return OptimalityCheck(passed=gap <= eps, gap=gap)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from chargegame import (
+    AffineCost,
     ExponentialCost,
     GameSpec,
     LinearCost,
@@ -19,13 +20,12 @@ from chargegame import (
     SolverStatus,
     ThreeSlotInstance,
     activation_threshold,
-    affine_transform,
     audit_concave_branches,
     coalition_average_cost,
-    coalition_gradient,
     default_grid,
     equilibrium_profile,
     make_report,
+    player_gradients,
     run_sweep,
     solve_ce,
     solve_dynamics,
@@ -203,7 +203,7 @@ def test_criterion_08_affine_invariance():
                 inst.mid_load,
                 inst.offpeak_load,
                 inst.coalition_size,
-                affine_transform(inst.cost, 2.0, 3.0),
+                AffineCost(inst.cost, 2.0, 3.0),
             )
             a = solve_ce(inst)
             b = solve_ce(transformed)
@@ -231,8 +231,9 @@ def test_criterion_09_gradient_matches_finite_differences():
             )
             profile = random_profile(rng, spec, margin=0.1)
             h = 1e-6
+            gradients = player_gradients(spec, profile)
             for k in range(1, spec.num_players):
-                grad = coalition_gradient(spec, profile, k)
+                grad = gradients[k]
                 rows = profile.matrix()
                 for s in range(1, spec.num_start_slots):
                     bumped, dipped = rows.copy(), rows.copy()

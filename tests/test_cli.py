@@ -320,6 +320,21 @@ MALFORMED_CONFIGS = {
     "load-profile-not-numeric": {"load_profile": "abc"},
     "slope-not-a-number": {"game": dict(BAND_GAME, cost={"kind": "linear", "slope": "s"})},
     "sweep-not-a-mapping": {"sweep": [1, 2]},
+    # Solver and sweep fields are converted and range-checked at ingestion,
+    # and a malformed sweep section fails `solve` too.
+    "max-iter-not-a-number": {"solver": {"max_iter": "x"}},
+    "gap-tol-not-a-number": {"solver": {"gap_tol": "x"}},
+    "step-size-not-a-number": {"solver": {"step_size": "x"}},
+    "step-size-negative": {"solver": {"step_size": -1.0}},
+    "count-not-a-number": {"sweep": {"count": "x"}},
+    "count-zero": {"sweep": {"count": 0}},
+    "grid-not-a-list": {"sweep": {"grid": "abc"}},
+    "grid-with-count": {"sweep": {"grid": [0.5, 1.0], "count": 2}},
+    "unknown-solver-key": {"solver": {"max_iters": 5}},
+    # Integral fields are not truncated, and booleans are not numbers.
+    "horizon-not-integral": {"game": dict(BAND_GAME, horizon=3.9)},
+    "duration-a-boolean": {"game": dict(BAND_GAME, duration=True)},
+    "normalize-a-string": {"load_profile": {"csv": "loads.csv", "normalize": "false"}},
 }
 
 
@@ -337,6 +352,7 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
     # Wrong types and values in a config or a report are input errors
     # (exit 2), not a raw traceback that reads as "not converged".
     if case in MALFORMED_CONFIGS:
+        (tmp_path / "loads.csv").write_text("t,load\n1,1.5\n2,1\n3,1\n")
         config = band_config(tmp_path, **MALFORMED_CONFIGS[case])
         argv = ["solve", "--config", config, "--out", str(tmp_path / "out")]
     else:

@@ -13,7 +13,6 @@ from chargegame import (
     LinearCost,
     QuadraticCost,
     SpecError,
-    affine_transform,
     cost_from_config,
     cost_to_config,
     with_domain_bound,
@@ -134,22 +133,21 @@ def test_structural_validation():
 
 
 def test_affine_transform_values():
-    doubled = affine_transform(QuadraticCost(domain_bound=5.0), 2.0, 3.0)
+    doubled = AffineCost(QuadraticCost(domain_bound=5.0), 2.0, 3.0)
     assert doubled.value(2.0) == pytest.approx(11.0)
     assert doubled.derivative(2.0) == pytest.approx(8.0)
-    identity = affine_transform(LinearCost(1.0, 0.0, domain_bound=5.0), 1.0, 0.0)
+    identity = AffineCost(LinearCost(1.0, 0.0, domain_bound=5.0), 1.0, 0.0)
     assert identity.value(1.3) == pytest.approx(1.3)
     with pytest.raises(SpecError):
-        affine_transform(QuadraticCost(), -1.0, 0.0)
+        AffineCost(QuadraticCost(), -1.0, 0.0)
     with pytest.raises(SpecError):
-        affine_transform(QuadraticCost(), 0.0, 1.0)
+        AffineCost(QuadraticCost(), 0.0, 1.0)
 
 
-def test_affine_transform_inherits_domain_and_smoothness():
+def test_affine_transform_inherits_domain():
     base = ExponentialCost(rate=0.5, domain_bound=3.0)
-    wrapped = affine_transform(base, 2.0, -1.0)
+    wrapped = AffineCost(base, 2.0, -1.0)
     assert wrapped.domain_bound == 3.0
-    assert wrapped.smooth
     with pytest.raises(DomainError):
         wrapped.value(3.5)
 
@@ -187,7 +185,7 @@ def test_with_domain_bound():
     assert QuadraticCost().value(100.0) == 10000.0
     fn = with_domain_bound(QuadraticCost(), 7.0)
     assert fn.domain_bound == 7.0
-    wrapped = with_domain_bound(affine_transform(QuadraticCost(), 2.0, 0.0), 7.0)
+    wrapped = with_domain_bound(AffineCost(QuadraticCost(), 2.0, 0.0), 7.0)
     assert wrapped.domain_bound == 7.0
     with pytest.raises(SpecError):
         with_domain_bound(QuadraticCost(), 0.0)

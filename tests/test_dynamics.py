@@ -15,9 +15,7 @@ from chargegame import (
     SolverStatus,
     SpecError,
     ThreeSlotInstance,
-    UndefinedAverageError,
     coalition_average_cost,
-    coalition_gradient,
     player_gradients,
     solve_dynamics,
     strategy_costs,
@@ -44,7 +42,7 @@ def directional_fd(spec, profile, k, s, t, h=1e-6):
     ) / (2.0 * h)
 
 
-# --- coalition gradient ------------------------------------------------------
+# --- coalition gradients -----------------------------------------------------
 
 
 def test_gradient_of_negligible_coalition_is_scaled_strategy_cost():
@@ -56,7 +54,7 @@ def test_gradient_of_negligible_coalition_is_scaled_strategy_cost():
     profile = Profile.from_rows(
         spec, [[0.25 * (1 - tiny), 0.75 * (1 - tiny)], [0.25 * tiny, 0.75 * tiny]]
     )
-    grad = coalition_gradient(spec, profile, 1)
+    grad = player_gradients(spec, profile)[1]
     costs = strategy_costs(spec, profile)
     np.testing.assert_allclose(tiny * grad, costs, rtol=1e-6)
 
@@ -66,7 +64,7 @@ def test_gradient_stationary_at_quadratic_optimum():
         3, 2, 1.0, np.array([1.5, 1, 1]), QuadraticCost(), np.array([0.0, 1.0])
     )
     profile = Profile.from_rows(spec, [[0, 0], [23 / 64, 41 / 64]])
-    grad = coalition_gradient(spec, profile, 1)
+    grad = player_gradients(spec, profile)[1]
     assert grad[0] - grad[1] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -86,24 +84,14 @@ def test_gradient_matches_finite_differences(rng, horizon, duration):
             raw / raw.sum(),
         )
         profile = random_profile(rng, spec, margin=0.1)
+        gradients = player_gradients(spec, profile)
         for k in range(1, spec.num_players):
-            grad = coalition_gradient(spec, profile, k)
+            grad = gradients[k]
             s, t = 0, spec.num_start_slots - 1
             fd = directional_fd(spec, profile, k, s, t)
             assert grad[s] - grad[t] == pytest.approx(
                 fd, rel=1e-6, abs=1e-6 * max(1.0, abs(fd))
             )
-
-
-def test_gradient_errors():
-    spec = GameSpec(
-        3, 2, 1.0, np.ones(3), QuadraticCost(), np.array([1.0, 0.0])
-    )
-    profile = Profile.from_rows(spec, [[0.5, 0.5], [0, 0]])
-    with pytest.raises(UndefinedAverageError):
-        coalition_gradient(spec, profile, 1)
-    with pytest.raises(IndexError):
-        coalition_gradient(spec, profile, 2)
 
 
 def test_player_gradients_rows():
@@ -113,9 +101,6 @@ def test_player_gradients_rows():
     profile = Profile.uniform(spec)
     rows = player_gradients(spec, profile)
     np.testing.assert_allclose(rows[0], strategy_costs(spec, profile), atol=1e-12)
-    np.testing.assert_allclose(
-        rows[1], coalition_gradient(spec, profile, 1), atol=1e-12
-    )
 
 
 # --- kernel vs the per-row reference -----------------------------------------

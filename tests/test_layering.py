@@ -1,8 +1,13 @@
-"""Module layering: every sibling import sits at module top and points down
-the order costs/errors -> model -> verify -> dynamics -> threeslot/sweep -> cli."""
+"""Module layering and public surface.
+
+Every sibling import sits at module top and points down the order
+costs/errors -> model -> verify -> dynamics -> threeslot/sweep -> cli, and
+every name the benchmark in ``perfbench/`` reaches for exists."""
 
 import ast
+import importlib
 import os
+import types
 
 import chargegame
 
@@ -68,3 +73,57 @@ def test_imports_point_down_the_layer_order():
                 if RANKS[target] > RANKS[name]:
                     upward.append(f"{name} imports {target}")
     assert upward == []
+
+
+# --- public surface ----------------------------------------------------------
+#
+# The benchmark's tracer patches entry points by name and its workloads call
+# the package through ``cg.<name>`` and ``cli.<name>``; a rename or a trim of
+# the public surface must fail here, not silently in a traced run.
+
+PERFBENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+
+
+def parse_perfbench(name):
+    with open(os.path.join(PERFBENCH_DIR, name)) as handle:
+        return ast.parse(handle.read())
+
+
+def test_tracer_layers_resolve():
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in parse_perfbench("tracer.py").body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    ]
+    missing = []
+    for entries in layers.values():
+        for module_name, attr in entries:
+            owner = importlib.import_module(module_name)
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{module_name}.{attr}")
+    assert missing == []
+
+
+def test_workload_names_exist():
+    owners = {"cg": chargegame, "cli": importlib.import_module("chargegame.cli")}
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(parse_perfbench("workloads.py"))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in owners
+    }
+    assert used
+    assert sorted(f"{o}.{a}" for o, a in used if not hasattr(owners[o], a)) == []
+
+
+def test_all_lists_exactly_the_package_names():
+    defined = {
+        name
+        for name, value in vars(chargegame).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(chargegame.__all__) == sorted(defined)

@@ -17,18 +17,12 @@ from chargegame import (
     SpecError,
     UndefinedAverageError,
     UnsupportedInstanceError,
-    charging_load,
     coalition_average_cost,
     decompose_loads,
     evaluate_costs,
-    individuals_average_cost,
-    reduced_costs,
-    reduction_offset,
-    social_cost,
-    strategy_cost,
     strategy_costs,
-    validate_profile,
 )
+from chargegame.model import reduced_costs, validate_profile
 from conftest import random_profile, random_three_slot
 
 
@@ -43,31 +37,32 @@ def three_slot_spec(cost=None, weights=(1.0,), base=(1.5, 1.0, 1.0)):
     )
 
 
-# --- charging_load ----------------------------------------------------------
+# --- per-player charging loads ---------------------------------------------
 
 
 def test_charging_load_expands_two_slot_window():
     spec = three_slot_spec()
-    y = charging_load(spec, Flow(np.array([0.3, 0.7]), 1.0))
+    y = decompose_loads(spec, Profile.from_rows(spec, [[0.3, 0.7]])).per_player[0]
     np.testing.assert_allclose(y, [0.3, 1.0, 0.7], atol=1e-15)
 
 
 def test_charging_load_single_start_covers_duration():
     spec = GameSpec(7, 3, 0.2, np.zeros(7), LinearCost(), np.array([0.4, 0.6]))
-    y = charging_load(spec, Flow(np.array([0.6, 0, 0, 0, 0]), 0.6))
+    profile = Profile.from_rows(spec, [[0.4, 0, 0, 0, 0], [0.6, 0, 0, 0, 0]])
+    y = decompose_loads(spec, profile).per_player[1]
     np.testing.assert_allclose(y, [0.6, 0.6, 0.6, 0, 0, 0, 0], atol=1e-15)
 
 
 def test_charging_load_second_alternative():
     spec = three_slot_spec(weights=(0.0, 1.0))
-    y = charging_load(spec, Flow(np.array([0.0, 1.0]), 1.0))
+    y = decompose_loads(spec, Profile.from_rows(spec, [[0.0, 0.0], [0.0, 1.0]])).per_player[1]
     np.testing.assert_allclose(y, [0.0, 1.0, 1.0], atol=1e-15)
 
 
 def test_charging_load_rejects_wrong_length():
     spec = three_slot_spec()
     with pytest.raises(SpecError):
-        charging_load(spec, Flow(np.array([0.5, 0.25, 0.25]), 1.0))
+        decompose_loads(spec, Profile((Flow(np.array([0.5, 0.25, 0.25]), 1.0),)))
 
 
 # --- decompose_loads --------------------------------------------------------
@@ -119,30 +114,23 @@ def test_strategy_cost_quadratic_equal_cost_point():
     # The interior point where both alternatives cost the same.
     spec = three_slot_spec()
     profile = Profile.from_rows(spec, [[0.25, 0.75]])
-    assert strategy_cost(spec, profile, 0) == pytest.approx(7.0625, abs=1e-12)
-    assert strategy_cost(spec, profile, 1) == pytest.approx(7.0625, abs=1e-12)
+    costs = strategy_costs(spec, profile)
+    assert costs[0] == pytest.approx(7.0625, abs=1e-12)
+    assert costs[1] == pytest.approx(7.0625, abs=1e-12)
 
 
 def test_strategy_cost_zero_power_reads_base_load():
     spec = GameSpec(3, 2, 0.0, np.array([2.3, 1, 1]), LinearCost(), np.array([1.0]))
     profile = Profile.uniform(spec)
-    assert strategy_cost(spec, profile, 0) == pytest.approx(3.3)
-    assert strategy_cost(spec, profile, 1) == pytest.approx(2.0)
+    costs = strategy_costs(spec, profile)
+    assert costs[0] == pytest.approx(3.3)
+    assert costs[1] == pytest.approx(2.0)
 
 
 def test_strategy_costs_constant_when_slots_symmetric():
     spec = GameSpec(4, 1, 0.5, np.full(4, 2.0), QuadraticCost(), np.array([1.0]))
     costs = strategy_costs(spec, Profile.uniform(spec))
     np.testing.assert_allclose(costs, costs[0])
-
-
-def test_strategy_cost_index_errors():
-    spec = three_slot_spec()
-    profile = Profile.uniform(spec)
-    with pytest.raises(IndexError):
-        strategy_cost(spec, profile, 2)
-    with pytest.raises(IndexError):
-        strategy_cost(spec, profile, -1)
 
 
 # --- entity costs -----------------------------------------------------------
@@ -152,7 +140,7 @@ def test_coalition_cost_point_mass_equals_strategy_cost():
     spec = three_slot_spec(weights=(0.5, 0.5))
     profile = Profile.from_rows(spec, [[0.25, 0.25], [0.5, 0.0]])
     assert coalition_average_cost(spec, profile, 1) == pytest.approx(
-        strategy_cost(spec, profile, 0), abs=1e-12
+        strategy_costs(spec, profile)[0], abs=1e-12
     )
 
 
@@ -176,10 +164,6 @@ def test_coalition_cost_even_split_over_equal_alternatives():
 
 
 def test_zero_mass_queries_raise():
-    spec = three_slot_spec(weights=(0.0, 1.0))
-    profile = Profile.from_rows(spec, [[0, 0], [0.5, 0.5]])
-    with pytest.raises(UndefinedAverageError):
-        individuals_average_cost(spec, profile)
     spec2 = three_slot_spec(weights=(1.0, 0.0))
     profile2 = Profile.from_rows(spec2, [[0.5, 0.5], [0, 0]])
     with pytest.raises(UndefinedAverageError):
@@ -191,22 +175,22 @@ def test_zero_mass_queries_raise():
 def test_individuals_cost_examples():
     spec = three_slot_spec()
     concentrated = Profile.from_rows(spec, [[1.0, 0.0]])
-    assert individuals_average_cost(spec, concentrated) == pytest.approx(
-        strategy_cost(spec, concentrated, 0), abs=1e-12
+    assert evaluate_costs(spec, concentrated).individuals == pytest.approx(
+        strategy_costs(spec, concentrated)[0], abs=1e-12
     )
     wardrop = Profile.from_rows(spec, [[0.25, 0.75]])
-    assert individuals_average_cost(spec, wardrop) == pytest.approx(7.0625, abs=1e-12)
+    assert evaluate_costs(spec, wardrop).individuals == pytest.approx(7.0625, abs=1e-12)
 
 
 def test_social_cost_zero_when_nothing_costs_anything():
     spec = GameSpec(3, 2, 0.0, np.zeros(3), QuadraticCost(), np.array([1.0]))
-    assert social_cost(spec, Profile.uniform(spec)) == 0.0
+    assert evaluate_costs(spec, Profile.uniform(spec)).social == 0.0
 
 
 def test_social_cost_equals_full_coalition_cost():
     spec = three_slot_spec(weights=(0.0, 1.0))
     profile = Profile.from_rows(spec, [[0, 0], [0.3, 0.7]])
-    assert social_cost(spec, profile) == pytest.approx(
+    assert evaluate_costs(spec, profile).social == pytest.approx(
         coalition_average_cost(spec, profile, 1), abs=1e-12
     )
 
@@ -215,7 +199,7 @@ def test_social_cost_arithmetic_example():
     spec = three_slot_spec()
     profile = Profile.from_rows(spec, [[0.25, 0.75]])
     expected = 0.25 * 1.75**2 + 1.0 * 4.0 + 0.75 * 1.75**2
-    assert social_cost(spec, profile) == pytest.approx(expected, abs=1e-12)
+    assert evaluate_costs(spec, profile).social == pytest.approx(expected, abs=1e-12)
 
 
 def test_flow_and_load_cost_forms_agree(rng):
@@ -236,7 +220,7 @@ def test_flow_and_load_cost_forms_agree(rng):
 def test_cost_forms_agree_on_random_games(rng):
     """Coalition costs summed by start (flow form) and by slot (load form)
     agree on random games, and evaluate_costs matches the per-entity
-    functions exactly."""
+    formulas exactly."""
     families = [LinearCost(1.3, 0.2), QuadraticCost(), ExponentialCost(rate=0.7),
                 AffineCost(QuadraticCost(), 2.0, -0.5)]
     for _ in range(60):
@@ -255,8 +239,9 @@ def test_cost_forms_agree_on_random_games(rng):
         loads = decompose_loads(spec, profile)
         prices = spec.cost.value(spec.base_load + spec.power * loads.aggregate)
         summary = evaluate_costs(spec, profile)
-        assert summary.individuals == individuals_average_cost(spec, profile)
-        assert summary.social == social_cost(spec, profile)
+        individuals = float(profile.flows[0].values @ strategy_costs(spec, profile))
+        assert summary.individuals == individuals / float(spec.weights[0])
+        assert summary.social == float(loads.aggregate @ prices)
         for k in range(1, spec.num_players):
             if spec.weights[k] <= 0:
                 assert summary.coalitions[k - 1] is None
@@ -292,18 +277,19 @@ def test_reduced_costs_subtract_middle_slot_term():
     profile = Profile.from_rows(spec, [[0.25, 0.75]])
     summary = evaluate_costs(spec, profile)
     reduced = reduced_costs(spec, summary)
-    assert reduction_offset(spec) == pytest.approx(4.0)
+    assert summary.individuals - reduced.individuals == pytest.approx(4.0)
     assert reduced.social == pytest.approx(3.0625, abs=1e-12)
+    zero = CostSummary(0.0, (), 0.0)
     linear = three_slot_spec(cost=LinearCost())
-    assert reduction_offset(linear) == pytest.approx(2.0)
+    assert -reduced_costs(linear, zero).social == pytest.approx(2.0)
     expo = three_slot_spec(cost=ExponentialCost(rate=1.0))
-    assert reduction_offset(expo) == pytest.approx(np.exp(2.0))
+    assert -reduced_costs(expo, zero).social == pytest.approx(np.exp(2.0))
 
 
 def test_reduced_costs_reject_other_shapes():
     spec = GameSpec(4, 2, 1.0, np.ones(4), QuadraticCost(), np.array([1.0]))
     with pytest.raises(UnsupportedInstanceError):
-        reduction_offset(spec)
+        reduced_costs(spec, CostSummary(1.0, (), 1.0))
     off_power = GameSpec(3, 2, 2.0, np.ones(3), QuadraticCost(), np.array([1.0]))
     with pytest.raises(UnsupportedInstanceError):
         reduced_costs(off_power, CostSummary(1.0, (), 1.0))
@@ -398,5 +384,5 @@ def test_charging_load_conserves_mass(weights, duration):
         cost=LinearCost(),
         weights=np.array([1.0]),
     )
-    y = charging_load(spec, Flow(values * (1.0 / mass), 1.0))
+    y = decompose_loads(spec, Profile((Flow(values * (1.0 / mass), 1.0),))).per_player[0]
     assert float(y.sum()) == pytest.approx(duration, rel=1e-12)

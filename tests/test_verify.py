@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chargegame import (
+    AffineCost,
     ExponentialCost,
     GameSpec,
     LinearCost,
@@ -12,13 +13,11 @@ from chargegame import (
     SolverStatus,
     ThreeSlotInstance,
     UndefinedAverageError,
-    affine_transform,
     check_coalition_optimality,
     check_cost_ordering,
     check_wardrop,
     equilibrium_profile,
     make_report,
-    player_gradients,
     solve_ce,
     solve_dynamics,
     vi_gap,
@@ -129,18 +128,14 @@ def test_coalition_optimality_trio():
 
 
 def test_coalition_optimality_validates_index():
-    """k outside [1, K] and zero-mass coalitions raise, as coalition_gradient does."""
+    """k outside [1, K] raises IndexError, a zero-mass coalition UndefinedAverageError."""
     spec = GameSpec(3, 2, 1.0, np.array([2.3, 1, 1]), LinearCost(), np.array([0.5, 0.5, 0.0]))
     profile = corner_profile(spec)
-    gradients = player_gradients(spec, profile)
     for k in (0, -1, 3):
         with pytest.raises(IndexError):
             check_coalition_optimality(spec, profile, k, eps=1.0)
-        with pytest.raises(IndexError):
-            check_coalition_optimality(spec, profile, k, eps=1.0, gradients=gradients)
-    for given in (None, gradients):
-        with pytest.raises(UndefinedAverageError):
-            check_coalition_optimality(spec, profile, 2, eps=1.0, gradients=given)
+    with pytest.raises(UndefinedAverageError):
+        check_coalition_optimality(spec, profile, 2, eps=1.0)
     assert not check_coalition_optimality(spec, profile, 1, eps=1e-8).passed
 
 
@@ -202,7 +197,7 @@ def test_affine_invariance_of_equilibria(rng):
             inst.mid_load,
             inst.offpeak_load,
             inst.coalition_size,
-            affine_transform(inst.cost, 2.0, 3.0),
+            AffineCost(inst.cost, 2.0, 3.0),
         )
         original = solve_ce(inst)
         shifted = solve_ce(transformed)
