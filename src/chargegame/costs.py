@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SpecError
+from .errors import DomainError, SpecError, _check, _known_keys, _real
 
 # Slack on domain checks so loads assembled from renormalized flows do not
 # trip the upper bound by float rounding.
@@ -62,12 +62,6 @@ class CostFunction(abc.ABC):
         return self._evaluate(self._raw_derivative, load)
 
     def _evaluate(self, raw, load):
-        # A float (np.float64 included) skips the array round trip: the
-        # closed form's bisection evaluates f and f' on scalars only.
-        if isinstance(load, float):
-            load = float(load)
-            self._check_domain(load, load)
-            return float(raw(load))
         arr = np.asarray(load, dtype=float)
         if arr.size:
             self._check_domain(float(arr.min()), float(arr.max()))
@@ -220,34 +214,51 @@ def with_domain_bound(fn: CostFunction, bound: float) -> CostFunction:
     return replace(fn, domain_bound=bound)
 
 
-def cost_from_config(cfg: dict) -> CostFunction:
+# Parameter keys of each config kind, besides "kind".  An affine family
+# takes its validity bound from its base.
+_CONFIG_KEYS = {
+    "linear": ("slope", "intercept", "domain_bound"),
+    "quadratic": ("domain_bound",),
+    "exponential": ("rate", "domain_bound"),
+    "affine": ("base", "scale", "shift"),
+}
+
+
+def cost_from_config(cfg: dict, field: str = "cost") -> CostFunction:
     """Build a named family from a config mapping.
 
     Recognized kinds: ``linear`` (slope, intercept), ``quadratic``,
-    ``exponential`` (rate) and ``affine`` (base, scale, shift); every kind
-    accepts an optional ``domain_bound``.
+    ``exponential`` (rate) and ``affine`` (base, scale, shift); all but
+    ``affine`` accept an optional ``domain_bound``.  Parameters must be
+    numbers (``domain_bound`` may be null).  A wrong type or an unknown key
+    raises a SpecError that names the field, with ``field`` naming the
+    mapping itself.
     """
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise SpecError("cost config must be a mapping with a 'kind' entry")
+    _check(field, cfg, "a mapping with a 'kind' entry", isinstance(cfg, dict) and "kind" in cfg)
     kind = cfg["kind"]
+    known = isinstance(kind, str) and kind in _CONFIG_KEYS
+    _check(f"{field}.kind", kind, f"one of {'/'.join(_CONFIG_KEYS)}", known)
+    _known_keys(field, cfg, ("kind", *_CONFIG_KEYS[kind]))
+
+    def number(key: str, default: float) -> float:
+        return _real(f"{field}.{key}", cfg.get(key, default))
+
     bound = cfg.get("domain_bound")
+    if bound is not None:
+        bound = _real(f"{field}.domain_bound", bound)
     if kind == "linear":
         return LinearCost(
-            slope=float(cfg.get("slope", 1.0)),
-            intercept=float(cfg.get("intercept", 0.0)),
-            domain_bound=bound,
+            slope=number("slope", 1.0), intercept=number("intercept", 0.0), domain_bound=bound
         )
     if kind == "quadratic":
         return QuadraticCost(domain_bound=bound)
     if kind == "exponential":
-        return ExponentialCost(rate=float(cfg.get("rate", 1.0)), domain_bound=bound)
-    if kind == "affine":
-        return AffineCost(
-            base=cost_from_config(cfg["base"]),
-            scale=float(cfg.get("scale", 1.0)),
-            shift=float(cfg.get("shift", 0.0)),
-        )
-    raise SpecError(f"unknown cost kind {kind!r}")
+        return ExponentialCost(rate=number("rate", 1.0), domain_bound=bound)
+    return AffineCost(
+        base=cost_from_config(cfg.get("base"), f"{field}.base"),
+        scale=number("scale", 1.0),
+        shift=number("shift", 0.0),
+    )
 
 
 def cost_to_config(fn: CostFunction) -> dict:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field checks that
+config and report ingestion raise them with."""
+
+import math
 
 
 class ChargeGameError(Exception):
@@ -32,3 +35,34 @@ class BracketingError(ChargeGameError, ArithmeticError):
 
 class NumericsError(ChargeGameError, ArithmeticError):
     """A numerical computation produced non-finite values."""
+
+
+class _FieldError(SpecError):
+    """A config or report field has the wrong type, value or keys.
+
+    The message names the field; the CLI prefixes the kind of input
+    (``malformed config:`` or ``malformed report:``).
+    """
+
+
+def _check(field: str, value, want: str, ok: bool):
+    """Return ``value``, or raise the field error for ``field``."""
+    if not ok:
+        raise _FieldError(f"{field} must be {want}, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    # JSON booleans are Python ints, but no number field takes one.
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _real(field: str, value) -> float:
+    return float(_check(field, value, "a finite number", _is_number(value)))
+
+
+def _known_keys(field: str, given: dict, keys) -> None:
+    """Raise the field error for ``field`` if ``given`` has a key not in ``keys``."""
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise _FieldError(f"{field} has unknown keys {unknown}; accepted: {sorted(keys)}")

@@ -52,6 +52,27 @@ def _window_sum(spec: GameSpec, values: np.ndarray) -> np.ndarray:
     return _incidence(spec.horizon, spec.duration) @ values
 
 
+def _unit_weights(weights: np.ndarray) -> np.ndarray:
+    """Weights divided by their sum along the last axis: what a
+    :class:`GameSpec` stores, for one weight vector or a stack of them."""
+    return weights / np.add.reduce(weights, -1, keepdims=True)
+
+
+def _onto_masses(rows: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
+    """A :class:`Flow`'s renormalization of one row or a stack of rows.
+
+    Negative entries are clipped to zero, then each row (last axis) is
+    scaled by its mass over its total, and a row whose total is zero
+    becomes zeros.  ``masses`` broadcasts against the totals, which keep
+    their axis.  Returns the scaled rows and the totals before scaling.
+    """
+    rows = np.maximum(rows, 0.0)
+    totals = np.add.reduce(rows, -1, keepdims=True)
+    positive = totals > 0.0
+    scale = np.divide(masses, totals, out=np.zeros_like(totals), where=positive)
+    return np.where(positive, rows * scale, 0.0), totals
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """One composite charging game.
@@ -98,7 +119,7 @@ class GameSpec:
         total = float(weights.sum())
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise SpecError(f"weights must sum to 1, got {total}")
-        weights = weights / total
+        weights = _unit_weights(weights)
 
         cost = self.cost
         peak = float(load.max()) + self.power if load.size else self.power
@@ -149,17 +170,13 @@ class Flow:
         mass = max(mass, 0.0)
         if values.min() < -SIMPLEX_TOL:
             raise SpecError("flow entries must be nonnegative")
-        values = np.maximum(values, 0.0)
-        total = float(values.sum())
+        values, total = _onto_masses(values, mass)
+        total = float(total[0])
         if abs(total - mass) > SIMPLEX_TOL:
             raise SpecError(
                 f"flow entries sum to {total}, expected mass {mass} "
                 f"(tolerance {SIMPLEX_TOL})"
             )
-        if total > 0.0:
-            values = values * (mass / total)
-        else:
-            values = np.zeros_like(values)
         object.__setattr__(self, "values", _frozen_array(values))
         object.__setattr__(self, "mass", mass)
 
@@ -321,8 +338,9 @@ def _gradient_kernel(
     """
     incidence = _incidence(spec.horizon, spec.duration)
     players, slots, power = spec.num_players, spec.num_start_slots, spec.power
-    # ufunc calls and array methods skip numpy's Python-level wrappers: an
-    # analytic sweep builds one kernel per point, through vi_gap.
+    # ufunc calls and array methods skip numpy's Python-level wrappers: every
+    # vi_gap builds a kernel, and a dynamics batch rebuilds it whenever a
+    # game leaves the stack.
     masses = weights.reshape(players, -1)  # (players, games)
     crowded = np.maximum.reduce(masses[1:], axis=None, initial=0.0) > 0.0
     base_load = np.concatenate((spec.base_load,) * masses.shape[1])

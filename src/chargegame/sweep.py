@@ -19,16 +19,24 @@ import numpy as np
 
 from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, StepSize, _solve_batch, default_step_schedule
 from .errors import ChargeGameError, SpecError
-from .model import GameSpec, _window_sum, supports_reduced_costs
+from .model import (
+    GameSpec,
+    _gradient_kernel,
+    _onto_masses,
+    _unit_weights,
+    _window_sum,
+    supports_reduced_costs,
+)
 from .threeslot import (
+    CEPoint,
     ThreeSlotInstance,
-    ce_costs,
-    equilibrium_profile,
+    _grid_costs,
+    _isolated,
+    _solve_grid,
     instance_from_spec,
-    solve_ce,
     with_coalition_size,
 )
-from .verify import SolverStatus, vi_gap
+from .verify import SolverStatus, _gaps
 
 DEFAULT_GRID_SIZE = 101
 DEFAULT_GRID_START = 0.01
@@ -45,7 +53,7 @@ def default_grid(
     return np.linspace(start, stop, count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     """One grid record: equilibrium weights and costs at coalition size m.
 
@@ -178,11 +186,15 @@ def run_sweep(
 
     ``base`` fixes the loads, duration and cost family; the weights become
     (1 - m, m) at each grid point.  ``solver`` is "analytic" (closed form,
-    three-slot instances only) or "dynamics".  The dynamics solve the whole
-    grid as one batch, each point leaving it once its gap reaches
-    ``gap_tol`` or ``max_iter`` is hit; every point equals a separate
-    :func:`~chargegame.dynamics.solve_dynamics` run bit for bit.  Points
-    are ordered by m, and a point whose solve fails carries the error.
+    three-slot instances only) or "dynamics".  Either solves the whole grid
+    at once, and each point equals a solve of its own game bit for bit:
+    the closed form runs as one array computation, and its points are
+    certified as one stack of games, each equal to
+    :func:`~chargegame.threeslot.solve_ce`, ``ce_costs`` and ``vi_gap`` of
+    the point alone; the dynamics run as one batch, each point leaving it
+    once its gap reaches ``gap_tol`` or ``max_iter`` is hit, and each equal
+    to a separate :func:`~chargegame.dynamics.solve_dynamics` run.  Points
+    are ordered by m, and a point whose solve fails carries its own error.
     """
     if grid is None:
         grid = default_grid()
@@ -202,7 +214,7 @@ def run_sweep(
         raise SpecError("sweeps require a game shape with exactly one coalition")
 
     if solver == "analytic":
-        points = [_analytic_point(base, float(m)) for m in grid]
+        points = _analytic_points(base, grid)
     else:
         points = _dynamics_points(
             base, [float(m) for m in grid], max_iter=max_iter, gap_tol=gap_tol, step_size=step_size
@@ -214,26 +226,63 @@ def run_sweep(
     )
 
 
-def _analytic_point(base: ThreeSlotInstance, m: float) -> SweepPoint:
-    try:
-        inst = with_coalition_size(base, m)
-        point = solve_ce(inst)
-        costs = ce_costs(inst, point)
-        # The certificate is all a sweep point keeps of a report.
-        gap = vi_gap(inst.to_game_spec(), equilibrium_profile(inst, point))
-    except ChargeGameError as exc:
-        return _error_point(m, exc)
-    return SweepPoint(
-        m=m,
-        x1=point.coalition_on_peak,
-        x0=point.individuals_on_peak,
-        cost_individuals=costs.individuals,
-        cost_coalition=costs.coalition,
-        cost_social=costs.social,
-        regime=point.regime.value,
-        gap=gap,
-        status=SolverStatus.ANALYTIC.value,
+def _analytic_points(base: ThreeSlotInstance, grid: np.ndarray) -> list[SweepPoint]:
+    solved = _solve_grid(base, grid)
+    live = [i for i, point in enumerate(solved) if isinstance(point, CEPoint)]
+    certified = iter(
+        _isolated(
+            lambda sizes, points: _certified_points(base, sizes, points),
+            grid[live],
+            [solved[i] for i in live],
+        )
     )
+    points = []
+    for m, point in zip(grid.tolist(), solved):
+        if isinstance(point, CEPoint):
+            point = next(certified)
+        points.append(_error_point(m, point) if isinstance(point, ChargeGameError) else point)
+    return points
+
+
+def _certified_points(
+    base: ThreeSlotInstance, sizes: np.ndarray, points: list[CEPoint]
+) -> list[SweepPoint]:
+    """Sweep records of closed-form points: their reduced costs and their
+    vi_gap, each for all points at once.
+
+    The gap is the certificate ``vi_gap`` gives the point's game and
+    ``equilibrium_profile``, from one stack of those games: the rows and
+    masses are normalized as Flow and GameSpec normalize them, and the
+    cost family is the spec's, so its domain checks apply.
+    """
+    costs = _grid_costs(base, sizes, points)
+    spec = base.to_game_spec()
+    x1 = np.array([p.coalition_on_peak for p in points])
+    x0 = np.array([p.individuals_on_peak for p in points])
+    masses = np.concatenate((1.0 - sizes, sizes))[:, None]  # player-major
+    rows = np.concatenate(
+        (np.stack((x0, 1.0 - sizes - x0), axis=1), np.stack((x1, sizes - x1), axis=1))
+    )
+    rows, _ = _onto_masses(rows, masses)
+    weights = _unit_weights(np.stack((1.0 - sizes, sizes), axis=1)).T.ravel()
+    kernel = _gradient_kernel(spec, spec.cost.value, spec.cost.derivative, weights)
+    gaps = _gaps(weights.tolist(), rows, kernel(rows), spec.num_players)
+    return [
+        SweepPoint(
+            m=m,
+            x1=point.coalition_on_peak,
+            x0=point.individuals_on_peak,
+            cost_individuals=individuals,
+            cost_coalition=coalition,
+            cost_social=social,
+            regime=point.regime.value,
+            gap=gap,
+            status=SolverStatus.ANALYTIC.value,
+        )
+        for m, point, social, individuals, coalition, gap in zip(
+            sizes.tolist(), points, *(values.tolist() for values in costs), gaps
+        )
+    ]
 
 
 def _dynamics_points(base, grid: list[float], **options) -> list[SweepPoint]:

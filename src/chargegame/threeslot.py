@@ -16,6 +16,11 @@ Interior points solve a scalar stationarity equation that balances the
 coalition's marginal cost across the two alternatives; it is strictly
 increasing for convex increasing cost families, so bisection on a
 guaranteed bracket finds the unique root.
+
+A grid of coalition sizes is solved at once: the thresholds do not depend
+on M, so one comparison classifies every point, one masked bisection on
+arrays finds every interior root, and the costs are the same formulas on
+arrays.  :func:`solve_ce` and :func:`ce_costs` are grids of one.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .costs import CostFunction
-from .errors import BracketingError, SpecError
+from .errors import BracketingError, ChargeGameError, SpecError
 from .model import Flow, GameSpec, Profile, supports_reduced_costs
 
 # Absolute tolerance on the coalition split found by bisection.
@@ -94,7 +99,7 @@ class ThreeSlotInstance:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CEPoint:
     """Equilibrium weights on the first (peak) alternative.
 
@@ -143,42 +148,21 @@ def marginal_imbalance(inst: ThreeSlotInstance, split: float) -> float:
     convex increasing families, and its root is the equilibrium split.
     """
     f = inst.cost
-    m = inst.coalition_size
-    peak = inst.peak_load + split
-    offpeak = 1.0 + inst.offpeak_load - split
-    return (
-        f.value(peak)
-        + split * f.derivative(peak)
-        - f.value(offpeak)
-        - (m - split) * f.derivative(offpeak)
-    )
+    return float(_imbalance(inst, inst.coalition_size, split, f.value, f.derivative))
 
 
 def classify(inst: ThreeSlotInstance) -> Regime:
     """Regime dispatch from the load gap and the coalition size."""
-    if inst.peak_load >= inst.offpeak_load + 1.0:
-        if inst.coalition_size <= activation_threshold(inst):
-            return Regime.ALL_OFFPEAK
-        return Regime.COALITION_SPLIT
-    if inst.coalition_size < mixing_band(inst):
-        return Regime.SHARED_PEAK
-    return Regime.SATURATED_SPLIT
+    gapped, split = _classify(inst, np.array([inst.coalition_size]))
+    return _regime(gapped, bool(split[0]))
 
 
 def solve_ce(inst: ThreeSlotInstance) -> CEPoint:
-    """Unique composite equilibrium of a three-slot instance."""
-    regime = classify(inst)
-    m = inst.coalition_size
-    if regime is Regime.ALL_OFFPEAK:
-        return CEPoint(0.0, 0.0, regime)
-    if regime is Regime.SHARED_PEAK:
-        return CEPoint(m / 2.0, (mixing_band(inst) - m) / 2.0, regime)
-    if regime is Regime.COALITION_SPLIT:
-        lo, hi = 0.0, m
-    else:  # SATURATED_SPLIT
-        lo, hi = mixing_band(inst) / 2.0, m / 2.0
-    split = _bisect_increasing(lambda x: marginal_imbalance(inst, x), lo, hi, inst)
-    return CEPoint(split, 0.0, regime)
+    """Unique composite equilibrium of a three-slot instance: a grid of one."""
+    (point,) = _solve_grid(inst, np.array([inst.coalition_size]))
+    if isinstance(point, ChargeGameError):
+        raise point
+    return point
 
 
 def ce_costs(inst: ThreeSlotInstance, point: CEPoint) -> ReducedCosts:
@@ -194,24 +178,13 @@ def ce_costs(inst: ThreeSlotInstance, point: CEPoint) -> ReducedCosts:
             f"point regime {point.regime.value} does not match instance "
             f"regime {expected.value}"
         )
-    f = inst.cost
-    m = inst.coalition_size
-    if point.regime is Regime.ALL_OFFPEAK:
-        common = f.value(1.0 + inst.offpeak_load)
-        return ReducedCosts(common, common, common)
-    if point.regime is Regime.SHARED_PEAK:
-        common = f.value((1.0 + inst.peak_load + inst.offpeak_load) / 2.0)
-        return ReducedCosts(common, common, common)
-    split = point.coalition_on_peak
-    if not -1e-9 <= split <= m + 1e-9 or abs(point.individuals_on_peak) > 1e-9:
+    split, m = point.coalition_on_peak, inst.coalition_size
+    if point.regime in _SPLIT_REGIMES and (
+        not -1e-9 <= split <= m + 1e-9 or abs(point.individuals_on_peak) > 1e-9
+    ):
         raise SpecError("point coordinates are inconsistent with a split regime")
-    peak_price = f.value(inst.peak_load + split)
-    offpeak_price = f.value(1.0 + inst.offpeak_load - split)
-    return ReducedCosts(
-        social=split * peak_price + (1.0 - split) * offpeak_price,
-        individuals=offpeak_price,
-        coalition=(split * peak_price + (m - split) * offpeak_price) / m,
-    )
+    costs = _grid_costs(inst, np.array([m]), [point])
+    return ReducedCosts(*(float(values[0]) for values in costs))
 
 
 def equilibrium_profile(
@@ -231,53 +204,198 @@ def equilibrium_profile(
     return Profile((individuals, coalition))
 
 
-def _bisect_increasing(
-    fn: Callable[[float], float], lo: float, hi: float, inst: ThreeSlotInstance
-) -> float:
-    """Root of an increasing function on [lo, hi] to BISECTION_TOL.
+# --- the grid solver ---------------------------------------------------------
+#
+# The functions below solve a whole grid of coalition sizes at once: the
+# loads and the cost family, and so both thresholds, are shared, and only M
+# varies.  A point's arithmetic is the same in any grid, so a grid of one
+# (what solve_ce and ce_costs run) gives each point of a larger grid bit
+# for bit.
 
-    The dispatch guarantees fn(lo) <= 0 <= fn(hi) in exact arithmetic, so a
-    same-signed endpoint is accepted as the root when it is within rounding
-    slack of zero and rejected as a shape violation otherwise.
-    """
-    if hi - lo <= BISECTION_TOL:
-        return (lo + hi) / 2.0
-    f_lo = fn(lo)
-    f_hi = fn(hi)
-    slack = 1e-9 * _imbalance_scale(inst)
-    if f_lo > 0.0:
-        if f_lo <= slack:
-            return lo
-        raise BracketingError(
-            f"stationarity value {f_lo} at the lower bracket end should not "
-            "be positive; the cost family violates the convexity assumptions"
-        )
-    if f_hi < 0.0:
-        if f_hi >= -slack:
-            return hi
-        raise BracketingError(
-            f"stationarity value {f_hi} at the upper bracket end should not "
-            "be negative; the cost family violates the convexity assumptions"
-        )
-    steps = max(1, math.ceil(math.log2((hi - lo) / BISECTION_TOL)))
-    for _ in range(steps):
-        mid = (lo + hi) / 2.0
-        if fn(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+_SPLIT_REGIMES = (Regime.COALITION_SPLIT, Regime.SATURATED_SPLIT)
 
 
-def _imbalance_scale(inst: ThreeSlotInstance) -> float:
+def _gapped(inst: ThreeSlotInstance) -> bool:
+    """True when the first slot is at least one unit above the last."""
+    return inst.peak_load >= inst.offpeak_load + 1.0
+
+
+def _regime(gapped: bool, split: bool) -> Regime:
+    if gapped:
+        return Regime.COALITION_SPLIT if split else Regime.ALL_OFFPEAK
+    return Regime.SATURATED_SPLIT if split else Regime.SHARED_PEAK
+
+
+def _classify(inst: ThreeSlotInstance, sizes: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Whether ``inst`` is gapped, and per coalition size whether its
+    equilibrium splits: past the activation threshold (gapped) or at or
+    past the mixing band."""
+    if _gapped(inst):
+        return True, ~(sizes <= activation_threshold(inst))
+    return False, ~(sizes < mixing_band(inst))
+
+
+def _imbalance(inst: ThreeSlotInstance, m, split, value, derivative):
+    """:func:`marginal_imbalance` at coalition sizes ``m``, scalars or
+    arrays, with ``value`` and ``derivative`` evaluating f and f'."""
+    peak = inst.peak_load + split
+    offpeak = 1.0 + inst.offpeak_load - split
+    return (
+        value(peak)
+        + split * derivative(peak)
+        - value(offpeak)
+        - (m - split) * derivative(offpeak)
+    )
+
+
+def _imbalance_scale(inst: ThreeSlotInstance, m):
     f = inst.cost
     cheap = 1.0 + inst.offpeak_load
     return (
         1.0
-        + abs(f.value(inst.peak_load + inst.coalition_size))
+        + abs(f.value(inst.peak_load + m))
         + abs(f.value(cheap))
-        + inst.coalition_size * abs(f.derivative(cheap))
+        + m * abs(f.derivative(cheap))
     )
+
+
+def _isolated(stage, *columns) -> list:
+    """``stage`` on whole columns, or on each row alone once it raises.
+
+    ``columns`` are arrays or lists of one length, and ``stage`` returns
+    one outcome per row.  When the whole-column call raises a
+    ChargeGameError, every row is run alone, so each carries its own
+    outcome or the error that ends it by itself.
+    """
+    if not len(columns[0]):
+        return []
+    try:
+        return stage(*columns)
+    except ChargeGameError as exc:
+        if len(columns[0]) == 1:
+            return [exc]
+    return [
+        outcome
+        for i in range(len(columns[0]))
+        for outcome in _isolated(stage, *(column[i : i + 1] for column in columns))
+    ]
+
+
+def _solve_grid(base: ThreeSlotInstance, sizes: np.ndarray) -> list:
+    """Closed form at every coalition size of ``sizes``; the other fields
+    of ``base`` are shared.
+
+    Returns, in order, each size's :class:`CEPoint` or the ChargeGameError
+    that ends its solve.
+    """
+    return _isolated(lambda m: _grid_points(base, m), sizes)
+
+
+def _grid_points(inst: ThreeSlotInstance, m: np.ndarray) -> list:
+    gapped, split = _classify(inst, m)
+    if gapped:
+        x1, x0 = np.zeros_like(m), np.zeros_like(m)
+        lo, hi = np.zeros_like(m), m
+    else:
+        band = mixing_band(inst)
+        x1, x0 = m / 2.0, np.where(split, 0.0, (band - m) / 2.0)
+        lo, hi = np.full_like(m, band / 2.0), m / 2.0
+    roots, errors = _bisect(inst, m[split], lo[split], hi[split])
+    x1[split] = roots
+    points: list = [
+        CEPoint(a, b, _regime(gapped, s))
+        for a, b, s in zip(x1.tolist(), x0.tolist(), split.tolist())
+    ]
+    for i, error in zip(np.flatnonzero(split).tolist(), errors):
+        if error is not None:
+            points[i] = error
+    return points
+
+
+def _bisect(
+    inst: ThreeSlotInstance, m: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """Root of the increasing imbalance on every bracket [lo, hi], to
+    BISECTION_TOL, plus per bracket its BracketingError or None.
+
+    A bracket no wider than BISECTION_TOL returns its midpoint without
+    evaluating the imbalance.  The dispatch guarantees imbalance(lo) <= 0 <=
+    imbalance(hi) in exact arithmetic, so a same-signed end is taken as the
+    root when it is within rounding slack of zero and rejected as a shape
+    violation otherwise.  Each other bracket is halved
+    max(1, ceil(log2(width / BISECTION_TOL))) times.
+    """
+    roots = (lo + hi) / 2.0
+    errors = [None] * len(m)
+    wide = np.flatnonzero(hi - lo > BISECTION_TOL)
+    if not wide.size:
+        return roots, errors
+    f = inst.cost
+    m, lo, hi = m[wide], lo[wide], hi[wide]
+    f_lo = _imbalance(inst, m, lo, f.value, f.derivative).tolist()
+    f_hi = _imbalance(inst, m, hi, f.value, f.derivative).tolist()
+    slack = (1e-9 * _imbalance_scale(inst, m)).tolist()
+    live = []
+    for j, i in enumerate(wide.tolist()):
+        if f_lo[j] > 0.0:
+            if f_lo[j] <= slack[j]:
+                roots[i] = lo[j]
+            else:
+                errors[i] = BracketingError(
+                    f"stationarity value {f_lo[j]} at the lower bracket end should "
+                    "not be positive; the cost family violates the convexity assumptions"
+                )
+        elif f_hi[j] < 0.0:
+            if f_hi[j] >= -slack[j]:
+                roots[i] = hi[j]
+            else:
+                errors[i] = BracketingError(
+                    f"stationarity value {f_hi[j]} at the upper bracket end should "
+                    "not be negative; the cost family violates the convexity assumptions"
+                )
+        else:
+            live.append(j)
+    m, lo, hi = m[live], lo[live], hi[live]
+    steps = np.array(
+        [max(1, math.ceil(math.log2(w / BISECTION_TOL))) for w in (hi - lo).tolist()],
+        dtype=int,
+    )
+    # A midpoint's loads lie between those of its bracket's ends, which the
+    # checked f and f' accepted above, so the halving calls the raw ones.
+    longest = steps.max(initial=0)
+    shortest = steps.min(initial=longest)
+    for step in range(longest):
+        on = slice(None) if step < shortest else np.flatnonzero(steps > step)
+        mid = (lo[on] + hi[on]) / 2.0
+        below = _imbalance(inst, m[on], mid, f._raw_value, f._raw_derivative) < 0.0
+        lo[on] = np.where(below, mid, lo[on])
+        hi[on] = np.where(below, hi[on], mid)
+    roots[wide[live]] = (lo + hi) / 2.0
+    return roots, errors
+
+
+def _grid_costs(inst: ThreeSlotInstance, sizes: np.ndarray, points) -> ReducedCosts:
+    """:func:`ce_costs` of closed-form ``points`` of ``inst`` at coalition
+    sizes ``sizes``, as one array per entity."""
+    f = inst.cost
+    split = np.array([p.regime in _SPLIT_REGIMES for p in points])
+    social, individuals, coalition = np.empty((3, len(points)))
+    if not split.all():
+        if _gapped(inst):
+            common = f.value(1.0 + inst.offpeak_load)
+        else:
+            common = f.value((1.0 + inst.peak_load + inst.offpeak_load) / 2.0)
+        corner = ~split
+        social[corner] = individuals[corner] = coalition[corner] = common
+    if split.any():
+        x = np.array([p.coalition_on_peak for p in points])[split]
+        m = sizes[split]
+        peak_price = f.value(inst.peak_load + x)
+        offpeak_price = f.value(1.0 + inst.offpeak_load - x)
+        social[split] = x * peak_price + (1.0 - x) * offpeak_price
+        individuals[split] = offpeak_price
+        coalition[split] = (x * peak_price + (m - x) * offpeak_price) / m
+    return ReducedCosts(social, individuals, coalition)
 
 
 def _closed_form_applies(spec: GameSpec) -> bool:

@@ -298,6 +298,34 @@ def test_verify_computes_the_gap_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_names_no_wardrop_witness_on_a_pass(tmp_path, monkeypatch):
+    # A passing report's Wardrop verdict comes from its worst slack, so the
+    # prices are evaluated once, by make_report.
+    config = band_config(tmp_path, game=dict(BAND_GAME, weights=[0.5, 0.5]))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+
+    def no_witness(*args, **kwargs):
+        raise AssertionError("check_wardrop ran on a passing report")
+
+    monkeypatch.setattr(chargegame.cli, "check_wardrop", no_witness)
+    assert main(["verify", "--report", str(out / "report.json"), "--gap-tol", "1e-8"]) == 0
+
+
+def test_verify_names_the_wardrop_witness_on_a_failure(tmp_path, capsys):
+    config = band_config(tmp_path, game=dict(BAND_GAME, weights=[0.5, 0.5]))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    data = json.loads((out / "report.json").read_text())
+    data["profile"][0] = [0.5, 0.0]  # individuals all on the dearer peak start
+    (out / "report.json").write_text(json.dumps(data))
+    spec, profile, _ = chargegame.cli.report_from_dict(data)
+    witness = chargegame.check_wardrop(spec, profile, eps=1e-8).witness
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out / "report.json"), "--gap-tol", "1e-8"]) == 1
+    assert f"wardrop: FAIL {witness}\n" in capsys.readouterr().out
+
+
 def test_verify_rejects_tampered_report(tmp_path):
     config = band_config(tmp_path)
     out = tmp_path / "out"
@@ -335,6 +363,54 @@ MALFORMED_CONFIGS = {
     "horizon-not-integral": {"game": dict(BAND_GAME, horizon=3.9)},
     "duration-a-boolean": {"game": dict(BAND_GAME, duration=True)},
     "normalize-a-string": {"load_profile": {"csv": "loads.csv", "normalize": "false"}},
+    # Game and cost fields are JSON numbers, not strings or booleans that
+    # float() would accept, and every game and cost mapping has fixed keys.
+    "power-a-string": {"game": dict(BAND_GAME, power="1.0")},
+    "power-a-boolean": {"game": dict(BAND_GAME, power=True)},
+    "weight-a-string": {"game": dict(BAND_GAME, weights=["0.0", 1.0])},
+    "weight-a-boolean": {"game": dict(BAND_GAME, weights=[False, True])},
+    "weights-not-a-list": {"game": dict(BAND_GAME, weights=1.0)},
+    "slope-a-numeric-string": {"game": dict(BAND_GAME, cost={"kind": "linear", "slope": "2"})},
+    "intercept-a-boolean": {"game": dict(BAND_GAME, cost={"kind": "linear", "intercept": True})},
+    "rate-a-string": {"game": dict(BAND_GAME, cost={"kind": "exponential", "rate": "1"})},
+    "scale-a-string": {
+        "game": dict(BAND_GAME, cost={"kind": "affine", "base": {"kind": "quadratic"}, "scale": "2"})
+    },
+    "shift-a-boolean": {
+        "game": dict(BAND_GAME, cost={"kind": "affine", "base": {"kind": "quadratic"}, "shift": False})
+    },
+    "affine-base-slope-a-string": {
+        "game": dict(BAND_GAME, cost={"kind": "affine", "base": {"kind": "linear", "slope": "1"}})
+    },
+    "domain-bound-a-string": {"game": dict(BAND_GAME, cost={"kind": "quadratic", "domain_bound": "30"})},
+    "unknown-game-key": {"game": dict(BAND_GAME, horizn=9)},
+    "unknown-cost-key": {"game": dict(BAND_GAME, cost={"kind": "linear", "slop": 2.0})},
+    "affine-domain-bound": {
+        "game": dict(BAND_GAME, cost={"kind": "affine", "base": {"kind": "linear"}, "domain_bound": 30.0})
+    },
+    "unknown-cost-kind": {"game": dict(BAND_GAME, cost={"kind": "cubic"})},
+}
+
+# The field each rejection above names after "error: malformed config: ".
+MALFORMED_FIELDS = {
+    "power-a-string": "game.power",
+    "power-a-boolean": "game.power",
+    "weight-a-string": "game.weights[0]",
+    "weight-a-boolean": "game.weights[0]",
+    "weights-not-a-list": "game.weights",
+    "slope-a-numeric-string": "game.cost.slope",
+    "intercept-a-boolean": "game.cost.intercept",
+    "rate-a-string": "game.cost.rate",
+    "scale-a-string": "game.cost.scale",
+    "shift-a-boolean": "game.cost.shift",
+    "affine-base-slope-a-string": "game.cost.base.slope",
+    "domain-bound-a-string": "game.cost.domain_bound",
+    "unknown-game-key": "game has unknown keys ['horizn']",
+    "unknown-cost-key": "game.cost has unknown keys ['slop']",
+    "affine-domain-bound": "game.cost has unknown keys ['domain_bound']",
+    "unknown-cost-kind": "game.cost.kind",
+    "horizon-not-integral": "game.horizon",
+    "max-iter-not-a-number": "solver.max_iter",
 }
 
 
@@ -347,7 +423,22 @@ def report_without_status(tmp_path):
     return ["verify", "--report", str(out / "report.json")]
 
 
-@pytest.mark.parametrize("case", [*MALFORMED_CONFIGS, "report-without-status"])
+def report_with_fractional_horizon(tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", band_config(tmp_path), "--out", str(out)]) == 0
+    data = json.loads((out / "report.json").read_text())
+    data["game"]["horizon"] = 3.5
+    (out / "report.json").write_text(json.dumps(data))
+    return ["verify", "--report", str(out / "report.json")]
+
+
+MALFORMED_REPORTS = {
+    "report-without-status": report_without_status,
+    "report-horizon-not-integral": report_with_fractional_horizon,
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_CONFIGS, *MALFORMED_REPORTS])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
     # Wrong types and values in a config or a report are input errors
     # (exit 2), not a raw traceback that reads as "not converged".
@@ -356,11 +447,15 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
         config = band_config(tmp_path, **MALFORMED_CONFIGS[case])
         argv = ["solve", "--config", config, "--out", str(tmp_path / "out")]
     else:
-        argv = report_without_status(tmp_path)
+        argv = MALFORMED_REPORTS[case](tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed") and "Traceback" not in err
+    if case in MALFORMED_FIELDS:
+        assert err.startswith(f"error: malformed config: {MALFORMED_FIELDS[case]}")
+    if case == "report-horizon-not-integral":
+        assert err.startswith("error: malformed report: game.horizon must be an integer")
 
 
 # --- import cost -------------------------------------------------------------

@@ -62,8 +62,8 @@ def test_monotone_and_convex_on_grid(fn):
     assert second.min() >= -1e-9
 
 
-# Every family, including the wrappers, on both evaluation paths: a float
-# (np.float64 included) takes the scalar path, anything else the array one.
+# Every family, including the wrappers, on scalar and array loads: a scalar
+# or 0-d load gives a float, anything else an array.
 EVALUATION_FAMILIES = [
     LinearCost(slope=1.7, intercept=0.3, domain_bound=4.0),
     QuadraticCost(domain_bound=4.0),

@@ -9,6 +9,7 @@ import pytest
 
 from chargegame import (
     AffineCost,
+    BracketingError,
     ChargeGameError,
     CustomCost,
     DomainError,
@@ -21,22 +22,27 @@ from chargegame import (
     SpecError,
     SweepPoint,
     ThreeSlotInstance,
+    activation_threshold,
     audit_concave,
     audit_concave_branches,
     audit_monotone,
+    ce_costs,
     default_grid,
     equilibrium_profile,
     make_report,
+    mixing_band,
     peak_start_slot,
     run_sweep,
     solve_ce,
     solve_dynamics,
     sweep_rows,
+    vi_gap,
     with_coalition_size,
 )
-from chargegame import sweep, verify
+from chargegame import sweep, threeslot, verify
 from chargegame.dynamics import default_step_schedule
 from chargegame.sweep import write_csv
+from chargegame.threeslot import BISECTION_TOL, _solve_grid
 from conftest import random_three_slot
 
 
@@ -355,6 +361,148 @@ def test_batched_sweep_reports_a_domain_error_on_every_point():
                     np.array([0.5, 0.5]))
     points = assert_batch_matches_per_point(base, np.array([0.25, 0.5, 1.0]))
     assert all(p.status == "error" and "above the cap" in p.error for p in points)
+
+
+# --- analytic sweep vs per-point closed form ------------------------------------
+#
+# run_sweep(solver="analytic") solves the grid as one array computation and
+# certifies it as one stack of games; every point must equal solve_ce,
+# ce_costs and vi_gap of its own instance bit for bit, errors included.
+
+
+def per_point_analytic(base, grid):
+    """The sweep's points from the closed form of each grid point alone."""
+    nan = float("nan")
+    points = []
+    for m in grid:
+        m = float(m)
+        inst = with_coalition_size(base, m)
+        try:
+            point = solve_ce(inst)
+            costs = ce_costs(inst, point)
+            gap = vi_gap(inst.to_game_spec(), equilibrium_profile(inst, point))
+        except ChargeGameError as exc:
+            points.append(SweepPoint(m, nan, nan, nan, nan, nan, None, nan, "error", str(exc)))
+            continue
+        points.append(SweepPoint(
+            m=m,
+            x1=point.coalition_on_peak,
+            x0=point.individuals_on_peak,
+            cost_individuals=costs.individuals,
+            cost_coalition=costs.coalition,
+            cost_social=costs.social,
+            regime=point.regime.value,
+            gap=gap,
+            status="analytic",
+        ))
+    return points
+
+
+def assert_analytic_matches_per_point(base, grid):
+    swept = run_sweep(base, np.asarray(grid, dtype=float)).points
+    assert [point_bits(p) for p in swept] == [point_bits(p) for p in per_point_analytic(base, grid)]
+    return swept
+
+
+def boundary_grid(inst):
+    """Coalition sizes on and one ulp around the instance's regime boundary,
+    plus sizes whose bisection bracket is no wider than BISECTION_TOL."""
+    if inst.peak_load >= inst.offpeak_load + 1.0:
+        edge = activation_threshold(inst)
+        tight = [edge + BISECTION_TOL / 2.0, 1e-13]  # bracket [0, m]
+    else:
+        edge = mixing_band(inst)
+        tight = [edge + BISECTION_TOL, edge + 2.0 * BISECTION_TOL]  # bracket [band/2, m/2]
+    sizes = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0), *tight, 0.5, 1.0]
+    # A threshold of 0 has a subnormal upper neighbour, and a gradient
+    # divided by that mass overflows; 1e-13 is the smallest size kept.
+    return np.array(sorted({float(m) for m in sizes if 1e-13 <= m <= 1.0}))
+
+
+def test_analytic_sweep_matches_per_point_closed_form(rng):
+    regimes = set()
+    shapes = [(2.3, 1.0, 1.0), (1.5, 1.0, 1.0), (2.0, 1.0, 1.0), (1.2, 0.4, 1.0)]
+    for family in ("linear", "quadratic", "exponential"):
+        instances = [random_three_slot(rng, family) for _ in range(6)]
+        instances += [
+            ThreeSlotInstance(*loads, 0.5, instances[0].cost) for loads in shapes
+        ]
+        for inst in instances:
+            for grid in (default_grid(21), np.sort(rng.uniform(0.001, 1.0, 9)), boundary_grid(inst)):
+                points = assert_analytic_matches_per_point(inst, grid)
+                assert all(p.error is None for p in points)
+                regimes.update(p.regime for p in points)
+    assert regimes == {regime.value for regime in Regime}
+
+
+def test_boundary_grid_hits_the_edges_and_tight_brackets():
+    # The tie (2.0, 1.0, 1.0) has threshold 0, so m = 1e-13 splits on a
+    # bracket [0, 1e-13]; the band instance splits on [0.25, 0.25 + 5e-13].
+    for loads, edge in (((2.0, 1.0, 1.0), 0.0), ((1.5, 1.0, 1.0), 0.5)):
+        inst = ThreeSlotInstance(*loads, 0.5, LinearCost())
+        grid = boundary_grid(inst)
+        assert edge == 0.0 or {edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)} <= set(grid)
+        tight = [m for m in grid if 0.0 < m - edge <= 2.0 * BISECTION_TOL]
+        assert tight
+        for point in assert_analytic_matches_per_point(inst, tight):
+            assert point.regime in ("coalition-split", "saturated-split")
+
+
+def test_capped_cost_errors_only_the_points_past_the_cap():
+    # Past the activation threshold 0.3 the bracket end m puts 2.3 + m on
+    # the peak slot, which the cap 2.8 rejects exactly for m > 0.5.
+    inst = ThreeSlotInstance(2.3, 1.0, 1.0, 0.5, CappedLinearCost(cap=2.8))
+    grid = default_grid(21)
+    points = assert_analytic_matches_per_point(inst, grid)
+    assert [p.error is not None for p in points] == [m > 0.5 for m in grid]
+    assert all("above the cap 2.8" in p.error for p in points if p.error is not None)
+
+
+def test_value_only_cost_errors_only_the_split_points():
+    value_only = CustomCost(lambda x: np.asarray(x, float) ** 2 + 1.0, None, 30.0)
+    inst = ThreeSlotInstance(1.2, 1.0, 1.0, 0.5, value_only)  # mixing band 0.8
+    grid = default_grid(21)
+    solved = _solve_grid(inst, grid)
+    assert [isinstance(p, SpecError) for p in solved] == [m >= 0.8 for m in grid]
+    # Every certificate needs f', so the sweep fails the shared points there.
+    points = assert_analytic_matches_per_point(inst, grid)
+    assert all("provides no derivative" in p.error for p in points)
+
+
+def test_lying_derivative_errors_only_the_points_past_the_band():
+    liar = CustomCost(
+        value_fn=lambda x: np.asarray(x, dtype=float),
+        derivative_fn=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
+        domain_bound=30.0,
+    )
+    inst = ThreeSlotInstance(1.2, 1.0, 1.0, 0.5, liar)
+    grid = default_grid(21)
+    assert [isinstance(p, BracketingError) for p in _solve_grid(inst, grid)] == [
+        m >= 0.8 for m in grid
+    ]
+    points = assert_analytic_matches_per_point(inst, grid)
+    assert [p.error is not None for p in points] == [m >= 0.8 for m in grid]
+    assert all("stationarity value" in p.error for p in points if p.error is not None)
+
+
+def test_analytic_sweep_solves_and_certifies_the_grid_at_once(monkeypatch):
+    def per_point(*args, **kwargs):
+        raise AssertionError("an analytic sweep solved or certified one point alone")
+
+    for module, name in ((threeslot, "solve_ce"), (sweep, "solve_ce"),
+                         (verify, "vi_gap"), (sweep, "vi_gap")):
+        monkeypatch.setattr(module, name, per_point, raising=False)
+    calls = []
+    for name in ("_solve_grid", "_gradient_kernel"):
+        real = getattr(sweep, name)
+        monkeypatch.setattr(
+            sweep, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    for inst in (gap_instance(QuadraticCost()), band_instance(ExponentialCost(rate=1.0))):
+        calls.clear()
+        result = run_sweep(inst, default_grid(21))
+        assert all(p.error is None and p.gap <= 1e-9 for p in result.points)
+        assert calls == ["_solve_grid", "_gradient_kernel"]
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Closed-form equilibrium: regime dispatch, roots, costs and uniqueness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from chargegame import (
     vi_gap,
     with_coalition_size,
 )
+from chargegame.threeslot import BISECTION_TOL, _solve_grid
 from conftest import random_three_slot
 
 GAP_INSTANCE = dict(peak_load=2.3, mid_load=1.0, offpeak_load=1.0)
@@ -206,6 +209,62 @@ def test_tie_between_cases_routes_to_gap_case():
     assert classify(inst) is Regime.COALITION_SPLIT
     point = solve_ce(inst)
     assert point.coalition_on_peak == pytest.approx(0.5 / 4.0, abs=1e-9)
+
+
+# --- the array bisection against a scalar loop --------------------------------
+
+
+def scalar_split(inst):
+    """The interior root by a plain scalar bisection loop: the bracket of
+    the regime, its rounding-slack test and max(1, ceil(log2(width / tol)))
+    halvings."""
+    f, m = inst.cost, inst.coalition_size
+    if classify(inst) is Regime.COALITION_SPLIT:
+        lo, hi = 0.0, m
+    else:
+        lo, hi = mixing_band(inst) / 2.0, m / 2.0
+    if hi - lo <= BISECTION_TOL:
+        return (lo + hi) / 2.0
+    f_lo, f_hi = marginal_imbalance(inst, lo), marginal_imbalance(inst, hi)
+    cheap = 1.0 + inst.offpeak_load
+    scale = (
+        1.0 + abs(f.value(inst.peak_load + m)) + abs(f.value(cheap)) + m * abs(f.derivative(cheap))
+    )
+    if f_lo > 0.0:
+        assert f_lo <= 1e-9 * scale
+        return lo
+    if f_hi < 0.0:
+        assert f_hi >= -1e-9 * scale
+        return hi
+    for _ in range(max(1, math.ceil(math.log2((hi - lo) / BISECTION_TOL)))):
+        mid = (lo + hi) / 2.0
+        if marginal_imbalance(inst, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def test_array_bisection_matches_a_scalar_loop(rng):
+    """solve_ce alone and in a grid give the scalar loop's root bit for bit."""
+    checked = 0
+    for _ in range(40):
+        inst = random_three_slot(rng)
+        sizes = np.sort(np.append(rng.uniform(0.01, 1.0, 12), 1.0))
+        edge = mixing_band(inst)
+        if inst.peak_load >= inst.offpeak_load + 1.0:
+            edge = activation_threshold(inst)
+        near = [edge, np.nextafter(edge, 2.0), edge + BISECTION_TOL / 2.0, edge + 1e-9]
+        sizes = np.unique(np.append(sizes, [m for m in near if 1e-13 <= m <= 1.0]))
+        grid = _solve_grid(inst, sizes)
+        for m, in_grid in zip(sizes.tolist(), grid):
+            at = with_coalition_size(inst, m)
+            point = solve_ce(at)
+            assert repr(in_grid) == repr(point)
+            if point.regime in (Regime.COALITION_SPLIT, Regime.SATURATED_SPLIT):
+                assert repr(point.coalition_on_peak) == repr(float(scalar_split(at)))
+                checked += 1
+    assert checked > 100
 
 
 # --- certification ----------------------------------------------------------
