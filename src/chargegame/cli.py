@@ -38,10 +38,11 @@ from .sweep import (
     run_sweep,
     write_csv,
 )
-from .threeslot import _closed_form_applies, equilibrium_profile, instance_from_spec, solve_ce
+from .threeslot import equilibrium_profile, instance_from_spec, solve_ce
 from .verify import (
     EquilibriumReport,
     SolverStatus,
+    _finite_gap,
     check_cost_ordering,
     check_wardrop,
     make_report,
@@ -168,7 +169,8 @@ def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> 
         loads = load_profile_csv(path, normalize=normalize)
         meta.update({"source": profile_cfg["csv"], "normalized": normalize})
     else:
-        loads = np.asarray(profile_cfg, dtype=float)
+        _check("load_profile", profile_cfg, "a list or a mapping", isinstance(profile_cfg, list))
+        loads = np.array([_real(f"load_profile[{i}]", x) for i, x in enumerate(profile_cfg)])
         if normalize_flag:
             peak = loads.max()
             if peak <= 0:
@@ -247,11 +249,17 @@ def build_game(resolved: dict) -> GameSpec:
     )
 
 
-def _resolve_method(resolved: dict, spec: GameSpec) -> str:
+def _resolve_method(resolved: dict, spec: GameSpec, coalition_size: float) -> str:
+    """The configured method, with ``auto`` read as ``analytic`` exactly
+    when the closed form's gate accepts ``spec`` at ``coalition_size``."""
     method = resolved["solver"]["method"]
     if method != "auto":
         return method
-    return "analytic" if _closed_form_applies(spec) else "dynamics"
+    try:
+        instance_from_spec(spec, coalition_size)
+    except SpecError:
+        return "dynamics"
+    return "analytic"
 
 
 def _solver_options(resolved: dict) -> dict:
@@ -266,14 +274,15 @@ def _solver_options(resolved: dict) -> dict:
 
 
 def _solve(resolved: dict, spec: GameSpec, trace_every: int = 0) -> EquilibriumReport:
+    # The gate refuses any coalition count but one before it reads the size.
+    size = float(spec.weights[-1])
     # Traces only exist for the iterative solver.
-    method = "dynamics" if trace_every > 0 else _resolve_method(resolved, spec)
+    method = "dynamics" if trace_every > 0 else _resolve_method(resolved, spec, size)
     if method == "analytic":
-        inst = instance_from_spec(spec, coalition_size=float(spec.weights[1]))
-        point = solve_ce(inst)
-        return make_report(
-            spec, equilibrium_profile(inst, point), SolverStatus.ANALYTIC
-        )
+        inst = instance_from_spec(spec, size)
+        profile = equilibrium_profile(inst, solve_ce(inst))
+        gap = _finite_gap(vi_gap(spec, profile))
+        return make_report(spec, profile, SolverStatus.ANALYTIC, gap=gap)
     return solve_dynamics(spec, trace_every=trace_every, **_solver_options(resolved))
 
 
@@ -440,7 +449,7 @@ def _cmd_sweep(args) -> int:
         grid = np.array(sweep_cfg["grid"])
     else:
         grid = default_grid(sweep_cfg["count"], sweep_cfg["start"], sweep_cfg["stop"])
-    method = _resolve_method(resolved, spec)
+    method = _resolve_method(resolved, spec, float(grid[0]))
     result = run_sweep(spec, grid, solver=method, **_solver_options(resolved))
     os.makedirs(args.out, exist_ok=True)
     write_csv(result, os.path.join(args.out, "sweep.csv"))

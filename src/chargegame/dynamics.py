@@ -18,9 +18,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ChargeGameError, NumericsError
+from .errors import ChargeGameError
 from .model import Flow, GameSpec, Profile, _gradient_kernel
-from .verify import SolverStatus, TraceRow, _gaps, make_report
+from .verify import SolverStatus, TraceRow, _finite_gap, _gaps, make_report
 
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_GAP_TOL = 1e-6
@@ -168,15 +168,14 @@ def _solve_batch(
 
 def _outcome(spec: GameSpec, rows: np.ndarray, gap: float, gap_tol: float, iteration: int, trace):
     """The report of a game leaving the stack, or the error that ended it."""
-    if math.isnan(gap):
-        return NumericsError("non-finite strategy costs encountered; check the cost family scale")
-    status = SolverStatus.CONVERGED if gap <= gap_tol else SolverStatus.MAX_ITER_REACHED
-    if trace is not None:
-        if trace[-1].iteration != iteration:
-            trace.append(TraceRow(iteration, gap, rows.copy()))
-        trace = tuple(trace)
-    profile = Profile(tuple(Flow(row, float(mass)) for row, mass in zip(rows, spec.weights)))
     try:
+        gap = _finite_gap(gap)
+        status = SolverStatus.CONVERGED if gap <= gap_tol else SolverStatus.MAX_ITER_REACHED
+        if trace is not None:
+            if trace[-1].iteration != iteration:
+                trace.append(TraceRow(iteration, gap, rows.copy()))
+            trace = tuple(trace)
+        profile = Profile(tuple(Flow(row, float(mass)) for row, mass in zip(rows, spec.weights)))
         return make_report(spec, profile, status, iterations=iteration, gap=gap, trace=trace)
     except ChargeGameError as exc:
         return exc

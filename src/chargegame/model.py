@@ -282,25 +282,15 @@ def _slot_prices(spec: GameSpec, loads: LoadDecomposition) -> np.ndarray:
     return spec.cost.value(spec.base_load + spec.power * loads.aggregate)
 
 
-def strategy_costs(
-    spec: GameSpec, profile: Profile, *, loads: LoadDecomposition | None = None
-) -> np.ndarray:
+def strategy_costs(spec: GameSpec, profile: Profile) -> np.ndarray:
     """Cost of each start-slot strategy: window sum of per-slot unit prices."""
-    if loads is None:
-        loads = decompose_loads(spec, profile)
-    return _window_sum(spec, _slot_prices(spec, loads))
+    return _window_sum(spec, _slot_prices(spec, decompose_loads(spec, profile)))
 
 
-def coalition_average_cost(
-    spec: GameSpec,
-    profile: Profile,
-    k: int,
-    *,
-    loads: LoadDecomposition | None = None,
-) -> float:
+def coalition_average_cost(spec: GameSpec, profile: Profile, k: int) -> float:
     """Average cost paid by coalition ``k`` (player index, 1-based up to K)."""
     mass = _coalition_mass(spec, k)
-    costs = strategy_costs(spec, profile, loads=loads)
+    costs = strategy_costs(spec, profile)
     return float(profile.flows[k].values @ costs) / mass
 
 
@@ -395,15 +385,9 @@ class CostSummary:
     individuals_extended: bool = False
 
 
-def evaluate_costs(
-    spec: GameSpec,
-    profile: Profile,
-    *,
-    loads: LoadDecomposition | None = None,
-) -> CostSummary:
+def evaluate_costs(spec: GameSpec, profile: Profile) -> CostSummary:
     """All entity costs at ``profile`` in one pass."""
-    if loads is None:
-        loads = decompose_loads(spec, profile)
+    loads = decompose_loads(spec, profile)
     prices = _slot_prices(spec, loads)
     return _summarize_costs(spec, profile, loads, prices, _window_sum(spec, prices))
 

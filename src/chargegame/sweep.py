@@ -34,9 +34,8 @@ from .threeslot import (
     _isolated,
     _solve_grid,
     instance_from_spec,
-    with_coalition_size,
 )
-from .verify import SolverStatus, _gaps
+from .verify import SolverStatus, _finite_gap, _gaps
 
 DEFAULT_GRID_SIZE = 101
 DEFAULT_GRID_START = 0.01
@@ -185,17 +184,24 @@ def run_sweep(
     """Solve the equilibrium at every grid coalition size and audit it.
 
     ``base`` fixes the loads, duration and cost family; the weights become
-    (1 - m, m) at each grid point.  ``solver`` is "analytic" (closed form,
-    three-slot instances only) or "dynamics".  Either solves the whole grid
-    at once, and each point equals a solve of its own game bit for bit:
-    the closed form runs as one array computation, and its points are
+    (1 - m, m) at each grid point.  A :class:`ThreeSlotInstance` base is
+    read as its GameSpec (``to_game_spec``), so its own coalition size is
+    ignored.  The game must have exactly one coalition.  ``solver`` is
+    "analytic" (the closed form, for games that
+    :func:`~chargegame.threeslot.instance_from_spec` accepts; a game
+    outside raises its SpecError) or "dynamics".  Either solves the whole
+    grid at once, and each point equals a solve of its own game bit for
+    bit: the closed form runs as one array computation, and its points are
     certified as one stack of games, each equal to
     :func:`~chargegame.threeslot.solve_ce`, ``ce_costs`` and ``vi_gap`` of
     the point alone; the dynamics run as one batch, each point leaving it
     once its gap reaches ``gap_tol`` or ``max_iter`` is hit, and each equal
     to a separate :func:`~chargegame.dynamics.solve_dynamics` run.  Points
-    are ordered by m, and a point whose solve fails carries its own error.
+    are ordered by m, and a point whose solve fails, or whose certificate
+    is not finite, carries its own error.
     """
+    if isinstance(base, ThreeSlotInstance):
+        base = base.to_game_spec()
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
@@ -208,9 +214,7 @@ def run_sweep(
 
     if solver not in ("analytic", "dynamics"):
         raise SpecError(f"unknown solver {solver!r}")
-    if solver == "analytic" and isinstance(base, GameSpec):
-        base = instance_from_spec(base, coalition_size=float(grid[0]))
-    if isinstance(base, GameSpec) and base.num_coalitions != 1:
+    if base.num_coalitions != 1:
         raise SpecError("sweeps require a game shape with exactly one coalition")
 
     if solver == "analytic":
@@ -219,19 +223,20 @@ def run_sweep(
         points = _dynamics_points(
             base, [float(m) for m in grid], max_iter=max_iter, gap_tol=gap_tol, step_size=step_size
         )
-    reduced = isinstance(base, ThreeSlotInstance) or supports_reduced_costs(base)
     audits = _run_audits(points, solver, audit_tol)
     return SweepResult(
-        grid=grid, points=tuple(points), audits=audits, reduced=reduced
+        grid=grid, points=tuple(points), audits=audits, reduced=supports_reduced_costs(base)
     )
 
 
-def _analytic_points(base: ThreeSlotInstance, grid: np.ndarray) -> list[SweepPoint]:
-    solved = _solve_grid(base, grid)
+def _analytic_points(spec: GameSpec, grid: np.ndarray) -> list[SweepPoint]:
+    # The grid lies in (0, 1], so the gate decides on the game's shape alone.
+    inst = instance_from_spec(spec, float(grid[0]))
+    solved = _solve_grid(inst, grid)
     live = [i for i, point in enumerate(solved) if isinstance(point, CEPoint)]
     certified = iter(
         _isolated(
-            lambda sizes, points: _certified_points(base, sizes, points),
+            lambda sizes, points: _certified_points(inst, spec, sizes, points),
             grid[live],
             [solved[i] for i in live],
         )
@@ -245,18 +250,19 @@ def _analytic_points(base: ThreeSlotInstance, grid: np.ndarray) -> list[SweepPoi
 
 
 def _certified_points(
-    base: ThreeSlotInstance, sizes: np.ndarray, points: list[CEPoint]
+    inst: ThreeSlotInstance, spec: GameSpec, sizes: np.ndarray, points: list[CEPoint]
 ) -> list[SweepPoint]:
-    """Sweep records of closed-form points: their reduced costs and their
-    vi_gap, each for all points at once.
+    """Sweep records of closed-form points of ``inst``, the instance of
+    ``spec``: their reduced costs and their vi_gap, each for all points at
+    once.
 
     The gap is the certificate ``vi_gap`` gives the point's game and
     ``equilibrium_profile``, from one stack of those games: the rows and
     masses are normalized as Flow and GameSpec normalize them, and the
-    cost family is the spec's, so its domain checks apply.
+    cost family is the spec's, so its domain checks apply.  A gap that is
+    not finite raises NumericsError, so the caller isolates its point.
     """
-    costs = _grid_costs(base, sizes, points)
-    spec = base.to_game_spec()
+    costs = _grid_costs(inst, sizes, points)
     x1 = np.array([p.coalition_on_peak for p in points])
     x0 = np.array([p.individuals_on_peak for p in points])
     masses = np.concatenate((1.0 - sizes, sizes))[:, None]  # player-major
@@ -276,7 +282,7 @@ def _certified_points(
             cost_coalition=coalition,
             cost_social=social,
             regime=point.regime.value,
-            gap=gap,
+            gap=_finite_gap(gap),
             status=SolverStatus.ANALYTIC.value,
         )
         for m, point, social, individuals, coalition, gap in zip(
@@ -285,8 +291,8 @@ def _certified_points(
     ]
 
 
-def _dynamics_points(base, grid: list[float], **options) -> list[SweepPoint]:
-    specs = [_spec_at(base, m) for m in grid]
+def _dynamics_points(spec: GameSpec, grid: list[float], **options) -> list[SweepPoint]:
+    specs = [replace(spec, weights=np.array([1.0 - m, m])) for m in grid]
     peak = peak_start_slot(specs[0])
     points = []
     for m, report in zip(grid, _solve_batch(specs, **options)):
@@ -324,12 +330,6 @@ def _error_point(m: float, exc: ChargeGameError) -> SweepPoint:
         status="error",
         error=str(exc),
     )
-
-
-def _spec_at(base, m: float) -> GameSpec:
-    if isinstance(base, ThreeSlotInstance):
-        return with_coalition_size(base, m).to_game_spec()
-    return replace(base, weights=np.array([1.0 - m, m]))
 
 
 def _run_audits(points, solver: str, tol: float) -> dict[str, AuditVerdict]:

@@ -398,23 +398,17 @@ def _grid_costs(inst: ThreeSlotInstance, sizes: np.ndarray, points) -> ReducedCo
     return ReducedCosts(social, individuals, coalition)
 
 
-def _closed_form_applies(spec: GameSpec) -> bool:
-    """True when :func:`solve_ce` covers ``spec``: one coalition, the
-    normalized three-slot shape (T=3, C=2, P=1) and a first slot at least as
-    loaded as the last, as :class:`ThreeSlotInstance` requires."""
-    return (
-        spec.num_coalitions == 1
-        and supports_reduced_costs(spec)
-        and spec.base_load[0] >= spec.base_load[2]
-    )
-
-
 def instance_from_spec(spec: GameSpec, coalition_size: float) -> ThreeSlotInstance:
-    """Three-slot instance with the given coalition size from a game shape.
+    """The three-slot instance of ``spec`` at ``coalition_size``: the one
+    gate of the closed form's domain.
 
-    Requires the normalized shape (T=3, C=2, P=1) with the first slot at
-    least as loaded as the last.
+    The closed form covers a game with exactly one coalition, the
+    normalized three-slot shape (T=3, C=2, P=1), a first slot at least as
+    loaded as the last and a coalition size in (0, 1].  A game outside
+    raises a SpecError naming the first of these conditions it breaks.
     """
+    if spec.num_coalitions != 1:
+        raise SpecError("closed form requires exactly one coalition")
     if not supports_reduced_costs(spec):
         raise SpecError("closed form requires horizon=3, duration=2, power=1")
     return ThreeSlotInstance(

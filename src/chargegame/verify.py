@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericsError
 from .model import (
     CostSummary,
     GameSpec,
@@ -84,6 +85,14 @@ def _gaps(masses: list, rows: np.ndarray, gradients: np.ndarray, players: int) -
                 gap += max(dots[i] - masses[i] * lows[i], 0.0)
         gaps.append(gap)
     return gaps
+
+
+def _finite_gap(gap: float) -> float:
+    """``gap`` as a solver's certificate: a gap that is not finite means
+    some strategy cost is not, and such a profile is no result."""
+    if not math.isfinite(gap):
+        raise NumericsError("non-finite strategy costs encountered; check the cost family scale")
+    return gap
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """CLI: config resolution, CSV ingestion, subcommands, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 import chargegame
-from chargegame import SpecError, verify
-from chargegame.cli import load_profile_csv, main, resolve_config
+from chargegame import BracketingError, CustomCost, SolverStatus, SpecError, instance_from_spec, verify
+from chargegame.cli import _resolve_method, _solve, build_game, load_profile_csv, main, resolve_config
 
 NIGHT_LOADS = [0.9, 1.0, 0.95, 0.7, 0.5, 0.45, 0.6]
 
@@ -253,6 +255,126 @@ def test_sweep_explicit_grid(tmp_path):
     assert [float(r["m"]) for r in rows] == [0.25, 0.5, 1.0]
 
 
+# --- the closed form's domain ------------------------------------------------
+
+SHIPPED_CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
+
+@pytest.mark.parametrize(
+    "name", ["three_slot_gap_sweep", "three_slot_quadratic_sweep", "three_slot_solve"]
+)
+def test_shipped_three_slot_configs_stay_on_the_closed_form(tmp_path, name):
+    config = os.path.join(SHIPPED_CONFIGS, name + ".json")
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "solve")]) == 0
+    assert json.loads((tmp_path / "solve" / "report.json").read_text())["status"] == "analytic"
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "sweep")]) == 0
+    audits = json.loads((tmp_path / "sweep" / "sweep_audits.json").read_text())
+    assert audits["solver"] == "analytic"
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as handle:
+        assert {row["status"] for row in csv.DictReader(handle)} == {"analytic"}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_analytic_refuses_a_game_with_two_coalitions(tmp_path, capsys, command):
+    config = band_config(
+        tmp_path, game=dict(BAND_GAME, weights=[0.4, 0.3, 0.3]), solver={"method": "analytic"}
+    )
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exactly one coalition" in err
+
+
+def test_auto_solves_a_massless_coalition_by_the_dynamics(tmp_path):
+    config = band_config(tmp_path, game=dict(BAND_GAME, weights=[1.0, 0.0]))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["status"] == "converged"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_analytic_solve_with_a_non_finite_certificate_is_an_error(tmp_path, capsys):
+    # The coalition's gradient divided by a subnormal mass overflows.
+    config = band_config(
+        tmp_path, game=dict(BAND_GAME, weights=[1.0, 5e-324]), load_profile=[2.0, 1.0, 1.0]
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 2
+    assert "non-finite strategy costs" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_auto_does_not_fall_back_on_a_solver_error(tmp_path):
+    # The game lies in the closed form's domain, so a failing closed form is
+    # the answer: auto falls back to the dynamics only when the gate refuses.
+    liar = CustomCost(
+        value_fn=lambda x: np.asarray(x, dtype=float),
+        derivative_fn=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
+        domain_bound=30.0,
+    )
+    resolved = resolve_config({"game": BAND_GAME, "load_profile": [1.2, 1.0, 1.0]}, str(tmp_path))
+    spec = dataclasses.replace(build_game(resolved), cost=liar)
+    assert _resolve_method(resolved, spec, 1.0) == "analytic"
+    with pytest.raises(BracketingError):
+        _solve(resolved, spec)
+
+
+def first_broken_condition(game, loads):
+    """The closed form's domain condition a game breaks first, or None."""
+    if len(game["weights"]) != 2:
+        return "exactly one coalition"
+    if game["power"] != 1.0:
+        return "horizon=3, duration=2, power=1"
+    if loads[0] < loads[2]:
+        return "peak_load must be >= offpeak_load"
+    if game["weights"][1] == 0.0:
+        return "coalition_size must lie in (0, 1]"
+    return None
+
+
+def test_auto_picks_analytic_exactly_where_the_gate_accepts(tmp_path, capsys, rng):
+    broken = []
+    for case in range(60):
+        masses = rng.uniform(0.1, 1.0, size=rng.integers(1, 4))
+        masses[1:] *= rng.uniform() < 0.7  # some games give their coalitions no mass
+        loads = rng.uniform(0.0, 3.0, size=3).tolist()
+        game = dict(
+            BAND_GAME,
+            power=[1.0, 1.0, 1.0, 0.8][case % 4],
+            cost={"kind": ["linear", "quadratic", "exponential"][case % 3]},
+            weights=(masses / masses.sum()).tolist(),
+        )
+        resolved = resolve_config({"game": game, "load_profile": loads}, str(tmp_path))
+        spec = build_game(resolved)
+        size = float(spec.weights[-1])
+        expected = first_broken_condition(game, loads)
+        broken.append(expected)
+        if expected is None:
+            instance_from_spec(spec, size)
+            assert _resolve_method(resolved, spec, size) == "analytic"
+            report = _solve(resolved, spec)
+            assert report.status is SolverStatus.ANALYTIC and report.vi_gap <= 1e-8
+            continue
+        with pytest.raises(SpecError, match=re.escape(expected)):
+            instance_from_spec(spec, size)
+        assert _resolve_method(resolved, spec, size) == "dynamics"
+        # Asked for by name, the closed form exits with the gate's reason.
+        config = write_config(
+            tmp_path / "config.json",
+            {"game": game, "load_profile": loads, "solver": {"method": "analytic"}},
+        )
+        capsys.readouterr()
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert expected in capsys.readouterr().err
+    assert set(broken) == {
+        None,
+        "exactly one coalition",
+        "horizon=3, duration=2, power=1",
+        "peak_load must be >= offpeak_load",
+        "coalition_size must lie in (0, 1]",
+    }
+
+
 # --- dynamics trace ----------------------------------------------------------
 
 
@@ -346,6 +468,8 @@ MALFORMED_CONFIGS = {
     "game-not-a-mapping": {"game": 5},
     "horizon-not-a-number": {"game": dict(BAND_GAME, horizon="x")},
     "load-profile-not-numeric": {"load_profile": "abc"},
+    "load-profile-entry-a-string": {"load_profile": ["1.5", 1.0, 1.0]},
+    "load-profile-entry-a-boolean": {"load_profile": [1.5, True, 1]},
     "slope-not-a-number": {"game": dict(BAND_GAME, cost={"kind": "linear", "slope": "s"})},
     "sweep-not-a-mapping": {"sweep": [1, 2]},
     # Solver and sweep fields are converted and range-checked at ingestion,
@@ -393,6 +517,8 @@ MALFORMED_CONFIGS = {
 
 # The field each rejection above names after "error: malformed config: ".
 MALFORMED_FIELDS = {
+    "load-profile-entry-a-string": "load_profile[0]",
+    "load-profile-entry-a-boolean": "load_profile[1]",
     "power-a-string": "game.power",
     "power-a-boolean": "game.power",
     "weight-a-string": "game.weights[0]",

@@ -238,6 +238,28 @@ def test_grid_validation():
         run_sweep(inst, np.array([0.5]), solver="newton")
 
 
+def test_three_slot_base_is_read_as_its_game_spec():
+    # Its cost bound is checked at entry for either solver, as a GameSpec's is.
+    inst = ThreeSlotInstance(2.0, 1.0, 1.0, 0.5, LinearCost(domain_bound=2.5))
+    for solver in ("analytic", "dynamics"):
+        with pytest.raises(SpecError, match="exceeds the cost validity bound 2.5"):
+            run_sweep(inst, np.array([0.2, 0.6]), solver=solver)
+
+
+@pytest.mark.parametrize(
+    "power, loads, weights, reason",
+    [
+        (1.0, [1.5, 1.0, 1.0], [0.4, 0.3, 0.3], "exactly one coalition"),
+        (0.5, [1.5, 1.0, 1.0], [0.5, 0.5], "horizon=3, duration=2, power=1"),
+        (1.0, [1.0, 1.0, 1.5], [0.5, 0.5], "peak_load must be >= offpeak_load"),
+    ],
+)
+def test_analytic_sweep_refuses_a_game_outside_the_closed_form(power, loads, weights, reason):
+    spec = GameSpec(3, 2, power, np.array(loads), LinearCost(), np.array(weights))
+    with pytest.raises(SpecError, match=reason):
+        run_sweep(spec, np.array([0.2, 0.6]))
+
+
 # --- batched dynamics sweep vs per-point solves ---------------------------------
 #
 # run_sweep(solver="dynamics") solves the grid as one stack of games; every
@@ -483,6 +505,20 @@ def test_lying_derivative_errors_only_the_points_past_the_band():
     points = assert_analytic_matches_per_point(inst, grid)
     assert [p.error is not None for p in points] == [m >= 0.8 for m in grid]
     assert all("stationarity value" in p.error for p in points if p.error is not None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_certificate_errors_only_its_point():
+    # The coalition's gradient divided by a subnormal mass overflows.
+    inst = ThreeSlotInstance(2.0, 1.0, 1.0, 0.5, LinearCost())
+    grid = np.array([5e-324, 0.25, 0.5, 1.0])
+    result = run_sweep(inst, grid)
+    assert result.points[0].status == "error"
+    assert "non-finite strategy costs" in result.points[0].error
+    assert "solver_failures" in result.audits
+    expected = per_point_analytic(inst, grid[1:])
+    assert [point_bits(p) for p in result.points[1:]] == [point_bits(p) for p in expected]
 
 
 def test_analytic_sweep_solves_and_certifies_the_grid_at_once(monkeypatch):
