@@ -124,12 +124,16 @@ def load_profile_csv(path: str, normalize: bool = False) -> np.ndarray:
     if not loads:
         raise SpecError(f"{path}: no load rows found")
     result = np.array(loads)
-    if normalize:
-        peak = result.max()
-        if peak <= 0:
-            raise SpecError(f"{path}: cannot normalize an all-zero profile")
-        result = result / peak
-    return result
+    return _peak_normalized(result, path) if normalize else result
+
+
+def _peak_normalized(loads: np.ndarray, source: str) -> np.ndarray:
+    """``loads`` scaled so their maximum is one; a profile with no positive
+    load, read from ``source``, is refused."""
+    peak = loads.max()
+    if peak <= 0:
+        raise SpecError(f"{source}: cannot normalize an all-zero load profile")
+    return loads / peak
 
 
 def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> dict:
@@ -172,10 +176,7 @@ def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> 
         _check("load_profile", profile_cfg, "a list or a mapping", isinstance(profile_cfg, list))
         loads = np.array([_real(f"load_profile[{i}]", x) for i, x in enumerate(profile_cfg)])
         if normalize_flag:
-            peak = loads.max()
-            if peak <= 0:
-                raise SpecError("cannot normalize an all-zero load profile")
-            loads = loads / peak
+            loads = _peak_normalized(loads, "inline load_profile")
             meta["normalized"] = True
         meta["source"] = "inline"
 
@@ -543,15 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "dynamics-trace":
-            return _cmd_solve(args, trace_every=max(1, args.trace_every))
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise SpecError(f"unknown command {args.command!r}")
+        # A non-finite cost or gradient ends in the NumericsError of
+        # verify._finite_gap; numpy's warnings about it would only be noise.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if args.command == "solve":
+                return _cmd_solve(args)
+            if args.command == "sweep":
+                return _cmd_sweep(args)
+            if args.command == "dynamics-trace":
+                return _cmd_solve(args, trace_every=max(1, args.trace_every))
+            if args.command == "verify":
+                return _cmd_verify(args)
+            raise SpecError(f"unknown command {args.command!r}")
     except ChargeGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

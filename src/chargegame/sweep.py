@@ -27,14 +27,7 @@ from .model import (
     _window_sum,
     supports_reduced_costs,
 )
-from .threeslot import (
-    CEPoint,
-    ThreeSlotInstance,
-    _grid_costs,
-    _isolated,
-    _solve_grid,
-    instance_from_spec,
-)
+from .threeslot import ThreeSlotInstance, _grid_costs, _grid_solution, _regime, instance_from_spec
 from .verify import SolverStatus, _finite_gap, _gaps
 
 DEFAULT_GRID_SIZE = 101
@@ -232,39 +225,40 @@ def run_sweep(
 def _analytic_points(spec: GameSpec, grid: np.ndarray) -> list[SweepPoint]:
     # The grid lies in (0, 1], so the gate decides on the game's shape alone.
     inst = instance_from_spec(spec, float(grid[0]))
-    solved = _solve_grid(inst, grid)
-    live = [i for i, point in enumerate(solved) if isinstance(point, CEPoint)]
-    certified = iter(
-        _isolated(
-            lambda sizes, points: _certified_points(inst, spec, sizes, points),
-            grid[live],
-            [solved[i] for i in live],
-        )
-    )
-    points = []
-    for m, point in zip(grid.tolist(), solved):
-        if isinstance(point, CEPoint):
-            point = next(certified)
-        points.append(_error_point(m, point) if isinstance(point, ChargeGameError) else point)
-    return points
+    return _isolated(lambda sizes: _certified_points(inst, spec, sizes), grid)
+
+
+def _isolated(stage, grid: np.ndarray) -> list[SweepPoint]:
+    """``stage`` on the whole grid, or on each point alone once it raises.
+
+    ``stage`` returns one SweepPoint per coalition size.  When the
+    whole-grid call raises a ChargeGameError, every point is run alone, so
+    each carries its own record or the error that ends it by itself.
+    """
+    try:
+        return stage(grid)
+    except ChargeGameError as exc:
+        if len(grid) == 1:
+            return [_error_point(float(grid[0]), exc)]
+    return [point for i in range(len(grid)) for point in _isolated(stage, grid[i : i + 1])]
 
 
 def _certified_points(
-    inst: ThreeSlotInstance, spec: GameSpec, sizes: np.ndarray, points: list[CEPoint]
+    inst: ThreeSlotInstance, spec: GameSpec, sizes: np.ndarray
 ) -> list[SweepPoint]:
-    """Sweep records of closed-form points of ``inst``, the instance of
-    ``spec``: their reduced costs and their vi_gap, each for all points at
-    once.
+    """Sweep records of the closed form of ``inst``, the instance of
+    ``spec``, at coalition sizes ``sizes``: the solution, its reduced costs
+    and its vi_gap, each for all points at once.
 
     The gap is the certificate ``vi_gap`` gives the point's game and
     ``equilibrium_profile``, from one stack of those games: the rows and
     masses are normalized as Flow and GameSpec normalize them, and the
-    cost family is the spec's, so its domain checks apply.  A gap that is
-    not finite raises NumericsError, so the caller isolates its point.
+    cost family is the spec's, so its domain checks apply.  A point that
+    cannot be solved, or whose gap is not finite, raises its
+    ChargeGameError, so the caller isolates it.
     """
-    costs = _grid_costs(inst, sizes, points)
-    x1 = np.array([p.coalition_on_peak for p in points])
-    x0 = np.array([p.individuals_on_peak for p in points])
+    gapped, x1, x0, split = _grid_solution(inst, sizes)
+    costs = _grid_costs(inst, sizes, x1, split)
     masses = np.concatenate((1.0 - sizes, sizes))[:, None]  # player-major
     rows = np.concatenate(
         (np.stack((x0, 1.0 - sizes - x0), axis=1), np.stack((x1, sizes - x1), axis=1))
@@ -273,20 +267,21 @@ def _certified_points(
     weights = _unit_weights(np.stack((1.0 - sizes, sizes), axis=1)).T.ravel()
     kernel = _gradient_kernel(spec, spec.cost.value, spec.cost.derivative, weights)
     gaps = _gaps(weights.tolist(), rows, kernel(rows), spec.num_players)
+    regimes = [_regime(gapped, s).value for s in split.tolist()]
     return [
         SweepPoint(
             m=m,
-            x1=point.coalition_on_peak,
-            x0=point.individuals_on_peak,
+            x1=a,
+            x0=b,
             cost_individuals=individuals,
             cost_coalition=coalition,
             cost_social=social,
-            regime=point.regime.value,
+            regime=regime,
             gap=_finite_gap(gap),
             status=SolverStatus.ANALYTIC.value,
         )
-        for m, point, social, individuals, coalition, gap in zip(
-            sizes.tolist(), points, *(values.tolist() for values in costs), gaps
+        for m, a, b, social, individuals, coalition, regime, gap in zip(
+            *(values.tolist() for values in (sizes, x1, x0, *costs)), regimes, gaps
         )
     ]
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostFunction
-from .errors import BracketingError, ChargeGameError, SpecError
+from .errors import BracketingError, SpecError
 from .model import Flow, GameSpec, Profile, supports_reduced_costs
 
 # Absolute tolerance on the coalition split found by bisection.
@@ -159,10 +159,8 @@ def classify(inst: ThreeSlotInstance) -> Regime:
 
 def solve_ce(inst: ThreeSlotInstance) -> CEPoint:
     """Unique composite equilibrium of a three-slot instance: a grid of one."""
-    (point,) = _solve_grid(inst, np.array([inst.coalition_size]))
-    if isinstance(point, ChargeGameError):
-        raise point
-    return point
+    gapped, x1, x0, split = _grid_solution(inst, np.array([inst.coalition_size]))
+    return CEPoint(float(x1[0]), float(x0[0]), _regime(gapped, bool(split[0])))
 
 
 def ce_costs(inst: ThreeSlotInstance, point: CEPoint) -> ReducedCosts:
@@ -178,12 +176,11 @@ def ce_costs(inst: ThreeSlotInstance, point: CEPoint) -> ReducedCosts:
             f"point regime {point.regime.value} does not match instance "
             f"regime {expected.value}"
         )
-    split, m = point.coalition_on_peak, inst.coalition_size
-    if point.regime in _SPLIT_REGIMES and (
-        not -1e-9 <= split <= m + 1e-9 or abs(point.individuals_on_peak) > 1e-9
-    ):
+    x1, m = point.coalition_on_peak, inst.coalition_size
+    split = point.regime in _SPLIT_REGIMES
+    if split and (not -1e-9 <= x1 <= m + 1e-9 or abs(point.individuals_on_peak) > 1e-9):
         raise SpecError("point coordinates are inconsistent with a split regime")
-    costs = _grid_costs(inst, np.array([m]), [point])
+    costs = _grid_costs(inst, np.array([m]), np.array([x1]), np.array([split]))
     return ReducedCosts(*(float(values[0]) for values in costs))
 
 
@@ -259,39 +256,17 @@ def _imbalance_scale(inst: ThreeSlotInstance, m):
     )
 
 
-def _isolated(stage, *columns) -> list:
-    """``stage`` on whole columns, or on each row alone once it raises.
+def _grid_solution(
+    inst: ThreeSlotInstance, m: np.ndarray
+) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed form at every coalition size of ``m``; the other fields of
+    ``inst`` are shared.
 
-    ``columns`` are arrays or lists of one length, and ``stage`` returns
-    one outcome per row.  When the whole-column call raises a
-    ChargeGameError, every row is run alone, so each carries its own
-    outcome or the error that ends it by itself.
+    Returns whether ``inst`` is gapped and, per size, the coalition's and
+    the individuals' weight on the peak alternative and whether the
+    equilibrium splits.  A point that cannot be solved raises its
+    ChargeGameError for the whole grid.
     """
-    if not len(columns[0]):
-        return []
-    try:
-        return stage(*columns)
-    except ChargeGameError as exc:
-        if len(columns[0]) == 1:
-            return [exc]
-    return [
-        outcome
-        for i in range(len(columns[0]))
-        for outcome in _isolated(stage, *(column[i : i + 1] for column in columns))
-    ]
-
-
-def _solve_grid(base: ThreeSlotInstance, sizes: np.ndarray) -> list:
-    """Closed form at every coalition size of ``sizes``; the other fields
-    of ``base`` are shared.
-
-    Returns, in order, each size's :class:`CEPoint` or the ChargeGameError
-    that ends its solve.
-    """
-    return _isolated(lambda m: _grid_points(base, m), sizes)
-
-
-def _grid_points(inst: ThreeSlotInstance, m: np.ndarray) -> list:
     gapped, split = _classify(inst, m)
     if gapped:
         x1, x0 = np.zeros_like(m), np.zeros_like(m)
@@ -300,61 +275,49 @@ def _grid_points(inst: ThreeSlotInstance, m: np.ndarray) -> list:
         band = mixing_band(inst)
         x1, x0 = m / 2.0, np.where(split, 0.0, (band - m) / 2.0)
         lo, hi = np.full_like(m, band / 2.0), m / 2.0
-    roots, errors = _bisect(inst, m[split], lo[split], hi[split])
-    x1[split] = roots
-    points: list = [
-        CEPoint(a, b, _regime(gapped, s))
-        for a, b, s in zip(x1.tolist(), x0.tolist(), split.tolist())
-    ]
-    for i, error in zip(np.flatnonzero(split).tolist(), errors):
-        if error is not None:
-            points[i] = error
-    return points
+    x1[split] = _bisect(inst, m[split], lo[split], hi[split])
+    return gapped, x1, x0, split
 
 
 def _bisect(
     inst: ThreeSlotInstance, m: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, list]:
+) -> np.ndarray:
     """Root of the increasing imbalance on every bracket [lo, hi], to
-    BISECTION_TOL, plus per bracket its BracketingError or None.
+    BISECTION_TOL.
 
     A bracket no wider than BISECTION_TOL returns its midpoint without
     evaluating the imbalance.  The dispatch guarantees imbalance(lo) <= 0 <=
     imbalance(hi) in exact arithmetic, so a same-signed end is taken as the
-    root when it is within rounding slack of zero and rejected as a shape
-    violation otherwise.  Each other bracket is halved
-    max(1, ceil(log2(width / BISECTION_TOL))) times.
+    root when it is within rounding slack of zero; otherwise the first such
+    bracket raises BracketingError, a shape violation.  Each other bracket
+    is halved max(1, ceil(log2(width / BISECTION_TOL))) times.
     """
     roots = (lo + hi) / 2.0
-    errors = [None] * len(m)
     wide = np.flatnonzero(hi - lo > BISECTION_TOL)
     if not wide.size:
-        return roots, errors
+        return roots
     f = inst.cost
     m, lo, hi = m[wide], lo[wide], hi[wide]
-    f_lo = _imbalance(inst, m, lo, f.value, f.derivative).tolist()
-    f_hi = _imbalance(inst, m, hi, f.value, f.derivative).tolist()
-    slack = (1e-9 * _imbalance_scale(inst, m)).tolist()
-    live = []
-    for j, i in enumerate(wide.tolist()):
-        if f_lo[j] > 0.0:
-            if f_lo[j] <= slack[j]:
-                roots[i] = lo[j]
-            else:
-                errors[i] = BracketingError(
-                    f"stationarity value {f_lo[j]} at the lower bracket end should "
-                    "not be positive; the cost family violates the convexity assumptions"
-                )
-        elif f_hi[j] < 0.0:
-            if f_hi[j] >= -slack[j]:
-                roots[i] = hi[j]
-            else:
-                errors[i] = BracketingError(
-                    f"stationarity value {f_hi[j]} at the upper bracket end should "
-                    "not be negative; the cost family violates the convexity assumptions"
-                )
+    f_lo = _imbalance(inst, m, lo, f.value, f.derivative)
+    f_hi = _imbalance(inst, m, hi, f.value, f.derivative)
+    slack = 1e-9 * _imbalance_scale(inst, m)
+    at_lo = f_lo > 0.0
+    at_hi = ~at_lo & (f_hi < 0.0)
+    # Negated comparisons, so that a NaN slack admits no end.
+    bad = (at_lo & ~(f_lo <= slack)) | (at_hi & ~(f_hi >= -slack))
+    if bad.any():
+        j = int(np.argmax(bad))
+        if at_lo[j]:
+            where, value, sign = "lower", f_lo[j], "positive"
         else:
-            live.append(j)
+            where, value, sign = "upper", f_hi[j], "negative"
+        raise BracketingError(
+            f"stationarity value {float(value)} at the {where} bracket end should "
+            f"not be {sign}; the cost family violates the convexity assumptions"
+        )
+    roots[wide[at_lo]] = lo[at_lo]
+    roots[wide[at_hi]] = hi[at_hi]
+    live = ~(at_lo | at_hi)
     m, lo, hi = m[live], lo[live], hi[live]
     steps = np.array(
         [max(1, math.ceil(math.log2(w / BISECTION_TOL))) for w in (hi - lo).tolist()],
@@ -371,15 +334,17 @@ def _bisect(
         lo[on] = np.where(below, mid, lo[on])
         hi[on] = np.where(below, hi[on], mid)
     roots[wide[live]] = (lo + hi) / 2.0
-    return roots, errors
+    return roots
 
 
-def _grid_costs(inst: ThreeSlotInstance, sizes: np.ndarray, points) -> ReducedCosts:
-    """:func:`ce_costs` of closed-form ``points`` of ``inst`` at coalition
-    sizes ``sizes``, as one array per entity."""
+def _grid_costs(
+    inst: ThreeSlotInstance, sizes: np.ndarray, x1: np.ndarray, split: np.ndarray
+) -> ReducedCosts:
+    """:func:`ce_costs` of the closed form of ``inst`` at coalition sizes
+    ``sizes``, from its coalition peak weights ``x1`` and split flags
+    ``split``, as one array per entity."""
     f = inst.cost
-    split = np.array([p.regime in _SPLIT_REGIMES for p in points])
-    social, individuals, coalition = np.empty((3, len(points)))
+    social, individuals, coalition = np.empty((3, len(sizes)))
     if not split.all():
         if _gapped(inst):
             common = f.value(1.0 + inst.offpeak_load)
@@ -388,7 +353,7 @@ def _grid_costs(inst: ThreeSlotInstance, sizes: np.ndarray, points) -> ReducedCo
         corner = ~split
         social[corner] = individuals[corner] = coalition[corner] = common
     if split.any():
-        x = np.array([p.coalition_on_peak for p in points])[split]
+        x = x1[split]
         m = sizes[split]
         peak_price = f.value(inst.peak_load + x)
         offpeak_price = f.value(1.0 + inst.offpeak_load - x)

@@ -42,7 +42,7 @@ from chargegame import (
 from chargegame import sweep, threeslot, verify
 from chargegame.dynamics import default_step_schedule
 from chargegame.sweep import write_csv
-from chargegame.threeslot import BISECTION_TOL, _solve_grid
+from chargegame.threeslot import BISECTION_TOL, _grid_solution
 from conftest import random_three_slot
 
 
@@ -213,12 +213,7 @@ def test_general_spec_sweep_uses_peak_slot():
 
 
 def test_solver_failures_recorded_per_point():
-    liar = CustomCost(
-        value_fn=lambda x: np.asarray(x, dtype=float),
-        derivative_fn=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
-        domain_bound=30.0,
-    )
-    inst = ThreeSlotInstance(1.2, 1.0, 1.0, 0.5, liar)
+    inst = ThreeSlotInstance(1.2, 1.0, 1.0, 0.5, lying_derivative())
     # the stationarity equation is only consulted past the mixing band (0.8)
     result = run_sweep(inst, np.array([0.85, 0.95]))
     assert all(p.error is not None for p in result.points)
@@ -420,6 +415,17 @@ def per_point_analytic(base, grid):
     return points
 
 
+def solve_each(base, grid):
+    """Per grid point, solve_ce of that point alone or the error it raises."""
+    outcomes = []
+    for m in grid:
+        try:
+            outcomes.append(solve_ce(with_coalition_size(base, float(m))))
+        except ChargeGameError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def assert_analytic_matches_per_point(base, grid):
     swept = run_sweep(base, np.asarray(grid, dtype=float)).points
     assert [point_bits(p) for p in swept] == [point_bits(p) for p in per_point_analytic(base, grid)]
@@ -484,24 +490,33 @@ def test_value_only_cost_errors_only_the_split_points():
     value_only = CustomCost(lambda x: np.asarray(x, float) ** 2 + 1.0, None, 30.0)
     inst = ThreeSlotInstance(1.2, 1.0, 1.0, 0.5, value_only)  # mixing band 0.8
     grid = default_grid(21)
-    solved = _solve_grid(inst, grid)
-    assert [isinstance(p, SpecError) for p in solved] == [m >= 0.8 for m in grid]
+    assert [isinstance(p, SpecError) for p in solve_each(inst, grid)] == [m >= 0.8 for m in grid]
+    with pytest.raises(SpecError):
+        _grid_solution(inst, grid)
+    _grid_solution(inst, grid[grid < 0.8])
     # Every certificate needs f', so the sweep fails the shared points there.
     points = assert_analytic_matches_per_point(inst, grid)
     assert all("provides no derivative" in p.error for p in points)
 
 
-def test_lying_derivative_errors_only_the_points_past_the_band():
-    liar = CustomCost(
+def lying_derivative():
+    """A cost whose derivative is negative, against the shape assumptions."""
+    return CustomCost(
         value_fn=lambda x: np.asarray(x, dtype=float),
         derivative_fn=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
         domain_bound=30.0,
     )
-    inst = ThreeSlotInstance(1.2, 1.0, 1.0, 0.5, liar)
+
+
+def test_lying_derivative_errors_only_the_points_past_the_band():
+    inst = ThreeSlotInstance(1.2, 1.0, 1.0, 0.5, lying_derivative())
     grid = default_grid(21)
-    assert [isinstance(p, BracketingError) for p in _solve_grid(inst, grid)] == [
+    assert [isinstance(p, BracketingError) for p in solve_each(inst, grid)] == [
         m >= 0.8 for m in grid
     ]
+    with pytest.raises(BracketingError):
+        _grid_solution(inst, grid)
+    _grid_solution(inst, grid[grid < 0.8])
     points = assert_analytic_matches_per_point(inst, grid)
     assert [p.error is not None for p in points] == [m >= 0.8 for m in grid]
     assert all("stationarity value" in p.error for p in points if p.error is not None)
@@ -521,6 +536,20 @@ def test_non_finite_certificate_errors_only_its_point():
     assert [point_bits(p) for p in result.points[1:]] == [point_bits(p) for p in expected]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_mixed_failures_in_one_grid_keep_each_points_own_error():
+    # A subnormal mass fails the certificate, the lying derivative fails the
+    # bracket past the band 0.8, and the two points between solve cleanly.
+    inst = ThreeSlotInstance(1.2, 1.0, 1.0, 0.5, lying_derivative())
+    grid = np.array([5e-324, 0.25, 0.5, 0.9, 1.0])
+    points = run_sweep(inst, grid).points
+    assert "non-finite strategy costs" in points[0].error
+    assert all("stationarity value" in p.error for p in points[3:])
+    # Alone, the subnormal point's vi_gap is NaN rather than an error.
+    assert [repr(p) for p in points[1:]] == [repr(p) for p in per_point_analytic(inst, grid[1:])]
+
+
 def test_analytic_sweep_solves_and_certifies_the_grid_at_once(monkeypatch):
     def per_point(*args, **kwargs):
         raise AssertionError("an analytic sweep solved or certified one point alone")
@@ -529,7 +558,7 @@ def test_analytic_sweep_solves_and_certifies_the_grid_at_once(monkeypatch):
                          (verify, "vi_gap"), (sweep, "vi_gap")):
         monkeypatch.setattr(module, name, per_point, raising=False)
     calls = []
-    for name in ("_solve_grid", "_gradient_kernel"):
+    for name in ("_grid_solution", "_gradient_kernel"):
         real = getattr(sweep, name)
         monkeypatch.setattr(
             sweep, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
@@ -538,7 +567,7 @@ def test_analytic_sweep_solves_and_certifies_the_grid_at_once(monkeypatch):
         calls.clear()
         result = run_sweep(inst, default_grid(21))
         assert all(p.error is None and p.gap <= 1e-9 for p in result.points)
-        assert calls == ["_solve_grid", "_gradient_kernel"]
+        assert calls == ["_grid_solution", "_gradient_kernel"]
 
 
 def test_csv_round_trip(tmp_path):

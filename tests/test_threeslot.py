@@ -27,7 +27,7 @@ from chargegame import (
     vi_gap,
     with_coalition_size,
 )
-from chargegame.threeslot import BISECTION_TOL, _solve_grid
+from chargegame.threeslot import BISECTION_TOL, CEPoint, _grid_solution, _regime
 from conftest import random_three_slot
 
 GAP_INSTANCE = dict(peak_load=2.3, mid_load=1.0, offpeak_load=1.0)
@@ -256,11 +256,11 @@ def test_array_bisection_matches_a_scalar_loop(rng):
             edge = activation_threshold(inst)
         near = [edge, np.nextafter(edge, 2.0), edge + BISECTION_TOL / 2.0, edge + 1e-9]
         sizes = np.unique(np.append(sizes, [m for m in near if 1e-13 <= m <= 1.0]))
-        grid = _solve_grid(inst, sizes)
-        for m, in_grid in zip(sizes.tolist(), grid):
+        gapped, x1, x0, split = _grid_solution(inst, sizes)
+        for m, a, b, s in zip(sizes.tolist(), x1.tolist(), x0.tolist(), split.tolist()):
             at = with_coalition_size(inst, m)
             point = solve_ce(at)
-            assert repr(in_grid) == repr(point)
+            assert repr(CEPoint(a, b, _regime(gapped, s))) == repr(point)
             if point.regime in (Regime.COALITION_SPLIT, Regime.SATURATED_SPLIT):
                 assert repr(point.coalition_on_peak) == repr(float(scalar_split(at)))
                 checked += 1
