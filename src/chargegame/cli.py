@@ -42,7 +42,6 @@ from .threeslot import equilibrium_profile, instance_from_spec, solve_ce
 from .verify import (
     EquilibriumReport,
     SolverStatus,
-    _finite_gap,
     check_cost_ordering,
     check_wardrop,
     make_report,
@@ -282,8 +281,7 @@ def _solve(resolved: dict, spec: GameSpec, trace_every: int = 0) -> EquilibriumR
     if method == "analytic":
         inst = instance_from_spec(spec, size)
         profile = equilibrium_profile(inst, solve_ce(inst))
-        gap = _finite_gap(vi_gap(spec, profile))
-        return make_report(spec, profile, SolverStatus.ANALYTIC, gap=gap)
+        return make_report(spec, profile, SolverStatus.ANALYTIC, gap=vi_gap(spec, profile))
     return solve_dynamics(spec, trace_every=trace_every, **_solver_options(resolved))
 
 

@@ -28,14 +28,25 @@ DEFAULT_GAP_TOL = 1e-6
 StepSize = Union[float, Callable[[int], float]]
 
 
-def default_step_schedule(iteration: int) -> float:
-    """Decreasing learning rate 1/(1 + sqrt(n)).
+# The steps of a game are scaled by min(1, STEP_SCALE_BOUND / Lip), where
+# Lip = power * duration * f'(max L + P) bounds how fast a strategy's cost
+# changes as weight moves.  Games with Lip <= 32, the shipped configs among
+# them, keep their steps; steeper games, which can cycle under full steps, take
+# proportionally smaller ones.
+STEP_SCALE_BOUND = 32.0
 
-    Raw cost accumulation (rate one) can push the exponents past float
-    range for steep cost families; this schedule keeps the same fixed
-    points while taming the first iterations.
+
+def default_step_schedule(iteration: int) -> float:
+    """Decreasing learning rate 1/(1 + n**(1/4)).
+
+    Any schedule whose steps sum to infinity keeps the fixed points and the
+    dual-averaging convergence argument; this one decays slowly enough that
+    degenerate equilibria (a tie on an unused strategy) are still reached.
+    The solver multiplies every step, this schedule's or a constant's, by
+    the game's step scale (see ``STEP_SCALE_BOUND``), which tames the steep
+    cost families.
     """
-    return 1.0 / (1.0 + math.sqrt(iteration))
+    return 1.0 / (1.0 + math.sqrt(math.sqrt(iteration)))
 
 
 # --- the update rule ---------------------------------------------------------
@@ -93,6 +104,9 @@ def solve_dynamics(
     return outcome
 
 
+# A non-finite cost or gradient ends its game with the NumericsError of
+# verify._finite_gap; numpy's warnings on the way there would be noise.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _solve_batch(
     specs,
     *,
@@ -105,7 +119,8 @@ def _solve_batch(
 
     The games share horizon, duration, power, base load and cost and differ
     only in their weights; if one has coalition mass, all must.  All start
-    together, so they share the iteration count and the step size, and each
+    together, so they share the iteration count, the step scale (which
+    depends on the spec only) and the step size, and each
     game leaves the stack once its gap reaches ``gap_tol`` or ``max_iter``
     is hit.  With two or more players per game every game's arithmetic is
     the same as in a stack of its own, so each outcome equals
@@ -120,15 +135,20 @@ def _solve_batch(
     cost, players = spec.cost, spec.num_players
     weights = np.stack([game.weights for game in specs], axis=1).ravel()  # player-major
     # Rows sum to their masses, which sum to one, so every iterate's slot loads
-    # lie in [min L, max L + P]: checking the cost domain (and f', if needed)
-    # on that envelope once lets the loop call the raw cost functions.
+    # lie in [min L, max L + P]: checking the cost domain (and f') on that
+    # envelope once lets the loop call the raw cost functions, and f' at its
+    # top gives the step scale.
     envelope = np.array([spec.base_load.min(), spec.base_load.max() + spec.power])
     try:
-        cost.value(envelope)
-        if weights[len(specs):].max(initial=0.0) > 0.0:  # some coalition has mass
-            cost.derivative(envelope)
+        values = cost.value(envelope)
+        if cost.has_derivative() or weights[len(specs):].max(initial=0.0) > 0.0:
+            slope = float(np.max(cost.derivative(envelope)))  # f' is increasing
+        else:  # a family without a derivative: its secant over the envelope
+            slope = float((values[1] - values[0]) / (envelope[1] - envelope[0]))
     except ChargeGameError as exc:
         return [exc] * len(specs)
+    lip = spec.power * spec.duration * slope
+    scale = STEP_SCALE_BOUND / lip if lip > STEP_SCALE_BOUND else 1.0
     outcomes: list = [None] * len(specs)
     live = list(range(len(specs)))  # the games in the stack, in stack order
     traces = [[] for _ in specs] if trace_every > 0 else None
@@ -161,7 +181,7 @@ def _solve_batch(
                 return outcomes
             kernel = _gradient_kernel(spec, cost._raw_value, cost._raw_derivative, weights)
             masses = weights.tolist()
-        cum_costs += _step_value(step_size, iteration) * gradients
+        cum_costs += scale * _step_value(step_size, iteration) * gradients
         rows = _softmax_rows(cum_costs, weights)
         iteration += 1
 

@@ -49,6 +49,9 @@ def support_threshold(mass: float) -> float:
     return DEFAULT_SUPPORT_RATIO * mass
 
 
+# The non-finite verdict is _finite_gap's; numpy's warnings on the way to it
+# would be noise.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def vi_gap(spec: GameSpec, profile: Profile) -> float:
     """Total linearized improvement available to all players at once.
 
@@ -56,9 +59,14 @@ def vi_gap(spec: GameSpec, profile: Profile) -> float:
     flow, minus the mass times the smallest marginal cost: the best score a
     linearized unilateral deviation over the player's scaled simplex could
     reach.  Nonnegative always; zero exactly at composite equilibria.
+
+    Raises:
+        NumericsError: some strategy cost is not finite, so the profile
+            has no certificate.
     """
     gradients = player_gradients(spec, profile)
-    return _gaps(spec.weights.tolist(), profile.matrix(), gradients, spec.num_players)[0]
+    gap = _gaps(spec.weights.tolist(), profile.matrix(), gradients, spec.num_players)[0]
+    return _finite_gap(gap)
 
 
 def _gaps(masses: list, rows: np.ndarray, gradients: np.ndarray, players: int) -> list:

@@ -546,8 +546,8 @@ def test_mixed_failures_in_one_grid_keep_each_points_own_error():
     points = run_sweep(inst, grid).points
     assert "non-finite strategy costs" in points[0].error
     assert all("stationarity value" in p.error for p in points[3:])
-    # Alone, the subnormal point's vi_gap is NaN rather than an error.
-    assert [repr(p) for p in points[1:]] == [repr(p) for p in per_point_analytic(inst, grid[1:])]
+    # Alone, the subnormal point's vi_gap raises the same error.
+    assert [repr(p) for p in points] == [repr(p) for p in per_point_analytic(inst, grid)]
 
 
 def test_analytic_sweep_solves_and_certifies_the_grid_at_once(monkeypatch):

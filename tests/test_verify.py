@@ -1,5 +1,7 @@
 """Equilibrium certification: gap function, condition checks, orderings."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from chargegame import (
     ExponentialCost,
     GameSpec,
     LinearCost,
+    NumericsError,
     Profile,
     QuadraticCost,
     SolverStatus,
@@ -91,6 +94,20 @@ def test_gap_agrees_with_componentwise_checks(rng):
         assert vi_gap(spec, profile) <= 1e-8
         assert check_wardrop(spec, profile, eps=1e-7).passed
         assert check_coalition_optimality(spec, profile, 1, eps=1e-7).passed
+
+
+def test_non_finite_gap_raises_without_warnings():
+    # The coalition's gradient divided by a subnormal mass overflows; the
+    # gap and the report built on it are errors, not NaN, and numpy's
+    # overflow and 0 * inf along the way stay quiet.
+    inst = ThreeSlotInstance(2.0, 1.0, 1.0, 5e-324, LinearCost())
+    spec, profile = inst.to_game_spec(), equilibrium_profile(inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="non-finite strategy costs"):
+            vi_gap(spec, profile)
+        with pytest.raises(NumericsError, match="non-finite strategy costs"):
+            make_report(spec, profile, SolverStatus.ANALYTIC)
 
 
 # --- wardrop and coalition checks -------------------------------------------
