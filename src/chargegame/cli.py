@@ -26,19 +26,20 @@ import sys
 import numpy as np
 
 from .costs import cost_from_config, cost_to_config
-from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, default_step_schedule, solve_dynamics
+from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, default_step_schedule
 from .errors import ChargeGameError, SpecError, _check, _FieldError, _is_number, _known_keys, _real
 from .model import GameSpec, Profile
 from .sweep import (
     DEFAULT_GRID_SIZE,
     DEFAULT_GRID_START,
     DEFAULT_GRID_STOP,
+    METHODS,
     audits_to_dict,
     default_grid,
     run_sweep,
+    solve,
     write_csv,
 )
-from .threeslot import equilibrium_profile, instance_from_spec, solve_ce
 from .verify import (
     EquilibriumReport,
     SolverStatus,
@@ -212,8 +213,7 @@ def _resolve_solver(given: dict) -> dict:
         step = float(_check("solver.step_size", step, '"default" or a number > 0', ok))
     return {
         "method": _check(
-            "solver.method", method, "one of auto/analytic/dynamics",
-            method in ("auto", "analytic", "dynamics"),
+            "solver.method", method, f"one of {'/'.join(METHODS)}", method in METHODS
         ),
         "max_iter": _integer("solver.max_iter", solver["max_iter"], 0),
         "gap_tol": _real("solver.gap_tol", solver["gap_tol"]),
@@ -249,19 +249,6 @@ def build_game(resolved: dict) -> GameSpec:
     )
 
 
-def _resolve_method(resolved: dict, spec: GameSpec, coalition_size: float) -> str:
-    """The configured method, with ``auto`` read as ``analytic`` exactly
-    when the closed form's gate accepts ``spec`` at ``coalition_size``."""
-    method = resolved["solver"]["method"]
-    if method != "auto":
-        return method
-    try:
-        instance_from_spec(spec, coalition_size)
-    except SpecError:
-        return "dynamics"
-    return "analytic"
-
-
 def _solver_options(resolved: dict) -> dict:
     """The learning-dynamics keyword arguments of a resolved config."""
     solver = resolved["solver"]
@@ -271,18 +258,6 @@ def _solver_options(resolved: dict) -> dict:
         "gap_tol": solver["gap_tol"],
         "step_size": default_step_schedule if step == "default" else step,
     }
-
-
-def _solve(resolved: dict, spec: GameSpec, trace_every: int = 0) -> EquilibriumReport:
-    # The gate refuses any coalition count but one before it reads the size.
-    size = float(spec.weights[-1])
-    # Traces only exist for the iterative solver.
-    method = "dynamics" if trace_every > 0 else _resolve_method(resolved, spec, size)
-    if method == "analytic":
-        inst = instance_from_spec(spec, size)
-        profile = equilibrium_profile(inst, solve_ce(inst))
-        return make_report(spec, profile, SolverStatus.ANALYTIC, gap=vi_gap(spec, profile))
-    return solve_dynamics(spec, trace_every=trace_every, **_solver_options(resolved))
 
 
 def _summary_to_dict(summary) -> dict:
@@ -423,7 +398,9 @@ def _cmd_solve(args, trace_every: int = 0) -> int:
     if loaded is None:
         return EXIT_OK
     resolved, spec = loaded
-    report = _solve(resolved, spec, trace_every=trace_every)
+    # Traces only exist for the iterative solver.
+    method = "dynamics" if trace_every > 0 else resolved["solver"]["method"]
+    report = solve(spec, method, trace_every=trace_every, **_solver_options(resolved))
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), report_to_dict(report, resolved))
     _write_loads_echo(os.path.join(args.out, "loads.csv"), spec)
@@ -448,15 +425,14 @@ def _cmd_sweep(args) -> int:
         grid = np.array(sweep_cfg["grid"])
     else:
         grid = default_grid(sweep_cfg["count"], sweep_cfg["start"], sweep_cfg["stop"])
-    method = _resolve_method(resolved, spec, float(grid[0]))
-    result = run_sweep(spec, grid, solver=method, **_solver_options(resolved))
+    result = run_sweep(spec, grid, resolved["solver"]["method"], **_solver_options(resolved))
     os.makedirs(args.out, exist_ok=True)
     write_csv(result, os.path.join(args.out, "sweep.csv"))
     _write_json(
         os.path.join(args.out, "sweep_audits.json"),
         _round_floats(
             {
-                "solver": method,
+                "solver": result.solver,
                 "audits": audits_to_dict(result),
                 "load_profile_meta": resolved["load_profile_meta"],
             }
@@ -551,9 +527,7 @@ def main(argv=None) -> int:
                 return _cmd_sweep(args)
             if args.command == "dynamics-trace":
                 return _cmd_solve(args, trace_every=max(1, args.trace_every))
-            if args.command == "verify":
-                return _cmd_verify(args)
-            raise SpecError(f"unknown command {args.command!r}")
+            return _cmd_verify(args)
     except ChargeGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,4 +1,4 @@
-"""Coalition-size sweeps with monotonicity and concavity audits.
+"""Equilibrium solves by method, and coalition-size sweeps with audits.
 
 Sweeps re-solve the same game over a grid of coalition sizes M, recording
 the peak-alternative weights and the entity costs at each equilibrium and
@@ -17,23 +17,31 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, StepSize, _solve_batch, default_step_schedule
-from .errors import ChargeGameError, SpecError
-from .model import (
-    GameSpec,
-    _gradient_kernel,
-    _onto_masses,
-    _unit_weights,
-    _window_sum,
-    supports_reduced_costs,
+from .dynamics import (
+    DEFAULT_GAP_TOL,
+    DEFAULT_MAX_ITER,
+    StepSize,
+    _solve_batch,
+    default_step_schedule,
+    solve_dynamics,
 )
-from .threeslot import ThreeSlotInstance, _grid_costs, _grid_solution, _regime, instance_from_spec
-from .verify import SolverStatus, _finite_gap, _gaps
+from .errors import ChargeGameError, SpecError
+from .model import GameSpec, _gradient_kernel, _onto_masses, _unit_weights, _window_sum
+from .threeslot import (
+    ThreeSlotInstance,
+    _grid_costs,
+    _grid_solution,
+    _regime,
+    equilibrium_profile,
+    instance_from_spec,
+)
+from .verify import EquilibriumReport, SolverStatus, _finite_gap, _gaps, make_report, vi_gap
 
 DEFAULT_GRID_SIZE = 101
 DEFAULT_GRID_START = 0.01
 DEFAULT_GRID_STOP = 1.0
 DEFAULT_AUDIT_TOL = 1e-9
+METHODS = ("auto", "analytic", "dynamics")
 
 
 def default_grid(
@@ -86,7 +94,7 @@ class SweepResult:
     grid: np.ndarray
     points: tuple[SweepPoint, ...]
     audits: dict[str, AuditVerdict]
-    reduced: bool
+    solver: str
 
 
 def peak_start_slot(spec: GameSpec) -> int:
@@ -164,6 +172,36 @@ def audit_concave_branches(
     )
 
 
+def _method(method: str, spec: GameSpec, coalition_size: float) -> str:
+    """``method`` of :data:`METHODS`, with "auto" read as "analytic" exactly
+    when the closed form's gate accepts ``spec`` at ``coalition_size``."""
+    if method not in METHODS:
+        raise SpecError(f"unknown solver {method!r}; expected one of {'/'.join(METHODS)}")
+    if method != "auto":
+        return method
+    try:
+        instance_from_spec(spec, coalition_size)
+    except SpecError:
+        return "dynamics"
+    return "analytic"
+
+
+def solve(spec: GameSpec, method: str = "auto", **options) -> EquilibriumReport:
+    """One equilibrium of ``spec`` by ``method``: "analytic" (the closed
+    form with its vi_gap, for a game that :func:`instance_from_spec`
+    accepts; a game outside raises its SpecError), "dynamics"
+    (:func:`solve_dynamics` with ``options``) or "auto", which is
+    "analytic" exactly when that gate accepts the game.  A solver error is
+    raised, never answered by the other method."""
+    # The gate refuses any coalition count but one before it reads the size.
+    size = float(spec.weights[-1])
+    if _method(method, spec, size) == "dynamics":
+        return solve_dynamics(spec, **options)
+    inst = instance_from_spec(spec, size)
+    profile = equilibrium_profile(inst)
+    return make_report(spec, profile, SolverStatus.ANALYTIC, gap=vi_gap(spec, profile))
+
+
 def run_sweep(
     base: ThreeSlotInstance | GameSpec,
     grid=None,
@@ -179,11 +217,10 @@ def run_sweep(
     ``base`` fixes the loads, duration and cost family; the weights become
     (1 - m, m) at each grid point.  A :class:`ThreeSlotInstance` base is
     read as its GameSpec (``to_game_spec``), so its own coalition size is
-    ignored.  The game must have exactly one coalition.  ``solver`` is
-    "analytic" (the closed form, for games that
-    :func:`~chargegame.threeslot.instance_from_spec` accepts; a game
-    outside raises its SpecError) or "dynamics".  Either solves the whole
-    grid at once, and each point equals a solve of its own game bit for
+    ignored.  The game must have exactly one coalition.  ``solver`` is a
+    method of :func:`solve`, with "auto" decided once for the grid, and
+    the result's ``solver`` names the method that ran.  Either solves the
+    whole grid at once, and each point equals a solve of its own game bit for
     bit: the closed form runs as one array computation, and its points are
     certified as one stack of games, each equal to
     :func:`~chargegame.threeslot.solve_ce`, ``ce_costs`` and ``vi_gap`` of
@@ -205,8 +242,7 @@ def run_sweep(
     if grid.size > 1 and np.diff(grid).min() <= 0:
         raise SpecError("sweep grid must be strictly increasing")
 
-    if solver not in ("analytic", "dynamics"):
-        raise SpecError(f"unknown solver {solver!r}")
+    solver = _method(solver, base, float(grid[0]))
     if base.num_coalitions != 1:
         raise SpecError("sweeps require a game shape with exactly one coalition")
 
@@ -217,9 +253,7 @@ def run_sweep(
             base, [float(m) for m in grid], max_iter=max_iter, gap_tol=gap_tol, step_size=step_size
         )
     audits = _run_audits(points, solver, audit_tol)
-    return SweepResult(
-        grid=grid, points=tuple(points), audits=audits, reduced=supports_reduced_costs(base)
-    )
+    return SweepResult(grid=grid, points=tuple(points), audits=audits, solver=solver)
 
 
 def _analytic_points(spec: GameSpec, grid: np.ndarray) -> list[SweepPoint]:
@@ -243,6 +277,7 @@ def _isolated(stage, grid: np.ndarray) -> list[SweepPoint]:
     return [point for i in range(len(grid)) for point in _isolated(stage, grid[i : i + 1])]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _certified_points(
     inst: ThreeSlotInstance, spec: GameSpec, sizes: np.ndarray
 ) -> list[SweepPoint]:

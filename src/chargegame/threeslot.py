@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostFunction
-from .errors import BracketingError, SpecError
+from .errors import BracketingError, NumericsError, SpecError
 from .model import Flow, GameSpec, Profile, supports_reduced_costs
 
 # Absolute tolerance on the coalition split found by bisection.
@@ -228,8 +228,16 @@ def _classify(inst: ThreeSlotInstance, sizes: np.ndarray) -> tuple[bool, np.ndar
     equilibrium splits: past the activation threshold (gapped) or at or
     past the mixing band."""
     if _gapped(inst):
-        return True, ~(sizes <= activation_threshold(inst))
-    return False, ~(sizes < mixing_band(inst))
+        return True, sizes > _finite(activation_threshold(inst), "activation threshold")
+    return False, sizes >= mixing_band(inst)
+
+
+def _finite(values, what: str):
+    """``values``, or a NumericsError when one of them is not finite: f or
+    f' overflowed, and no comparison with NaN or inf can place a point."""
+    if not np.isfinite(values).all():
+        raise NumericsError(f"non-finite {what}; check the cost family scale")
+    return values
 
 
 def _imbalance(inst: ThreeSlotInstance, m, split, value, derivative):
@@ -256,6 +264,7 @@ def _imbalance_scale(inst: ThreeSlotInstance, m):
     )
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _grid_solution(
     inst: ThreeSlotInstance, m: np.ndarray
 ) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
@@ -265,7 +274,8 @@ def _grid_solution(
     Returns whether ``inst`` is gapped and, per size, the coalition's and
     the individuals' weight on the peak alternative and whether the
     equilibrium splits.  A point that cannot be solved raises its
-    ChargeGameError for the whole grid.
+    ChargeGameError for the whole grid, a NumericsError once the threshold
+    or a bracket end's imbalance is not finite.
     """
     gapped, split = _classify(inst, m)
     if gapped:
@@ -300,6 +310,7 @@ def _bisect(
     m, lo, hi = m[wide], lo[wide], hi[wide]
     f_lo = _imbalance(inst, m, lo, f.value, f.derivative)
     f_hi = _imbalance(inst, m, hi, f.value, f.derivative)
+    _finite((f_lo, f_hi), "stationarity value at a bracket end")
     slack = 1e-9 * _imbalance_scale(inst, m)
     at_lo = f_lo > 0.0
     at_hi = ~at_lo & (f_hi < 0.0)

@@ -13,7 +13,7 @@ import pytest
 
 import chargegame
 from chargegame import BracketingError, CustomCost, SolverStatus, SpecError, instance_from_spec, verify
-from chargegame.cli import _resolve_method, _solve, build_game, load_profile_csv, main, resolve_config
+from chargegame.cli import build_game, load_profile_csv, main, resolve_config
 
 NIGHT_LOADS = [0.9, 1.0, 0.95, 0.7, 0.5, 0.45, 0.6]
 
@@ -294,6 +294,29 @@ def test_analytic_refuses_a_game_with_two_coalitions(tmp_path, capsys, command):
     assert err.startswith("error: ") and "exactly one coalition" in err
 
 
+def test_auto_sweeps_a_four_slot_game_by_the_dynamics(tmp_path):
+    config = band_config(
+        tmp_path,
+        game=dict(BAND_GAME, horizon=4, weights=[0.5, 0.5]),
+        load_profile=[1.5, 1.0, 1.0, 0.5],
+        solver={"method": "auto"},
+        sweep={"grid": [0.25, 0.5, 0.75]},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+    assert json.loads((out / "sweep_audits.json").read_text())["solver"] == "dynamics"
+
+
+def test_an_overflowing_closed_form_is_an_error(tmp_path, capsys):
+    config = band_config(
+        tmp_path,
+        game=dict(BAND_GAME, cost={"kind": "exponential", "rate": 400.0}, weights=[0.5, 0.5]),
+        load_profile=[2.3, 1.0, 1.0],
+    )
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: non-finite activation threshold")
+
+
 def test_auto_solves_a_massless_coalition_by_the_dynamics(tmp_path):
     config = band_config(tmp_path, game=dict(BAND_GAME, weights=[1.0, 0.0]))
     out = tmp_path / "out"
@@ -325,9 +348,9 @@ def test_auto_does_not_fall_back_on_a_solver_error(tmp_path):
     )
     resolved = resolve_config({"game": BAND_GAME, "load_profile": [1.2, 1.0, 1.0]}, str(tmp_path))
     spec = dataclasses.replace(build_game(resolved), cost=liar)
-    assert _resolve_method(resolved, spec, 1.0) == "analytic"
+    instance_from_spec(spec, 1.0)
     with pytest.raises(BracketingError):
-        _solve(resolved, spec)
+        chargegame.solve(spec)
 
 
 def first_broken_condition(game, loads):
@@ -362,13 +385,13 @@ def test_auto_picks_analytic_exactly_where_the_gate_accepts(tmp_path, capsys, rn
         broken.append(expected)
         if expected is None:
             instance_from_spec(spec, size)
-            assert _resolve_method(resolved, spec, size) == "analytic"
-            report = _solve(resolved, spec)
+            report = chargegame.solve(spec)
             assert report.status is SolverStatus.ANALYTIC and report.vi_gap <= 1e-8
             continue
         with pytest.raises(SpecError, match=re.escape(expected)):
             instance_from_spec(spec, size)
-        assert _resolve_method(resolved, spec, size) == "dynamics"
+        # No iteration runs, so the status tells which method answered.
+        assert chargegame.solve(spec, max_iter=0).status is not SolverStatus.ANALYTIC
         # Asked for by name, the closed form exits with the gate's reason.
         config = write_config(
             tmp_path / "config.json",

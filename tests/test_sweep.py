@@ -16,6 +16,7 @@ from chargegame import (
     ExponentialCost,
     GameSpec,
     LinearCost,
+    NumericsError,
     QuadraticCost,
     Regime,
     SolverStatus,
@@ -33,6 +34,7 @@ from chargegame import (
     mixing_band,
     peak_start_slot,
     run_sweep,
+    solve,
     solve_ce,
     solve_dynamics,
     sweep_rows,
@@ -207,7 +209,7 @@ def test_general_spec_sweep_uses_peak_slot():
     result = run_sweep(
         spec, grid, solver="dynamics", gap_tol=1e-8, step_size=1.0, audit_tol=1e-6
     )
-    assert not result.reduced
+    assert result.solver == "dynamics"
     assert all(p.error is None for p in result.points)
     assert result.audits["x1_nondecreasing"].passed
 
@@ -253,6 +255,60 @@ def test_analytic_sweep_refuses_a_game_outside_the_closed_form(power, loads, wei
     spec = GameSpec(3, 2, power, np.array(loads), LinearCost(), np.array(weights))
     with pytest.raises(SpecError, match=reason):
         run_sweep(spec, np.array([0.2, 0.6]))
+
+
+# --- one method choice -------------------------------------------------------
+#
+# solve and run_sweep read "auto" the same way: the closed form exactly where
+# instance_from_spec accepts the game, the dynamics otherwise.
+
+
+def report_bits(report):
+    rows = [flow.values.tolist() for flow in report.profile.flows]
+    fields = ("status", "iterations", "vi_gap", "wardrop_slack", "boundary", "costs", "reduced")
+    return [repr(rows)] + [repr(getattr(report, name)) for name in fields]
+
+
+def test_auto_is_the_closed_form_where_the_gate_accepts(rng):
+    grid = default_grid(11)
+    for case in range(9):
+        inst = random_three_slot(rng, family=("linear", "quadratic", "exponential")[case % 3])
+        auto = run_sweep(inst, grid, solver="auto")
+        analytic = run_sweep(inst, grid, solver="analytic")
+        assert auto.solver == analytic.solver == "analytic"
+        assert [point_bits(p) for p in auto.points] == [point_bits(p) for p in analytic.points]
+        spec = inst.to_game_spec()
+        profile = equilibrium_profile(inst)
+        expected = make_report(spec, profile, SolverStatus.ANALYTIC, gap=vi_gap(spec, profile))
+        assert report_bits(solve(spec)) == report_bits(expected)
+
+
+@pytest.mark.parametrize(
+    "horizon, power, loads",
+    [
+        (4, 1.0, [1.5, 1.0, 1.0, 0.5]),  # not three slots
+        (3, 0.8, [1.5, 1.0, 1.0]),  # not unit power
+        (3, 1.0, [1.0, 1.0, 1.5]),  # first slot below the last
+    ],
+)
+def test_auto_is_the_dynamics_where_the_gate_refuses(horizon, power, loads):
+    spec = GameSpec(horizon, 2, power, np.array(loads), QuadraticCost(), np.array([0.5, 0.5]))
+    grid = np.array([0.25, 0.5, 0.75])
+    auto = run_sweep(spec, grid, solver="auto")
+    dynamics = run_sweep(spec, grid, solver="dynamics")
+    assert auto.solver == dynamics.solver == "dynamics"
+    assert [point_bits(p) for p in auto.points] == [point_bits(p) for p in dynamics.points]
+    assert report_bits(solve(spec)) == report_bits(solve_dynamics(spec))
+    with pytest.raises(SpecError):
+        run_sweep(spec, grid, solver="analytic")
+
+
+def test_an_unknown_method_is_refused_by_solve_and_run_sweep():
+    inst = band_instance()
+    with pytest.raises(SpecError, match="unknown solver 'newton'"):
+        solve(inst.to_game_spec(), "newton")
+    with pytest.raises(SpecError, match="unknown solver 'newton'"):
+        run_sweep(inst, np.array([0.5]), solver="newton")
 
 
 # --- batched dynamics sweep vs per-point solves ---------------------------------
@@ -522,8 +578,6 @@ def test_lying_derivative_errors_only_the_points_past_the_band():
     assert all("stationarity value" in p.error for p in points if p.error is not None)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_non_finite_certificate_errors_only_its_point():
     # The coalition's gradient divided by a subnormal mass overflows.
     inst = ThreeSlotInstance(2.0, 1.0, 1.0, 0.5, LinearCost())
@@ -536,8 +590,6 @@ def test_non_finite_certificate_errors_only_its_point():
     assert [point_bits(p) for p in result.points[1:]] == [point_bits(p) for p in expected]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_mixed_failures_in_one_grid_keep_each_points_own_error():
     # A subnormal mass fails the certificate, the lying derivative fails the
     # bracket past the band 0.8, and the two points between solve cleanly.
@@ -548,6 +600,23 @@ def test_mixed_failures_in_one_grid_keep_each_points_own_error():
     assert all("stationarity value" in p.error for p in points[3:])
     # Alone, the subnormal point's vi_gap raises the same error.
     assert [repr(p) for p in points] == [repr(p) for p in per_point_analytic(inst, grid)]
+
+
+@pytest.mark.parametrize(
+    "inst, what",
+    [
+        # f(peak) and f(1 + offpeak) both overflow: the threshold is inf / inf.
+        (ThreeSlotInstance(2.3, 1.0, 1.0, 0.5, ExponentialCost(rate=400)), "activation threshold"),
+        # The threshold is finite, but f overflows at the bracket's upper end.
+        (ThreeSlotInstance(2.0001, 1.0, 1.0, 0.5, ExponentialCost(rate=300)), "bracket end"),
+    ],
+)
+def test_an_overflowing_cost_raises_instead_of_a_made_up_point(inst, what):
+    # RuntimeWarnings are errors in this suite, so the error comes without one.
+    with pytest.raises(NumericsError, match=what):
+        solve_ce(inst)
+    points = run_sweep(inst, np.array([0.5, 0.75, 1.0])).points
+    assert all(p.status == "error" and what in p.error for p in points)
 
 
 def test_analytic_sweep_solves_and_certifies_the_grid_at_once(monkeypatch):
