@@ -207,16 +207,17 @@ def _section(raw: dict, name: str, keys) -> dict:
 
 def _resolve_solver(given: dict) -> dict:
     solver = {**SOLVER_DEFAULTS, **given}
-    method, step = solver["method"], solver["step_size"]
+    method, step, gap_tol = solver["method"], solver["step_size"], solver["gap_tol"]
     if step != "default":
         ok = _is_number(step) and step > 0
         step = float(_check("solver.step_size", step, '"default" or a number > 0', ok))
+    tol_ok = _is_number(gap_tol) and gap_tol >= 0
     return {
         "method": _check(
             "solver.method", method, f"one of {'/'.join(METHODS)}", method in METHODS
         ),
         "max_iter": _integer("solver.max_iter", solver["max_iter"], 0),
-        "gap_tol": _real("solver.gap_tol", solver["gap_tol"]),
+        "gap_tol": float(_check("solver.gap_tol", gap_tol, "a finite number >= 0", tol_ok)),
         "step_size": step,
     }
 

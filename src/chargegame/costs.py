@@ -48,6 +48,12 @@ class CostFunction(abc.ABC):
     def _raw_derivative(self, load: np.ndarray) -> np.ndarray:
         """f'(load) without domain checks."""
 
+    def _raw_pair(self, load: np.ndarray):
+        """f(load) and f'(load) without domain checks, for a caller that
+        needs both; f' may come as a scalar where the family's slope is
+        constant."""
+        return self._raw_value(load), self._raw_derivative(load)
+
     def has_derivative(self) -> bool:
         return True
 
@@ -97,6 +103,9 @@ class LinearCost(CostFunction):
     def _raw_derivative(self, load):
         return np.full_like(load, self.slope)
 
+    def _raw_pair(self, load):
+        return self.slope * load + self.intercept, self.slope
+
 
 @dataclass(frozen=True)
 class QuadraticCost(CostFunction):
@@ -131,6 +140,10 @@ class ExponentialCost(CostFunction):
 
     def _raw_derivative(self, load):
         return self.rate * np.exp(self.rate * load)
+
+    def _raw_pair(self, load):
+        grown = np.exp(self.rate * load)
+        return grown, self.rate * grown
 
 
 @dataclass(frozen=True)
@@ -203,6 +216,10 @@ class AffineCost(CostFunction):
 
     def _raw_derivative(self, load):
         return self.scale * self.base._raw_derivative(load)
+
+    def _raw_pair(self, load):
+        value, slope = self.base._raw_pair(load)
+        return self.scale * value + self.shift, self.scale * slope
 
 
 def with_domain_bound(fn: CostFunction, bound: float) -> CostFunction:

@@ -18,9 +18,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ChargeGameError
+from .errors import ChargeGameError, SpecError
 from .model import Flow, GameSpec, Profile, _gradient_kernel
-from .verify import SolverStatus, TraceRow, _finite_gap, _gaps, make_report
+from .verify import SolverStatus, TraceRow, _finite_gap, _gap_reduction, make_report
 
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_GAP_TOL = 1e-6
@@ -59,21 +59,62 @@ def default_step_schedule(iteration: int) -> float:
 # reduction, and redistributes weight by the row-wise softmax below; a
 # stack of one game runs the single-game array shapes, and every game's
 # arithmetic is the same in any stack.
+#
+# A live stack owns its buffers: the kernel's loads, window sums and
+# gradients, the gap reduction's dots, minima and terms, and the softmax's
+# minima, exponentials, totals and rows, each with the reshaped views the
+# loop writes through.  They are built together when the stack is and
+# rebuilt only when a game leaves it; the kernel, the gap reduction and the
+# softmax write into them with out=, and only the cost family's f and f'
+# come as new arrays.  The gap reduction picks its form by the stack's game
+# count: one game loops over its few rows, which costs less than array
+# calls, and a larger stack takes a fixed number of array calls.  So an
+# iteration costs a fixed number of numpy calls whatever the stack's size.
+# Nothing the loop hands out is a buffer: a trace row and a report take
+# copies of their rows, and the gaps come as a list of floats.
 
 
-def _softmax_rows(cum_costs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row i is weights[i] times the softmax of -cum_costs[i].
+def _softmax(weights: np.ndarray, slots: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Map cumulative costs to rows: row i is weights[i] times the softmax
+    of -cum_costs[i].
 
     Each row of exponents is shifted by its maximum, which leaves the
-    distribution unchanged but avoids overflow.
+    distribution unchanged but avoids overflow.  Every call returns the
+    same row buffer, overwritten by the next call.
     """
-    # ufunc reductions skip the Python-level wrappers of the array methods.
-    scaled = np.exp(np.minimum.reduce(cum_costs, 1, keepdims=True) - cum_costs)
-    return (weights / np.add.reduce(scaled, 1))[:, None] * scaled
+    lows = np.empty((weights.size, 1))
+    scaled = np.empty((weights.size, slots))
+    totals = np.empty(weights.size)
+    factors = totals[:, None]
+    rows = np.empty_like(scaled)
+
+    def softmax(cum_costs: np.ndarray) -> np.ndarray:
+        # ufunc reductions skip the Python-level wrappers of the array methods.
+        np.minimum.reduce(cum_costs, 1, keepdims=True, out=lows)
+        np.subtract(lows, cum_costs, out=scaled)
+        np.exp(scaled, out=scaled)
+        np.add.reduce(scaled, 1, out=totals)
+        np.divide(weights, totals, out=totals)
+        return np.multiply(factors, scaled, out=rows)
+
+    return softmax
 
 
 def _step_value(step: StepSize, iteration: int) -> float:
     return step(iteration) if callable(step) else float(step)
+
+
+def _check_options(max_iter, gap_tol, step_size) -> None:
+    """Raise SpecError for options the loop cannot honour: a negative
+    iteration cap, a NaN tolerance, which no gap ever meets or misses, and a
+    constant step that is not a finite number > 0, which stands still or
+    climbs.  A negative tolerance is fine: it runs all ``max_iter`` steps."""
+    if not max_iter >= 0:
+        raise SpecError(f"max_iter must be >= 0, got {max_iter!r}")
+    if math.isnan(gap_tol):
+        raise SpecError(f"gap_tol must be a number, got {gap_tol!r}")
+    if not (callable(step_size) or 0.0 < step_size < math.inf):
+        raise SpecError(f"step_size must be a schedule or a finite number > 0, got {step_size!r}")
 
 
 def solve_dynamics(
@@ -94,6 +135,10 @@ def solve_dynamics(
 
     Returns:
         :class:`~chargegame.verify.EquilibriumReport` for the final iterate.
+
+    Raises:
+        SpecError: ``max_iter`` is negative, ``gap_tol`` is NaN or a
+            constant ``step_size`` is not a finite number > 0.
     """
     (outcome,) = _solve_batch(
         (spec,), max_iter=max_iter, gap_tol=gap_tol, step_size=step_size,
@@ -130,7 +175,11 @@ def _solve_batch(
 
     Returns:
         Per game, in order, its report or the ChargeGameError that ended it.
+
+    Raises:
+        SpecError: for the options, as :func:`solve_dynamics`.
     """
+    _check_options(max_iter, gap_tol, step_size)
     spec = specs[0]
     cost, players = spec.cost, spec.num_players
     weights = np.stack([game.weights for game in specs], axis=1).ravel()  # player-major
@@ -153,18 +202,32 @@ def _solve_batch(
     live = list(range(len(specs)))  # the games in the stack, in stack order
     traces = [[] for _ in specs] if trace_every > 0 else None
     cum_costs = np.zeros((weights.size, spec.num_start_slots))
-    rows = _softmax_rows(cum_costs, weights)
-    kernel = _gradient_kernel(spec, cost._raw_value, cost._raw_derivative, weights)
-    masses = weights.tolist()
+
+    def stack(weights):
+        """The kernel, gap reduction and softmax of a live stack, with
+        their buffers."""
+        return (
+            _gradient_kernel(spec, weights, checked=False),
+            _gap_reduction(weights, players),
+            _softmax(weights, spec.num_start_slots),
+        )
+
+    kernel, gaps_of, softmax = stack(weights)
+    rows = softmax(cum_costs)
     iteration = 0
     while True:
         gradients = kernel(rows)
-        gaps = _gaps(masses, rows, gradients, players)
+        gaps = gaps_of(rows, gradients)
         if traces is not None and iteration % trace_every == 0:
             for j, game in enumerate(live):
                 traces[game].append(TraceRow(iteration, gaps[j], rows[j::len(live)].copy()))
         # A game stays while its gap is above gap_tol, which a NaN gap is not.
-        if iteration >= max_iter or not all(gap > gap_tol for gap in gaps):
+        done = iteration >= max_iter
+        for gap in gaps:
+            if not gap > gap_tol:
+                done = True
+                break
+        if done:
             keep = [iteration < max_iter and gap > gap_tol for gap in gaps]
             for j, game in enumerate(live):
                 if not keep[j]:
@@ -173,16 +236,14 @@ def _solve_batch(
                         specs[game], rows[j::len(live)], gaps[j], gap_tol, iteration, trace
                     )
             kept = np.tile(keep, players)
-            rows, cum_costs, gradients, weights = (
-                rows[kept], cum_costs[kept], gradients[kept], weights[kept]
-            )
+            cum_costs, gradients, weights = cum_costs[kept], gradients[kept], weights[kept]
             live = [game for game, stays in zip(live, keep) if stays]
             if not live:
                 return outcomes
-            kernel = _gradient_kernel(spec, cost._raw_value, cost._raw_derivative, weights)
-            masses = weights.tolist()
-        cum_costs += scale * _step_value(step_size, iteration) * gradients
-        rows = _softmax_rows(cum_costs, weights)
+            kernel, gaps_of, softmax = stack(weights)
+        gradients *= scale * _step_value(step_size, iteration)
+        cum_costs += gradients
+        rows = softmax(cum_costs)
         iteration += 1
 
 

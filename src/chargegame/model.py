@@ -308,7 +308,7 @@ def _coalition_mass(spec: GameSpec, k: int) -> float:
 
 
 def _gradient_kernel(
-    spec: GameSpec, value, derivative, weights: np.ndarray
+    spec: GameSpec, weights: np.ndarray, checked: bool = True
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Map a stack of weight rows to marginal-cost rows.
 
@@ -322,11 +322,17 @@ def _gradient_kernel(
     (divisor inf).  Loads are ``rows @ A`` and one product ``terms @ A.T``
     window-sums the slot prices and every coalition's load-weighted
     marginal prices; per-game terms are basic views, so a stack of one game
-    runs the single-game array shapes.  ``value`` and ``derivative``
-    evaluate f and f' on the slot loads of all games end to end;
-    ``derivative`` is only called when some coalition has mass.
+    runs the single-game array shapes.  f and f' are evaluated on the slot
+    loads of all games end to end, f' only when some coalition has mass;
+    ``checked`` evaluates them through the cost family's domain checks, and
+    otherwise raw, for a caller that has checked the load envelope.
+
+    The kernel writes into buffers it allocates once, so each call returns
+    the same gradient array, overwritten by the next call.
     """
+    cost = spec.cost
     incidence = _incidence(spec.horizon, spec.duration)
+    window = incidence.T
     players, slots, power = spec.num_players, spec.num_start_slots, spec.power
     # ufunc calls and array methods skip numpy's Python-level wrappers: every
     # vi_gap builds a kernel, and a dynamics batch rebuilds it whenever a
@@ -339,17 +345,43 @@ def _gradient_kernel(
     divisors[0] = 1.0
     divisors[masses <= 0.0] = np.inf
     divisors = divisors.repeat(slots, axis=1)
+    if checked:
+        value = cost.value
+
+        def prices(load):
+            slope = cost.derivative(load)
+            return cost.value(load), slope
+
+    else:
+        value, prices = cost._raw_value, cost._raw_pair
+    # Row 0 of by_player ends up holding f and row i > 0 player i's load
+    # times f'; after the second product, row 0 of sums holds u of every
+    # game and row i > 0 crowding_i.
+    per_player = np.empty((weights.size, spec.horizon))
+    by_player = per_player.reshape(players, -1)  # a view: writes reach per_player
+    load = np.empty(by_player.shape[1])
+    sums = np.empty((weights.size, slots))
+    by_game = sums.reshape(players, -1)
+    u = by_game[0]
+    out = np.empty_like(sums)
+    out_by_game = out.reshape(players, -1)
 
     def gradients(rows: np.ndarray) -> np.ndarray:
-        per_player = np.dot(rows, incidence)
-        by_player = per_player.reshape(players, -1)  # a view: writes reach per_player
-        slot_load = base_load + power * np.add.reduce(by_player, 0)
+        np.dot(rows, incidence, out=per_player)
+        np.add.reduce(by_player, 0, out=load)
+        np.multiply(power, load, out=load)
+        np.add(base_load, load, out=load)
         if crowded:
-            by_player *= derivative(slot_load)
-        by_player[0] = value(slot_load)
-        # Row 0: u of every game; row i > 0: crowding_i.
-        sums = np.dot(per_player, incidence.T).reshape(players, -1)
-        return ((sums[0] + shares * sums) / divisors).reshape(-1, slots)
+            f, slope = prices(load)
+            np.multiply(by_player, slope, out=by_player)
+        else:
+            f = value(load)
+        by_player[0] = f
+        np.dot(per_player, window, out=sums)
+        np.multiply(shares, by_game, out=out_by_game)
+        np.add(u, out_by_game, out=out_by_game)
+        np.divide(out_by_game, divisors, out=out_by_game)
+        return out
 
     return gradients
 
@@ -365,7 +397,7 @@ def player_gradients(spec: GameSpec, profile: Profile) -> np.ndarray:
     matching their zero flow.
     """
     validate_profile(spec, profile)
-    kernel = _gradient_kernel(spec, spec.cost.value, spec.cost.derivative, spec.weights)
+    kernel = _gradient_kernel(spec, spec.weights)
     return kernel(profile.matrix())
 
 

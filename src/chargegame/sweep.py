@@ -300,8 +300,8 @@ def _certified_points(
     )
     rows, _ = _onto_masses(rows, masses)
     weights = _unit_weights(np.stack((1.0 - sizes, sizes), axis=1)).T.ravel()
-    kernel = _gradient_kernel(spec, spec.cost.value, spec.cost.derivative, weights)
-    gaps = _gaps(weights.tolist(), rows, kernel(rows), spec.num_players)
+    kernel = _gradient_kernel(spec, weights)
+    gaps = _gaps(weights, rows, kernel(rows), spec.num_players)
     regimes = [_regime(gapped, s).value for s in split.tolist()]
     return [
         SweepPoint(

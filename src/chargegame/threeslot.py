@@ -223,6 +223,9 @@ def _regime(gapped: bool, split: bool) -> Regime:
     return Regime.SATURATED_SPLIT if split else Regime.SHARED_PEAK
 
 
+# A threshold that overflows ends in _finite's NumericsError; numpy's warnings
+# on the way there would be noise.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _classify(inst: ThreeSlotInstance, sizes: np.ndarray) -> tuple[bool, np.ndarray]:
     """Whether ``inst`` is gapped, and per coalition size whether its
     equilibrium splits: past the activation threshold (gapped) or at or

@@ -65,33 +65,79 @@ def vi_gap(spec: GameSpec, profile: Profile) -> float:
             has no certificate.
     """
     gradients = player_gradients(spec, profile)
-    gap = _gaps(spec.weights.tolist(), profile.matrix(), gradients, spec.num_players)[0]
+    gap = _gaps(spec.weights, profile.matrix(), gradients, spec.num_players)[0]
     return _finite_gap(gap)
 
 
-def _gaps(masses: list, rows: np.ndarray, gradients: np.ndarray, players: int) -> list:
+def _gaps(masses, rows: np.ndarray, gradients: np.ndarray, players: int) -> list:
     """Variational gap of every game in a player-major stack of rows; NaN
     for a game whose gradients are not all finite.
 
-    ``masses`` lists the rows' masses.  Each row with mass adds
-    max(<row, gradient> - mass * min gradient, 0), in player order.  The
-    finiteness check rides on the same per-row reductions: a NaN entry
-    makes the row's minimum NaN, -inf makes it -inf, and +inf makes the
-    row's dot inf (NaN where the row puts no weight, as 0 * inf).
+    ``masses`` lists the rows' masses.  One-shot form of
+    :func:`_gap_reduction`, which holds the rules.
     """
-    dots = np.matmul(rows[:, None], gradients[:, :, None]).ravel().tolist()  # a BLAS ddot per row
-    lows = np.minimum.reduce(gradients, 1).tolist()
-    games = len(dots) // players
-    gaps = []
-    for game in range(games):
-        gap = 0.0
-        for i in range(game, len(dots), games):
-            if not (math.isfinite(dots[i]) and math.isfinite(lows[i])):
-                gap = math.nan
-                break
-            if masses[i] > 0.0:
-                gap += max(dots[i] - masses[i] * lows[i], 0.0)
-        gaps.append(gap)
+    return _gap_reduction(np.asarray(masses, dtype=float), players)(rows, gradients)
+
+
+def _gap_reduction(masses: np.ndarray, players: int):
+    """The gap of every game in a player-major stack of rows with these
+    masses, as a function of the rows and their gradients.
+
+    Each row with mass adds max(<row, gradient> - mass * min gradient, 0),
+    in player order from 0.0.  A game gets NaN when any of its rows, with
+    mass or without, has a non-finite dot or minimum.  That check rides on
+    the same per-row reductions: a NaN entry makes the row's minimum NaN,
+    -inf makes it -inf, and +inf makes the row's dot inf (NaN where the
+    row puts no weight, as 0 * inf).
+
+    A stack of one game runs a loop over its few rows, which costs less
+    than the array calls.  A larger stack runs a fixed number of array
+    calls on buffers built here, whatever its size; their float operations
+    and order are the loop's, so each game's gap is the one it gets alone.
+    The function returns the gaps as a list of floats, never a buffer.
+    """
+    rows_count = masses.size
+    if rows_count == players:
+        weights = masses.tolist()
+
+        def gaps(rows, gradients):
+            # A BLAS ddot per row.
+            dots = np.matmul(rows[:, None], gradients[:, :, None]).ravel().tolist()
+            lows = np.minimum.reduce(gradients, 1).tolist()
+            gap = 0.0
+            for dot, low, mass in zip(dots, lows, weights):
+                if not (math.isfinite(dot) and math.isfinite(low)):
+                    return [math.nan]
+                if mass > 0.0:
+                    gap += max(dot - mass * low, 0.0)
+            return [gap]
+
+        return gaps
+
+    shape = (players, rows_count // players)
+    stacked = masses.reshape(shape)
+    has_mass = (stacked > 0.0).astype(float)
+    dots = np.empty((rows_count, 1, 1))
+    lows = np.empty(rows_count)
+    dots_by_game, lows_by_game = dots.reshape(shape), lows.reshape(shape)
+    terms, probe = np.empty(shape), np.empty(shape)
+
+    def gaps(rows, gradients):
+        np.matmul(rows[:, None], gradients[:, :, None], out=dots)
+        np.minimum.reduce(gradients, 1, out=lows)
+        np.multiply(stacked, lows_by_game, out=terms)
+        np.subtract(dots_by_game, terms, out=terms)
+        np.maximum(terms, 0.0, out=terms)
+        # A row without mass adds a zero of either sign, which leaves a sum
+        # that starts at 0.0 unchanged.
+        np.multiply(terms, has_mass, out=terms)
+        # x - x is 0.0 for a finite x and NaN otherwise.  The dot alone
+        # marks the game: a minimum is non-finite only when some entry is,
+        # and that entry makes the dot non-finite (x * inf, 0 * inf, 0 * NaN).
+        np.subtract(dots_by_game, dots_by_game, out=probe)
+        np.add(terms, probe, out=terms)
+        return np.add.reduce(terms, 0, initial=0.0).tolist()
+
     return gaps
 
 

@@ -510,6 +510,7 @@ MALFORMED_CONFIGS = {
     # and a malformed sweep section fails `solve` too.
     "max-iter-not-a-number": {"solver": {"max_iter": "x"}},
     "gap-tol-not-a-number": {"solver": {"gap_tol": "x"}},
+    "gap-tol-negative": {"solver": {"gap_tol": -1.0}},
     "step-size-not-a-number": {"solver": {"step_size": "x"}},
     "step-size-negative": {"solver": {"step_size": -1.0}},
     "count-not-a-number": {"sweep": {"count": "x"}},
@@ -571,6 +572,7 @@ MALFORMED_FIELDS = {
     "unknown-cost-kind": "game.cost.kind",
     "horizon-not-integral": "game.horizon",
     "max-iter-not-a-number": "solver.max_iter",
+    "gap-tol-negative": "solver.gap_tol must be a finite number >= 0",
 }
 
 

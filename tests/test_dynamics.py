@@ -17,12 +17,14 @@ from chargegame import (
     ThreeSlotInstance,
     coalition_average_cost,
     player_gradients,
+    run_sweep,
+    solve,
     solve_ce,
     solve_dynamics,
     strategy_costs,
     vi_gap,
 )
-from chargegame.dynamics import _softmax_rows, _solve_batch, default_step_schedule
+from chargegame.dynamics import _softmax, _solve_batch, default_step_schedule
 from chargegame.verify import _gaps
 from conftest import random_profile, random_three_slot
 
@@ -244,7 +246,7 @@ def test_kernel_matches_per_row_reference(rng):
                 )
                 cum_costs = rng.normal(0.0, 5.0, size=rows.shape)
                 assert_matches_reference(
-                    _softmax_rows(cum_costs, spec.weights),
+                    _softmax(spec.weights, cum_costs.shape[1])(cum_costs),
                     reference_softmax(cum_costs, spec.weights),
                     exact,
                 )
@@ -288,6 +290,40 @@ def test_gap_marks_every_non_finite_gradient(rng):
                 assert gaps[:game] + gaps[game + 1:] == clean[:game] + clean[game + 1:]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_stacked_gaps_match_each_game_alone(rng):
+    # A stack of two or more games takes the array reduction and a game alone
+    # the per-row loop; every game's gap must be the same, compared by repr.
+    # Some rows have no mass, some sit on their cheapest slot (a term of
+    # exactly zero, with signed-zero gradient entries among them), and some
+    # gradients hold NaN or +-inf.
+    for case in range(300):
+        players, games = int(rng.integers(2, 5)), int(rng.integers(1, 31))
+        size, slots = players * games, int(rng.integers(1, 7))
+        masses = rng.uniform(0.0, 1.0, size=size)
+        masses[rng.uniform(size=size) < 0.3] = 0.0
+        raw = rng.uniform(size=(size, slots))
+        raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
+        raw[:, 0] += 1e-3
+        rows = masses[:, None] * raw / raw.sum(axis=1, keepdims=True)
+        if case % 2:  # a row without mass adds nothing, whatever it holds
+            rows[masses == 0.0] = raw[masses == 0.0]
+        gradients = np.round(rng.normal(size=rows.shape), 1)
+        gradients[gradients == 0.0] = -0.0
+        for i in np.flatnonzero(rng.uniform(size=size) < 0.3):
+            rows[i] = 0.0
+            rows[i, np.argmin(gradients[i])] = masses[i]
+        if case % 3:
+            bad = rng.uniform(size=rows.shape) < 0.02
+            gradients[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+        stacked = _gaps(masses.tolist(), rows, gradients, players)
+        alone = [
+            _gaps(masses[g::games].tolist(), rows[g::games], gradients[g::games], players)[0]
+            for g in range(games)
+        ]
+        assert [repr(gap) for gap in stacked] == [repr(gap) for gap in alone]
+
+
 def test_batch_of_games_matches_single_solves(rng):
     # Games that differ only in their weights, 2-4 players, zero-mass
     # individuals or coalitions included: each outcome of the stack is the
@@ -315,6 +351,22 @@ def test_batch_of_games_matches_single_solves(rng):
             assert [(r.iteration, repr(r.gap), r.flows.tobytes()) for r in report.trace] == [
                 (r.iteration, repr(r.gap), r.flows.tobytes()) for r in single.trace
             ]
+
+
+@pytest.mark.parametrize(
+    "option",
+    [{"max_iter": -5}, {"gap_tol": float("nan")}, {"step_size": 0.0}, {"step_size": -0.5}],
+    ids=["negative-max-iter", "nan-gap-tol", "zero-step", "negative-step"],
+)
+def test_solver_rejects_options_that_cannot_work(option):
+    # Each would run to max_iter, stop at once, stand still or climb.
+    spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), QuadraticCost(), np.array([0.5, 0.5]))
+    with pytest.raises(SpecError, match=next(iter(option))):
+        solve_dynamics(spec, **option)
+    with pytest.raises(SpecError, match=next(iter(option))):
+        solve(spec, "dynamics", **option)
+    with pytest.raises(SpecError, match=next(iter(option))):
+        run_sweep(spec, np.array([0.25, 0.5]), solver="dynamics", **option)
 
 
 def test_derivative_needed_only_for_massive_coalitions():
@@ -364,8 +416,8 @@ def test_max_shift_invariance():
     cum_costs = player_gradients(spec, Profile.uniform(spec))
     shifted = cum_costs + np.array([[100.0], [250.0]])
     np.testing.assert_allclose(
-        _softmax_rows(cum_costs, spec.weights),
-        _softmax_rows(shifted, spec.weights),
+        _softmax(spec.weights, cum_costs.shape[1])(cum_costs),
+        _softmax(spec.weights, shifted.shape[1])(shifted),
         atol=1e-12,
     )
 

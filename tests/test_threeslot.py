@@ -10,6 +10,7 @@ from chargegame import (
     CustomCost,
     ExponentialCost,
     LinearCost,
+    NumericsError,
     Profile,
     QuadraticCost,
     Regime,
@@ -294,6 +295,17 @@ def test_instance_from_spec_requires_normalized_shape():
     spec = cg.GameSpec(3, 2, 2.0, np.ones(3), QuadraticCost(), np.array([0.5, 0.5]))
     with pytest.raises(SpecError):
         instance_from_spec(spec, 0.5)
+
+
+def test_overflowing_threshold_raises_from_classify():
+    # f(peak) and f(1 + offpeak) both overflow, so the activation threshold
+    # is inf / inf.  RuntimeWarnings are errors in this suite, so the error
+    # must come without one.
+    inst = ThreeSlotInstance(2.3, 1.0, 1.0, 0.5, ExponentialCost(rate=400))
+    with pytest.raises(NumericsError, match="activation threshold"):
+        classify(inst)
+    with pytest.raises(NumericsError, match="activation threshold"):
+        ce_costs(inst, CEPoint(0.0, 0.0, Regime.ALL_OFFPEAK))
 
 
 def test_lying_derivative_breaks_bracketing():
