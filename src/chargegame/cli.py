@@ -27,7 +27,16 @@ import numpy as np
 
 from .costs import cost_from_config, cost_to_config
 from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, default_step_schedule
-from .errors import ChargeGameError, SpecError, _check, _FieldError, _is_number, _known_keys, _real
+from .errors import (
+    ChargeGameError,
+    SpecError,
+    _check,
+    _FieldError,
+    _is_integer,
+    _is_number,
+    _known_keys,
+    _real,
+)
 from .model import GameSpec, Profile
 from .sweep import (
     DEFAULT_GRID_SIZE,
@@ -193,8 +202,7 @@ def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> 
 
 
 def _integer(field: str, value, minimum: int) -> int:
-    ok = _is_number(value) and value == int(value) and value >= minimum
-    return int(_check(field, value, f"an integer >= {minimum}", ok))
+    return int(_check(field, value, f"an integer >= {minimum}", _is_integer(value, minimum)))
 
 
 def _section(raw: dict, name: str, keys) -> dict:

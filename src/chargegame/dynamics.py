@@ -18,7 +18,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ChargeGameError, SpecError
+from .errors import ChargeGameError, SpecError, _is_integer
 from .model import Flow, GameSpec, Profile, _gradient_kernel
 from .verify import SolverStatus, TraceRow, _finite_gap, _gap_reduction, make_report
 
@@ -105,14 +105,16 @@ def _step_value(step: StepSize, iteration: int) -> float:
 
 
 def _check_options(max_iter, gap_tol, step_size) -> None:
-    """Raise SpecError for options the loop cannot honour: a negative
-    iteration cap, a NaN tolerance, which no gap ever meets or misses, and a
-    constant step that is not a finite number > 0, which stands still or
-    climbs.  A negative tolerance is fine: it runs all ``max_iter`` steps."""
-    if not max_iter >= 0:
-        raise SpecError(f"max_iter must be >= 0, got {max_iter!r}")
-    if math.isnan(gap_tol):
-        raise SpecError(f"gap_tol must be a number, got {gap_tol!r}")
+    """Raise SpecError for options the loop cannot honour: an iteration cap
+    that is not a whole number >= 0 (the CLI's rule), a tolerance that is
+    not finite, which every gap meets (inf) or none meets or misses (NaN),
+    and a constant step that is not a finite number > 0, which stands still
+    or climbs.  A finite negative tolerance is fine: it runs all
+    ``max_iter`` steps."""
+    if not _is_integer(max_iter, 0):
+        raise SpecError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    if not math.isfinite(gap_tol):
+        raise SpecError(f"gap_tol must be a finite number, got {gap_tol!r}")
     if not (callable(step_size) or 0.0 < step_size < math.inf):
         raise SpecError(f"step_size must be a schedule or a finite number > 0, got {step_size!r}")
 
@@ -137,8 +139,8 @@ def solve_dynamics(
         :class:`~chargegame.verify.EquilibriumReport` for the final iterate.
 
     Raises:
-        SpecError: ``max_iter`` is negative, ``gap_tol`` is NaN or a
-            constant ``step_size`` is not a finite number > 0.
+        SpecError: ``max_iter`` is not an integer >= 0, ``gap_tol`` is
+            not finite or a constant ``step_size`` is not a finite number > 0.
     """
     (outcome,) = _solve_batch(
         (spec,), max_iter=max_iter, gap_tol=gap_tol, step_size=step_size,

@@ -2,6 +2,7 @@
 config and report ingestion raise them with."""
 
 import math
+import numbers
 
 
 class ChargeGameError(Exception):
@@ -54,7 +55,12 @@ def _check(field: str, value, want: str, ok: bool):
 
 def _is_number(value) -> bool:
     # JSON booleans are Python ints, but no number field takes one.
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_integer(value, minimum: int) -> bool:
+    """Whether ``value`` is a finite whole number >= ``minimum``, not a bool."""
+    return _is_number(value) and value == int(value) and value >= minimum
 
 
 def _real(field: str, value) -> float:

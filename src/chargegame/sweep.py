@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter, eq
 
 import numpy as np
 
@@ -102,25 +103,16 @@ def peak_start_slot(spec: GameSpec) -> int:
     return int(np.argmax(_window_sum(spec, spec.base_load)))
 
 
+# Sign that turns an adjacent difference into its excess over a direction.
+_DIRECTIONS = {"nondecreasing": -1.0, "nonincreasing": 1.0}
+
+
 def audit_monotone(values, direction: str, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
     """Check adjacent differences against a direction within tol."""
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2:
-        return AuditVerdict(passed=True, worst_value=0.0)
-    diffs = np.diff(values)
-    if direction == "nondecreasing":
-        adverse = -diffs
-    elif direction == "nonincreasing":
-        adverse = diffs
-    else:
+    if direction not in _DIRECTIONS:
         raise SpecError(f"unknown direction {direction!r}")
-    worst = int(np.argmax(adverse))
-    worst_value = float(adverse[worst])
-    return AuditVerdict(
-        passed=worst_value <= tol,
-        worst_value=worst_value,
-        worst_pair=(worst, worst + 1),
-    )
+    values = np.asarray(values, dtype=float)
+    return _monotone(values[None, :], [[_DIRECTIONS[direction]]], tol)[0]
 
 
 def audit_concave(values, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
@@ -128,14 +120,7 @@ def audit_concave(values, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
     values = np.asarray(values, dtype=float)
     if len(values) < 3:
         return AuditVerdict(passed=True, worst_value=0.0)
-    second = values[2:] - 2.0 * values[1:-1] + values[:-2]
-    worst = int(np.argmax(second))
-    worst_value = float(second[worst])
-    return AuditVerdict(
-        passed=worst_value <= tol,
-        worst_value=worst_value,
-        worst_pair=(worst, worst + 2),
-    )
+    return _worst(_second_differences(values), 2, tol)
 
 
 def audit_concave_branches(
@@ -144,31 +129,50 @@ def audit_concave_branches(
     """Concavity audit applied separately to each run of equal regime tags.
 
     The closed-form peak weight can kink convexly exactly where the regime
-    changes, so the concavity claim is checked per branch.
+    changes, so the concavity claim is checked per branch: only second
+    differences whose three points share a tag count.  A NaN among them
+    fails the audit.
     """
     values = np.asarray(values, dtype=float)
     tags = list(tags)
     if len(values) != len(tags):
         raise SpecError("values and tags must align")
-    worst_value = -math.inf
-    worst_pair = None
-    start = 0
-    for i in range(1, len(tags) + 1):
-        if i < len(tags) and tags[i] == tags[start]:
-            continue
-        branch = audit_concave(values[start:i], tol)
-        if branch.worst_value > worst_value:
-            worst_value = branch.worst_value
-            if branch.worst_pair is not None:
-                worst_pair = (start + branch.worst_pair[0], start + branch.worst_pair[1])
-        start = i
-    if worst_pair is None:
-        return AuditVerdict(passed=True, worst_value=0.0, note="per-branch")
+    clean = AuditVerdict(passed=True, worst_value=0.0, note="per-branch")
+    if len(values) < 3:
+        return clean
+    same = np.fromiter(map(eq, tags, tags[1:]), dtype=bool, count=len(tags) - 1)
+    second = np.where(same[1:] & same[:-1], _second_differences(values), -math.inf)
+    verdict = _worst(second, 2, tol, note="per-branch")
+    if verdict.worst_value == -math.inf:  # no branch of three points
+        return clean
+    return verdict
+
+
+def _monotone(series: np.ndarray, signs, tol: float) -> list[AuditVerdict]:
+    """:func:`audit_monotone` of every row of ``series`` at once, each
+    row's direction given by its sign in the column ``signs``."""
+    if series.shape[1] < 2:
+        return [AuditVerdict(passed=True, worst_value=0.0)] * len(series)
+    adverse = np.diff(series) * signs
+    worst = np.argmax(adverse, axis=1)
+    values = adverse[np.arange(len(series)), worst]
+    return [
+        AuditVerdict(passed=value <= tol, worst_value=value, worst_pair=(i, i + 1))
+        for i, value in zip(worst.tolist(), values.tolist())
+    ]
+
+
+def _second_differences(values: np.ndarray) -> np.ndarray:
+    return values[2:] - 2.0 * values[1:-1] + values[:-2]
+
+
+def _worst(adverse: np.ndarray, span: int, tol: float, note: str = "") -> AuditVerdict:
+    """Verdict on the largest entry of ``adverse`` (a NaN counts as the
+    largest), entry i coming from grid points i and i + ``span``."""
+    worst = int(np.argmax(adverse))
+    value = float(adverse[worst])
     return AuditVerdict(
-        passed=worst_value <= tol,
-        worst_value=worst_value,
-        worst_pair=worst_pair,
-        note="per-branch",
+        passed=value <= tol, worst_value=value, worst_pair=(worst, worst + span), note=note
     )
 
 
@@ -301,22 +305,13 @@ def _certified_points(
     rows, _ = _onto_masses(rows, masses)
     weights = _unit_weights(np.stack((1.0 - sizes, sizes), axis=1)).T.ravel()
     kernel = _gradient_kernel(spec, weights)
-    gaps = _gaps(weights, rows, kernel(rows), spec.num_players)
-    regimes = [_regime(gapped, s).value for s in split.tolist()]
+    gaps = _finite_gap(_gaps(weights, rows, kernel(rows), spec.num_players))
+    regimes = (_regime(gapped, False).value, _regime(gapped, True).value)
+    status = SolverStatus.ANALYTIC.value
     return [
-        SweepPoint(
-            m=m,
-            x1=a,
-            x0=b,
-            cost_individuals=individuals,
-            cost_coalition=coalition,
-            cost_social=social,
-            regime=regime,
-            gap=_finite_gap(gap),
-            status=SolverStatus.ANALYTIC.value,
-        )
-        for m, a, b, social, individuals, coalition, regime, gap in zip(
-            *(values.tolist() for values in (sizes, x1, x0, *costs)), regimes, gaps
+        SweepPoint(m, a, b, individuals, coalition, social, regimes[s], gap, status)
+        for m, a, b, social, individuals, coalition, s, gap in zip(
+            *(values.tolist() for values in (sizes, x1, x0, *costs, split)), gaps
         )
     ]
 
@@ -362,27 +357,35 @@ def _error_point(m: float, exc: ChargeGameError) -> SweepPoint:
     )
 
 
+# The monotone audits, each named "<point field>_<direction>".
+_MONOTONE_AUDITS = (
+    ("x1", "nondecreasing"),
+    ("x0", "nonincreasing"),
+    ("cost_individuals", "nonincreasing"),
+    ("cost_coalition", "nonincreasing"),
+    ("cost_social", "nonincreasing"),
+)
+
+
 def _run_audits(points, solver: str, tol: float) -> dict[str, AuditVerdict]:
-    clean = [p for p in points if p.error is None]
-    if len(clean) != len(points):
-        note = f"{len(points) - len(clean)} grid points failed; audits skipped"
+    failed = sum(p.error is not None for p in points)
+    if failed:
+        note = f"{failed} grid points failed; audits skipped"
         return {"solver_failures": AuditVerdict(False, math.inf, note=note)}
+    series = np.array(
+        [
+            np.fromiter(map(attrgetter(field), points), dtype=float, count=len(points))
+            for field, _ in _MONOTONE_AUDITS
+        ]
+    )
+    signs = [[_DIRECTIONS[direction]] for _, direction in _MONOTONE_AUDITS]
     audits = {
-        "x1_nondecreasing": audit_monotone([p.x1 for p in clean], "nondecreasing", tol),
-        "x0_nonincreasing": audit_monotone([p.x0 for p in clean], "nonincreasing", tol),
-        "cost_individuals_nonincreasing": audit_monotone(
-            [p.cost_individuals for p in clean], "nonincreasing", tol
-        ),
-        "cost_coalition_nonincreasing": audit_monotone(
-            [p.cost_coalition for p in clean], "nonincreasing", tol
-        ),
-        "cost_social_nonincreasing": audit_monotone(
-            [p.cost_social for p in clean], "nonincreasing", tol
-        ),
+        f"{field}_{direction}": verdict
+        for (field, direction), verdict in zip(_MONOTONE_AUDITS, _monotone(series, signs, tol))
     }
     if solver == "analytic":
         audits["x1_concave_per_branch"] = audit_concave_branches(
-            [p.x1 for p in clean], [p.regime for p in clean], tol
+            series[0], [p.regime for p in points], tol  # x1
         )
     return audits
 
@@ -393,25 +396,23 @@ def sweep_rows(result: SweepResult) -> list[dict]:
     base_social = next(
         (p.cost_social for p in result.points if p.error is None), float("nan")
     )
-    rows = []
-    for p in result.points:
-        scale = base_social if base_social and not math.isnan(base_social) else float("nan")
-        rows.append(
-            {
-                "m": p.m,
-                "x1": p.x1,
-                "x0": p.x0,
-                "cost_individuals": p.cost_individuals,
-                "cost_coalition": p.cost_coalition,
-                "cost_social": p.cost_social,
-                "norm_cost_individuals": p.cost_individuals / scale,
-                "norm_cost_coalition": p.cost_coalition / scale,
-                "norm_cost_social": p.cost_social / scale,
-                "regime": p.regime or "",
-                "status": p.status if p.error is None else f"error: {p.error}",
-            }
-        )
-    return rows
+    scale = base_social if base_social and not math.isnan(base_social) else float("nan")
+    return [
+        {
+            "m": p.m,
+            "x1": p.x1,
+            "x0": p.x0,
+            "cost_individuals": p.cost_individuals,
+            "cost_coalition": p.cost_coalition,
+            "cost_social": p.cost_social,
+            "norm_cost_individuals": p.cost_individuals / scale,
+            "norm_cost_coalition": p.cost_coalition / scale,
+            "norm_cost_social": p.cost_social / scale,
+            "regime": p.regime or "",
+            "status": p.status if p.error is None else f"error: {p.error}",
+        }
+        for p in result.points
+    ]
 
 
 def write_csv(result: SweepResult, path) -> None:

@@ -332,23 +332,70 @@ def _bisect(
     roots[wide[at_lo]] = lo[at_lo]
     roots[wide[at_hi]] = hi[at_hi]
     live = ~(at_lo | at_hi)
-    m, lo, hi = m[live], lo[live], hi[live]
+    roots[wide[live]] = _halve(inst, m[live], lo[live], hi[live])
+    return roots
+
+
+def _halve(
+    inst: ThreeSlotInstance, m: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Midpoint of each bracket [lo, hi] after max(1, ceil(log2(width /
+    BISECTION_TOL))) halvings toward the root of the increasing imbalance
+    at coalition size ``m``.
+
+    Each halving is a fixed number of array calls on buffers built here,
+    with one call of f and f' on the peak and off-peak loads stacked.
+    Float operations and their order are :func:`_imbalance`'s; a bracket
+    stops moving once its halvings are done.
+    """
+    f = inst.cost
     steps = np.array(
         [max(1, math.ceil(math.log2(w / BISECTION_TOL))) for w in (hi - lo).tolist()],
         dtype=int,
     )
+    n = len(m)
+    # The lower and the upper ends, each above its negation, so that their
+    # sum halved holds each midpoint above its negation: added to the rows
+    # below, that gives the peak and off-peak loads, and the weights mid and
+    # m - mid that multiply f' at them.  (Full rows: a broadcast add costs
+    # more than it saves.)
+    ends = np.empty((2, 2, n))
+    ends[:, 0] = lo, hi
+    np.negative(ends[:, 0], out=ends[:, 1])
+    outer = np.empty((2, n))
+    outer[0], outer[1] = inst.peak_load, 1.0 + inst.offpeak_load
+    sizes = np.zeros((2, n))
+    sizes[1] = m
+    shares, loads, weights = np.empty((3, 2, n))
+    lower, upper = ends
+    gain, crowding = weights
+    imbalance = np.empty(n)
+    moves = np.empty((2, 1, n), dtype=bool)  # which end each midpoint replaces
+    below, above = moves[:, 0]
+    moving = np.empty(n, dtype=bool)
+    # numpy converts a Python float operand on every call, a 0-d array not.
+    half, zero = np.array(0.5), np.array(0.0)
     # A midpoint's loads lie between those of its bracket's ends, which the
-    # checked f and f' accepted above, so the halving calls the raw ones.
+    # checked f and f' accepted, so the halving calls the raw ones.
     longest = steps.max(initial=0)
     shortest = steps.min(initial=longest)
     for step in range(longest):
-        on = slice(None) if step < shortest else np.flatnonzero(steps > step)
-        mid = (lo[on] + hi[on]) / 2.0
-        below = _imbalance(inst, m[on], mid, f._raw_value, f._raw_derivative) < 0.0
-        lo[on] = np.where(below, mid, lo[on])
-        hi[on] = np.where(below, hi[on], mid)
-    roots[wide[live]] = (lo + hi) / 2.0
-    return roots
+        np.add(lower, upper, out=shares)
+        np.multiply(shares, half, out=shares)  # exact, as is / 2.0
+        np.add(outer, shares, out=loads)
+        value, slope = f._raw_pair(loads)
+        np.add(sizes, shares, out=weights)
+        np.multiply(weights, slope, out=weights)
+        np.add(value[0], gain, out=imbalance)
+        np.subtract(imbalance, value[1], out=imbalance)
+        np.subtract(imbalance, crowding, out=imbalance)
+        np.less(imbalance, zero, out=below)
+        np.logical_not(below, out=above)
+        if step >= shortest:
+            np.greater(steps, step, out=moving)
+            moves &= moving
+        np.copyto(ends, shares, where=moves)
+    return (lower[0] + upper[0]) / 2.0
 
 
 def _grid_costs(

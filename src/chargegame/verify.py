@@ -141,10 +141,11 @@ def _gap_reduction(masses: np.ndarray, players: int):
     return gaps
 
 
-def _finite_gap(gap: float) -> float:
-    """``gap`` as a solver's certificate: a gap that is not finite means
-    some strategy cost is not, and such a profile is no result."""
-    if not math.isfinite(gap):
+def _finite_gap(gap):
+    """``gap``, a float or a list of them, as a solver's certificate: a gap
+    that is not finite means some strategy cost is not, and such a profile
+    is no result."""
+    if not np.isfinite(gap).all():
         raise NumericsError("non-finite strategy costs encountered; check the cost family scale")
     return gap
 

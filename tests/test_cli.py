@@ -284,6 +284,21 @@ def test_shipped_three_slot_configs_stay_on_the_closed_form(tmp_path, name):
         assert {row["status"] for row in csv.DictReader(handle)} == {"analytic"}
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("name", ["three_slot_gap_sweep", "three_slot_quadratic_sweep"])
+def test_shipped_sweeps_write_their_golden_artifacts(tmp_path, name):
+    # tests/golden holds these configs' sweep artifacts byte for byte.  The
+    # linear and quadratic families take only elementwise arithmetic, which
+    # IEEE rounding fixes, so the bytes hold on every platform.
+    config = os.path.join(SHIPPED_CONFIGS, name + ".json")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
+    for artifact in ("sweep.csv", "sweep_audits.json"):
+        with open(os.path.join(GOLDEN, name, artifact), "rb") as handle:
+            assert (tmp_path / artifact).read_bytes() == handle.read(), artifact
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_analytic_refuses_a_game_with_two_coalitions(tmp_path, capsys, command):
     config = band_config(

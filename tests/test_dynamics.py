@@ -1,5 +1,7 @@
 """Learning dynamics: gradients, update map, convergence behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -355,11 +357,32 @@ def test_batch_of_games_matches_single_solves(rng):
 
 @pytest.mark.parametrize(
     "option",
-    [{"max_iter": -5}, {"gap_tol": float("nan")}, {"step_size": 0.0}, {"step_size": -0.5}],
-    ids=["negative-max-iter", "nan-gap-tol", "zero-step", "negative-step"],
+    [
+        {"max_iter": -5},
+        {"max_iter": 2.5},
+        {"max_iter": True},
+        {"max_iter": math.inf},
+        {"gap_tol": float("nan")},
+        {"gap_tol": math.inf},
+        {"gap_tol": -math.inf},
+        {"step_size": 0.0},
+        {"step_size": -0.5},
+    ],
+    ids=[
+        "negative-max-iter",
+        "fractional-max-iter",
+        "bool-max-iter",
+        "inf-max-iter",
+        "nan-gap-tol",
+        "inf-gap-tol",
+        "minus-inf-gap-tol",
+        "zero-step",
+        "negative-step",
+    ],
 )
 def test_solver_rejects_options_that_cannot_work(option):
-    # Each would run to max_iter, stop at once, stand still or climb.
+    # Each would run to max_iter, stop at once, stand still or climb, or
+    # (a fractional cap) run past the cap it reports.
     spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), QuadraticCost(), np.array([0.5, 0.5]))
     with pytest.raises(SpecError, match=next(iter(option))):
         solve_dynamics(spec, **option)

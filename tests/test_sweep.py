@@ -93,6 +93,24 @@ def test_audit_concave_flags_convex_kink_globally_but_not_per_branch():
         audit_concave_branches(values, tags[:-1])
 
 
+def test_per_branch_concavity_fails_on_nan():
+    # A NaN second difference inside a branch fails the audit, as it fails
+    # audit_concave and audit_monotone; one that straddles a branch
+    # boundary is not part of any branch.
+    values = [0.0, 1.0, math.nan, 3.0]
+    assert not audit_concave(values).passed
+    verdict = audit_concave_branches(values, ["a"] * 4)
+    assert not verdict.passed
+    assert math.isnan(verdict.worst_value)
+    assert verdict.worst_pair == (0, 2)
+    later = audit_concave_branches([0.0, 1.0, 2.0, 3.0, math.nan, 5.0], list("aaabbb"))
+    assert not later.passed
+    assert later.worst_pair == (3, 5)
+    straddling = audit_concave_branches([0.0, 1.0, 2.0, math.nan], list("aaab"))
+    assert straddling.passed
+    assert straddling.worst_pair == (0, 2)
+
+
 # --- closed-form sweeps ------------------------------------------------------
 
 

@@ -1,11 +1,13 @@
 """Closed-form equilibrium: regime dispatch, roots, costs and uniqueness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chargegame import (
+    AffineCost,
     BracketingError,
     CustomCost,
     ExponentialCost,
@@ -20,6 +22,7 @@ from chargegame import (
     ce_costs,
     classify,
     coalition_average_cost,
+    default_grid,
     equilibrium_profile,
     instance_from_spec,
     marginal_imbalance,
@@ -246,17 +249,50 @@ def scalar_split(inst):
     return (lo + hi) / 2.0
 
 
-def test_array_bisection_matches_a_scalar_loop(rng):
-    """solve_ce alone and in a grid give the scalar loop's root bit for bit."""
-    checked = 0
-    for _ in range(40):
+def custom_family(rng):
+    """A cubic or an exponential-plus-quadratic CustomCost with its
+    derivative, valid over every load a random three-slot game reaches."""
+    if rng.uniform() < 0.5:
+        c = rng.uniform(0.1, 1.0)
+        return CustomCost(lambda x: x * x * x + c * x, lambda x: 3.0 * x * x + c, domain_bound=5.0)
+    r = rng.uniform(0.3, 1.2)
+    return CustomCost(
+        lambda x: np.exp(r * x) + x * x, lambda x: r * np.exp(r * x) + 2.0 * x, domain_bound=5.0
+    )
+
+
+def bisection_cases(rng):
+    """Three-slot instances with grids whose interior brackets mix widths:
+    random sizes, sizes at and just past the regime edge (brackets below
+    BISECTION_TOL and of a few halvings) and the default grid.  The
+    families cover the named ones, AffineCost around each and CustomCost."""
+    for case in range(60):
         inst = random_three_slot(rng)
+        if case % 3 == 1:
+            inst = replace(
+                inst, cost=AffineCost(inst.cost, rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
+            )
+        elif case % 3 == 2:
+            inst = replace(inst, cost=custom_family(rng))
+        if case % 10 == 0:  # gapped with a zero threshold: brackets [0, m] of any width
+            inst = replace(inst, peak_load=inst.offpeak_load + 1.0)
         sizes = np.sort(np.append(rng.uniform(0.01, 1.0, 12), 1.0))
+        if case % 20 == 0:
+            sizes = default_grid()
         edge = mixing_band(inst)
         if inst.peak_load >= inst.offpeak_load + 1.0:
             edge = activation_threshold(inst)
-        near = [edge, np.nextafter(edge, 2.0), edge + BISECTION_TOL / 2.0, edge + 1e-9]
-        sizes = np.unique(np.append(sizes, [m for m in near if 1e-13 <= m <= 1.0]))
+        near = [edge, np.nextafter(edge, 2.0), edge + 1e-9]
+        near += [edge + k * BISECTION_TOL for k in (0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 9.0, 40.0)]
+        yield inst, np.unique(np.append(sizes, [m for m in near if 1e-13 <= m <= 1.0]))
+
+
+def test_array_bisection_matches_a_scalar_loop(rng):
+    """solve_ce alone and in a grid give the scalar loop's root bit for bit,
+    also where sub-tolerance brackets and brackets of a few halvings share
+    a grid with wide ones, so finished brackets must stay put."""
+    checked, short = 0, 0
+    for inst, sizes in bisection_cases(rng):
         gapped, x1, x0, split = _grid_solution(inst, sizes)
         for m, a, b, s in zip(sizes.tolist(), x1.tolist(), x0.tolist(), split.tolist()):
             at = with_coalition_size(inst, m)
@@ -265,7 +301,10 @@ def test_array_bisection_matches_a_scalar_loop(rng):
             if point.regime in (Regime.COALITION_SPLIT, Regime.SATURATED_SPLIT):
                 assert repr(point.coalition_on_peak) == repr(float(scalar_split(at)))
                 checked += 1
-    assert checked > 100
+        widths = (sizes - (0.0 if gapped else mixing_band(inst))) / (1.0 if gapped else 2.0)
+        short += np.any(split & (widths <= 4.0 * BISECTION_TOL)) and np.any(widths > 1e-3)
+    assert checked > 800
+    assert short > 20
 
 
 # --- certification ----------------------------------------------------------
