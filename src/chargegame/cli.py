@@ -457,6 +457,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol_ok = _is_number(args.gap_tol) and args.gap_tol >= 0
+    _check("--gap-tol", args.gap_tol, "a finite number >= 0", tol_ok)
     with open(args.report) as handle:
         data = json.load(handle)
     with _ingesting("report"):

@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter, eq
+from itertools import repeat
+from operator import eq
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,14 +56,14 @@ def default_grid(
     return np.linspace(start, stop, count)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One grid record: equilibrium weights and costs at coalition size m.
 
-    ``x1`` and ``x0`` are the coalition's and the individuals' weight on
-    the peak (a-priori most expensive) start slot.  Costs are reduced for
-    three-slot games.  Solver failures land in ``error`` with NaN values
-    instead of aborting the sweep.
+    An immutable named tuple: its fields can be read by name or unpacked
+    in order.  ``x1`` and ``x0`` are the coalition's and the individuals'
+    weight on the peak (a-priori most expensive) start slot.  Costs are
+    reduced for three-slot games.  Solver failures land in ``error`` with
+    NaN values instead of aborting the sweep.
     """
 
     m: float
@@ -241,9 +243,10 @@ def run_sweep(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise SpecError("sweep grid must be a nonempty vector")
-    if grid.min() <= 0.0 or grid.max() > 1.0:
+    # Negated comparisons, so that a NaN fails them.
+    if not (grid.min() > 0.0 and grid.max() <= 1.0):
         raise SpecError("sweep grid values must lie in (0, 1]")
-    if grid.size > 1 and np.diff(grid).min() <= 0:
+    if grid.size > 1 and not np.diff(grid).min() > 0:
         raise SpecError("sweep grid must be strictly increasing")
 
     solver = _method(solver, base, float(grid[0]))
@@ -307,13 +310,11 @@ def _certified_points(
     kernel = _gradient_kernel(spec, weights)
     gaps = _finite_gap(_gaps(weights, rows, kernel(rows), spec.num_players))
     regimes = (_regime(gapped, False).value, _regime(gapped, True).value)
-    status = SolverStatus.ANALYTIC.value
-    return [
-        SweepPoint(m, a, b, individuals, coalition, social, regimes[s], gap, status)
-        for m, a, b, social, individuals, coalition, s, gap in zip(
-            *(values.tolist() for values in (sizes, x1, x0, *costs, split)), gaps
-        )
-    ]
+    social, individuals, coalition = costs
+    columns = (values.tolist() for values in (sizes, x1, x0, individuals, coalition, social))
+    names = map(regimes.__getitem__, split.tolist())
+    status = repeat(SolverStatus.ANALYTIC.value)
+    return list(map(SweepPoint._make, zip(*columns, names, gaps, status, repeat(None))))
 
 
 def _dynamics_points(spec: GameSpec, grid: list[float], **options) -> list[SweepPoint]:
@@ -368,16 +369,12 @@ _MONOTONE_AUDITS = (
 
 
 def _run_audits(points, solver: str, tol: float) -> dict[str, AuditVerdict]:
-    failed = sum(p.error is not None for p in points)
+    columns = dict(zip(SweepPoint._fields, zip(*points)))
+    failed = len(points) - columns["error"].count(None)
     if failed:
         note = f"{failed} grid points failed; audits skipped"
         return {"solver_failures": AuditVerdict(False, math.inf, note=note)}
-    series = np.array(
-        [
-            np.fromiter(map(attrgetter(field), points), dtype=float, count=len(points))
-            for field, _ in _MONOTONE_AUDITS
-        ]
-    )
+    series = np.array([columns[field] for field, _ in _MONOTONE_AUDITS], dtype=float)
     signs = [[_DIRECTIONS[direction]] for _, direction in _MONOTONE_AUDITS]
     audits = {
         f"{field}_{direction}": verdict
@@ -385,7 +382,7 @@ def _run_audits(points, solver: str, tol: float) -> dict[str, AuditVerdict]:
     }
     if solver == "analytic":
         audits["x1_concave_per_branch"] = audit_concave_branches(
-            series[0], [p.regime for p in points], tol  # x1
+            series[0], columns["regime"], tol  # x1
         )
     return audits
 
@@ -399,19 +396,19 @@ def sweep_rows(result: SweepResult) -> list[dict]:
     scale = base_social if base_social and not math.isnan(base_social) else float("nan")
     return [
         {
-            "m": p.m,
-            "x1": p.x1,
-            "x0": p.x0,
-            "cost_individuals": p.cost_individuals,
-            "cost_coalition": p.cost_coalition,
-            "cost_social": p.cost_social,
-            "norm_cost_individuals": p.cost_individuals / scale,
-            "norm_cost_coalition": p.cost_coalition / scale,
-            "norm_cost_social": p.cost_social / scale,
-            "regime": p.regime or "",
-            "status": p.status if p.error is None else f"error: {p.error}",
+            "m": m,
+            "x1": x1,
+            "x0": x0,
+            "cost_individuals": individuals,
+            "cost_coalition": coalition,
+            "cost_social": social,
+            "norm_cost_individuals": individuals / scale,
+            "norm_cost_coalition": coalition / scale,
+            "norm_cost_social": social / scale,
+            "regime": regime or "",
+            "status": status if error is None else f"error: {error}",
         }
-        for p in result.points
+        for m, x1, x0, individuals, coalition, social, regime, _, status, error in result.points
     ]
 
 

@@ -311,9 +311,12 @@ def _bisect(
         return roots
     f = inst.cost
     m, lo, hi = m[wide], lo[wide], hi[wide]
-    f_lo = _imbalance(inst, m, lo, f.value, f.derivative)
-    f_hi = _imbalance(inst, m, hi, f.value, f.derivative)
-    _finite((f_lo, f_hi), "stationarity value at a bracket end")
+    # Both ends take one checked call of f and f' per side, so a DomainError
+    # names the extreme load of the two ends together.
+    f_lo, f_hi = _finite(
+        _imbalance(inst, m, np.stack((lo, hi)), f.value, f.derivative),
+        "stationarity value at a bracket end",
+    )
     slack = 1e-9 * _imbalance_scale(inst, m)
     at_lo = f_lo > 0.0
     at_hi = ~at_lo & (f_hi < 0.0)

@@ -508,6 +508,29 @@ def test_verify_rejects_tampered_report(tmp_path):
     assert main(["verify", "--report", str(report_path), "--gap-tol", "1e-8"]) == 1
 
 
+@pytest.mark.parametrize("gap_tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
+def test_verify_refuses_a_gap_tol_that_is_no_finite_number_at_least_zero(
+    tmp_path, capsys, gap_tol
+):
+    # -1 used to fail with no witness, nan to fail and inf to certify anything.
+    out = tmp_path / "out"
+    config = os.path.join(SHIPPED_CONFIGS, "three_slot_solve.json")
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out / "report.json"), f"--gap-tol={gap_tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --gap-tol must be a finite number >= 0, got ")
+
+
+def test_verify_accepts_a_zero_gap_tol(tmp_path):
+    # The closed form's profile recomputes to a gap of exactly zero.
+    out = tmp_path / "out"
+    config = os.path.join(SHIPPED_CONFIGS, "three_slot_solve.json")
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    assert main(["verify", "--report", str(out / "report.json"), "--gap-tol", "0"]) == 0
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 

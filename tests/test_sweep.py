@@ -9,6 +9,7 @@ import pytest
 
 from chargegame import (
     AffineCost,
+    AuditVerdict,
     BracketingError,
     ChargeGameError,
     CustomCost,
@@ -43,7 +44,7 @@ from chargegame import (
 )
 from chargegame import sweep, threeslot, verify
 from chargegame.dynamics import default_step_schedule
-from chargegame.sweep import write_csv
+from chargegame.sweep import DEFAULT_AUDIT_TOL, write_csv
 from chargegame.threeslot import BISECTION_TOL, _grid_solution
 from conftest import random_three_slot
 
@@ -109,6 +110,34 @@ def test_per_branch_concavity_fails_on_nan():
     straddling = audit_concave_branches([0.0, 1.0, 2.0, math.nan], list("aaab"))
     assert straddling.passed
     assert straddling.worst_pair == (0, 2)
+
+
+# --- the sweep record ---------------------------------------------------------
+
+
+def test_sweep_point_is_an_immutable_record_with_fixed_fields():
+    point = SweepPoint(m=0.5, x1=0.25, x0=0.0, cost_individuals=1.0, cost_coalition=2.0,
+                       cost_social=1.5, regime="coalition-split", gap=0.0, status="analytic")
+    assert SweepPoint._fields == (
+        "m", "x1", "x0", "cost_individuals", "cost_coalition", "cost_social",
+        "regime", "gap", "status", "error",
+    )
+    assert point.error is None
+    positional = (0.5, 0.25, 0.0, 1.0, 2.0, 1.5, "coalition-split", 0.0, "analytic")
+    assert tuple(point) == (*positional, None)
+    assert point == SweepPoint(*positional)
+    assert repr(point) == (
+        "SweepPoint(m=0.5, x1=0.25, x0=0.0, cost_individuals=1.0, cost_coalition=2.0, "
+        "cost_social=1.5, regime='coalition-split', gap=0.0, status='analytic', error=None)"
+    )
+    for name in (*SweepPoint._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(point, name, 1.0)
+    failed = SweepPoint(m=0.5, x1=math.nan, x0=math.nan, cost_individuals=math.nan,
+                        cost_coalition=math.nan, cost_social=math.nan, regime=None,
+                        gap=math.nan, status="error", error="boom")
+    assert failed.error == "boom"
+    assert failed.regime is None
 
 
 # --- closed-form sweeps ------------------------------------------------------
@@ -243,12 +272,22 @@ def test_solver_failures_recorded_per_point():
 
 def test_grid_validation():
     inst = band_instance()
-    with pytest.raises(SpecError):
-        run_sweep(inst, np.array([0.0, 0.5]))
-    with pytest.raises(SpecError):
-        run_sweep(inst, np.array([0.5, 0.4]))
-    with pytest.raises(SpecError):
-        run_sweep(inst, np.array([0.5, 1.5]))
+    nan = math.nan
+    outside, unordered = r"must lie in \(0, 1\]", "must be strictly increasing"
+    cases = [
+        ([0.0, 0.5], outside),
+        ([0.5, 1.5], outside),
+        ([0.5, 0.4], unordered),
+        ([0.5, 0.5], unordered),
+        # A NaN fails every comparison, so each check is a negated one.
+        ([0.5, nan], outside),
+        ([nan, 0.5], outside),
+        ([nan], outside),
+    ]
+    for solver in ("analytic", "dynamics", "auto"):
+        for grid, message in cases:
+            with pytest.raises(SpecError, match=message):
+                run_sweep(inst, np.array(grid), solver=solver)
     with pytest.raises(SpecError):
         run_sweep(inst, np.array([0.5]), solver="newton")
 
@@ -376,7 +415,7 @@ def per_point_sweep(base, grid, **options):
 
 def point_bits(point):
     # repr keeps every float bit, tells -0.0 from 0.0 and prints NaN as nan.
-    return [repr(getattr(point, field.name)) for field in dataclasses.fields(point)]
+    return [repr(getattr(point, name)) for name in point._fields]
 
 
 def assert_batch_matches_per_point(base, grid, **options):
@@ -500,10 +539,63 @@ def solve_each(base, grid):
     return outcomes
 
 
+# The monotone audits by point field and direction, as run_sweep names them.
+MONOTONE_AUDITS = (
+    ("x1", "nondecreasing"),
+    ("x0", "nonincreasing"),
+    ("cost_individuals", "nonincreasing"),
+    ("cost_coalition", "nonincreasing"),
+    ("cost_social", "nonincreasing"),
+)
+
+
+def audits_from_records(points, tol=DEFAULT_AUDIT_TOL):
+    """An analytic sweep's audits, from its records and the public audits."""
+    failed = sum(p.error is not None for p in points)
+    if failed:
+        note = f"{failed} grid points failed; audits skipped"
+        return {"solver_failures": AuditVerdict(False, math.inf, note=note)}
+    audits = {
+        f"{field}_{direction}": audit_monotone([getattr(p, field) for p in points], direction, tol)
+        for field, direction in MONOTONE_AUDITS
+    }
+    audits["x1_concave_per_branch"] = audit_concave_branches(
+        [p.x1 for p in points], [p.regime for p in points], tol
+    )
+    return audits
+
+
+def rows_from_records(points):
+    """sweep_rows of these records, one attribute at a time."""
+    scale = next((p.cost_social for p in points if p.error is None), math.nan)
+    scale = scale if scale and not math.isnan(scale) else math.nan
+    return [
+        {
+            "m": p.m,
+            "x1": p.x1,
+            "x0": p.x0,
+            "cost_individuals": p.cost_individuals,
+            "cost_coalition": p.cost_coalition,
+            "cost_social": p.cost_social,
+            "norm_cost_individuals": p.cost_individuals / scale,
+            "norm_cost_coalition": p.cost_coalition / scale,
+            "norm_cost_social": p.cost_social / scale,
+            "regime": p.regime or "",
+            "status": p.status if p.error is None else f"error: {p.error}",
+        }
+        for p in points
+    ]
+
+
 def assert_analytic_matches_per_point(base, grid):
-    swept = run_sweep(base, np.asarray(grid, dtype=float)).points
-    assert [point_bits(p) for p in swept] == [point_bits(p) for p in per_point_analytic(base, grid)]
-    return swept
+    """The analytic sweep's points, rows and audits against those of the
+    closed form of each point alone, audited by the public audits."""
+    result = run_sweep(base, np.asarray(grid, dtype=float))
+    expected = per_point_analytic(base, grid)
+    assert [point_bits(p) for p in result.points] == [point_bits(p) for p in expected]
+    assert repr(sweep_rows(result)) == repr(rows_from_records(expected))
+    assert repr(result.audits) == repr(audits_from_records(expected))
+    return result.points
 
 
 def boundary_grid(inst):
@@ -600,12 +692,10 @@ def test_non_finite_certificate_errors_only_its_point():
     # The coalition's gradient divided by a subnormal mass overflows.
     inst = ThreeSlotInstance(2.0, 1.0, 1.0, 0.5, LinearCost())
     grid = np.array([5e-324, 0.25, 0.5, 1.0])
-    result = run_sweep(inst, grid)
-    assert result.points[0].status == "error"
-    assert "non-finite strategy costs" in result.points[0].error
-    assert "solver_failures" in result.audits
-    expected = per_point_analytic(inst, grid[1:])
-    assert [point_bits(p) for p in result.points[1:]] == [point_bits(p) for p in expected]
+    points = assert_analytic_matches_per_point(inst, grid)
+    assert points[0].status == "error"
+    assert "non-finite strategy costs" in points[0].error
+    assert all(p.error is None for p in points[1:])
 
 
 def test_mixed_failures_in_one_grid_keep_each_points_own_error():
