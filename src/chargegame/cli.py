@@ -78,17 +78,9 @@ SWEEP_DEFAULTS = {
 }
 
 
-def _sig12(value: float) -> float:
-    if value is None or isinstance(value, bool):
-        return value
-    if math.isnan(value) or math.isinf(value):
-        return value
-    return float(f"{value:.12g}")
-
-
 def _round_floats(obj):
     if isinstance(obj, float):
-        return _sig12(obj)
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -123,6 +115,8 @@ def load_profile_csv(path: str, normalize: bool = False) -> np.ndarray:
                 raise SpecError(
                     f"{path}:{lineno}: non-numeric entry {row!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise SpecError(f"{path}:{lineno}: non-finite load {row[1]!r}")
             expected = len(loads) + 1
             if t != expected:
                 raise SpecError(
@@ -183,7 +177,7 @@ def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> 
         meta.update({"source": profile_cfg["csv"], "normalized": normalize})
     else:
         _check("load_profile", profile_cfg, "a list or a mapping", isinstance(profile_cfg, list))
-        loads = np.array([_real(f"load_profile[{i}]", x) for i, x in enumerate(profile_cfg)])
+        loads = np.array(_reals("load_profile", profile_cfg))
         if normalize_flag:
             loads = _peak_normalized(loads, "inline load_profile")
             meta["normalized"] = True
@@ -203,6 +197,12 @@ def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> 
 
 def _integer(field: str, value, minimum: int) -> int:
     return int(_check(field, value, f"an integer >= {minimum}", _is_integer(value, minimum)))
+
+
+def _reals(field: str, values) -> list[float]:
+    """The entries of the list ``values`` as floats, each a finite number."""
+    _check(field, values, "a list", isinstance(values, list))
+    return [_real(f"{field}[{i}]", x) for i, x in enumerate(values)]
 
 
 def _section(raw: dict, name: str, keys) -> dict:
@@ -247,14 +247,13 @@ def _resolve_sweep(given: dict) -> dict:
 
 def build_game(resolved: dict) -> GameSpec:
     game = resolved["game"]
-    weights = _check("game.weights", game["weights"], "a list", isinstance(game["weights"], list))
     return GameSpec(
         horizon=_integer("game.horizon", game["horizon"], 1),
         duration=_integer("game.duration", game["duration"], 1),
         power=_real("game.power", game["power"]),
         base_load=np.array(resolved["load_profile"]),
         cost=cost_from_config(game["cost"], "game.cost"),
-        weights=np.array([_real(f"game.weights[{i}]", w) for i, w in enumerate(weights)]),
+        weights=np.array(_reals("game.weights", game["weights"])),
     )
 
 
@@ -308,9 +307,11 @@ def report_to_dict(report: EquilibriumReport, resolved: dict) -> dict:
 
 
 def report_from_dict(data: dict) -> tuple[GameSpec, Profile, dict]:
-    spec = build_game({"game": data["game"], "load_profile": data["game"]["base_load"]})
-    profile = Profile.from_rows(spec, np.array(data["profile"], dtype=float))
-    return spec, profile, data
+    game, rows = data["game"], data["profile"]
+    spec = build_game({"game": game, "load_profile": _reals("game.base_load", game["base_load"])})
+    _check("profile", rows, "a list", isinstance(rows, list))
+    rows = [_reals(f"profile[{i}]", row) for i, row in enumerate(rows)]
+    return spec, Profile.from_rows(spec, rows), data
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -463,8 +464,9 @@ def _cmd_verify(args) -> int:
         data = json.load(handle)
     with _ingesting("report"):
         spec, profile, stored = report_from_dict(data)
-        status, iterations = SolverStatus(stored["status"]), stored["iterations"]
-        stored_gap = float(stored["vi_gap"])
+        status = SolverStatus(stored["status"])
+        iterations = _integer("iterations", stored["iterations"], 0)
+        stored_gap = _real("vi_gap", stored["vi_gap"])
     gap = vi_gap(spec, profile)
     report = make_report(spec, profile, status, iterations=iterations, gap=gap)
     wardrop_ok = report.wardrop_slack <= args.gap_tol
@@ -530,7 +532,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # A non-finite cost or gradient ends in the NumericsError of
-        # verify._finite_gap; numpy's warnings about it would only be noise.
+        # verify._finite; numpy's warnings about it would only be noise.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if args.command == "solve":
                 return _cmd_solve(args)

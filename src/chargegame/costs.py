@@ -41,38 +41,46 @@ class CostFunction(abc.ABC):
     domain_bound: float | None
 
     @abc.abstractmethod
+    def _raw_pair(self, load: np.ndarray):
+        """f(load) and f'(load) without domain checks.  f' may be a scalar
+        where the family's slope is constant, and is None for a family
+        without a derivative."""
+
     def _raw_value(self, load: np.ndarray) -> np.ndarray:
         """f(load) without domain checks."""
-
-    @abc.abstractmethod
-    def _raw_derivative(self, load: np.ndarray) -> np.ndarray:
-        """f'(load) without domain checks."""
-
-    def _raw_pair(self, load: np.ndarray):
-        """f(load) and f'(load) without domain checks, for a caller that
-        needs both; f' may come as a scalar where the family's slope is
-        constant."""
-        return self._raw_value(load), self._raw_derivative(load)
+        return self._raw_pair(load)[0]
 
     def has_derivative(self) -> bool:
         return True
 
     def value(self, load):
         """Evaluate f at a scalar or array load inside [0, W]."""
-        return self._evaluate(self._raw_value, load)
+        arr = self._checked(load)
+        out = self._raw_value(arr)
+        return float(out) if arr.ndim == 0 else out
 
     def derivative(self, load):
         """Evaluate f' at a scalar or array load inside [0, W]."""
+        return self._pair(load)[1]
+
+    def _pair(self, load):
+        """f and f' at a scalar or array load inside [0, W], as value() and
+        derivative() return them, after one domain check; a SpecError for
+        a family without a derivative."""
         if not self.has_derivative():
             raise SpecError(f"{type(self).__name__} provides no derivative")
-        return self._evaluate(self._raw_derivative, load)
+        arr = self._checked(load)
+        value, slope = self._raw_pair(arr)
+        if arr.ndim == 0:
+            return float(value), float(slope)
+        return value, np.full_like(arr, slope) if np.ndim(slope) < arr.ndim else slope
 
-    def _evaluate(self, raw, load):
+    def _checked(self, load) -> np.ndarray:
+        """``load`` as a float array, once it passed the domain check."""
         arr = np.asarray(load, dtype=float)
         if arr.size:
             self._check_domain(float(arr.min()), float(arr.max()))
-        out = raw(arr)
-        return float(out) if arr.ndim == 0 else out
+        return arr
 
     def _check_domain(self, lo: float, hi: float) -> None:
         if lo < -DOMAIN_SLACK:
@@ -97,12 +105,6 @@ class LinearCost(CostFunction):
             raise SpecError("linear cost requires a nonnegative intercept")
         _check_bound(self.domain_bound)
 
-    def _raw_value(self, load):
-        return self.slope * load + self.intercept
-
-    def _raw_derivative(self, load):
-        return np.full_like(load, self.slope)
-
     def _raw_pair(self, load):
         return self.slope * load + self.intercept, self.slope
 
@@ -116,11 +118,8 @@ class QuadraticCost(CostFunction):
     def __post_init__(self):
         _check_bound(self.domain_bound)
 
-    def _raw_value(self, load):
-        return load * load
-
-    def _raw_derivative(self, load):
-        return 2.0 * load
+    def _raw_pair(self, load):
+        return load * load, 2.0 * load
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,6 @@ class ExponentialCost(CostFunction):
         if self.rate <= 0:
             raise SpecError("exponential cost requires a positive rate")
         _check_bound(self.domain_bound)
-
-    def _raw_value(self, load):
-        return np.exp(self.rate * load)
-
-    def _raw_derivative(self, load):
-        return self.rate * np.exp(self.rate * load)
 
     def _raw_pair(self, load):
         grown = np.exp(self.rate * load)
@@ -183,8 +176,10 @@ class CustomCost(CostFunction):
     def _raw_value(self, load):
         return np.asarray(self.value_fn(np.asarray(load)), dtype=float)
 
-    def _raw_derivative(self, load):
-        return np.asarray(self.derivative_fn(np.asarray(load)), dtype=float)
+    def _raw_pair(self, load):
+        derivative = self.derivative_fn
+        slope = None if derivative is None else np.asarray(derivative(np.asarray(load)), dtype=float)
+        return self._raw_value(load), slope
 
 
 @dataclass(frozen=True)
@@ -211,15 +206,9 @@ class AffineCost(CostFunction):
     def has_derivative(self) -> bool:
         return self.base.has_derivative()
 
-    def _raw_value(self, load):
-        return self.scale * self.base._raw_value(load) + self.shift
-
-    def _raw_derivative(self, load):
-        return self.scale * self.base._raw_derivative(load)
-
     def _raw_pair(self, load):
         value, slope = self.base._raw_pair(load)
-        return self.scale * value + self.shift, self.scale * slope
+        return self.scale * value + self.shift, None if slope is None else self.scale * slope
 
 
 def with_domain_bound(fn: CostFunction, bound: float) -> CostFunction:

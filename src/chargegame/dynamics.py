@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ChargeGameError, SpecError, _is_integer
 from .model import Flow, GameSpec, Profile, _gradient_kernel
-from .verify import SolverStatus, TraceRow, _finite_gap, _gap_reduction, make_report
+from .verify import SolverStatus, TraceRow, _finite, _gap_reduction, make_report
 
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_GAP_TOL = 1e-6
@@ -152,7 +152,7 @@ def solve_dynamics(
 
 
 # A non-finite cost or gradient ends its game with the NumericsError of
-# verify._finite_gap; numpy's warnings on the way there would be noise.
+# verify._finite; numpy's warnings on the way there would be noise.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _solve_batch(
     specs,
@@ -191,10 +191,10 @@ def _solve_batch(
     # top gives the step scale.
     envelope = np.array([spec.base_load.min(), spec.base_load.max() + spec.power])
     try:
-        values = cost.value(envelope)
         if cost.has_derivative() or weights[len(specs):].max(initial=0.0) > 0.0:
             slope = float(np.max(cost.derivative(envelope)))  # f' is increasing
         else:  # a family without a derivative: its secant over the envelope
+            values = cost.value(envelope)
             slope = float((values[1] - values[0]) / (envelope[1] - envelope[0]))
     except ChargeGameError as exc:
         return [exc] * len(specs)
@@ -252,7 +252,7 @@ def _solve_batch(
 def _outcome(spec: GameSpec, rows: np.ndarray, gap: float, gap_tol: float, iteration: int, trace):
     """The report of a game leaving the stack, or the error that ended it."""
     try:
-        gap = _finite_gap(gap)
+        gap = _finite(gap)
         status = SolverStatus.CONVERGED if gap <= gap_tol else SolverStatus.MAX_ITER_REACHED
         if trace is not None:
             if trace[-1].iteration != iteration:

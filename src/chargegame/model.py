@@ -12,6 +12,7 @@ start-slot and player indices in this package are 0-based.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,29 +101,29 @@ class GameSpec:
             raise SpecError("horizon must be a positive integer")
         if not 1 <= self.duration <= self.horizon:
             raise SpecError("duration must satisfy 1 <= duration <= horizon")
-        if self.power < 0:
-            raise SpecError("power must be nonnegative")
+        if not 0 <= self.power < math.inf:
+            raise SpecError("power must be finite and nonnegative")
 
         load = np.asarray(self.base_load, dtype=float)
         if load.shape != (self.horizon,):
             raise SpecError(
                 f"base_load must have length {self.horizon}, got shape {load.shape}"
             )
-        if load.size and load.min() < 0:
-            raise SpecError("base_load entries must be nonnegative")
+        if not (np.isfinite(load).all() and load.min() >= 0):
+            raise SpecError("base_load entries must be finite and nonnegative")
 
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size < 1:
             raise SpecError("weights must be a nonempty vector")
-        if weights.min() < 0:
-            raise SpecError("weights must be nonnegative")
+        if not (np.isfinite(weights).all() and weights.min() >= 0):
+            raise SpecError("weights must be finite and nonnegative")
         total = float(weights.sum())
-        if abs(total - 1.0) > SIMPLEX_TOL:
+        if not abs(total - 1.0) <= SIMPLEX_TOL:
             raise SpecError(f"weights must sum to 1, got {total}")
         weights = _unit_weights(weights)
 
         cost = self.cost
-        peak = float(load.max()) + self.power if load.size else self.power
+        peak = float(load.max()) + self.power
         if cost.domain_bound is None:
             cost = with_domain_bound(cost, DEFAULT_BOUND_FACTOR * max(peak, 1.0))
         elif peak > cost.domain_bound + SIMPLEX_TOL:
@@ -165,14 +166,14 @@ class Flow:
         if values.ndim != 1 or values.size < 1:
             raise SpecError("flow values must be a nonempty vector")
         mass = float(self.mass)
-        if mass < -SIMPLEX_TOL:
-            raise SpecError("flow mass must be nonnegative")
+        if not -SIMPLEX_TOL <= mass < math.inf:
+            raise SpecError("flow mass must be finite and nonnegative")
         mass = max(mass, 0.0)
-        if values.min() < -SIMPLEX_TOL:
-            raise SpecError("flow entries must be nonnegative")
+        if not (np.isfinite(values).all() and values.min() >= -SIMPLEX_TOL):
+            raise SpecError("flow entries must be finite and nonnegative")
         values, total = _onto_masses(values, mass)
         total = float(total[0])
-        if abs(total - mass) > SIMPLEX_TOL:
+        if not abs(total - mass) <= SIMPLEX_TOL:
             raise SpecError(
                 f"flow entries sum to {total}, expected mass {mass} "
                 f"(tolerance {SIMPLEX_TOL})"
@@ -324,8 +325,8 @@ def _gradient_kernel(
     marginal prices; per-game terms are basic views, so a stack of one game
     runs the single-game array shapes.  f and f' are evaluated on the slot
     loads of all games end to end, f' only when some coalition has mass;
-    ``checked`` evaluates them through the cost family's domain checks, and
-    otherwise raw, for a caller that has checked the load envelope.
+    ``checked`` evaluates them after one domain check of the cost family,
+    and otherwise raw, for a caller that has checked the load envelope.
 
     The kernel writes into buffers it allocates once, so each call returns
     the same gradient array, overwritten by the next call.
@@ -345,15 +346,7 @@ def _gradient_kernel(
     divisors[0] = 1.0
     divisors[masses <= 0.0] = np.inf
     divisors = divisors.repeat(slots, axis=1)
-    if checked:
-        value = cost.value
-
-        def prices(load):
-            slope = cost.derivative(load)
-            return cost.value(load), slope
-
-    else:
-        value, prices = cost._raw_value, cost._raw_pair
+    value, pair = (cost.value, cost._pair) if checked else (cost._raw_value, cost._raw_pair)
     # Row 0 of by_player ends up holding f and row i > 0 player i's load
     # times f'; after the second product, row 0 of sums holds u of every
     # game and row i > 0 crowding_i.
@@ -372,7 +365,7 @@ def _gradient_kernel(
         np.multiply(power, load, out=load)
         np.add(base_load, load, out=load)
         if crowded:
-            f, slope = prices(load)
+            f, slope = pair(load)
             np.multiply(by_player, slope, out=by_player)
         else:
             f = value(load)

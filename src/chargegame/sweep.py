@@ -38,7 +38,7 @@ from .threeslot import (
     equilibrium_profile,
     instance_from_spec,
 )
-from .verify import EquilibriumReport, SolverStatus, _finite_gap, _gaps, make_report, vi_gap
+from .verify import EquilibriumReport, SolverStatus, _finite, _gaps, make_report, vi_gap
 
 DEFAULT_GRID_SIZE = 101
 DEFAULT_GRID_START = 0.01
@@ -308,7 +308,7 @@ def _certified_points(
     rows, _ = _onto_masses(rows, masses)
     weights = _unit_weights(np.stack((1.0 - sizes, sizes), axis=1)).T.ravel()
     kernel = _gradient_kernel(spec, weights)
-    gaps = _finite_gap(_gaps(weights, rows, kernel(rows), spec.num_players))
+    gaps = _finite(_gaps(weights, rows, kernel(rows), spec.num_players))
     regimes = (_regime(gapped, False).value, _regime(gapped, True).value)
     social, individuals, coalition = costs
     columns = (values.tolist() for values in (sizes, x1, x0, individuals, coalition, social))

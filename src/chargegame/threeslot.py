@@ -33,8 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostFunction
-from .errors import BracketingError, NumericsError, SpecError
+from .errors import BracketingError, SpecError
 from .model import Flow, GameSpec, Profile, supports_reduced_costs
+from .verify import _finite
 
 # Absolute tolerance on the coalition split found by bisection.
 BISECTION_TOL = 1e-12
@@ -79,9 +80,10 @@ class ThreeSlotInstance:
     cost: CostFunction
 
     def __post_init__(self):
-        if self.peak_load < 0 or self.mid_load < 0 or self.offpeak_load < 0:
-            raise SpecError("slot loads must be nonnegative")
-        if self.peak_load < self.offpeak_load:
+        loads = (self.peak_load, self.mid_load, self.offpeak_load)
+        if not all(0 <= load < math.inf for load in loads):
+            raise SpecError("slot loads must be finite and nonnegative")
+        if not self.peak_load >= self.offpeak_load:
             raise SpecError(
                 "peak_load must be >= offpeak_load; swap the outer slots"
             )
@@ -128,8 +130,9 @@ def activation_threshold(inst: ThreeSlotInstance) -> float:
     alternative further.
     """
     f = inst.cost
-    cheap = 1.0 + inst.offpeak_load
-    return (f.value(inst.peak_load) - f.value(cheap)) / f.derivative(cheap)
+    peak = f.value(inst.peak_load)
+    cheap, slope = f._pair(1.0 + inst.offpeak_load)
+    return (peak - cheap) / slope
 
 
 def mixing_band(inst: ThreeSlotInstance) -> float:
@@ -147,8 +150,7 @@ def marginal_imbalance(inst: ThreeSlotInstance, split: float) -> float:
     there, on both sides).  It is strictly increasing in ``split`` for
     convex increasing families, and its root is the equilibrium split.
     """
-    f = inst.cost
-    return float(_imbalance(inst, inst.coalition_size, split, f.value, f.derivative))
+    return float(_imbalance(inst, inst.coalition_size, split))
 
 
 def classify(inst: ThreeSlotInstance) -> Regime:
@@ -223,8 +225,8 @@ def _regime(gapped: bool, split: bool) -> Regime:
     return Regime.SATURATED_SPLIT if split else Regime.SHARED_PEAK
 
 
-# A threshold that overflows ends in _finite's NumericsError; numpy's warnings
-# on the way there would be noise.
+# A threshold that overflows ends in the NumericsError of verify._finite;
+# numpy's warnings on the way there would be noise.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _classify(inst: ThreeSlotInstance, sizes: np.ndarray) -> tuple[bool, np.ndarray]:
     """Whether ``inst`` is gapped, and per coalition size whether its
@@ -235,36 +237,19 @@ def _classify(inst: ThreeSlotInstance, sizes: np.ndarray) -> tuple[bool, np.ndar
     return False, sizes >= mixing_band(inst)
 
 
-def _finite(values, what: str):
-    """``values``, or a NumericsError when one of them is not finite: f or
-    f' overflowed, and no comparison with NaN or inf can place a point."""
-    if not np.isfinite(values).all():
-        raise NumericsError(f"non-finite {what}; check the cost family scale")
-    return values
-
-
-def _imbalance(inst: ThreeSlotInstance, m, split, value, derivative):
+def _imbalance(inst: ThreeSlotInstance, m, split):
     """:func:`marginal_imbalance` at coalition sizes ``m``, scalars or
-    arrays, with ``value`` and ``derivative`` evaluating f and f'."""
-    peak = inst.peak_load + split
-    offpeak = 1.0 + inst.offpeak_load - split
-    return (
-        value(peak)
-        + split * derivative(peak)
-        - value(offpeak)
-        - (m - split) * derivative(offpeak)
-    )
+    arrays, from one checked pair of f and f' per side."""
+    f_peak, d_peak = inst.cost._pair(inst.peak_load + split)
+    f_offpeak, d_offpeak = inst.cost._pair(1.0 + inst.offpeak_load - split)
+    return f_peak + split * d_peak - f_offpeak - (m - split) * d_offpeak
 
 
 def _imbalance_scale(inst: ThreeSlotInstance, m):
     f = inst.cost
-    cheap = 1.0 + inst.offpeak_load
-    return (
-        1.0
-        + abs(f.value(inst.peak_load + m))
-        + abs(f.value(cheap))
-        + m * abs(f.derivative(cheap))
-    )
+    peak = f.value(inst.peak_load + m)
+    cheap, slope = f._pair(1.0 + inst.offpeak_load)
+    return 1.0 + abs(peak) + abs(cheap) + m * abs(slope)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -309,13 +294,11 @@ def _bisect(
     wide = np.flatnonzero(hi - lo > BISECTION_TOL)
     if not wide.size:
         return roots
-    f = inst.cost
     m, lo, hi = m[wide], lo[wide], hi[wide]
-    # Both ends take one checked call of f and f' per side, so a DomainError
+    # Both ends take one checked pair of f and f' per side, so a DomainError
     # names the extreme load of the two ends together.
     f_lo, f_hi = _finite(
-        _imbalance(inst, m, np.stack((lo, hi)), f.value, f.derivative),
-        "stationarity value at a bracket end",
+        _imbalance(inst, m, np.stack((lo, hi))), "stationarity value at a bracket end"
     )
     slack = 1e-9 * _imbalance_scale(inst, m)
     at_lo = f_lo > 0.0

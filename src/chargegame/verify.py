@@ -49,7 +49,7 @@ def support_threshold(mass: float) -> float:
     return DEFAULT_SUPPORT_RATIO * mass
 
 
-# The non-finite verdict is _finite_gap's; numpy's warnings on the way to it
+# The non-finite verdict is _finite's; numpy's warnings on the way to it
 # would be noise.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def vi_gap(spec: GameSpec, profile: Profile) -> float:
@@ -66,7 +66,7 @@ def vi_gap(spec: GameSpec, profile: Profile) -> float:
     """
     gradients = player_gradients(spec, profile)
     gap = _gaps(spec.weights, profile.matrix(), gradients, spec.num_players)[0]
-    return _finite_gap(gap)
+    return _finite(gap)
 
 
 def _gaps(masses, rows: np.ndarray, gradients: np.ndarray, players: int) -> list:
@@ -141,13 +141,14 @@ def _gap_reduction(masses: np.ndarray, players: int):
     return gaps
 
 
-def _finite_gap(gap):
-    """``gap``, a float or a list of them, as a solver's certificate: a gap
-    that is not finite means some strategy cost is not, and such a profile
-    is no result."""
-    if not np.isfinite(gap).all():
-        raise NumericsError("non-finite strategy costs encountered; check the cost family scale")
-    return gap
+def _finite(values, what: str = "strategy costs encountered"):
+    """``values``, a float or a list or array of them, or a NumericsError
+    when one is not finite: f or f' overflowed somewhere on the way.  By
+    default ``values`` are certificate gaps, and a profile whose gap is not
+    finite is no result."""
+    if not np.isfinite(values).all():
+        raise NumericsError(f"non-finite {what}; check the cost family scale")
+    return values
 
 
 @dataclass(frozen=True)

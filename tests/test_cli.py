@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -217,6 +218,17 @@ def test_normalizing_an_all_zero_profile_is_refused(tmp_path, capsys):
     inline = band_config(tmp_path, load_profile=[0.0, 0.0, 0.0])
     assert main(["solve", "--config", inline, "--normalize", "--print-config"]) == 2
     assert "inline load_profile: cannot normalize" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+@pytest.mark.parametrize("flags", [["--print-config"], []], ids=["print-config", "solve"])
+def test_a_non_finite_csv_load_is_refused_with_its_line(tmp_path, capsys, cell, flags):
+    (tmp_path / "loads.csv").write_text(f"t,load\n1,1.5\n2,{cell}\n3,1\n")
+    config = band_config(tmp_path, load_profile={"csv": "loads.csv"})
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "out"), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'loads.csv'}:3: non-finite load {cell!r}\n"
 
 
 def test_normalize_flag_applies_to_inline_profile(tmp_path, capsys):
@@ -614,27 +626,45 @@ MALFORMED_FIELDS = {
 }
 
 
-def report_without_status(tmp_path):
+def tampered_report(tmp_path, edit):
+    """The verify command line of a solved band report changed by ``edit``."""
     out = tmp_path / "out"
     assert main(["solve", "--config", band_config(tmp_path), "--out", str(out)]) == 0
     data = json.loads((out / "report.json").read_text())
-    del data["status"]
+    edit(data)
     (out / "report.json").write_text(json.dumps(data))
     return ["verify", "--report", str(out / "report.json")]
 
 
-def report_with_fractional_horizon(tmp_path):
-    out = tmp_path / "out"
-    assert main(["solve", "--config", band_config(tmp_path), "--out", str(out)]) == 0
-    data = json.loads((out / "report.json").read_text())
-    data["game"]["horizon"] = 3.5
-    (out / "report.json").write_text(json.dumps(data))
-    return ["verify", "--report", str(out / "report.json")]
+def set_field(*path, value):
+    """An edit replacing the entry at ``path`` with ``value`` of it."""
+
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value(data[path[-1]])
+
+    return edit
 
 
+# Each report case, and the field its error names (None: no field named).
 MALFORMED_REPORTS = {
-    "report-without-status": report_without_status,
-    "report-horizon-not-integral": report_with_fractional_horizon,
+    "report-without-status": (lambda data: data.pop("status"), None),
+    "report-horizon-not-integral": (
+        set_field("game", "horizon", value=lambda _: 3.5), "game.horizon must be an integer"
+    ),
+    "report-base-load-entry-a-string": (
+        set_field("game", "base_load", 0, value=str), "game.base_load[0] must be a finite number"
+    ),
+    "report-base-load-entry-a-boolean": (
+        set_field("game", "base_load", 1, value=lambda _: True), "game.base_load[1]"
+    ),
+    "report-profile-entry-a-string": (set_field("profile", 1, 0, value=str), "profile[1][0]"),
+    "report-profile-entry-nan": (
+        set_field("profile", 0, 0, value=lambda _: math.nan), "profile[0][0] must be a finite"
+    ),
+    "report-vi-gap-a-string": (set_field("vi_gap", value=lambda _: "0"), "vi_gap"),
+    "report-iterations-a-string": (set_field("iterations", value=lambda _: "many"), "iterations"),
 }
 
 
@@ -647,15 +677,15 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
         config = band_config(tmp_path, **MALFORMED_CONFIGS[case])
         argv = ["solve", "--config", config, "--out", str(tmp_path / "out")]
     else:
-        argv = MALFORMED_REPORTS[case](tmp_path)
+        argv = tampered_report(tmp_path, MALFORMED_REPORTS[case][0])
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed") and "Traceback" not in err
     if case in MALFORMED_FIELDS:
         assert err.startswith(f"error: malformed config: {MALFORMED_FIELDS[case]}")
-    if case == "report-horizon-not-integral":
-        assert err.startswith("error: malformed report: game.horizon must be an integer")
+    if case in MALFORMED_REPORTS and MALFORMED_REPORTS[case][1] is not None:
+        assert err.startswith(f"error: malformed report: {MALFORMED_REPORTS[case][1]}")
 
 
 # --- import cost -------------------------------------------------------------

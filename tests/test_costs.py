@@ -86,18 +86,26 @@ def _upper_edge(fn):
 @pytest.mark.parametrize("kind", LOAD_KINDS)
 @pytest.mark.parametrize("fn", EVALUATION_FAMILIES, ids=lambda f: type(f).__name__)
 def test_scalar_and_array_evaluation_agree(fn, kind):
-    """Each load evaluates bit-identically to its entry in an array call."""
+    """Each load evaluates bit-identically to its entry in an array call,
+    and the checked pair is (value, derivative) for every load."""
     make = LOAD_KINDS[kind]
     loads = np.array([-DOMAIN_SLACK, 0.0, 1.0, 1.75, 3.3, 4.0, _upper_edge(fn)])
     values, slopes = fn.value(loads), fn.derivative(loads)
+    pair_values, pair_slopes = fn._pair(loads)
+    assert type(pair_values) is np.ndarray and type(pair_slopes) is np.ndarray
+    assert pair_values.tobytes() == values.tobytes()
+    assert pair_slopes.tobytes() == slopes.tobytes()
     for load, value, slope in zip(loads.tolist(), values, slopes):
-        got_value, got_slope = fn.value(make(load)), fn.derivative(make(load))
-        if kind == "1-element-array":
-            assert got_value.shape == got_slope.shape == (1,)
-            got_value, got_slope = got_value[0], got_slope[0]
-        else:
-            assert type(got_value) is float and type(got_slope) is float
-        assert got_value == value and got_slope == slope
+        for got_value, got_slope in (
+            (fn.value(make(load)), fn.derivative(make(load))),
+            fn._pair(make(load)),
+        ):
+            if kind == "1-element-array":
+                assert got_value.shape == got_slope.shape == (1,)
+                got_value, got_slope = got_value[0], got_slope[0]
+            else:
+                assert type(got_value) is float and type(got_slope) is float
+            assert got_value == value and got_slope == slope
 
 
 @pytest.mark.parametrize("kind", LOAD_KINDS)
@@ -178,6 +186,37 @@ def test_custom_cost_without_derivative():
     assert not fn.has_derivative()
     with pytest.raises(SpecError):
         fn.derivative(1.0)
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["custom", "affine-over-custom"])
+def test_a_value_only_family_evaluates_f_and_refuses_f_prime(wrap):
+    fn = CustomCost(lambda x: x * x, None, domain_bound=2.0)
+    if wrap:
+        fn = AffineCost(fn, 2.0, 1.0)
+    assert fn.value(1.5) == (5.5 if wrap else 2.25)
+    np.testing.assert_array_equal(fn.value(np.array([0.0, 1.0])), [1.0, 3.0] if wrap else [0.0, 1.0])
+    message = f"^{type(fn).__name__} provides no derivative$"
+    for evaluate in (fn.derivative, fn._pair):
+        with pytest.raises(SpecError, match=message):
+            evaluate(1.0)
+        # The missing derivative is named before the load is checked.
+        with pytest.raises(SpecError, match=message):
+            evaluate(5.0)
+
+
+def test_custom_value_never_calls_the_derivative():
+    calls = []
+
+    def derivative(x):
+        calls.append(x)
+        return np.sinh(x)
+
+    fn = CustomCost(np.cosh, derivative, domain_bound=3.0)
+    fn.value(1.0)
+    fn.value(np.linspace(0.0, 3.0, 7))
+    assert calls == []
+    assert fn._pair(1.0) == (fn.value(1.0), fn.derivative(1.0))
+    assert len(calls) == 2
 
 
 def test_with_domain_bound():

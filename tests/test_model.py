@@ -1,5 +1,7 @@
 """Flow/load algebra, cost evaluations and their structural invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,22 @@ def test_game_spec_validation():
         GameSpec(
             3, 2, 1.0, np.ones(3), QuadraticCost(domain_bound=1.5), np.array([1.0])
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_game_spec_refuses_non_finite_numbers(bad):
+    # inf >= 0 holds and every comparison with NaN fails, so each field
+    # needs its own finiteness check.
+    with pytest.raises(SpecError, match="power must be finite"):
+        GameSpec(3, 2, bad, np.ones(3), QuadraticCost(), np.array([1.0]))
+    with pytest.raises(SpecError, match="weights must be finite"):
+        GameSpec(3, 2, 1.0, np.ones(3), QuadraticCost(), np.array([bad, bad]))
+    with pytest.raises(SpecError, match="base_load entries must be finite"):
+        GameSpec(3, 2, 1.0, np.array([bad, 1.0, 1.0]), QuadraticCost(), np.array([1.0]))
+    with pytest.raises(SpecError, match="flow entries must be finite"):
+        Flow(np.array([bad, 1.0]), 1.0)
+    with pytest.raises(SpecError, match="flow mass must be finite"):
+        Flow(np.array([0.5, 0.5]), bad)
 
 
 def test_game_spec_resolves_domain_bound():

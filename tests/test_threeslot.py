@@ -328,6 +328,15 @@ def test_instance_validation():
         ThreeSlotInstance(-1.0, 1.0, -2.0, 0.5, LinearCost())
 
 
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_instance_refuses_non_finite_loads(slot, bad):
+    loads = [2.0, 1.0, 1.0]
+    loads[slot] = bad
+    with pytest.raises(SpecError, match="slot loads must be finite"):
+        ThreeSlotInstance(*loads, 0.5, LinearCost())
+
+
 def test_instance_from_spec_requires_normalized_shape():
     import chargegame as cg
 

@@ -110,6 +110,23 @@ def test_non_finite_gap_raises_without_warnings():
             make_report(spec, profile, SolverStatus.ANALYTIC)
 
 
+@pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.5), (0.3, 0.3, 0.4)])
+def test_vi_gap_checks_the_cost_domain_once(monkeypatch, weights):
+    # f and f' come from one checked pair (f alone without a coalition), so
+    # the certificate runs one domain check.
+    checks = []
+    check = LinearCost._check_domain
+
+    def counting(self, lo, hi):
+        checks.append((lo, hi))
+        check(self, lo, hi)
+
+    monkeypatch.setattr(LinearCost, "_check_domain", counting)
+    spec = GameSpec(4, 2, 1.0, np.array([1.5, 1.0, 1.2, 0.8]), LinearCost(), np.array(weights))
+    vi_gap(spec, Profile.uniform(spec))
+    assert len(checks) == 1
+
+
 # --- wardrop and coalition checks -------------------------------------------
 
 
