@@ -77,6 +77,10 @@ SWEEP_DEFAULTS = {
     "count": DEFAULT_GRID_SIZE,
 }
 
+# Most grid points a configured sweep may have; a larger count is refused
+# at ingestion, before any grid is built.
+MAX_SWEEP_COUNT = 100_000
+
 
 def _round_floats(obj):
     if isinstance(obj, float):
@@ -233,10 +237,14 @@ def _resolve_solver(given: dict) -> dict:
 def _resolve_sweep(given: dict) -> dict:
     if "grid" not in given:
         sweep = {**SWEEP_DEFAULTS, **given}
+        count = sweep["count"]
+        count_ok = _is_integer(count, 1) and count <= MAX_SWEEP_COUNT
         return {
             "start": _real("sweep.start", sweep["start"]),
             "stop": _real("sweep.stop", sweep["stop"]),
-            "count": _integer("sweep.count", sweep["count"], 1),
+            "count": int(
+                _check("sweep.count", count, f"an integer in [1, {MAX_SWEEP_COUNT}]", count_ok)
+            ),
         }
     _check("sweep.grid", given, "given without start/stop/count", len(given) == 1)
     grid = given["grid"]
@@ -430,11 +438,12 @@ def _cmd_sweep(args) -> int:
     if loaded is None:
         return EXIT_OK
     resolved, spec = loaded
-    sweep_cfg = resolved["sweep"] or dict(SWEEP_DEFAULTS)
-    if "grid" in sweep_cfg:
-        grid = np.array(sweep_cfg["grid"])
-    else:
-        grid = default_grid(sweep_cfg["count"], sweep_cfg["start"], sweep_cfg["stop"])
+    sweep_cfg = resolved["sweep"] or SWEEP_DEFAULTS
+    with _ingesting("config"):
+        if "grid" in sweep_cfg:
+            grid = np.array(sweep_cfg["grid"])
+        else:
+            grid = default_grid(sweep_cfg["count"], sweep_cfg["start"], sweep_cfg["stop"])
     result = run_sweep(spec, grid, resolved["solver"]["method"], **_solver_options(resolved))
     os.makedirs(args.out, exist_ok=True)
     write_csv(result, os.path.join(args.out, "sweep.csv"))

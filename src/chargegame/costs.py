@@ -12,6 +12,7 @@ requirements on a sample grid.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -99,10 +100,13 @@ class LinearCost(CostFunction):
     domain_bound: float | None = None
 
     def __post_init__(self):
-        if self.slope <= 0:
-            raise SpecError("linear cost requires a positive slope")
-        if self.intercept < 0:
-            raise SpecError("linear cost requires a nonnegative intercept")
+        # Negated comparisons, so that NaN fails each check.
+        if not 0 < self.slope < math.inf:
+            raise SpecError(f"linear cost slope must be finite and positive, got {self.slope}")
+        if not 0 <= self.intercept < math.inf:
+            raise SpecError(
+                f"linear cost intercept must be finite and nonnegative, got {self.intercept}"
+            )
         _check_bound(self.domain_bound)
 
     def _raw_pair(self, load):
@@ -130,8 +134,8 @@ class ExponentialCost(CostFunction):
     domain_bound: float | None = None
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise SpecError("exponential cost requires a positive rate")
+        if not 0 < self.rate < math.inf:
+            raise SpecError(f"exponential cost rate must be finite and positive, got {self.rate}")
         _check_bound(self.domain_bound)
 
     def _raw_pair(self, load):
@@ -156,8 +160,10 @@ class CustomCost(CostFunction):
     domain_bound: float
 
     def __post_init__(self):
-        if self.domain_bound is None or self.domain_bound <= 0:
-            raise SpecError("custom cost requires a positive domain_bound")
+        if self.domain_bound is None or not 0 < self.domain_bound < math.inf:
+            raise SpecError(
+                f"custom cost requires a finite positive domain_bound, got {self.domain_bound}"
+            )
         grid = np.linspace(0.0, self.domain_bound, VALIDATION_GRID_SIZE)
         values = np.asarray(self.value_fn(grid), dtype=float)
         if values.shape != grid.shape or not np.all(np.isfinite(values)):
@@ -196,8 +202,10 @@ class AffineCost(CostFunction):
     shift: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise SpecError("affine transform requires a positive scale")
+        if not 0 < self.scale < math.inf:
+            raise SpecError(f"affine scale must be finite and positive, got {self.scale}")
+        if not abs(self.shift) < math.inf:
+            raise SpecError(f"affine shift must be finite, got {self.shift}")
 
     @property
     def domain_bound(self) -> float | None:
@@ -213,8 +221,7 @@ class AffineCost(CostFunction):
 
 def with_domain_bound(fn: CostFunction, bound: float) -> CostFunction:
     """Copy of ``fn`` with the validity interval pinned to [0, bound]."""
-    if bound <= 0:
-        raise SpecError("domain bound must be positive")
+    _check_bound(bound)
     if isinstance(fn, AffineCost):
         return AffineCost(with_domain_bound(fn.base, bound), fn.scale, fn.shift)
     return replace(fn, domain_bound=bound)
@@ -291,5 +298,5 @@ def cost_to_config(fn: CostFunction) -> dict:
 
 
 def _check_bound(bound: float | None) -> None:
-    if bound is not None and bound <= 0:
-        raise SpecError("domain bound must be positive")
+    if bound is not None and not 0 < bound < math.inf:
+        raise SpecError(f"domain bound must be finite and positive, got {bound}")

@@ -14,13 +14,14 @@ unique and splits into four regimes along two thresholds:
 
 Interior points solve a scalar stationarity equation that balances the
 coalition's marginal cost across the two alternatives; it is strictly
-increasing for convex increasing cost families, so bisection on a
-guaranteed bracket finds the unique root.
+increasing for convex increasing cost families, so false position on a
+guaranteed bracket finds the unique root, in one step where the equation
+is linear in the split (the linear and quadratic families).
 
 A grid of coalition sizes is solved at once: the thresholds do not depend
-on M, so one comparison classifies every point, one masked bisection on
-arrays finds every interior root, and the costs are the same formulas on
-arrays.  :func:`solve_ce` and :func:`ce_costs` are grids of one.
+on M, so one comparison classifies every point, one masked false-position
+loop on arrays finds every interior root, and the costs are the same
+formulas on arrays.  :func:`solve_ce` and :func:`ce_costs` are grids of one.
 """
 
 from __future__ import annotations
@@ -37,8 +38,13 @@ from .errors import BracketingError, SpecError
 from .model import Flow, GameSpec, Profile, supports_reduced_costs
 from .verify import _finite
 
-# Absolute tolerance on the coalition split found by bisection.
+# Width of a split bracket that needs no search: such a bracket's midpoint
+# is the root, and false position stops once a bracket is this narrow.
 BISECTION_TOL = 1e-12
+
+# A split is a root to rounding once its imbalance is at most this multiple
+# of the sum of the magnitudes of the imbalance's four terms.
+ROOT_EPS = 8.0 * np.finfo(float).eps
 
 # Power scale is normalized away in the three-slot analysis.
 _UNIT_POWER = 1.0
@@ -213,6 +219,9 @@ def equilibrium_profile(
 
 _SPLIT_REGIMES = (Regime.COALITION_SPLIT, Regime.SATURATED_SPLIT)
 
+# Signs of the split in the peak and the off-peak load, as a column.
+_SIDES = np.array([[1.0], [-1.0]])
+
 
 def _gapped(inst: ThreeSlotInstance) -> bool:
     """True when the first slot is at least one unit above the last."""
@@ -273,115 +282,102 @@ def _grid_solution(
         band = mixing_band(inst)
         x1, x0 = m / 2.0, np.where(split, 0.0, (band - m) / 2.0)
         lo, hi = np.full_like(m, band / 2.0), m / 2.0
-    x1[split] = _bisect(inst, m[split], lo[split], hi[split])
+    x1[split] = _split_roots(inst, m[split], lo[split], hi[split])
     return gapped, x1, x0, split
 
 
-def _bisect(
+def _split_roots(
     inst: ThreeSlotInstance, m: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Root of the increasing imbalance on every bracket [lo, hi], to
-    BISECTION_TOL.
+    """Root of the increasing imbalance F at coalition size ``m`` on every
+    bracket [lo, hi], by Anderson-Bjorck false position.
 
     A bracket no wider than BISECTION_TOL returns its midpoint without
-    evaluating the imbalance.  The dispatch guarantees imbalance(lo) <= 0 <=
-    imbalance(hi) in exact arithmetic, so a same-signed end is taken as the
-    root when it is within rounding slack of zero; otherwise the first such
-    bracket raises BracketingError, a shape violation.  Each other bracket
-    is halved max(1, ceil(log2(width / BISECTION_TOL))) times.
+    evaluating F.  The dispatch guarantees F(lo) <= 0 <= F(hi) in exact
+    arithmetic, so a same-signed end is taken as the root when it is within
+    rounding slack of zero; otherwise the first such bracket raises
+    BracketingError, a shape violation.
+
+    In the other brackets [a, b], a step's iterate is the chord's zero,
+    clamped into the bracket.  It replaces the end of its sign, and the
+    other end's value is scaled by 1 - F(iterate) / F(replaced end), or by
+    1/2 where that is not positive.  After two steps in a row that halve
+    neither the bracket nor |F| of the previous iterate, a step takes the
+    midpoint and scales nothing.  A point stops at the first iterate with
+    |F| at most ROOT_EPS times the sum of the magnitudes of F's four terms,
+    that repeats the previous iterate, or that leaves a bracket no wider
+    than BISECTION_TOL.  A point's steps read its own values only, so it
+    gets the same bits in any grid.
     """
     roots = (lo + hi) / 2.0
     wide = np.flatnonzero(hi - lo > BISECTION_TOL)
     if not wide.size:
         return roots
-    m, lo, hi = m[wide], lo[wide], hi[wide]
+    m, a, b = m[wide], lo[wide], hi[wide]
     # Both ends take one checked pair of f and f' per side, so a DomainError
     # names the extreme load of the two ends together.
-    f_lo, f_hi = _finite(
-        _imbalance(inst, m, np.stack((lo, hi))), "stationarity value at a bracket end"
+    fa, fb = _finite(
+        _imbalance(inst, m, np.stack((a, b))), "stationarity value at a bracket end"
     )
     slack = 1e-9 * _imbalance_scale(inst, m)
-    at_lo = f_lo > 0.0
-    at_hi = ~at_lo & (f_hi < 0.0)
+    at_lo = fa > 0.0
+    at_hi = ~at_lo & (fb < 0.0)
     # Negated comparisons, so that a NaN slack admits no end.
-    bad = (at_lo & ~(f_lo <= slack)) | (at_hi & ~(f_hi >= -slack))
+    bad = (at_lo & ~(fa <= slack)) | (at_hi & ~(fb >= -slack))
     if bad.any():
         j = int(np.argmax(bad))
         if at_lo[j]:
-            where, value, sign = "lower", f_lo[j], "positive"
+            where, value, sign = "lower", fa[j], "positive"
         else:
-            where, value, sign = "upper", f_hi[j], "negative"
+            where, value, sign = "upper", fb[j], "negative"
         raise BracketingError(
             f"stationarity value {float(value)} at the {where} bracket end should "
             f"not be {sign}; the cost family violates the convexity assumptions"
         )
-    roots[wide[at_lo]] = lo[at_lo]
-    roots[wide[at_hi]] = hi[at_hi]
-    live = ~(at_lo | at_hi)
-    roots[wide[live]] = _halve(inst, m[live], lo[live], hi[live])
-    return roots
-
-
-def _halve(
-    inst: ThreeSlotInstance, m: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Midpoint of each bracket [lo, hi] after max(1, ceil(log2(width /
-    BISECTION_TOL))) halvings toward the root of the increasing imbalance
-    at coalition size ``m``.
-
-    Each halving is a fixed number of array calls on buffers built here,
-    with one call of f and f' on the peak and off-peak loads stacked.
-    Float operations and their order are :func:`_imbalance`'s; a bracket
-    stops moving once its halvings are done.
-    """
+    found = np.where(at_lo, a, b)
+    done = at_lo | at_hi
+    previous, previous_size = np.full_like(m, np.nan), np.full_like(m, np.inf)
+    fails = np.zeros(len(m), dtype=int)
+    # Iterates lie inside brackets whose ends the checked f and f' accepted,
+    # so the steps call the raw ones, with the float operations of
+    # _imbalance in its order.  Peak side above off-peak side: the loads
+    # are outer + _SIDES * x, and the weights of f' at them sizes + _SIDES * x.
     f = inst.cost
-    steps = np.array(
-        [max(1, math.ceil(math.log2(w / BISECTION_TOL))) for w in (hi - lo).tolist()],
-        dtype=int,
-    )
-    n = len(m)
-    # The lower and the upper ends, each above its negation, so that their
-    # sum halved holds each midpoint above its negation: added to the rows
-    # below, that gives the peak and off-peak loads, and the weights mid and
-    # m - mid that multiply f' at them.  (Full rows: a broadcast add costs
-    # more than it saves.)
-    ends = np.empty((2, 2, n))
-    ends[:, 0] = lo, hi
-    np.negative(ends[:, 0], out=ends[:, 1])
-    outer = np.empty((2, n))
-    outer[0], outer[1] = inst.peak_load, 1.0 + inst.offpeak_load
-    sizes = np.zeros((2, n))
+    outer = np.array([[inst.peak_load], [1.0 + inst.offpeak_load]])
+    sizes = np.zeros((2, len(m)))
     sizes[1] = m
-    shares, loads, weights = np.empty((3, 2, n))
-    lower, upper = ends
-    gain, crowding = weights
-    imbalance = np.empty(n)
-    moves = np.empty((2, 1, n), dtype=bool)  # which end each midpoint replaces
-    below, above = moves[:, 0]
-    moving = np.empty(n, dtype=bool)
-    # numpy converts a Python float operand on every call, a 0-d array not.
-    half, zero = np.array(0.5), np.array(0.0)
-    # A midpoint's loads lie between those of its bracket's ends, which the
-    # checked f and f' accepted, so the halving calls the raw ones.
-    longest = steps.max(initial=0)
-    shortest = steps.min(initial=longest)
-    for step in range(longest):
-        np.add(lower, upper, out=shares)
-        np.multiply(shares, half, out=shares)  # exact, as is / 2.0
-        np.add(outer, shares, out=loads)
-        value, slope = f._raw_pair(loads)
-        np.add(sizes, shares, out=weights)
-        np.multiply(weights, slope, out=weights)
-        np.add(value[0], gain, out=imbalance)
-        np.subtract(imbalance, value[1], out=imbalance)
-        np.subtract(imbalance, crowding, out=imbalance)
-        np.less(imbalance, zero, out=below)
-        np.logical_not(below, out=above)
-        if step >= shortest:
-            np.greater(steps, step, out=moving)
-            moves &= moving
-        np.copyto(ends, shares, where=moves)
-    return (lower[0] + upper[0]) / 2.0
+    while not done.all():
+        width = b - a
+        halve = fails >= 2
+        share = np.where(halve, 0.5, fa / (fa - fb))
+        # Clamped: rounding can step past b, a bracket settled at an end has
+        # two same-signed values, and fmax takes the NaN share of 0 / 0 to a.
+        x = np.fmin(np.fmax(a + share * width, a), b)
+        moved = _SIDES * x
+        value, slope = f._raw_pair(outer + moved)
+        terms = (sizes + moved) * slope
+        imbalance = value[0] + terms[0] - value[1] - terms[1]
+        size = np.abs(imbalance)
+        scale = (np.abs(value) + np.abs(terms)).sum(axis=0)
+        stop = (size <= ROOT_EPS * scale) | (x == previous)
+        np.copyto(found, x, where=stop & ~done)
+        done |= stop
+        if done.all():
+            break
+        low = imbalance < 0.0
+        ratio = np.where(halve, 1.0, 1.0 - imbalance / np.where(low, fa, fb))
+        kept = np.where(low, fb, fa) * np.where(ratio > 0.0, ratio, 0.5)
+        a, fa = np.where(low, x, a), np.where(low, imbalance, kept)
+        b, fb = np.where(low, b, x), np.where(low, kept, imbalance)
+        narrowed = b - a
+        narrow = narrowed <= BISECTION_TOL
+        np.copyto(found, x, where=narrow & ~done)
+        done |= narrow
+        progress = halve | (narrowed <= 0.5 * width) | (size <= 0.5 * previous_size)
+        fails = np.where(progress, 0, fails + 1)
+        previous, previous_size = x, size
+    roots[wide] = found
+    return roots
 
 
 def _grid_costs(

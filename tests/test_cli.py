@@ -8,13 +8,22 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import chargegame
-from chargegame import BracketingError, CustomCost, SolverStatus, SpecError, instance_from_spec, verify
-from chargegame.cli import build_game, load_profile_csv, main, resolve_config
+from chargegame import (
+    BracketingError,
+    CustomCost,
+    SolverStatus,
+    SpecError,
+    cli,
+    instance_from_spec,
+    verify,
+)
+from chargegame.cli import MAX_SWEEP_COUNT, build_game, load_profile_csv, main, resolve_config
 
 NIGHT_LOADS = [0.9, 1.0, 0.95, 0.7, 0.5, 0.45, 0.6]
 
@@ -309,6 +318,30 @@ def test_shipped_sweeps_write_their_golden_artifacts(tmp_path, name):
     for artifact in ("sweep.csv", "sweep_audits.json"):
         with open(os.path.join(GOLDEN, name, artifact), "rb") as handle:
             assert (tmp_path / artifact).read_bytes() == handle.read(), artifact
+
+
+def test_shipped_solve_writes_its_golden_artifacts(tmp_path):
+    # The single-point closed form, pinned like the sweeps: its report
+    # carries the certificate gap of the split the root-finder returns.
+    config = os.path.join(SHIPPED_CONFIGS, "three_slot_solve.json")
+    assert main(["solve", "--config", config, "--out", str(tmp_path)]) == 0
+    for artifact in ("report.json", "loads.csv", "equilibrium_loads.csv"):
+        with open(os.path.join(GOLDEN, "three_slot_solve", artifact), "rb") as handle:
+            assert (tmp_path / artifact).read_bytes() == handle.read(), artifact
+
+
+def test_gap_sweep_prints_the_exact_linear_split(tmp_path):
+    # The gap sweep's split is the line x1 = (M - 0.3) / 4 of the paper:
+    # every printed x1 equals the exact rational root of the float inputs,
+    # printed the same way.
+    config = os.path.join(SHIPPED_CONFIGS, "three_slot_gap_sweep.json")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as handle:
+        rows = [row for row in csv.DictReader(handle) if row["regime"] == "coalition-split"]
+    for row in rows:
+        exact = (Fraction(1) + Fraction(1.0) + Fraction(float(row["m"])) - Fraction(2.3)) / 4
+        assert row["x1"] == f"{float(exact):.12g}", row["m"]
+    assert len(rows) > 50
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -686,6 +719,24 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
         assert err.startswith(f"error: malformed config: {MALFORMED_FIELDS[case]}")
     if case in MALFORMED_REPORTS and MALFORMED_REPORTS[case][1] is not None:
         assert err.startswith(f"error: malformed report: {MALFORMED_REPORTS[case][1]}")
+
+
+@pytest.mark.parametrize("count", [1e300, MAX_SWEEP_COUNT + 1], ids=["1e300", "bound-plus-one"])
+def test_a_sweep_count_past_its_bound_is_refused_before_any_grid(
+    tmp_path, capsys, monkeypatch, count
+):
+    # A whole float count used to reach np.linspace, whose ValueError
+    # escaped as a traceback with exit 1; the bound is checked before any
+    # grid exists.
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "default_grid", no_grid)
+    config = band_config(tmp_path, sweep={"count": count})
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    want = f"sweep.count must be an integer in [1, {MAX_SWEEP_COUNT}]"
+    assert err.startswith(f"error: malformed config: {want}")
 
 
 # --- import cost -------------------------------------------------------------

@@ -140,6 +140,28 @@ def test_structural_validation():
         QuadraticCost(domain_bound=-2.0)
 
 
+NON_FINITE_PARAMETERS = {
+    "linear-slope": (lambda v: LinearCost(slope=v), "slope"),
+    "linear-intercept": (lambda v: LinearCost(intercept=v), "intercept"),
+    "linear-domain-bound": (lambda v: LinearCost(domain_bound=v), "domain bound"),
+    "quadratic-domain-bound": (lambda v: QuadraticCost(domain_bound=v), "domain bound"),
+    "exponential-rate": (lambda v: ExponentialCost(rate=v), "rate"),
+    "exponential-domain-bound": (lambda v: ExponentialCost(domain_bound=v), "domain bound"),
+    "affine-scale": (lambda v: AffineCost(QuadraticCost(), v, 0.0), "scale"),
+    "affine-shift": (lambda v: AffineCost(QuadraticCost(), 1.0, v), "shift"),
+    "custom-domain-bound": (lambda v: CustomCost(lambda x: x, None, domain_bound=v), "domain_bound"),
+    "with-domain-bound": (lambda v: with_domain_bound(QuadraticCost(), v), "domain bound"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(NON_FINITE_PARAMETERS))
+def test_a_non_finite_parameter_is_refused_by_name(case, value):
+    build, name = NON_FINITE_PARAMETERS[case]
+    with pytest.raises(SpecError, match=name):
+        build(value)
+
+
 def test_affine_transform_values():
     doubled = AffineCost(QuadraticCost(domain_bound=5.0), 2.0, 3.0)
     assert doubled.value(2.0) == pytest.approx(11.0)

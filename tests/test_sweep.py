@@ -600,7 +600,7 @@ def assert_analytic_matches_per_point(base, grid):
 
 def boundary_grid(inst):
     """Coalition sizes on and one ulp around the instance's regime boundary,
-    plus sizes whose bisection bracket is no wider than BISECTION_TOL."""
+    plus sizes whose split bracket is no wider than BISECTION_TOL."""
     if inst.peak_load >= inst.offpeak_load + 1.0:
         edge = activation_threshold(inst)
         tight = [edge + BISECTION_TOL / 2.0, 1e-13]  # bracket [0, m]

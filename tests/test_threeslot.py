@@ -1,7 +1,9 @@
 """Closed-form equilibrium: regime dispatch, roots, costs and uniqueness."""
 
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,11 +33,13 @@ from chargegame import (
     vi_gap,
     with_coalition_size,
 )
-from chargegame.threeslot import BISECTION_TOL, CEPoint, _grid_solution, _regime
+from chargegame import threeslot
+from chargegame.threeslot import BISECTION_TOL, ROOT_EPS, CEPoint, _grid_solution, _regime
 from conftest import random_three_slot
 
 GAP_INSTANCE = dict(peak_load=2.3, mid_load=1.0, offpeak_load=1.0)
 BAND_INSTANCE = dict(peak_load=1.5, mid_load=1.0, offpeak_load=1.0)
+EPS = np.finfo(float).eps
 
 
 def linear_gap(m):
@@ -70,6 +74,42 @@ def test_linear_gap_closed_form():
     assert solve_ce(linear_gap(1.0)).coalition_on_peak == pytest.approx(
         0.175, abs=1e-9
     )
+
+
+def exact_linear_split(inst):
+    """The linear family's split root, solved exactly from the float
+    inputs: the imbalance is slope * (4 x + peak - 1 - offpeak - M)."""
+    loads = Fraction(1) + Fraction(inst.offpeak_load) - Fraction(inst.peak_load)
+    return (loads + Fraction(inst.coalition_size)) / 4
+
+
+def gapped_linear_instances(rng):
+    """The shipped gap sweep's instance, then random gapped linear ones
+    whose activation threshold lies below one, a zero threshold included."""
+    yield linear_gap(0.5)
+    for case in range(200):
+        offpeak = rng.uniform(0.0, 2.0)
+        gap = 1.0 if case % 10 == 0 else 1.0 + rng.uniform(0.0, 0.9)
+        cost = LinearCost(slope=rng.uniform(0.5, 2.0), intercept=rng.uniform(0.0, 1.0))
+        yield ThreeSlotInstance(offpeak + gap, rng.uniform(0.0, 3.0), offpeak, 0.5, cost)
+
+
+def test_linear_split_is_the_exact_root(rng):
+    """Every gapped linear split point lies within 8 eps * (1 + peak +
+    offpeak + M) of the exact rational root: false position lands on it in
+    one step, up to the rounding of its inputs.  (A bound in ulps would not
+    hold where the root is tiny, just past the threshold.)"""
+    checked = 0
+    for inst in gapped_linear_instances(rng):
+        sizes = default_grid()
+        gapped, x1, _, split = _grid_solution(inst, sizes)
+        assert gapped
+        for m, x in zip(sizes[split].tolist(), x1[split].tolist()):
+            at = with_coalition_size(inst, m)
+            bound = 8.0 * EPS * (1.0 + at.peak_load + at.offpeak_load + m)
+            assert abs(Fraction(x) - exact_linear_split(at)) <= bound
+            checked += 1
+    assert checked > 5000
 
 
 # --- banded instance (gap below one, individuals may mix) -------------------
@@ -215,13 +255,13 @@ def test_tie_between_cases_routes_to_gap_case():
     assert point.coalition_on_peak == pytest.approx(0.5 / 4.0, abs=1e-9)
 
 
-# --- the array bisection against a scalar loop --------------------------------
+# --- the array false-position loop against a scalar loop ---------------------
 
 
 def scalar_split(inst):
-    """The interior root by a plain scalar bisection loop: the bracket of
-    the regime, its rounding-slack test and max(1, ceil(log2(width / tol)))
-    halvings."""
+    """The interior root by a plain scalar false-position loop: the bracket
+    of the regime, its rounding-slack test, and the array loop's steps and
+    stop rule, one float operation at a time."""
     f, m = inst.cost, inst.coalition_size
     if classify(inst) is Regime.COALITION_SPLIT:
         lo, hi = 0.0, m
@@ -240,13 +280,36 @@ def scalar_split(inst):
     if f_hi < 0.0:
         assert f_hi >= -1e-9 * scale
         return hi
-    for _ in range(max(1, math.ceil(math.log2((hi - lo) / BISECTION_TOL)))):
-        mid = (lo + hi) / 2.0
-        if marginal_imbalance(inst, mid) < 0.0:
-            lo = mid
+    a, b, fa, fb = lo, hi, np.float64(f_lo), np.float64(f_hi)
+    previous, previous_size, fails = math.nan, math.inf, 0
+    for _ in range(1000):
+        width = b - a
+        halve = fails >= 2
+        with np.errstate(invalid="ignore"):
+            share = 0.5 if halve else fa / (fa - fb)
+        x = float(np.fmin(np.fmax(a + share * width, a), b))
+        imbalance = np.float64(marginal_imbalance(inst, x))
+        peak, offpeak = inst.peak_load + x, 1.0 + inst.offpeak_load - x
+        scale = (abs(f.value(peak)) + abs(x * f.derivative(peak))) + (
+            abs(f.value(offpeak)) + abs((m - x) * f.derivative(offpeak))
+        )
+        size = abs(imbalance)
+        if size <= ROOT_EPS * scale or x == previous:
+            return x
+        low = imbalance < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = 1.0 if halve else 1.0 - imbalance / (fa if low else fb)
+        kept = (fb if low else fa) * (ratio if ratio > 0.0 else 0.5)
+        if low:
+            a, fa, fb = x, imbalance, kept
         else:
-            hi = mid
-    return (lo + hi) / 2.0
+            b, fb, fa = x, imbalance, kept
+        if b - a <= BISECTION_TOL:
+            return x
+        progress = halve or b - a <= 0.5 * width or size <= 0.5 * previous_size
+        fails = 0 if progress else fails + 1
+        previous, previous_size = x, size
+    raise AssertionError("the scalar loop did not stop")
 
 
 def custom_family(rng):
@@ -261,11 +324,11 @@ def custom_family(rng):
     )
 
 
-def bisection_cases(rng):
+def split_cases(rng):
     """Three-slot instances with grids whose interior brackets mix widths:
     random sizes, sizes at and just past the regime edge (brackets below
-    BISECTION_TOL and of a few halvings) and the default grid.  The
-    families cover the named ones, AffineCost around each and CustomCost."""
+    BISECTION_TOL and just above it) and the default grid.  The families
+    cover the named ones, AffineCost around each and CustomCost."""
     for case in range(60):
         inst = random_three_slot(rng)
         if case % 3 == 1:
@@ -287,12 +350,12 @@ def bisection_cases(rng):
         yield inst, np.unique(np.append(sizes, [m for m in near if 1e-13 <= m <= 1.0]))
 
 
-def test_array_bisection_matches_a_scalar_loop(rng):
+def test_array_false_position_matches_a_scalar_loop(rng):
     """solve_ce alone and in a grid give the scalar loop's root bit for bit,
-    also where sub-tolerance brackets and brackets of a few halvings share
-    a grid with wide ones, so finished brackets must stay put."""
+    also where sub-tolerance brackets and brackets of a few steps share a
+    grid with wide ones, so finished brackets must stay put."""
     checked, short = 0, 0
-    for inst, sizes in bisection_cases(rng):
+    for inst, sizes in split_cases(rng):
         gapped, x1, x0, split = _grid_solution(inst, sizes)
         for m, a, b, s in zip(sizes.tolist(), x1.tolist(), x0.tolist(), split.tolist()):
             at = with_coalition_size(inst, m)
@@ -305,6 +368,50 @@ def test_array_bisection_matches_a_scalar_loop(rng):
         short += np.any(split & (widths <= 4.0 * BISECTION_TOL)) and np.any(widths > 1e-3)
     assert checked > 800
     assert short > 20
+
+
+def loop_steps(inst, sizes):
+    """False-position steps on the grid ``sizes`` of ``inst``: _split_roots
+    calls the raw f and f' itself once per step and nowhere else."""
+    cost, calls = inst.cost, []
+    raw = cost._raw_pair
+
+    def counting(load):
+        calls.append(sys._getframe(1).f_code is threeslot._split_roots.__code__)
+        return raw(load)
+
+    object.__setattr__(cost, "_raw_pair", counting)  # the families are frozen
+    try:
+        _grid_solution(inst, sizes)
+    finally:
+        object.__delattr__(cost, "_raw_pair")
+    return sum(calls)
+
+
+def test_false_position_takes_a_few_steps_per_grid(rng):
+    """A whole grid of named, affine or custom families takes at most five
+    steps, and a linear or quadratic one a single step: their imbalance is
+    linear in the split, so the first chord crosses zero at the root.  More
+    steps mean the safeguard or the stop rule regressed."""
+    steps = {}
+    for inst, sizes in split_cases(rng):
+        family = type(inst.cost).__name__
+        steps[family] = max(steps.get(family, 0), loop_steps(inst, sizes))
+    assert steps["LinearCost"] == steps["QuadraticCost"] == 1
+    assert max(steps.values()) <= 5
+    assert set(steps) == {"LinearCost", "QuadraticCost", "ExponentialCost", "AffineCost", "CustomCost"}
+
+
+def test_a_jump_in_the_slope_at_the_root_ends_by_halving():
+    """A derivative that jumps at the root leaves the imbalance no zero to
+    find: false position alone crawls toward the jump, and the halving
+    steps end the loop with the bracket around it."""
+    jump = 0.2  # f' jumps at the peak load 2 + jump, and F jumps across zero
+    cost = CustomCost(lambda x: x + 0.0, lambda x: np.where(x > 2.0 + jump, 1e3, 1.0), 5.0)
+    inst = ThreeSlotInstance(2.0, 1.0, 1.0, 0.9, cost)
+    steps = loop_steps(inst, np.array([0.9]))
+    assert 40 < steps <= 130
+    assert abs(solve_ce(inst).coalition_on_peak - jump) <= BISECTION_TOL
 
 
 # --- certification ----------------------------------------------------------
