@@ -135,8 +135,10 @@ def load_profile_csv(path: str, normalize: bool = False) -> np.ndarray:
 
 
 def _peak_normalized(loads: np.ndarray, source: str) -> np.ndarray:
-    """``loads`` scaled so their maximum is one; a profile with no positive
-    load, read from ``source``, is refused."""
+    """``loads`` scaled so their maximum is one; an empty profile, or one
+    with no positive load, read from ``source``, is refused."""
+    if not loads.size:
+        raise SpecError(f"{source}: cannot normalize an empty load profile")
     peak = loads.max()
     if peak <= 0:
         raise SpecError(f"{source}: cannot normalize an all-zero load profile")

@@ -156,7 +156,9 @@ def marginal_imbalance(inst: ThreeSlotInstance, split: float) -> float:
     there, on both sides).  It is strictly increasing in ``split`` for
     convex increasing families, and its root is the equilibrium split.
     """
-    return float(_imbalance(inst, inst.coalition_size, split))
+    sizes = np.array([[0.0], [inst.coalition_size]])
+    imbalance, _ = _stationarity(inst.cost._pair, _outer_loads(inst), sizes, split)
+    return float(imbalance[0])
 
 
 def classify(inst: ThreeSlotInstance) -> Regime:
@@ -219,7 +221,9 @@ def equilibrium_profile(
 
 _SPLIT_REGIMES = (Regime.COALITION_SPLIT, Regime.SATURATED_SPLIT)
 
-# Signs of the split in the peak and the off-peak load, as a column.
+# Signs of the split in the peak and the off-peak load, as a column: at a
+# split x the loads are outer + _SIDES * x, and the weights of f' at them
+# sizes + _SIDES * x, with the peak side above the off-peak side.
 _SIDES = np.array([[1.0], [-1.0]])
 
 
@@ -246,19 +250,22 @@ def _classify(inst: ThreeSlotInstance, sizes: np.ndarray) -> tuple[bool, np.ndar
     return False, sizes >= mixing_band(inst)
 
 
-def _imbalance(inst: ThreeSlotInstance, m, split):
-    """:func:`marginal_imbalance` at coalition sizes ``m``, scalars or
-    arrays, from one checked pair of f and f' per side."""
-    f_peak, d_peak = inst.cost._pair(inst.peak_load + split)
-    f_offpeak, d_offpeak = inst.cost._pair(1.0 + inst.offpeak_load - split)
-    return f_peak + split * d_peak - f_offpeak - (m - split) * d_offpeak
+def _outer_loads(inst: ThreeSlotInstance) -> np.ndarray:
+    """The two alternatives' loads at a zero split, as a column."""
+    return np.array([[inst.peak_load], [1.0 + inst.offpeak_load]])
 
 
-def _imbalance_scale(inst: ThreeSlotInstance, m):
-    f = inst.cost
-    peak = f.value(inst.peak_load + m)
-    cheap, slope = f._pair(1.0 + inst.offpeak_load)
-    return 1.0 + abs(peak) + abs(cheap) + m * abs(slope)
+def _stationarity(pair, outer, sizes, split):
+    """The imbalance F of :func:`marginal_imbalance` at splits ``split``
+    and the sum of the magnitudes of its four terms, the scale of F's
+    rounding, from one call of the f/f' pair ``pair`` on the loads
+    ``outer`` moved by the splits; ``sizes`` stacks zeros above the
+    coalition sizes."""
+    moved = _SIDES * split
+    value, slope = pair(outer + moved)
+    terms = (sizes + moved) * slope
+    imbalance = value[0] + terms[0] - value[1] - terms[1]
+    return imbalance, (np.abs(value) + np.abs(terms)).sum(axis=0)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -294,9 +301,10 @@ def _split_roots(
 
     A bracket no wider than BISECTION_TOL returns its midpoint without
     evaluating F.  The dispatch guarantees F(lo) <= 0 <= F(hi) in exact
-    arithmetic, so a same-signed end is taken as the root when it is within
-    rounding slack of zero; otherwise the first such bracket raises
-    BracketingError, a shape violation.
+    arithmetic, so a same-signed end is taken as the root when |F| there is
+    at most 1e-9 times one plus the sum of the magnitudes of F's four terms
+    at that end; otherwise the first such bracket raises BracketingError, a
+    shape violation.
 
     In the other brackets [a, b], a step's iterate is the chord's zero,
     clamped into the bracket.  It replaces the end of its sign, and the
@@ -314,24 +322,21 @@ def _split_roots(
     if not wide.size:
         return roots
     m, a, b = m[wide], lo[wide], hi[wide]
-    # Both ends take one checked pair of f and f' per side, so a DomainError
-    # names the extreme load of the two ends together.
-    fa, fb = _finite(
-        _imbalance(inst, m, np.stack((a, b))), "stationarity value at a bracket end"
-    )
-    slack = 1e-9 * _imbalance_scale(inst, m)
+    outer, sizes = _outer_loads(inst), np.stack((np.zeros_like(m), m))
+    # Both ends take one checked call of f and f', so a DomainError names the
+    # extreme load of the two ends together.
+    ends, scales = _stationarity(inst.cost._pair, outer, np.tile(sizes, 2), np.concatenate((a, b)))
+    fa, fb = _finite(ends, "stationarity value at a bracket end").reshape(2, -1)
+    slack_a, slack_b = 1e-9 * (1.0 + scales.reshape(2, -1))
     at_lo = fa > 0.0
     at_hi = ~at_lo & (fb < 0.0)
     # Negated comparisons, so that a NaN slack admits no end.
-    bad = (at_lo & ~(fa <= slack)) | (at_hi & ~(fb >= -slack))
+    bad = (at_lo & ~(fa <= slack_a)) | (at_hi & ~(fb >= -slack_b))
     if bad.any():
         j = int(np.argmax(bad))
-        if at_lo[j]:
-            where, value, sign = "lower", fa[j], "positive"
-        else:
-            where, value, sign = "upper", fb[j], "negative"
+        where, value, sign = ("lower", fa, "positive") if at_lo[j] else ("upper", fb, "negative")
         raise BracketingError(
-            f"stationarity value {float(value)} at the {where} bracket end should "
+            f"stationarity value {float(value[j])} at the {where} bracket end should "
             f"not be {sign}; the cost family violates the convexity assumptions"
         )
     found = np.where(at_lo, a, b)
@@ -339,13 +344,8 @@ def _split_roots(
     previous, previous_size = np.full_like(m, np.nan), np.full_like(m, np.inf)
     fails = np.zeros(len(m), dtype=int)
     # Iterates lie inside brackets whose ends the checked f and f' accepted,
-    # so the steps call the raw ones, with the float operations of
-    # _imbalance in its order.  Peak side above off-peak side: the loads
-    # are outer + _SIDES * x, and the weights of f' at them sizes + _SIDES * x.
-    f = inst.cost
-    outer = np.array([[inst.peak_load], [1.0 + inst.offpeak_load]])
-    sizes = np.zeros((2, len(m)))
-    sizes[1] = m
+    # so the steps call the raw ones.
+    raw = inst.cost._raw_pair
     while not done.all():
         width = b - a
         halve = fails >= 2
@@ -353,12 +353,8 @@ def _split_roots(
         # Clamped: rounding can step past b, a bracket settled at an end has
         # two same-signed values, and fmax takes the NaN share of 0 / 0 to a.
         x = np.fmin(np.fmax(a + share * width, a), b)
-        moved = _SIDES * x
-        value, slope = f._raw_pair(outer + moved)
-        terms = (sizes + moved) * slope
-        imbalance = value[0] + terms[0] - value[1] - terms[1]
+        imbalance, scale = _stationarity(raw, outer, sizes, x)
         size = np.abs(imbalance)
-        scale = (np.abs(value) + np.abs(terms)).sum(axis=0)
         stop = (size <= ROOT_EPS * scale) | (x == previous)
         np.copyto(found, x, where=stop & ~done)
         done |= stop

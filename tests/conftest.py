@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chargegame import (
     ExponentialCost,
@@ -11,6 +12,11 @@ from chargegame import (
     QuadraticCost,
     ThreeSlotInstance,
 )
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run
+# and no example database, so a red build is reproducible from its log.
+# Local runs keep the default profile, random and with a database.
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 def random_cost(rng, family=None):

@@ -227,6 +227,12 @@ def test_normalizing_an_all_zero_profile_is_refused(tmp_path, capsys):
     inline = band_config(tmp_path, load_profile=[0.0, 0.0, 0.0])
     assert main(["solve", "--config", inline, "--normalize", "--print-config"]) == 2
     assert "inline load_profile: cannot normalize" in capsys.readouterr().err
+    # An empty profile has no maximum; numpy's reduction error must not leak.
+    empty = band_config(tmp_path, load_profile=[])
+    assert main(["solve", "--config", empty, "--normalize", "--print-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: inline load_profile: cannot normalize an empty load profile\n"
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])

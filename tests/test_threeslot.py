@@ -258,11 +258,21 @@ def test_tie_between_cases_routes_to_gap_case():
 # --- the array false-position loop against a scalar loop ---------------------
 
 
+def magnitude(inst, x):
+    """The sum of the magnitudes of the four terms of the imbalance at split
+    ``x``: the scale of its rounding."""
+    f, m = inst.cost, inst.coalition_size
+    peak, offpeak = inst.peak_load + x, 1.0 + inst.offpeak_load - x
+    return (abs(f.value(peak)) + abs(x * f.derivative(peak))) + (
+        abs(f.value(offpeak)) + abs((m - x) * f.derivative(offpeak))
+    )
+
+
 def scalar_split(inst):
     """The interior root by a plain scalar false-position loop: the bracket
-    of the regime, its rounding-slack test, and the array loop's steps and
-    stop rule, one float operation at a time."""
-    f, m = inst.cost, inst.coalition_size
+    of the regime, its ends' rounding-slack test, and the array loop's steps
+    and stop rule, one float operation at a time."""
+    m = inst.coalition_size
     if classify(inst) is Regime.COALITION_SPLIT:
         lo, hi = 0.0, m
     else:
@@ -270,15 +280,11 @@ def scalar_split(inst):
     if hi - lo <= BISECTION_TOL:
         return (lo + hi) / 2.0
     f_lo, f_hi = marginal_imbalance(inst, lo), marginal_imbalance(inst, hi)
-    cheap = 1.0 + inst.offpeak_load
-    scale = (
-        1.0 + abs(f.value(inst.peak_load + m)) + abs(f.value(cheap)) + m * abs(f.derivative(cheap))
-    )
     if f_lo > 0.0:
-        assert f_lo <= 1e-9 * scale
+        assert f_lo <= 1e-9 * (1.0 + magnitude(inst, lo))
         return lo
     if f_hi < 0.0:
-        assert f_hi >= -1e-9 * scale
+        assert f_hi >= -1e-9 * (1.0 + magnitude(inst, hi))
         return hi
     a, b, fa, fb = lo, hi, np.float64(f_lo), np.float64(f_hi)
     previous, previous_size, fails = math.nan, math.inf, 0
@@ -289,12 +295,8 @@ def scalar_split(inst):
             share = 0.5 if halve else fa / (fa - fb)
         x = float(np.fmin(np.fmax(a + share * width, a), b))
         imbalance = np.float64(marginal_imbalance(inst, x))
-        peak, offpeak = inst.peak_load + x, 1.0 + inst.offpeak_load - x
-        scale = (abs(f.value(peak)) + abs(x * f.derivative(peak))) + (
-            abs(f.value(offpeak)) + abs((m - x) * f.derivative(offpeak))
-        )
         size = abs(imbalance)
-        if size <= ROOT_EPS * scale or x == previous:
+        if size <= ROOT_EPS * magnitude(inst, x) or x == previous:
             return x
         low = imbalance < 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -371,13 +373,15 @@ def test_array_false_position_matches_a_scalar_loop(rng):
 
 
 def loop_steps(inst, sizes):
-    """False-position steps on the grid ``sizes`` of ``inst``: _split_roots
-    calls the raw f and f' itself once per step and nowhere else."""
+    """False-position steps on the grid ``sizes`` of ``inst``: the
+    stationarity function calls the raw f and f' itself once per step and
+    nowhere else (the checked pair at the bracket ends calls them from
+    CostFunction._pair)."""
     cost, calls = inst.cost, []
     raw = cost._raw_pair
 
     def counting(load):
-        calls.append(sys._getframe(1).f_code is threeslot._split_roots.__code__)
+        calls.append(sys._getframe(1).f_code is threeslot._stationarity.__code__)
         return raw(load)
 
     object.__setattr__(cost, "_raw_pair", counting)  # the families are frozen
@@ -412,6 +416,29 @@ def test_a_jump_in_the_slope_at_the_root_ends_by_halving():
     steps = loop_steps(inst, np.array([0.9]))
     assert 40 < steps <= 130
     assert abs(solve_ce(inst).coalition_on_peak - jump) <= BISECTION_TOL
+
+
+@pytest.mark.parametrize(
+    "loads, m, bound",
+    [
+        ((1.5, 1.0, 1.0), 0.9, 2.2),  # band 0.5: bracket loads in [1.55, 1.95]
+        ((1.5, 1.0, 1.0), 0.9, None),
+        ((1.8, 1.0, 0.9), 0.7, None),
+        ((2.5, 1.0, 1.0), 0.8, None),  # gapped: bracket [0, m]
+        ((1.8, 0.5, 0.3), 0.7, None),
+    ],
+)
+def test_a_domain_bound_at_the_reached_loads_solves(loads, m, bound):
+    """The closed form evaluates f only at loads its brackets or its
+    equilibrium reach, the largest being peak + hi (``bound`` None): a
+    custom family valid up to there gives the point of a loosely bounded
+    one, bit for bit."""
+    loose = ThreeSlotInstance(*loads, m, CustomCost(lambda x: x * x, lambda x: 2 * x, 10.0))
+    regime = classify(loose)
+    assert regime in (Regime.COALITION_SPLIT, Regime.SATURATED_SPLIT)
+    reach = loads[0] + (m if regime is Regime.COALITION_SPLIT else m / 2.0)
+    tight = replace(loose, cost=replace(loose.cost, domain_bound=bound or reach))
+    assert repr(solve_ce(tight)) == repr(solve_ce(loose))
 
 
 # --- certification ----------------------------------------------------------
