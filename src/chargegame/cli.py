@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .sweep import (
     DEFAULT_GRID_START,
     DEFAULT_GRID_STOP,
     METHODS,
+    _write_rows,
     audits_to_dict,
     default_grid,
     run_sweep,
@@ -69,7 +71,7 @@ SOLVER_DEFAULTS = {
     "step_size": "default",
 }
 
-GAME_KEYS = ("horizon", "duration", "power", "cost", "weights")
+GAME_KEYS = tuple(f.name for f in fields(GameSpec) if f.name != "base_load")
 
 SWEEP_DEFAULTS = {
     "start": DEFAULT_GRID_START,
@@ -83,6 +85,8 @@ MAX_SWEEP_COUNT = 100_000
 
 
 def _round_floats(obj):
+    if isinstance(obj, np.ndarray):
+        return _round_floats(obj.tolist())
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -278,40 +282,23 @@ def _solver_options(resolved: dict) -> dict:
     }
 
 
-def _summary_to_dict(summary) -> dict:
-    return {
-        "individuals": summary.individuals,
-        "individuals_extended": summary.individuals_extended,
-        "coalitions": list(summary.coalitions),
-        "social": summary.social,
-    }
-
-
 def report_to_dict(report: EquilibriumReport, resolved: dict) -> dict:
     spec = report.game
+    game = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    game["cost"] = cost_to_config(spec.cost)
     return _round_floats(
         {
-            "game": {
-                "horizon": spec.horizon,
-                "duration": spec.duration,
-                "power": spec.power,
-                "base_load": [float(x) for x in spec.base_load],
-                "cost": cost_to_config(spec.cost),
-                "weights": [float(w) for w in spec.weights],
-            },
+            "game": game,
             "load_profile_meta": resolved.get("load_profile_meta", {}),
             "status": report.status.value,
             "iterations": report.iterations,
             "vi_gap": report.vi_gap,
             "wardrop_slack": report.wardrop_slack,
             "boundary": report.boundary,
-            "profile": [[float(x) for x in f.values] for f in report.profile.flows],
-            "loads": {
-                "per_player": [[float(x) for x in row] for row in report.loads.per_player],
-                "aggregate": [float(x) for x in report.loads.aggregate],
-            },
-            "costs": _summary_to_dict(report.costs),
-            "reduced_costs": None if report.reduced is None else _summary_to_dict(report.reduced),
+            "profile": report.profile.matrix(),
+            "loads": asdict(report.loads),
+            "costs": asdict(report.costs),
+            "reduced_costs": None if report.reduced is None else asdict(report.reduced),
         }
     )
 
@@ -333,36 +320,22 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_loads_echo(path: str, spec: GameSpec) -> None:
     # Full float precision: re-ingesting this file must reproduce the
     # game's load vector bit-exactly.
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "load"])
-        for t, value in enumerate(spec.base_load, start=1):
-            writer.writerow([t, repr(float(value))])
+    rows = ((t, repr(float(value))) for t, value in enumerate(spec.base_load, start=1))
+    _write_rows(path, ["t", "load"], rows)
 
 
 def _write_equilibrium_loads(path: str, report: EquilibriumReport) -> None:
     spec = report.game
     names = (
-        ["individuals"]
-        + (
-            ["coalition"]
-            if spec.num_coalitions == 1
-            else [f"coalition_{k}" for k in range(1, spec.num_players)]
-        )
+        ["coalition"]
+        if spec.num_coalitions == 1
+        else [f"coalition_{k}" for k in range(1, spec.num_players)]
     )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "non_ev"] + names + ["total"])
-        for t in range(spec.horizon):
-            ev_parts = [
-                spec.power * report.loads.per_player[i][t]
-                for i in range(spec.num_players)
-            ]
-            total = spec.base_load[t] + sum(ev_parts)
-            row = [t + 1, f"{spec.base_load[t]:.12g}"]
-            row += [f"{part:.12g}" for part in ev_parts]
-            row.append(f"{total:.12g}")
-            writer.writerow(row)
+    rows = []
+    for t in range(spec.horizon):
+        ev_parts = [spec.power * report.loads.per_player[i][t] for i in range(spec.num_players)]
+        rows.append([t + 1, spec.base_load[t], *ev_parts, spec.base_load[t] + sum(ev_parts)])
+    _write_rows(path, ["t", "non_ev", "individuals", *names, "total"], rows)
 
 
 def _write_trace(path: str, report: EquilibriumReport) -> None:
@@ -372,12 +345,8 @@ def _write_trace(path: str, report: EquilibriumReport) -> None:
     header = ["iteration", "gap"] + [
         f"x{i}_{t + 1}" for i in range(players) for t in range(slots)
     ]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in report.trace:
-            flat = [f"{x:.12g}" for x in row.flows.ravel()]
-            writer.writerow([row.iteration, f"{row.gap:.12g}"] + flat)
+    rows = ([row.iteration, row.gap, *row.flows.ravel().tolist()] for row in report.trace)
+    _write_rows(path, header, rows)
 
 
 @contextlib.contextmanager

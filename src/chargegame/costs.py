@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -198,8 +198,8 @@ class AffineCost(CostFunction):
     """
 
     base: CostFunction
-    scale: float
-    shift: float
+    scale: float = 1.0
+    shift: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.scale < math.inf:
@@ -227,74 +227,61 @@ def with_domain_bound(fn: CostFunction, bound: float) -> CostFunction:
     return replace(fn, domain_bound=bound)
 
 
-# Parameter keys of each config kind, besides "kind".  An affine family
-# takes its validity bound from its base.
-_CONFIG_KEYS = {
-    "linear": ("slope", "intercept", "domain_bound"),
-    "quadratic": ("domain_bound",),
-    "exponential": ("rate", "domain_bound"),
-    "affine": ("base", "scale", "shift"),
+# The family each config kind builds, in the order the kind error lists
+# them.  A kind's parameter keys and their defaults are its family's
+# dataclass fields; an affine family takes its validity bound from its base.
+_CONFIG_KINDS = {
+    "linear": LinearCost,
+    "quadratic": QuadraticCost,
+    "exponential": ExponentialCost,
+    "affine": AffineCost,
 }
 
 
 def cost_from_config(cfg: dict, field: str = "cost") -> CostFunction:
     """Build a named family from a config mapping.
 
-    Recognized kinds: ``linear`` (slope, intercept), ``quadratic``,
-    ``exponential`` (rate) and ``affine`` (base, scale, shift); all but
-    ``affine`` accept an optional ``domain_bound``.  Parameters must be
-    numbers (``domain_bound`` may be null).  A wrong type or an unknown key
-    raises a SpecError that names the field, with ``field`` naming the
-    mapping itself.
+    Recognized kinds: ``linear``, ``quadratic``, ``exponential`` and
+    ``affine``.  A kind's keys are its family's dataclass fields, and a
+    missing key takes the field default; an affine ``base`` is itself a
+    config mapping.  Parameters must be numbers (``domain_bound`` may be
+    null, which leaves the bound to be pinned by the game).  A wrong
+    type or an unknown key raises a SpecError that names the field, with
+    ``field`` naming the mapping itself; the first malformed parameter in
+    field order is named.
     """
     _check(field, cfg, "a mapping with a 'kind' entry", isinstance(cfg, dict) and "kind" in cfg)
     kind = cfg["kind"]
-    known = isinstance(kind, str) and kind in _CONFIG_KEYS
-    _check(f"{field}.kind", kind, f"one of {'/'.join(_CONFIG_KEYS)}", known)
-    _known_keys(field, cfg, ("kind", *_CONFIG_KEYS[kind]))
+    known = isinstance(kind, str) and kind in _CONFIG_KINDS
+    _check(f"{field}.kind", kind, f"one of {'/'.join(_CONFIG_KINDS)}", known)
+    family = _CONFIG_KINDS[kind]
+    params = fields(family)
+    _known_keys(field, cfg, ("kind", *(p.name for p in params)))
 
-    def number(key: str, default: float) -> float:
-        return _real(f"{field}.{key}", cfg.get(key, default))
+    def parameter(key: str):
+        value, name = cfg.get(key), f"{field}.{key}"
+        if key == "base":
+            return cost_from_config(value, name)
+        return None if key == "domain_bound" and value is None else _real(name, value)
 
-    bound = cfg.get("domain_bound")
-    if bound is not None:
-        bound = _real(f"{field}.domain_bound", bound)
-    if kind == "linear":
-        return LinearCost(
-            slope=number("slope", 1.0), intercept=number("intercept", 0.0), domain_bound=bound
-        )
-    if kind == "quadratic":
-        return QuadraticCost(domain_bound=bound)
-    if kind == "exponential":
-        return ExponentialCost(rate=number("rate", 1.0), domain_bound=bound)
-    return AffineCost(
-        base=cost_from_config(cfg.get("base"), f"{field}.base"),
-        scale=number("scale", 1.0),
-        shift=number("shift", 0.0),
-    )
+    # A field without a default (an affine base) is read even when absent,
+    # so its absence is refused by name.
+    given = [p.name for p in params if p.name in cfg or p.default is MISSING]
+    return family(**{key: parameter(key) for key in given})
 
 
 def cost_to_config(fn: CostFunction) -> dict:
-    """Inverse of :func:`cost_from_config` for the serializable families."""
-    if isinstance(fn, LinearCost):
-        return {
-            "kind": "linear",
-            "slope": fn.slope,
-            "intercept": fn.intercept,
-            "domain_bound": fn.domain_bound,
-        }
-    if isinstance(fn, QuadraticCost):
-        return {"kind": "quadratic", "domain_bound": fn.domain_bound}
-    if isinstance(fn, ExponentialCost):
-        return {"kind": "exponential", "rate": fn.rate, "domain_bound": fn.domain_bound}
-    if isinstance(fn, AffineCost):
-        return {
-            "kind": "affine",
-            "base": cost_to_config(fn.base),
-            "scale": fn.scale,
-            "shift": fn.shift,
-        }
-    raise SpecError(f"{type(fn).__name__} is not serializable to config form")
+    """Inverse of :func:`cost_from_config` for the serializable families:
+    the first kind whose family ``fn`` is an instance of, and that family's
+    fields."""
+    kind = next((k for k, family in _CONFIG_KINDS.items() if isinstance(fn, family)), None)
+    if kind is None:
+        raise SpecError(f"{type(fn).__name__} is not serializable to config form")
+    config = {"kind": kind}
+    for param in fields(_CONFIG_KINDS[kind]):
+        value = getattr(fn, param.name)
+        config[param.name] = cost_to_config(value) if param.name == "base" else value
+    return config
 
 
 def _check_bound(bound: float | None) -> None:

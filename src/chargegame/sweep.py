@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from operator import eq
 from typing import NamedTuple
@@ -414,25 +414,18 @@ def sweep_rows(result: SweepResult) -> list[dict]:
 
 def write_csv(result: SweepResult, path) -> None:
     rows = sweep_rows(result)
+    _write_rows(path, rows[0].keys(), (row.values() for row in rows))
+
+
+def _write_rows(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV lines, floats at 12
+    significant digits and every other value as given."""
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
+        writer = csv.writer(handle)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                {
-                    key: f"{value:.12g}" if isinstance(value, float) else value
-                    for key, value in row.items()
-                }
-            )
+            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
 
 
 def audits_to_dict(result: SweepResult) -> dict:
-    return {
-        name: {
-            "passed": verdict.passed,
-            "worst_value": verdict.worst_value,
-            "worst_pair": list(verdict.worst_pair) if verdict.worst_pair else None,
-            "note": verdict.note,
-        }
-        for name, verdict in result.audits.items()
-    }
+    return {name: asdict(verdict) for name, verdict in result.audits.items()}

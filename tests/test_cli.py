@@ -326,14 +326,36 @@ def test_shipped_sweeps_write_their_golden_artifacts(tmp_path, name):
             assert (tmp_path / artifact).read_bytes() == handle.read(), artifact
 
 
-def test_shipped_solve_writes_its_golden_artifacts(tmp_path):
+@pytest.mark.parametrize(
+    "command, golden, artifacts",
+    [
+        ("solve", "three_slot_solve", ()),
+        ("dynamics-trace", "three_slot_solve_dynamics_trace", ("trace.csv",)),
+    ],
+    ids=["solve", "dynamics-trace"],
+)
+def test_shipped_solve_writes_its_golden_artifacts(tmp_path, command, golden, artifacts):
     # The single-point closed form, pinned like the sweeps: its report
     # carries the certificate gap of the split the root-finder returns.
+    # The dynamics-trace run (20 iterations) pins a dynamics report and a
+    # trace; its softmax takes exp, so its last digits rest on the
+    # platform's libm agreeing to 12 significant digits.
     config = os.path.join(SHIPPED_CONFIGS, "three_slot_solve.json")
-    assert main(["solve", "--config", config, "--out", str(tmp_path)]) == 0
-    for artifact in ("report.json", "loads.csv", "equilibrium_loads.csv"):
-        with open(os.path.join(GOLDEN, "three_slot_solve", artifact), "rb") as handle:
+    assert main([command, "--config", config, "--out", str(tmp_path)]) == 0
+    for artifact in ("report.json", "loads.csv", "equilibrium_loads.csv", *artifacts):
+        with open(os.path.join(GOLDEN, golden, artifact), "rb") as handle:
             assert (tmp_path / artifact).read_bytes() == handle.read(), artifact
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["night_charging", "three_slot_gap_sweep", "three_slot_quadratic_sweep", "three_slot_solve"],
+)
+def test_shipped_configs_print_their_golden_config(capsys, name):
+    config = os.path.join(SHIPPED_CONFIGS, name + ".json")
+    assert main(["solve", "--config", config, "--print-config"]) == 0
+    with open(os.path.join(GOLDEN, name, "print_config.json")) as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 def test_gap_sweep_prints_the_exact_linear_split(tmp_path):
@@ -631,6 +653,16 @@ MALFORMED_CONFIGS = {
         "game": dict(BAND_GAME, cost={"kind": "affine", "base": {"kind": "linear", "slope": "1"}})
     },
     "domain-bound-a-string": {"game": dict(BAND_GAME, cost={"kind": "quadratic", "domain_bound": "30"})},
+    # Only domain_bound may be null; a null parameter is not read as absent.
+    "slope-null": {"game": dict(BAND_GAME, cost={"kind": "linear", "slope": None})},
+    "intercept-null": {"game": dict(BAND_GAME, cost={"kind": "linear", "intercept": None})},
+    "rate-null": {"game": dict(BAND_GAME, cost={"kind": "exponential", "rate": None})},
+    "scale-null": {
+        "game": dict(BAND_GAME, cost={"kind": "affine", "base": {"kind": "quadratic"}, "scale": None})
+    },
+    "shift-null": {
+        "game": dict(BAND_GAME, cost={"kind": "affine", "base": {"kind": "quadratic"}, "shift": None})
+    },
     "unknown-game-key": {"game": dict(BAND_GAME, horizn=9)},
     "unknown-cost-key": {"game": dict(BAND_GAME, cost={"kind": "linear", "slop": 2.0})},
     "affine-domain-bound": {
@@ -655,6 +687,11 @@ MALFORMED_FIELDS = {
     "shift-a-boolean": "game.cost.shift",
     "affine-base-slope-a-string": "game.cost.base.slope",
     "domain-bound-a-string": "game.cost.domain_bound",
+    "slope-null": "game.cost.slope must be a finite number, got None",
+    "intercept-null": "game.cost.intercept must be a finite number, got None",
+    "rate-null": "game.cost.rate must be a finite number, got None",
+    "scale-null": "game.cost.scale must be a finite number, got None",
+    "shift-null": "game.cost.shift must be a finite number, got None",
     "unknown-game-key": "game has unknown keys ['horizn']",
     "unknown-cost-key": "game.cost has unknown keys ['slop']",
     "affine-domain-bound": "game.cost has unknown keys ['domain_bound']",

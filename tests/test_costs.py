@@ -10,13 +10,18 @@ from chargegame import (
     CustomCost,
     DomainError,
     ExponentialCost,
+    GameSpec,
     LinearCost,
+    Profile,
     QuadraticCost,
+    SolverStatus,
     SpecError,
     cost_from_config,
     cost_to_config,
+    make_report,
     with_domain_bound,
 )
+from chargegame.cli import report_from_dict, report_to_dict
 from chargegame.costs import DOMAIN_SLACK
 
 FAMILIES = [
@@ -268,3 +273,48 @@ def test_config_errors():
         cost_from_config({"kind": "cubic"})
     with pytest.raises(SpecError):
         cost_from_config(["linear"])
+
+
+def test_config_written_forms():
+    # A kind's written form is its family's fields; an affine family nests
+    # its base's form and has no bound of its own.
+    assert cost_to_config(LinearCost(1.5, 0.25, domain_bound=9.0)) == {
+        "kind": "linear", "slope": 1.5, "intercept": 0.25, "domain_bound": 9.0
+    }
+    assert cost_to_config(QuadraticCost()) == {"kind": "quadratic", "domain_bound": None}
+    exponential = ExponentialCost(rate=0.8)
+    nested = {"kind": "exponential", "rate": 0.8, "domain_bound": None}
+    assert cost_to_config(exponential) == nested
+    affine = {"kind": "affine", "base": nested, "scale": 2.0, "shift": -0.5}
+    assert cost_to_config(AffineCost(exponential, 2.0, -0.5)) == affine
+    pinned = with_domain_bound(AffineCost(exponential, 2.0, -0.5), 6.0)
+    assert cost_to_config(pinned) == dict(affine, base=dict(nested, domain_bound=6.0))
+
+
+def test_minimal_configs_take_the_field_defaults():
+    # A null domain_bound is accepted, and reads as the unpinned default.
+    defaults = {
+        "linear": LinearCost(1.0, 0.0),
+        "quadratic": QuadraticCost(),
+        "exponential": ExponentialCost(1.0),
+    }
+    for kind, fn in defaults.items():
+        assert cost_from_config({"kind": kind}) == fn
+        assert cost_from_config({"kind": kind, "domain_bound": None}) == fn
+    minimal_affine = {"kind": "affine", "base": {"kind": "quadratic"}}
+    assert cost_from_config(minimal_affine) == AffineCost(QuadraticCost(), 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [ExponentialCost(rate=0.8), AffineCost(ExponentialCost(rate=1.3), 2.5, -0.25)],
+    ids=["exponential", "affine"],
+)
+def test_a_report_round_trip_gives_back_the_cost(cost):
+    # report.json carries the cost in config form, its bound pinned by the
+    # game; reading the report back rebuilds an equal family.
+    spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), cost, np.array([0.4, 0.6]))
+    report = make_report(spec, Profile.uniform(spec), SolverStatus.CONVERGED)
+    rebuilt, _, _ = report_from_dict(report_to_dict(report, {}))
+    assert rebuilt.cost == spec.cost
+    assert rebuilt.cost.domain_bound == 25.0
