@@ -36,6 +36,7 @@ from .errors import (
     _is_integer,
     _is_number,
     _known_keys,
+    _quiet,
     _real,
 )
 from .model import GameSpec, Profile
@@ -175,9 +176,8 @@ def resolve_config(raw: dict, config_dir: str, normalize_flag: bool = False) -> 
     profile_cfg = raw["load_profile"]
     meta = {"normalized": False, "convention": "max load scaled to 1"}
     if isinstance(profile_cfg, dict):
-        if "csv" not in profile_cfg:
-            raise SpecError("load_profile mapping needs a 'csv' path")
-        path = profile_cfg["csv"]
+        path = profile_cfg.get("csv")
+        _check("load_profile.csv", path, "a path", isinstance(path, str))
         if not os.path.isabs(path):
             path = os.path.join(config_dir, path)
         normalize = profile_cfg.get("normalize", False)
@@ -364,14 +364,25 @@ def _ingesting(what: str):
         raise SpecError(f"malformed {what}: {detail}") from exc
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in the file ``path``; a file that cannot be opened,
+    decoded as UTF-8 or parsed raises a SpecError naming the ``what`` input."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    # ValueError: decoding or parsing; RecursionError: nesting too deep to parse.
+    except (OSError, ValueError, RecursionError) as exc:
+        detail = getattr(exc, "strerror", None) or exc
+        raise SpecError(f"unreadable {what} {path}: {detail}") from exc
+
+
 def _load_config(args) -> tuple[dict, GameSpec] | None:
     """Read, resolve and build the scenario of ``args.config``.
 
     Returns the resolved config and its game, or None once --print-config
     has printed the resolved config.
     """
-    with open(args.config) as handle:
-        raw = json.load(handle)
+    raw = _read_json(args.config, "config")
     config_dir = os.path.dirname(os.path.abspath(args.config))
     with _ingesting("config"):
         resolved = resolve_config(raw, config_dir, normalize_flag=args.normalize)
@@ -440,8 +451,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     tol_ok = _is_number(args.gap_tol) and args.gap_tol >= 0
     _check("--gap-tol", args.gap_tol, "a finite number >= 0", tol_ok)
-    with open(args.report) as handle:
-        data = json.load(handle)
+    data = _read_json(args.report, "report")
     with _ingesting("report"):
         spec, profile, stored = report_from_dict(data)
         status = SolverStatus(stored["status"])
@@ -511,24 +521,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # A non-finite cost or gradient ends in the NumericsError of
-        # verify._finite; numpy's warnings about it would only be noise.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with _quiet():
             if args.command == "solve":
                 return _cmd_solve(args)
             if args.command == "sweep":
                 return _cmd_sweep(args)
             if args.command == "dynamics-trace":
-                return _cmd_solve(args, trace_every=max(1, args.trace_every))
+                every = _integer("--trace-every", args.trace_every, 1)
+                return _cmd_solve(args, trace_every=every)
             return _cmd_verify(args)
-    except ChargeGameError as exc:
+    # An OSError is an input or output path the system refused: a missing
+    # load CSV, or an --out that names a file.
+    except (ChargeGameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON in config: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -18,9 +18,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ChargeGameError, SpecError, _is_integer
+from .errors import ChargeGameError, SpecError, _finite, _is_integer, _quiet
 from .model import Flow, GameSpec, Profile, _gradient_kernel
-from .verify import SolverStatus, TraceRow, _finite, _gap_reduction, make_report
+from .verify import SolverStatus, TraceRow, _gap_reduction, make_report
 
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_GAP_TOL = 1e-6
@@ -151,9 +151,7 @@ def solve_dynamics(
     return outcome
 
 
-# A non-finite cost or gradient ends its game with the NumericsError of
-# verify._finite; numpy's warnings on the way there would be noise.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@_quiet()
 def _solve_batch(
     specs,
     *,

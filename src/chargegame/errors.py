@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the field checks that
-config and report ingestion raise them with."""
+"""Exception types shared across the package, the field checks that config
+and report ingestion raise them with, and the rule for non-finite numbers."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ChargeGameError(Exception):
@@ -36,6 +38,24 @@ class BracketingError(ChargeGameError, ArithmeticError):
 
 class NumericsError(ChargeGameError, ArithmeticError):
     """A numerical computation produced non-finite values."""
+
+
+def _quiet() -> np.errstate:
+    """A fresh float-error state that ignores overflow, division by zero and
+    invalid operations, as a context manager or a decorator: a non-finite
+    result is judged by :func:`_finite`, so numpy's warnings on the way to
+    it would be noise."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+def _finite(values, what: str = "strategy costs encountered"):
+    """``values``, a float or a list or array of them, or a NumericsError
+    when one is not finite: f or f' overflowed somewhere on the way.  By
+    default ``values`` are strategy costs or their gaps, and a profile whose
+    costs are not finite is no result."""
+    if not np.isfinite(values).all():
+        raise NumericsError(f"non-finite {what}; check the cost family scale")
+    return values
 
 
 class _FieldError(SpecError):

@@ -19,7 +19,14 @@ from typing import Callable
 import numpy as np
 
 from .costs import CostFunction, with_domain_bound
-from .errors import SpecError, UndefinedAverageError, UnsupportedInstanceError
+from .errors import (
+    SpecError,
+    UndefinedAverageError,
+    UnsupportedInstanceError,
+    _finite,
+    _is_integer,
+    _quiet,
+)
 
 # Additive tolerance for membership in a scaled simplex.  Inputs further
 # out are rejected; inputs within are renormalized by scaling, since
@@ -79,8 +86,9 @@ class GameSpec:
     """One composite charging game.
 
     Attributes:
-        horizon: number of time slots.
-        duration: consecutive charging slots per EV, between 1 and horizon.
+        horizon: number of time slots, a whole number, stored as an int.
+        duration: consecutive charging slots per EV, a whole number
+            between 1 and horizon, stored as an int.
         power: total EV charging power scale multiplying the aggregate load.
         base_load: non-EV load per slot, length ``horizon``, nonnegative.
         cost: per-unit cost family; an unresolved validity bound is pinned
@@ -97,10 +105,15 @@ class GameSpec:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise SpecError("horizon must be a positive integer")
-        if not 1 <= self.duration <= self.horizon:
-            raise SpecError("duration must satisfy 1 <= duration <= horizon")
+        # A whole float is a count too; a bool or a non-finite number is not.
+        if not _is_integer(self.horizon, 1):
+            raise SpecError(f"horizon must be a positive integer, got {self.horizon!r}")
+        if not (_is_integer(self.duration, 1) and self.duration <= self.horizon):
+            raise SpecError(
+                f"duration must be an integer with 1 <= duration <= horizon, got {self.duration!r}"
+            )
+        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "duration", int(self.duration))
         if not 0 <= self.power < math.inf:
             raise SpecError("power must be finite and nonnegative")
 
@@ -278,14 +291,18 @@ def decompose_loads(spec: GameSpec, profile: Profile) -> LoadDecomposition:
     return LoadDecomposition(per_player, per_player.sum(axis=0))
 
 
-def _slot_prices(spec: GameSpec, loads: LoadDecomposition) -> np.ndarray:
-    """Per-unit price of each slot, f(L_t + P * z_t), at the given loads."""
-    return spec.cost.value(spec.base_load + spec.power * loads.aggregate)
+def _slot_prices(spec: GameSpec, loads: LoadDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit price of each slot, f(L_t + P * z_t), at the given loads,
+    and their window sums, the strategy costs.  Every slot lies in some
+    window, so a non-finite price or sum raises a NumericsError."""
+    with _quiet():
+        prices = spec.cost.value(spec.base_load + spec.power * loads.aggregate)
+        return prices, _finite(_window_sum(spec, prices))
 
 
 def strategy_costs(spec: GameSpec, profile: Profile) -> np.ndarray:
     """Cost of each start-slot strategy: window sum of per-slot unit prices."""
-    return _window_sum(spec, _slot_prices(spec, decompose_loads(spec, profile)))
+    return _slot_prices(spec, decompose_loads(spec, profile))[1]
 
 
 def coalition_average_cost(spec: GameSpec, profile: Profile, k: int) -> float:
@@ -387,11 +404,12 @@ def player_gradients(spec: GameSpec, profile: Profile) -> np.ndarray:
     flow: component s is the strategy cost u_s plus the extra price the
     coalition's members already charging in that window would pay, all
     divided by the coalition's mass.  Zero-mass players get a zero row,
-    matching their zero flow.
+    matching their zero flow.  A non-finite entry raises a NumericsError.
     """
     validate_profile(spec, profile)
     kernel = _gradient_kernel(spec, spec.weights)
-    return kernel(profile.matrix())
+    with _quiet():
+        return _finite(kernel(profile.matrix()))
 
 
 @dataclass(frozen=True)
@@ -413,8 +431,7 @@ class CostSummary:
 def evaluate_costs(spec: GameSpec, profile: Profile) -> CostSummary:
     """All entity costs at ``profile`` in one pass."""
     loads = decompose_loads(spec, profile)
-    prices = _slot_prices(spec, loads)
-    return _summarize_costs(spec, profile, loads, prices, _window_sum(spec, prices))
+    return _summarize_costs(spec, profile, loads, *_slot_prices(spec, loads))
 
 
 def _summarize_costs(

@@ -28,7 +28,7 @@ from .dynamics import (
     default_step_schedule,
     solve_dynamics,
 )
-from .errors import ChargeGameError, SpecError
+from .errors import ChargeGameError, SpecError, _finite, _quiet
 from .model import GameSpec, _gradient_kernel, _onto_masses, _unit_weights, _window_sum
 from .threeslot import (
     ThreeSlotInstance,
@@ -38,7 +38,7 @@ from .threeslot import (
     equilibrium_profile,
     instance_from_spec,
 )
-from .verify import EquilibriumReport, SolverStatus, _finite, _gaps, make_report, vi_gap
+from .verify import EquilibriumReport, SolverStatus, _gaps, make_report, vi_gap
 
 DEFAULT_GRID_SIZE = 101
 DEFAULT_GRID_START = 0.01
@@ -284,7 +284,7 @@ def _isolated(stage, grid: np.ndarray) -> list[SweepPoint]:
     return [point for i in range(len(grid)) for point in _isolated(stage, grid[i : i + 1])]
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@_quiet()
 def _certified_points(
     inst: ThreeSlotInstance, spec: GameSpec, sizes: np.ndarray
 ) -> list[SweepPoint]:

@@ -34,9 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostFunction
-from .errors import BracketingError, SpecError
+from .errors import BracketingError, SpecError, _finite, _quiet
 from .model import Flow, GameSpec, Profile, supports_reduced_costs
-from .verify import _finite
 
 # Width of a split bracket that needs no search: such a bracket's midpoint
 # is the root, and false position stops once a bracket is this narrow.
@@ -86,9 +85,10 @@ class ThreeSlotInstance:
     cost: CostFunction
 
     def __post_init__(self):
-        loads = (self.peak_load, self.mid_load, self.offpeak_load)
-        if not all(0 <= load < math.inf for load in loads):
-            raise SpecError("slot loads must be finite and nonnegative")
+        for name in ("peak_load", "mid_load", "offpeak_load"):
+            load = getattr(self, name)
+            if not 0 <= load < math.inf:
+                raise SpecError(f"slot loads must be finite and nonnegative, got {name}={load!r}")
         if not self.peak_load >= self.offpeak_load:
             raise SpecError(
                 "peak_load must be >= offpeak_load; swap the outer slots"
@@ -133,12 +133,14 @@ def activation_threshold(inst: ThreeSlotInstance) -> float:
 
     Equals (f(peak) - f(1 + offpeak)) / f'(1 + offpeak): the load gap in
     cost units, measured against the marginal cost of crowding the cheap
-    alternative further.
+    alternative further; a NumericsError when it is not finite.
     """
     f = inst.cost
-    peak = f.value(inst.peak_load)
-    cheap, slope = f._pair(1.0 + inst.offpeak_load)
-    return (peak - cheap) / slope
+    with _quiet():
+        peak = f.value(inst.peak_load)
+        cheap, slope = f._pair(1.0 + inst.offpeak_load)
+        # np.divide: a zero slope gives inf or NaN, not a ZeroDivisionError.
+        return float(_finite(np.divide(peak - cheap, slope), "activation threshold"))
 
 
 def mixing_band(inst: ThreeSlotInstance) -> float:
@@ -154,11 +156,13 @@ def marginal_imbalance(inst: ThreeSlotInstance, split: float) -> float:
     alternative to the peak one changes the coalition's total cost by this
     amount (own price paid plus the crowding inflicted on members already
     there, on both sides).  It is strictly increasing in ``split`` for
-    convex increasing families, and its root is the equilibrium split.
+    convex increasing families, and its root is the equilibrium split.  A
+    surplus that is not finite raises a NumericsError.
     """
     sizes = np.array([[0.0], [inst.coalition_size]])
-    imbalance, _ = _stationarity(inst.cost._pair, _outer_loads(inst), sizes, split)
-    return float(imbalance[0])
+    with _quiet():
+        imbalance, _ = _stationarity(inst.cost._pair, _outer_loads(inst), sizes, split)
+    return float(_finite(imbalance[0], "marginal imbalance"))
 
 
 def classify(inst: ThreeSlotInstance) -> Regime:
@@ -238,15 +242,12 @@ def _regime(gapped: bool, split: bool) -> Regime:
     return Regime.SATURATED_SPLIT if split else Regime.SHARED_PEAK
 
 
-# A threshold that overflows ends in the NumericsError of verify._finite;
-# numpy's warnings on the way there would be noise.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _classify(inst: ThreeSlotInstance, sizes: np.ndarray) -> tuple[bool, np.ndarray]:
     """Whether ``inst`` is gapped, and per coalition size whether its
     equilibrium splits: past the activation threshold (gapped) or at or
     past the mixing band."""
     if _gapped(inst):
-        return True, sizes > _finite(activation_threshold(inst), "activation threshold")
+        return True, sizes > activation_threshold(inst)
     return False, sizes >= mixing_band(inst)
 
 
@@ -268,7 +269,7 @@ def _stationarity(pair, outer, sizes, split):
     return imbalance, (np.abs(value) + np.abs(terms)).sum(axis=0)
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@_quiet()
 def _grid_solution(
     inst: ThreeSlotInstance, m: np.ndarray
 ) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
@@ -376,14 +377,16 @@ def _split_roots(
     return roots
 
 
+@_quiet()
 def _grid_costs(
     inst: ThreeSlotInstance, sizes: np.ndarray, x1: np.ndarray, split: np.ndarray
 ) -> ReducedCosts:
     """:func:`ce_costs` of the closed form of ``inst`` at coalition sizes
     ``sizes``, from its coalition peak weights ``x1`` and split flags
-    ``split``, as one array per entity."""
+    ``split``, as one array per entity, or a NumericsError."""
     f = inst.cost
-    social, individuals, coalition = np.empty((3, len(sizes)))
+    costs = np.empty((3, len(sizes)))
+    social, individuals, coalition = costs
     if not split.all():
         if _gapped(inst):
             common = f.value(1.0 + inst.offpeak_load)
@@ -399,7 +402,7 @@ def _grid_costs(
         social[split] = x * peak_price + (1.0 - x) * offpeak_price
         individuals[split] = offpeak_price
         coalition[split] = (x * peak_price + (m - x) * offpeak_price) / m
-    return ReducedCosts(social, individuals, coalition)
+    return ReducedCosts(*_finite(costs, "entity costs"))
 
 
 def instance_from_spec(spec: GameSpec, coalition_size: float) -> ThreeSlotInstance:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import SpecError, _finite, _quiet
 from .model import (
     CostSummary,
     GameSpec,
@@ -27,7 +27,6 @@ from .model import (
     _coalition_mass,
     _slot_prices,
     _summarize_costs,
-    _window_sum,
     decompose_loads,
     player_gradients,
     reduced_costs,
@@ -49,9 +48,7 @@ def support_threshold(mass: float) -> float:
     return DEFAULT_SUPPORT_RATIO * mass
 
 
-# The non-finite verdict is _finite's; numpy's warnings on the way to it
-# would be noise.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@_quiet()
 def vi_gap(spec: GameSpec, profile: Profile) -> float:
     """Total linearized improvement available to all players at once.
 
@@ -139,16 +136,6 @@ def _gap_reduction(masses: np.ndarray, players: int):
         return np.add.reduce(terms, 0, initial=0.0).tolist()
 
     return gaps
-
-
-def _finite(values, what: str = "strategy costs encountered"):
-    """``values``, a float or a list or array of them, or a NumericsError
-    when one is not finite: f or f' overflowed somewhere on the way.  By
-    default ``values`` are certificate gaps, and a profile whose gap is not
-    finite is no result."""
-    if not np.isfinite(values).all():
-        raise NumericsError(f"non-finite {what}; check the cost family scale")
-    return values
 
 
 @dataclass(frozen=True)
@@ -257,8 +244,11 @@ def check_cost_ordering(report: EquilibriumReport, tol: float = 1e-9) -> Orderin
 
     The ordering is an equilibrium property (individuals sit on the
     cheapest alternatives), not a general-profile one, so call this only
-    on reports whose gap is within its certification tolerance.
+    on reports whose gap is within its certification tolerance.  A NaN
+    ``tol``, which every comparison would pass, raises a SpecError.
     """
+    if math.isnan(tol):
+        raise SpecError("cost ordering tol must be a number, got nan")
     costs = report.costs
     violations = []
     if costs.individuals > costs.social + tol:
@@ -289,8 +279,7 @@ def make_report(
     if gap is None:
         gap = vi_gap(spec, profile)
     loads = decompose_loads(spec, profile)
-    prices = _slot_prices(spec, loads)
-    strategy = _window_sum(spec, prices)
+    prices, strategy = _slot_prices(spec, loads)
     costs = _summarize_costs(spec, profile, loads, prices, strategy)
     reduced = reduced_costs(spec, costs) if supports_reduced_costs(spec) else None
     wardrop = _wardrop_at(spec, profile, strategy, eps=np.inf)

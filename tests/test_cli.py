@@ -91,6 +91,14 @@ def test_load_profile_csv_errors(tmp_path):
     empty.write_text("t,load\n")
     with pytest.raises(SpecError):
         load_profile_csv(str(empty))
+    headless = tmp_path / "f.csv"
+    headless.write_text("")
+    with pytest.raises(SpecError, match="empty load-profile CSV"):
+        load_profile_csv(str(headless))
+    one_column = tmp_path / "g.csv"
+    one_column.write_text("t,load\n1,1\n2\n")
+    with pytest.raises(SpecError, match=":3: expected two columns"):
+        load_profile_csv(str(one_column))
 
 
 # --- config resolution -------------------------------------------------------
@@ -515,6 +523,18 @@ def test_dynamics_trace_writes_iterations(tmp_path):
     assert float(rows[-1]["x1_1"]) == pytest.approx(0.375, abs=1e-3)
 
 
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_dynamics_trace_refuses_a_trace_every_below_one(tmp_path, capsys, every):
+    # -3 used to trace every iteration and exit 0.
+    out = tmp_path / "out"
+    argv = ["dynamics-trace", "--config", band_config(tmp_path), "--out", str(out)]
+    assert main([*argv, f"--trace-every={every}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --trace-every must be an integer >= 1, got {every}\n"
+    assert not out.exists()
+
+
 # --- verify ------------------------------------------------------------------
 
 
@@ -608,6 +628,63 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+# Per case: the command line that reads or writes a path, the bytes the
+# path holds (None: it is a directory) and the start of the one error
+# line, with the path in place of {}.
+UNREADABLE_INPUTS = {
+    "config-invalid-json": (
+        lambda p: ["solve", "--config", p], b"{bad", "error: unreadable config {}: Expecting"
+    ),
+    "report-invalid-json": (
+        lambda p: ["verify", "--report", p], b"{bad", "error: unreadable report {}: Expecting"
+    ),
+    "config-a-directory": (
+        lambda p: ["solve", "--config", p], None, "error: unreadable config {}: Is a directory"
+    ),
+    "report-a-directory": (
+        lambda p: ["verify", "--report", p], None, "error: unreadable report {}: Is a directory"
+    ),
+    "config-not-utf-8": (
+        lambda p: ["sweep", "--config", p],
+        b'{"game": "\xff"}',
+        "error: unreadable config {}: 'utf-8' codec can't decode",
+    ),
+    "config-nested-too-deep": (
+        lambda p: ["solve", "--config", p],
+        b"[" * 100_000 + b"]" * 100_000,
+        "error: unreadable config {}: maximum recursion depth exceeded",
+    ),
+    "config-not-a-json-object": (
+        lambda p: ["solve", "--config", p], b"[1, 2]", "error: config must be a JSON object"
+    ),
+    "out-an-existing-file": (
+        lambda p: ["solve", "--config", os.path.join(SHIPPED_CONFIGS, "three_slot_solve.json"),
+                   "--out", p],
+        b"",
+        "error: [Errno 17] File exists: {!r}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_INPUTS))
+def test_an_unreadable_input_or_output_path_is_a_config_error(tmp_path, capsys, case):
+    # A directory, a file that is not UTF-8, JSON nested too deep and an
+    # --out that names a file used to end in a traceback with exit 1, which
+    # reads as "not converged", and a report of invalid JSON was blamed on
+    # the config.
+    argv, contents, want = UNREADABLE_INPUTS[case]
+    path = tmp_path / "input"
+    if contents is None:
+        path.mkdir()
+    else:
+        path.write_bytes(contents)
+    assert main(argv(str(path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(want.format(str(path)))
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 MALFORMED_CONFIGS = {
     "solver-not-a-mapping": {"solver": 5},
     "game-not-a-mapping": {"game": 5},
@@ -633,6 +710,7 @@ MALFORMED_CONFIGS = {
     "horizon-not-integral": {"game": dict(BAND_GAME, horizon=3.9)},
     "duration-a-boolean": {"game": dict(BAND_GAME, duration=True)},
     "normalize-a-string": {"load_profile": {"csv": "loads.csv", "normalize": "false"}},
+    "load-profile-mapping-without-csv": {"load_profile": {"normalize": True}},
     # Game and cost fields are JSON numbers, not strings or booleans that
     # float() would accept, and every game and cost mapping has fixed keys.
     "power-a-string": {"game": dict(BAND_GAME, power="1.0")},
@@ -697,6 +775,7 @@ MALFORMED_FIELDS = {
     "affine-domain-bound": "game.cost has unknown keys ['domain_bound']",
     "unknown-cost-kind": "game.cost.kind",
     "horizon-not-integral": "game.horizon",
+    "load-profile-mapping-without-csv": "load_profile.csv must be a path, got None",
     "max-iter-not-a-number": "solver.max_iter",
     "gap-tol-negative": "solver.gap_tol must be a finite number >= 0",
 }

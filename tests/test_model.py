@@ -17,6 +17,7 @@ from chargegame import (
     QuadraticCost,
     ExponentialCost,
     SpecError,
+    ThreeSlotInstance,
     UndefinedAverageError,
     UnsupportedInstanceError,
     coalition_average_cost,
@@ -329,6 +330,56 @@ def test_game_spec_refuses_non_finite_numbers(bad):
         Flow(np.array([bad, 1.0]), 1.0)
     with pytest.raises(SpecError, match="flow mass must be finite"):
         Flow(np.array([0.5, 0.5]), bad)
+
+
+def small_game(horizon=3, duration=2, power=1.0, base_load=(1.0, 1.0, 1.0), weights=(0.5, 0.5)):
+    return GameSpec(
+        horizon, duration, power, np.array(base_load), QuadraticCost(), np.array(weights)
+    )
+
+
+# Each number a game, flow or three-slot instance takes, as a constructor
+# call on a bad value, and the name its refusal gives the parameter.
+NUMBER_PARAMETERS = {
+    "horizon": (lambda v: small_game(horizon=v), "horizon"),
+    "duration": (lambda v: small_game(duration=v), "duration"),
+    "power": (lambda v: small_game(power=v), "power"),
+    "base_load": (lambda v: small_game(base_load=(1.0, v, 1.0)), "base_load"),
+    "weights": (lambda v: small_game(weights=(0.5, v)), "weights"),
+    "flow-values": (lambda v: Flow(np.array([0.5, v]), 1.0), "flow entries"),
+    "flow-mass": (lambda v: Flow(np.array([0.5, 0.5]), v), "flow mass"),
+    "peak_load": (lambda v: ThreeSlotInstance(v, 1.0, 1.0, 0.5, LinearCost()), "peak_load"),
+    "mid_load": (lambda v: ThreeSlotInstance(2.0, v, 1.0, 0.5, LinearCost()), "mid_load"),
+    "offpeak_load": (lambda v: ThreeSlotInstance(2.0, 1.0, v, 0.5, LinearCost()), "offpeak_load"),
+    "coalition_size": (
+        lambda v: ThreeSlotInstance(2.0, 1.0, 1.0, v, LinearCost()), "coalition_size"
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(NUMBER_PARAMETERS))
+def test_a_non_finite_number_is_refused_by_name(case, value):
+    # GameSpec(horizon=nan) used to blame duration, and horizon=inf to ask
+    # for a base load of length inf.
+    build, name = NUMBER_PARAMETERS[case]
+    with pytest.raises(SpecError, match=name):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.5, True, False])
+@pytest.mark.parametrize("count", ["horizon", "duration"])
+def test_a_fractional_or_boolean_count_is_refused_by_name(count, value):
+    # A fractional count used to construct and then fail in numpy.
+    with pytest.raises(SpecError, match=count):
+        small_game(**{count: value})
+
+
+def test_a_whole_float_count_is_stored_as_an_int():
+    spec, same = small_game(horizon=3.0, duration=np.int64(2)), small_game()
+    assert (type(spec.horizon), type(spec.duration)) == (int, int)
+    costs = strategy_costs(spec, Profile.uniform(spec))
+    np.testing.assert_array_equal(costs, strategy_costs(same, Profile.uniform(same)))
 
 
 def test_game_spec_resolves_domain_bound():

@@ -490,6 +490,14 @@ def test_overflowing_threshold_raises_from_classify():
         ce_costs(inst, CEPoint(0.0, 0.0, Regime.ALL_OFFPEAK))
 
 
+def test_a_zero_slope_threshold_is_a_numerics_error():
+    # A float division by the zero slope used to raise ZeroDivisionError.
+    flat = CustomCost(lambda x: x, lambda x: 0.0 * x, domain_bound=5.0)
+    inst = ThreeSlotInstance(2.5, 1.0, 1.0, 0.5, flat)
+    with pytest.raises(NumericsError, match="activation threshold"):
+        activation_threshold(inst)
+
+
 def test_lying_derivative_breaks_bracketing():
     """A derivative violating the shape assumptions is reported, not hidden."""
     liar = CustomCost(

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chargegame as cg
 from chargegame import (
     AffineCost,
     ExponentialCost,
@@ -14,6 +15,7 @@ from chargegame import (
     Profile,
     QuadraticCost,
     SolverStatus,
+    SpecError,
     ThreeSlotInstance,
     UndefinedAverageError,
     check_coalition_optimality,
@@ -108,6 +110,53 @@ def test_non_finite_gap_raises_without_warnings():
             vi_gap(spec, profile)
         with pytest.raises(NumericsError, match="non-finite strategy costs"):
             make_report(spec, profile, SolverStatus.ANALYTIC)
+
+
+# exp(400 x) overflows on the peak load 2.3, and, with the mixing band
+# open, on the closed form's common load 2.4.
+OVERFLOWING = ExponentialCost(rate=400)
+OVERFLOWING_SPEC = GameSpec(3, 2, 1.0, np.array([2.3, 1.0, 1.0]), OVERFLOWING, np.array([0.5, 0.5]))
+UNIFORM = Profile.uniform(OVERFLOWING_SPEC)
+OVERFLOWING_GAPPED = ThreeSlotInstance(2.3, 1.0, 1.0, 0.5, OVERFLOWING)
+OVERFLOWING_BAND = ThreeSlotInstance(2.3, 1.0, 1.5, 0.1, OVERFLOWING)
+
+# Each public evaluator on an overflowing input, and what its error names.
+OVERFLOWING_EVALUATORS = {
+    "evaluate_costs": (lambda: cg.evaluate_costs(OVERFLOWING_SPEC, UNIFORM), "strategy costs"),
+    "strategy_costs": (lambda: cg.strategy_costs(OVERFLOWING_SPEC, UNIFORM), "strategy costs"),
+    "coalition_average_cost": (
+        lambda: cg.coalition_average_cost(OVERFLOWING_SPEC, UNIFORM, 1), "strategy costs"
+    ),
+    "check_wardrop": (lambda: check_wardrop(OVERFLOWING_SPEC, UNIFORM, 1e-6), "strategy costs"),
+    "player_gradients": (lambda: cg.player_gradients(OVERFLOWING_SPEC, UNIFORM), "strategy costs"),
+    "check_coalition_optimality": (
+        lambda: check_coalition_optimality(OVERFLOWING_SPEC, UNIFORM, 1, 1e-6), "strategy costs"
+    ),
+    "activation_threshold": (
+        lambda: cg.activation_threshold(OVERFLOWING_GAPPED), "activation threshold"
+    ),
+    "marginal_imbalance": (
+        lambda: cg.marginal_imbalance(OVERFLOWING_GAPPED, 0.1), "marginal imbalance"
+    ),
+    "ce_costs": (lambda: cg.ce_costs(OVERFLOWING_BAND, solve_ce(OVERFLOWING_BAND)), "entity costs"),
+}
+
+
+@pytest.mark.parametrize("evaluator", list(OVERFLOWING_EVALUATORS))
+def test_every_evaluator_raises_on_an_overflowing_cost_without_a_warning(evaluator):
+    # These used to return inf or NaN behind numpy's RuntimeWarning.
+    evaluate, what = OVERFLOWING_EVALUATORS[evaluator]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=f"non-finite {what}"):
+            evaluate()
+
+
+def test_an_analytic_sweep_point_with_overflowing_costs_carries_the_ce_costs_error():
+    (point,) = cg.run_sweep(OVERFLOWING_BAND, np.array([0.1])).points
+    with pytest.raises(NumericsError) as alone:
+        cg.ce_costs(OVERFLOWING_BAND, solve_ce(OVERFLOWING_BAND))
+    assert point.status == "error" and point.error == str(alone.value)
 
 
 @pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.5), (0.3, 0.3, 0.4)])
@@ -209,6 +258,9 @@ def test_cost_ordering_detects_violations():
 
     tampered = dataclasses.replace(report, costs=broken)
     assert not check_cost_ordering(tampered).passed
+    # A NaN tolerance fails no comparison, so it would pass the violation.
+    with pytest.raises(SpecError, match="tol"):
+        check_cost_ordering(tampered, tol=float("nan"))
 
 
 def test_ordering_across_random_equilibria(rng):
