@@ -74,13 +74,16 @@ class CostFunction(abc.ABC):
         value, slope = self._raw_pair(arr)
         if arr.ndim == 0:
             return float(value), float(slope)
-        return value, np.full_like(arr, slope) if np.ndim(slope) < arr.ndim else slope
+        return value, np.full(arr.shape, slope, float) if np.ndim(slope) < arr.ndim else slope
 
     def _checked(self, load) -> np.ndarray:
         """``load`` as a float array, once it passed the domain check."""
         arr = np.asarray(load, dtype=float)
         if arr.size:
-            self._check_domain(float(arr.min()), float(arr.max()))
+            # The ufunc reductions skip ndarray.min's and max's Python wrappers.
+            self._check_domain(
+                float(np.minimum.reduce(arr, None)), float(np.maximum.reduce(arr, None))
+            )
         return arr
 
     def _check_domain(self, lo: float, hi: float) -> None:

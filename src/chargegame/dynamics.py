@@ -104,15 +104,18 @@ def _step_value(step: StepSize, iteration: int) -> float:
     return step(iteration) if callable(step) else float(step)
 
 
-def _check_options(max_iter, gap_tol, step_size) -> None:
+def _check_options(max_iter, gap_tol, step_size, trace_every) -> None:
     """Raise SpecError for options the loop cannot honour: an iteration cap
-    that is not a whole number >= 0 (the CLI's rule), a tolerance that is
+    or a trace interval that is not a whole number >= 0 (the CLI's rule for
+    the cap; a trace interval of 0 records no trace), a tolerance that is
     not finite, which every gap meets (inf) or none meets or misses (NaN),
     and a constant step that is not a finite number > 0, which stands still
     or climbs.  A finite negative tolerance is fine: it runs all
     ``max_iter`` steps."""
     if not _is_integer(max_iter, 0):
         raise SpecError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    if not _is_integer(trace_every, 0):
+        raise SpecError(f"trace_every must be an integer >= 0, got {trace_every!r}")
     if not math.isfinite(gap_tol):
         raise SpecError(f"gap_tol must be a finite number, got {gap_tol!r}")
     if not (callable(step_size) or 0.0 < step_size < math.inf):
@@ -139,8 +142,9 @@ def solve_dynamics(
         :class:`~chargegame.verify.EquilibriumReport` for the final iterate.
 
     Raises:
-        SpecError: ``max_iter`` is not an integer >= 0, ``gap_tol`` is
-            not finite or a constant ``step_size`` is not a finite number > 0.
+        SpecError: ``max_iter`` or ``trace_every`` is not an integer >= 0,
+            ``gap_tol`` is not finite or a constant ``step_size`` is not a
+            finite number > 0.
     """
     (outcome,) = _solve_batch(
         (spec,), max_iter=max_iter, gap_tol=gap_tol, step_size=step_size,
@@ -179,7 +183,7 @@ def _solve_batch(
     Raises:
         SpecError: for the options, as :func:`solve_dynamics`.
     """
-    _check_options(max_iter, gap_tol, step_size)
+    _check_options(max_iter, gap_tol, step_size, trace_every)
     spec = specs[0]
     cost, players = spec.cost, spec.num_players
     weights = np.stack([game.weights for game in specs], axis=1).ravel()  # player-major

@@ -53,9 +53,17 @@ def _finite(values, what: str = "strategy costs encountered"):
     when one is not finite: f or f' overflowed somewhere on the way.  By
     default ``values`` are strategy costs or their gaps, and a profile whose
     costs are not finite is no result."""
-    if not np.isfinite(values).all():
+    # The ufunc reduction skips ndarray.all's Python-level wrapper.
+    if not np.logical_and.reduce(np.isfinite(values), None):
         raise NumericsError(f"non-finite {what}; check the cost family scale")
     return values
+
+
+def _tolerance(what: str, tol: float) -> None:
+    """Raise a SpecError naming ``what`` when the tolerance ``tol`` is NaN:
+    a check against it would fail (or pass) every value silently."""
+    if math.isnan(tol):
+        raise SpecError(f"{what} must be a number, got nan")
 
 
 class _FieldError(SpecError):

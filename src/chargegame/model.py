@@ -60,12 +60,6 @@ def _window_sum(spec: GameSpec, values: np.ndarray) -> np.ndarray:
     return _incidence(spec.horizon, spec.duration) @ values
 
 
-def _unit_weights(weights: np.ndarray) -> np.ndarray:
-    """Weights divided by their sum along the last axis: what a
-    :class:`GameSpec` stores, for one weight vector or a stack of them."""
-    return weights / np.add.reduce(weights, -1, keepdims=True)
-
-
 def _onto_masses(rows: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
     """A :class:`Flow`'s renormalization of one row or a stack of rows.
 
@@ -77,7 +71,7 @@ def _onto_masses(rows: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
     rows = np.maximum(rows, 0.0)
     totals = np.add.reduce(rows, -1, keepdims=True)
     positive = totals > 0.0
-    scale = np.divide(masses, totals, out=np.zeros_like(totals), where=positive)
+    scale = np.divide(masses, totals, out=np.zeros(totals.shape), where=positive)
     return np.where(positive, rows * scale, 0.0), totals
 
 
@@ -133,7 +127,7 @@ class GameSpec:
         total = float(weights.sum())
         if not abs(total - 1.0) <= SIMPLEX_TOL:
             raise SpecError(f"weights must sum to 1, got {total}")
-        weights = _unit_weights(weights)
+        weights = weights / total
 
         cost = self.cost
         peak = float(load.max()) + self.power
@@ -357,7 +351,7 @@ def _gradient_kernel(
     # game leaves the stack.
     masses = weights.reshape(players, -1)  # (players, games)
     crowded = np.maximum.reduce(masses[1:], axis=None, initial=0.0) > 0.0
-    base_load = np.concatenate((spec.base_load,) * masses.shape[1])
+    base_load = spec.base_load[None].repeat(masses.shape[1], 0).ravel()  # per game
     shares = np.array([[0.0]] + [[power]] * (players - 1))
     divisors = masses.copy()
     divisors[0] = 1.0

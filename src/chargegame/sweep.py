@@ -28,8 +28,8 @@ from .dynamics import (
     default_step_schedule,
     solve_dynamics,
 )
-from .errors import ChargeGameError, SpecError, _finite, _quiet
-from .model import GameSpec, _gradient_kernel, _onto_masses, _unit_weights, _window_sum
+from .errors import ChargeGameError, SpecError, _finite, _is_integer, _is_number, _quiet, _tolerance
+from .model import GameSpec, _gradient_kernel, _onto_masses, _window_sum
 from .threeslot import (
     ThreeSlotInstance,
     _grid_costs,
@@ -52,8 +52,17 @@ def default_grid(
     start: float = DEFAULT_GRID_START,
     stop: float = DEFAULT_GRID_STOP,
 ) -> np.ndarray:
-    """Uniform grid of coalition sizes; M = 0 is approached, never hit."""
-    return np.linspace(start, stop, count)
+    """Uniform grid of coalition sizes; M = 0 is approached, never hit.
+
+    A ``count`` that is not a whole number >= 1, or a ``start`` or
+    ``stop`` that is not a finite number, raises a SpecError naming it.
+    """
+    if not _is_integer(count, 1):
+        raise SpecError(f"grid count must be an integer >= 1, got {count!r}")
+    for name, value in (("start", start), ("stop", stop)):
+        if not _is_number(value):
+            raise SpecError(f"grid {name} must be a finite number, got {value!r}")
+    return np.linspace(start, stop, int(count))
 
 
 class SweepPoint(NamedTuple):
@@ -110,15 +119,18 @@ _DIRECTIONS = {"nondecreasing": -1.0, "nonincreasing": 1.0}
 
 
 def audit_monotone(values, direction: str, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
-    """Check adjacent differences against a direction within tol."""
+    """Check adjacent differences against a direction within tol; a NaN
+    ``tol`` raises a SpecError, as it does for every audit."""
     if direction not in _DIRECTIONS:
         raise SpecError(f"unknown direction {direction!r}")
+    _tolerance("audit tol", tol)
     values = np.asarray(values, dtype=float)
     return _monotone(values[None, :], [[_DIRECTIONS[direction]]], tol)[0]
 
 
 def audit_concave(values, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
     """Check second differences on a uniform grid stay below tol."""
+    _tolerance("audit tol", tol)
     values = np.asarray(values, dtype=float)
     if len(values) < 3:
         return AuditVerdict(passed=True, worst_value=0.0)
@@ -135,14 +147,25 @@ def audit_concave_branches(
     differences whose three points share a tag count.  A NaN among them
     fails the audit.
     """
+    _tolerance("audit tol", tol)
     values = np.asarray(values, dtype=float)
     tags = list(tags)
     if len(values) != len(tags):
         raise SpecError("values and tags must align")
+    return _concave_branches(values, _same_tags(tags), tol)
+
+
+def _same_tags(tags) -> np.ndarray:
+    """Whether each of the sequence ``tags`` equals the next one."""
+    return np.fromiter(map(eq, tags, tags[1:]), dtype=bool, count=max(len(tags) - 1, 0))
+
+
+def _concave_branches(values: np.ndarray, same: np.ndarray, tol: float) -> AuditVerdict:
+    """:func:`audit_concave_branches` of ``values``, with ``same`` saying
+    whether each tag equals the next one."""
     clean = AuditVerdict(passed=True, worst_value=0.0, note="per-branch")
     if len(values) < 3:
         return clean
-    same = np.fromiter(map(eq, tags, tags[1:]), dtype=bool, count=len(tags) - 1)
     second = np.where(same[1:] & same[:-1], _second_differences(values), -math.inf)
     verdict = _worst(second, 2, tol, note="per-branch")
     if verdict.worst_value == -math.inf:  # no branch of three points
@@ -155,7 +178,7 @@ def _monotone(series: np.ndarray, signs, tol: float) -> list[AuditVerdict]:
     row's direction given by its sign in the column ``signs``."""
     if series.shape[1] < 2:
         return [AuditVerdict(passed=True, worst_value=0.0)] * len(series)
-    adverse = np.diff(series) * signs
+    adverse = np.subtract(series[:, 1:], series[:, :-1]) * signs
     worst = np.argmax(adverse, axis=1)
     values = adverse[np.arange(len(series)), worst]
     return [
@@ -238,59 +261,68 @@ def run_sweep(
     """
     if isinstance(base, ThreeSlotInstance):
         base = base.to_game_spec()
+    _tolerance("audit_tol", audit_tol)
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise SpecError("sweep grid must be a nonempty vector")
-    # Negated comparisons, so that a NaN fails them.
-    if not (grid.min() > 0.0 and grid.max() <= 1.0):
+    # Negated comparisons, so that a NaN fails them; ufunc reductions, which
+    # skip ndarray.min's, max's and np.diff's Python-level wrappers.
+    if not (np.minimum.reduce(grid) > 0.0 and np.maximum.reduce(grid) <= 1.0):
         raise SpecError("sweep grid values must lie in (0, 1]")
-    if grid.size > 1 and not np.diff(grid).min() > 0:
+    if grid.size > 1 and not np.minimum.reduce(np.subtract(grid[1:], grid[:-1])) > 0:
         raise SpecError("sweep grid must be strictly increasing")
 
     solver = _method(solver, base, float(grid[0]))
     if base.num_coalitions != 1:
         raise SpecError("sweeps require a game shape with exactly one coalition")
 
+    columns = None
     if solver == "analytic":
-        points = _analytic_points(base, grid)
+        points, columns = _analytic_points(base, grid)
     else:
         points = _dynamics_points(
             base, [float(m) for m in grid], max_iter=max_iter, gap_tol=gap_tol, step_size=step_size
         )
-    audits = _run_audits(points, solver, audit_tol)
+    audits = _run_audits(points, solver, audit_tol, columns)
     return SweepResult(grid=grid, points=tuple(points), audits=audits, solver=solver)
 
 
-def _analytic_points(spec: GameSpec, grid: np.ndarray) -> list[SweepPoint]:
+def _analytic_points(spec: GameSpec, grid: np.ndarray) -> tuple[list[SweepPoint], tuple | None]:
+    """The closed form's records at ``grid`` and, when the whole grid
+    solves at once, the audits' columns of :func:`_certified_points`.
+
+    When the whole-grid call raises a ChargeGameError, every point is run
+    alone, so each carries its own record or the error that ends it by
+    itself, and the columns are None.
+    """
     # The grid lies in (0, 1], so the gate decides on the game's shape alone.
     inst = instance_from_spec(spec, float(grid[0]))
-    return _isolated(lambda sizes: _certified_points(inst, spec, sizes), grid)
-
-
-def _isolated(stage, grid: np.ndarray) -> list[SweepPoint]:
-    """``stage`` on the whole grid, or on each point alone once it raises.
-
-    ``stage`` returns one SweepPoint per coalition size.  When the
-    whole-grid call raises a ChargeGameError, every point is run alone, so
-    each carries its own record or the error that ends it by itself.
-    """
     try:
-        return stage(grid)
+        return _certified_points(inst, spec, grid)
     except ChargeGameError as exc:
         if len(grid) == 1:
-            return [_error_point(float(grid[0]), exc)]
-    return [point for i in range(len(grid)) for point in _isolated(stage, grid[i : i + 1])]
+            return [_error_point(float(grid[0]), exc)], None
+    points = []
+    for i in range(len(grid)):
+        try:
+            points += _certified_points(inst, spec, grid[i : i + 1])[0]
+        except ChargeGameError as exc:
+            points.append(_error_point(float(grid[i]), exc))
+    return points, None
 
 
 @_quiet()
 def _certified_points(
     inst: ThreeSlotInstance, spec: GameSpec, sizes: np.ndarray
-) -> list[SweepPoint]:
+) -> tuple[list[SweepPoint], tuple[np.ndarray, np.ndarray]]:
     """Sweep records of the closed form of ``inst``, the instance of
     ``spec``, at coalition sizes ``sizes``: the solution, its reduced costs
-    and its vi_gap, each for all points at once.
+    and its vi_gap, each for all points at once.  Also returns the audits'
+    columns: the five monotone series as one array, in the order of
+    ``_MONOTONE_AUDITS``, and whether each point's regime equals the next
+    one's.
 
     The gap is the certificate ``vi_gap`` gives the point's game and
     ``equilibrium_profile``, from one stack of those games: the rows and
@@ -300,21 +332,32 @@ def _certified_points(
     ChargeGameError, so the caller isolates it.
     """
     gapped, x1, x0, split = _grid_solution(inst, sizes)
-    costs = _grid_costs(inst, sizes, x1, split)
-    masses = np.concatenate((1.0 - sizes, sizes))[:, None]  # player-major
-    rows = np.concatenate(
-        (np.stack((x0, 1.0 - sizes - x0), axis=1), np.stack((x1, sizes - x1), axis=1))
-    )
-    rows, _ = _onto_masses(rows, masses)
-    weights = _unit_weights(np.stack((1.0 - sizes, sizes), axis=1)).T.ravel()
+    social, individuals, coalition = _grid_costs(inst, sizes, x1, split)
+    # The stack is player-major: every game's individuals, then every
+    # game's coalition, each row its weights on the two alternatives.
+    count = len(sizes)
+    rest = 1.0 - sizes
+    masses = np.concatenate((rest, sizes))
+    rows = np.empty((2 * count, 2))
+    rows[:count, 0] = x0
+    rows[count:, 0] = x1
+    np.subtract(rest, x0, out=rows[:count, 1])
+    np.subtract(sizes, x1, out=rows[count:, 1])
+    rows, _ = _onto_masses(rows, masses[:, None])
+    # What GameSpec stores: each game's masses over their sum.
+    weights = np.divide(masses.reshape(2, count), rest + sizes).ravel()
     kernel = _gradient_kernel(spec, weights)
     gaps = _finite(_gaps(weights, rows, kernel(rows), spec.num_players))
     regimes = (_regime(gapped, False).value, _regime(gapped, True).value)
-    social, individuals, coalition = costs
     columns = (values.tolist() for values in (sizes, x1, x0, individuals, coalition, social))
     names = map(regimes.__getitem__, split.tolist())
     status = repeat(SolverStatus.ANALYTIC.value)
-    return list(map(SweepPoint._make, zip(*columns, names, gaps, status, repeat(None))))
+    # Each zipped tuple has every field, so SweepPoint._make's length check
+    # is skipped.
+    fields = zip(*columns, names, gaps, status, repeat(None))
+    points = list(map(tuple.__new__, repeat(SweepPoint), fields))
+    series = np.array((x1, x0, individuals, coalition, social))
+    return points, (series, np.equal(split[1:], split[:-1]))
 
 
 def _dynamics_points(spec: GameSpec, grid: list[float], **options) -> list[SweepPoint]:
@@ -358,7 +401,8 @@ def _error_point(m: float, exc: ChargeGameError) -> SweepPoint:
     )
 
 
-# The monotone audits, each named "<point field>_<direction>".
+# The monotone audits, each named "<point field>_<direction>", and their
+# signs as a column, in the order of the audited series.
 _MONOTONE_AUDITS = (
     ("x1", "nondecreasing"),
     ("x0", "nonincreasing"),
@@ -366,24 +410,36 @@ _MONOTONE_AUDITS = (
     ("cost_coalition", "nonincreasing"),
     ("cost_social", "nonincreasing"),
 )
+_MONOTONE_SIGNS = np.array([[_DIRECTIONS[direction]] for _, direction in _MONOTONE_AUDITS])
 
 
-def _run_audits(points, solver: str, tol: float) -> dict[str, AuditVerdict]:
-    columns = dict(zip(SweepPoint._fields, zip(*points)))
-    failed = len(points) - columns["error"].count(None)
-    if failed:
-        note = f"{failed} grid points failed; audits skipped"
-        return {"solver_failures": AuditVerdict(False, math.inf, note=note)}
-    series = np.array([columns[field] for field, _ in _MONOTONE_AUDITS], dtype=float)
-    signs = [[_DIRECTIONS[direction]] for _, direction in _MONOTONE_AUDITS]
+def _run_audits(points, solver: str, tol: float, columns=None) -> dict[str, AuditVerdict]:
+    """The sweep's audits: :func:`audit_monotone` of each series of
+    ``_MONOTONE_AUDITS`` and, for the closed form, x1's
+    :func:`audit_concave_branches` over the regimes.
+
+    ``columns`` holds the series as one array and the regimes' adjacent
+    equalities, as :func:`_certified_points` returns them; without it,
+    both are read off ``points``, and a grid with a failed point gets a
+    ``solver_failures`` verdict instead.
+    """
+    if columns is None:
+        by_field = dict(zip(SweepPoint._fields, zip(*points)))
+        failed = len(points) - by_field["error"].count(None)
+        if failed:
+            note = f"{failed} grid points failed; audits skipped"
+            return {"solver_failures": AuditVerdict(False, math.inf, note=note)}
+        series = np.array([by_field[field] for field, _ in _MONOTONE_AUDITS], dtype=float)
+        columns = series, _same_tags(by_field["regime"])
+    series, same = columns
     audits = {
         f"{field}_{direction}": verdict
-        for (field, direction), verdict in zip(_MONOTONE_AUDITS, _monotone(series, signs, tol))
+        for (field, direction), verdict in zip(
+            _MONOTONE_AUDITS, _monotone(series, _MONOTONE_SIGNS, tol)
+        )
     }
     if solver == "analytic":
-        audits["x1_concave_per_branch"] = audit_concave_branches(
-            series[0], columns["regime"], tol  # x1
-        )
+        audits["x1_concave_per_branch"] = _concave_branches(series[0], same, tol)  # x1
     return audits
 
 

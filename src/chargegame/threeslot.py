@@ -284,12 +284,12 @@ def _grid_solution(
     """
     gapped, split = _classify(inst, m)
     if gapped:
-        x1, x0 = np.zeros_like(m), np.zeros_like(m)
-        lo, hi = np.zeros_like(m), m
+        x1, x0 = np.zeros(m.shape), np.zeros(m.shape)
+        lo, hi = np.zeros(m.shape), m
     else:
         band = mixing_band(inst)
         x1, x0 = m / 2.0, np.where(split, 0.0, (band - m) / 2.0)
-        lo, hi = np.full_like(m, band / 2.0), m / 2.0
+        lo, hi = np.full(m.shape, band / 2.0), m / 2.0
     x1[split] = _split_roots(inst, m[split], lo[split], hi[split])
     return gapped, x1, x0, split
 
@@ -323,10 +323,13 @@ def _split_roots(
     if not wide.size:
         return roots
     m, a, b = m[wide], lo[wide], hi[wide]
-    outer, sizes = _outer_loads(inst), np.stack((np.zeros_like(m), m))
+    # Array constructors and concatenations rather than numpy's Python-level
+    # stack and tile: these run once per grid.
+    outer, sizes = _outer_loads(inst), np.array((np.zeros(m.shape), m))
     # Both ends take one checked call of f and f', so a DomainError names the
     # extreme load of the two ends together.
-    ends, scales = _stationarity(inst.cost._pair, outer, np.tile(sizes, 2), np.concatenate((a, b)))
+    both = np.concatenate((sizes, sizes), 1)
+    ends, scales = _stationarity(inst.cost._pair, outer, both, np.concatenate((a, b)))
     fa, fb = _finite(ends, "stationarity value at a bracket end").reshape(2, -1)
     slack_a, slack_b = 1e-9 * (1.0 + scales.reshape(2, -1))
     at_lo = fa > 0.0
@@ -342,7 +345,7 @@ def _split_roots(
         )
     found = np.where(at_lo, a, b)
     done = at_lo | at_hi
-    previous, previous_size = np.full_like(m, np.nan), np.full_like(m, np.inf)
+    previous, previous_size = np.full(m.shape, np.nan), np.full(m.shape, np.inf)
     fails = np.zeros(len(m), dtype=int)
     # Iterates lie inside brackets whose ends the checked f and f' accepted,
     # so the steps call the raw ones.

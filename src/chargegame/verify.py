@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError, _finite, _quiet
+from .errors import _finite, _quiet, _tolerance
 from .model import (
     CostSummary,
     GameSpec,
@@ -153,7 +153,9 @@ class WardropCheck:
 
 
 def check_wardrop(spec: GameSpec, profile: Profile, eps: float) -> WardropCheck:
-    """Pass iff every strategy the individuals use is within eps of cheapest."""
+    """Pass iff every strategy the individuals use is within eps of cheapest;
+    a NaN ``eps`` raises a SpecError."""
+    _tolerance("wardrop eps", eps)
     return _wardrop_at(spec, profile, strategy_costs(spec, profile), eps)
 
 
@@ -191,8 +193,10 @@ def check_coalition_optimality(
     """Pass iff coalition ``k``'s linearized improvement is at most eps.
 
     ``k`` runs from 1 to K; an index outside raises IndexError and a
-    zero-mass coalition UndefinedAverageError.
+    zero-mass coalition UndefinedAverageError.  A NaN ``eps`` raises a
+    SpecError.
     """
+    _tolerance("coalition optimality eps", eps)
     mass = _coalition_mass(spec, k)
     gradients = player_gradients(spec, profile)
     (gap,) = _gaps([mass], profile.flows[k].values[None], gradients[k][None], 1)
@@ -247,8 +251,7 @@ def check_cost_ordering(report: EquilibriumReport, tol: float = 1e-9) -> Orderin
     on reports whose gap is within its certification tolerance.  A NaN
     ``tol``, which every comparison would pass, raises a SpecError.
     """
-    if math.isnan(tol):
-        raise SpecError("cost ordering tol must be a number, got nan")
+    _tolerance("cost ordering tol", tol)
     costs = report.costs
     violations = []
     if costs.individuals > costs.social + tol:

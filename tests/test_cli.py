@@ -99,6 +99,14 @@ def test_load_profile_csv_errors(tmp_path):
     one_column.write_text("t,load\n1,1\n2\n")
     with pytest.raises(SpecError, match=":3: expected two columns"):
         load_profile_csv(str(one_column))
+    # A blank or whitespace-only row is skipped, and the lines after it are
+    # still counted from the file's start.
+    blank = tmp_path / "h.csv"
+    blank.write_text("t,load\n1,1\n\n , \n2,2\n3\n")
+    with pytest.raises(SpecError, match=":6: expected two columns"):
+        load_profile_csv(str(blank))
+    blank.write_text("t,load\n1,1\n\n , \n2,2\n")
+    np.testing.assert_array_equal(load_profile_csv(str(blank)), [1.0, 2.0])
 
 
 # --- config resolution -------------------------------------------------------
@@ -361,9 +369,12 @@ def test_shipped_solve_writes_its_golden_artifacts(tmp_path, command, golden, ar
 )
 def test_shipped_configs_print_their_golden_config(capsys, name):
     config = os.path.join(SHIPPED_CONFIGS, name + ".json")
-    assert main(["solve", "--config", config, "--print-config"]) == 0
     with open(os.path.join(GOLDEN, name, "print_config.json")) as handle:
-        assert capsys.readouterr().out == handle.read()
+        golden = handle.read()
+    # Every command that reads a config prints it the same way.
+    for command in ("solve", "sweep"):
+        assert main([command, "--config", config, "--print-config"]) == 0
+        assert capsys.readouterr().out == golden
 
 
 def test_gap_sweep_prints_the_exact_linear_split(tmp_path):

@@ -206,6 +206,12 @@ def test_custom_cost_rejects_bad_shapes():
         CustomCost(lambda x: x - 1.0, None, domain_bound=2.0)
     with pytest.raises(SpecError):  # no declared interval
         CustomCost(lambda x: x, None, domain_bound=None)
+    with pytest.raises(SpecError, match="finite over"):  # infinite past 1
+        CustomCost(lambda x: np.where(x > 1.0, np.inf, x), None, domain_bound=2.0)
+    with pytest.raises(SpecError, match="finite over"):  # one value for the grid
+        CustomCost(lambda x: np.float64(1.0), None, domain_bound=2.0)
+    with pytest.raises(SpecError, match="strictly increasing"):  # flat
+        CustomCost(lambda x: np.ones_like(x), None, domain_bound=2.0)
 
 
 def test_custom_cost_without_derivative():
@@ -273,6 +279,8 @@ def test_config_errors():
         cost_from_config({"kind": "cubic"})
     with pytest.raises(SpecError):
         cost_from_config(["linear"])
+    with pytest.raises(SpecError, match="CustomCost is not serializable"):
+        cost_to_config(CustomCost(lambda x: x, None, domain_bound=2.0))
 
 
 def test_config_written_forms():

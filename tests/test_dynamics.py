@@ -367,6 +367,11 @@ def test_batch_of_games_matches_single_solves(rng):
         {"gap_tol": -math.inf},
         {"step_size": 0.0},
         {"step_size": -0.5},
+        {"trace_every": 2.5},
+        {"trace_every": True},
+        {"trace_every": math.nan},
+        {"trace_every": -3},
+        {"trace_every": "2"},
     ],
     ids=[
         "negative-max-iter",
@@ -378,16 +383,24 @@ def test_batch_of_games_matches_single_solves(rng):
         "minus-inf-gap-tol",
         "zero-step",
         "negative-step",
+        "fractional-trace-every",
+        "bool-trace-every",
+        "nan-trace-every",
+        "negative-trace-every",
+        "string-trace-every",
     ],
 )
 def test_solver_rejects_options_that_cannot_work(option):
     # Each would run to max_iter, stop at once, stand still or climb, or
-    # (a fractional cap) run past the cap it reports.
+    # (a fractional cap) run past the cap it reports; a trace interval that
+    # is not a whole number >= 0 would trace at odd iterations or not at all.
     spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), QuadraticCost(), np.array([0.5, 0.5]))
     with pytest.raises(SpecError, match=next(iter(option))):
         solve_dynamics(spec, **option)
     with pytest.raises(SpecError, match=next(iter(option))):
         solve(spec, "dynamics", **option)
+    if "trace_every" in option:  # sweeps record no trace
+        return
     with pytest.raises(SpecError, match=next(iter(option))):
         run_sweep(spec, np.array([0.25, 0.5]), solver="dynamics", **option)
 

@@ -13,6 +13,7 @@ from chargegame import (
     Flow,
     GameSpec,
     LinearCost,
+    LoadDecomposition,
     Profile,
     QuadraticCost,
     ExponentialCost,
@@ -314,6 +315,9 @@ def test_game_spec_validation():
         GameSpec(
             3, 2, 1.0, np.ones(3), QuadraticCost(domain_bound=1.5), np.array([1.0])
         )
+    for weights in (np.array([]), np.array([[0.5, 0.5]])):
+        with pytest.raises(SpecError, match="weights must be a nonempty vector"):
+            GameSpec(3, 2, 1.0, np.ones(3), QuadraticCost(), weights)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -394,6 +398,19 @@ def test_profile_validation():
     mismatched = Profile((Flow(np.array([0.3, 0.3]), 0.6), Flow(np.array([0.2, 0.2]), 0.4)))
     with pytest.raises(SpecError):
         validate_profile(spec, mismatched)
+    with pytest.raises(SpecError, match="at least the individuals' flow"):
+        Profile(())
+    with pytest.raises(SpecError, match="same length"):
+        Profile((Flow(np.array([0.5, 0.5]), 1.0), Flow(np.array([0.0, 0.0, 0.0]), 0.0)))
+    with pytest.raises(SpecError, match=r"rows must have shape \(2, 2\), got \(2, 3\)"):
+        Profile.from_rows(spec, [[0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    # A load decomposition refuses inconsistent shapes and loads out of range.
+    with pytest.raises(SpecError, match="shapes are inconsistent"):
+        LoadDecomposition(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(SpecError, match="per-player loads must be nonnegative"):
+        LoadDecomposition(np.array([[-0.1, 0.1, 0.0]]), np.zeros(3))
+    with pytest.raises(SpecError, match=r"aggregate load must stay within \[0, 1\]"):
+        LoadDecomposition(np.ones((1, 3)), np.array([0.5, 1.5, 0.0]))
 
 
 def test_flow_rejects_bad_inputs():
@@ -403,6 +420,8 @@ def test_flow_rejects_bad_inputs():
         Flow(np.array([0.5, 0.4]), 1.0)
     with pytest.raises(SpecError):
         Flow(np.array([0.5, 0.5]), -1.0)
+    with pytest.raises(SpecError, match="nonempty vector"):
+        Flow(np.array([]), 0.0)
 
 
 def test_flow_renormalizes_drift():

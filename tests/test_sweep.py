@@ -81,6 +81,8 @@ def test_audit_concave_on_linear_segment():
     verdict = audit_concave(values)
     assert verdict.passed
     assert verdict.worst_value == pytest.approx(0.0, abs=1e-12)
+    # Fewer than three values have no second difference to fail.
+    assert audit_concave([1.0, 0.0]) == AuditVerdict(passed=True, worst_value=0.0)
 
 
 def test_audit_concave_flags_convex_kink_globally_but_not_per_branch():
@@ -92,6 +94,22 @@ def test_audit_concave_flags_convex_kink_globally_but_not_per_branch():
     assert audit_concave_branches(values, tags).passed
     with pytest.raises(SpecError):
         audit_concave_branches(values, tags[:-1])
+
+
+def test_audits_refuse_a_nan_tolerance():
+    # Every comparison with a NaN tolerance fails, so a clean series would
+    # fail its audit: a clean sweep reported x1_nondecreasing failed.
+    values, nan = [0.0, 0.1, 0.2], math.nan
+    for audit in (
+        lambda: audit_monotone(values, "nondecreasing", nan),
+        lambda: audit_concave(values, nan),
+        lambda: audit_concave_branches(values, "aaa", nan),
+    ):
+        with pytest.raises(SpecError, match="audit tol must be a number, got nan"):
+            audit()
+    for solver in ("analytic", "dynamics"):
+        with pytest.raises(SpecError, match="audit_tol must be a number, got nan"):
+            run_sweep(band_instance(), default_grid(5), solver, audit_tol=nan)
 
 
 def test_per_branch_concavity_fails_on_nan():
@@ -288,8 +306,26 @@ def test_grid_validation():
         for grid, message in cases:
             with pytest.raises(SpecError, match=message):
                 run_sweep(inst, np.array(grid), solver=solver)
+        with pytest.raises(SpecError, match="must be a nonempty vector"):
+            run_sweep(inst, np.array([[0.25, 0.5]]), solver=solver)
     with pytest.raises(SpecError):
         run_sweep(inst, np.array([0.5]), solver="newton")
+    # No grid is the default one.
+    assert repr(run_sweep(inst)) == repr(run_sweep(inst, default_grid()))
+    # The default grid's own parameters are refused by name.
+    for options, name in [
+        ({"count": -1}, "count"),
+        ({"count": 0}, "count"),
+        ({"count": 2.5}, "count"),
+        ({"count": True}, "count"),
+        ({"count": "5"}, "count"),
+        ({"start": nan}, "start"),
+        ({"stop": math.inf}, "stop"),
+        ({"stop": None}, "stop"),
+    ]:
+        with pytest.raises(SpecError, match=f"grid {name} must be"):
+            default_grid(**options)
+    np.testing.assert_array_equal(default_grid(5.0), default_grid(5))
 
 
 def test_three_slot_base_is_read_as_its_game_spec():
@@ -549,8 +585,9 @@ MONOTONE_AUDITS = (
 )
 
 
-def audits_from_records(points, tol=DEFAULT_AUDIT_TOL):
-    """An analytic sweep's audits, from its records and the public audits."""
+def audits_from_records(points, tol=DEFAULT_AUDIT_TOL, analytic=True):
+    """A sweep's audits, from its records and the public audits; only the
+    closed form's are audited for concavity."""
     failed = sum(p.error is not None for p in points)
     if failed:
         note = f"{failed} grid points failed; audits skipped"
@@ -559,9 +596,10 @@ def audits_from_records(points, tol=DEFAULT_AUDIT_TOL):
         f"{field}_{direction}": audit_monotone([getattr(p, field) for p in points], direction, tol)
         for field, direction in MONOTONE_AUDITS
     }
-    audits["x1_concave_per_branch"] = audit_concave_branches(
-        [p.x1 for p in points], [p.regime for p in points], tol
-    )
+    if analytic:
+        audits["x1_concave_per_branch"] = audit_concave_branches(
+            [p.x1 for p in points], [p.regime for p in points], tol
+        )
     return audits
 
 
@@ -696,6 +734,30 @@ def test_non_finite_certificate_errors_only_its_point():
     assert points[0].status == "error"
     assert "non-finite strategy costs" in points[0].error
     assert all(p.error is None for p in points[1:])
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_AUDIT_TOL, -1e-3], ids=["default-tol", "negative-tol"])
+def test_sweep_audits_are_the_public_audits_of_the_points_columns(tol):
+    # The closed form hands the audits its own arrays; they must equal the
+    # public audits of the records' columns.  A negative tol fails even
+    # flat stretches, so failed verdicts and their worst pairs are compared.
+    grid = default_grid(31)
+    cases = [
+        (gap_instance(LinearCost(slope=1.5, intercept=0.5)), grid, "analytic"),
+        (band_instance(QuadraticCost()), grid, "analytic"),
+        # One regime only: no flat corner stretch, so every series differs.
+        (band_instance(QuadraticCost()), np.linspace(0.5, 1.0, 11), "analytic"),
+        (gap_instance(ExponentialCost(rate=0.8)), grid, "analytic"),
+        (band_instance(AffineCost(ExponentialCost(rate=1.0), 2.0, -0.5)), grid, "analytic"),
+        (gap_instance(), np.array([0.2, 0.4, 0.7, 1.0]), "dynamics"),
+        # Past the band 0.8 the bracket fails, so each point is solved alone.
+        (ThreeSlotInstance(1.2, 1.0, 1.0, 0.5, lying_derivative()), grid, "analytic"),
+    ]
+    for base, sizes, solver in cases:
+        result = run_sweep(base, sizes, solver, audit_tol=tol)
+        expected = audits_from_records(result.points, tol, analytic=solver == "analytic")
+        assert repr(result.audits) == repr(expected)
+    assert list(result.audits) == ["solver_failures"]
 
 
 def test_mixed_failures_in_one_grid_keep_each_points_own_error():

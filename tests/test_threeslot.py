@@ -190,6 +190,17 @@ def test_ce_costs_rejects_mismatched_point():
     wrong = solve_ce(linear_gap(1.0))
     with pytest.raises(SpecError):
         ce_costs(inst, wrong)
+    # A split point must put its coalition weight in [0, M] and no
+    # individual weight on the peak.
+    split = linear_gap(1.0)
+    for x1, x0 in ((1.5, 0.0), (-0.1, 0.0), (0.5, 0.1)):
+        with pytest.raises(SpecError, match="inconsistent with a split regime"):
+            ce_costs(split, CEPoint(x1, x0, Regime.COALITION_SPLIT))
+
+
+def test_a_whole_number_coalition_size_solves_as_its_float():
+    # The gapped grid's arrays are floats whatever the size's type.
+    assert solve_ce(linear_gap(1)) == solve_ce(linear_gap(1.0))
 
 
 # --- structure of the stationarity function ---------------------------------

@@ -197,6 +197,10 @@ def test_wardrop_fails_with_witness_on_expensive_support():
     start, cost, best = result.witness
     assert start == 0
     assert cost > best
+    # A NaN eps fails every comparison, so it would fail a clean profile too.
+    clean = Profile.from_rows(spec, [[0.0, 1.0]])
+    with pytest.raises(SpecError, match="wardrop eps must be a number, got nan"):
+        check_wardrop(spec, clean, eps=float("nan"))
 
 
 def test_coalition_optimality_trio():
@@ -206,6 +210,8 @@ def test_coalition_optimality_trio():
     assert check_coalition_optimality(spec, profile, 1, eps=1e-8).passed
     bad = check_coalition_optimality(spec, corner_profile(spec), 1, eps=1e-8)
     assert not bad.passed and bad.gap > 0.1
+    with pytest.raises(SpecError, match="coalition optimality eps must be a number, got nan"):
+        check_coalition_optimality(spec, profile, 1, eps=float("nan"))
     single = GameSpec(3, 3, 1.0, np.ones(3), LinearCost(), np.array([0.5, 0.5]))
     assert check_coalition_optimality(single, Profile.uniform(single), 1, eps=0.0).passed
 
