@@ -421,11 +421,10 @@ def _cmd_sweep(args) -> int:
         return EXIT_OK
     resolved, spec = loaded
     sweep_cfg = resolved["sweep"] or SWEEP_DEFAULTS
-    with _ingesting("config"):
-        if "grid" in sweep_cfg:
-            grid = np.array(sweep_cfg["grid"])
-        else:
-            grid = default_grid(sweep_cfg["count"], sweep_cfg["start"], sweep_cfg["stop"])
+    if "grid" in sweep_cfg:
+        grid = np.array(sweep_cfg["grid"])
+    else:
+        grid = default_grid(sweep_cfg["count"], sweep_cfg["start"], sweep_cfg["stop"])
     result = run_sweep(spec, grid, resolved["solver"]["method"], **_solver_options(resolved))
     os.makedirs(args.out, exist_ok=True)
     write_csv(result, os.path.join(args.out, "sweep.csv"))

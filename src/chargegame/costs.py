@@ -222,11 +222,11 @@ class AffineCost(CostFunction):
         return self.scale * value + self.shift, None if slope is None else self.scale * slope
 
 
-def with_domain_bound(fn: CostFunction, bound: float) -> CostFunction:
-    """Copy of ``fn`` with the validity interval pinned to [0, bound]."""
-    _check_bound(bound)
+def _with_domain_bound(fn: CostFunction, bound: float) -> CostFunction:
+    """Copy of ``fn`` with the validity interval pinned to [0, bound]; the
+    family's own checks refuse a bound that is not finite and positive."""
     if isinstance(fn, AffineCost):
-        return AffineCost(with_domain_bound(fn.base, bound), fn.scale, fn.shift)
+        return AffineCost(_with_domain_bound(fn.base, bound), fn.scale, fn.shift)
     return replace(fn, domain_bound=bound)
 
 

@@ -23,10 +23,6 @@ class UndefinedAverageError(ChargeGameError, ValueError):
     """An average cost or gradient was requested for a zero-mass group."""
 
 
-class UnsupportedInstanceError(ChargeGameError, ValueError):
-    """An operation was called on an instance shape it does not support."""
-
-
 class BracketingError(ChargeGameError, ArithmeticError):
     """A root bracket failed to enclose a sign change.
 

@@ -18,15 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import CostFunction, with_domain_bound
-from .errors import (
-    SpecError,
-    UndefinedAverageError,
-    UnsupportedInstanceError,
-    _finite,
-    _is_integer,
-    _quiet,
-)
+from .costs import CostFunction, _with_domain_bound
+from .errors import SpecError, UndefinedAverageError, _finite, _is_integer, _quiet
 
 # Additive tolerance for membership in a scaled simplex.  Inputs further
 # out are rejected; inputs within are renormalized by scaling, since
@@ -130,9 +123,11 @@ class GameSpec:
         weights = weights / total
 
         cost = self.cost
+        if not isinstance(cost, CostFunction):
+            raise SpecError(f"cost must be a CostFunction, got {cost!r}")
         peak = float(load.max()) + self.power
         if cost.domain_bound is None:
-            cost = with_domain_bound(cost, DEFAULT_BOUND_FACTOR * max(peak, 1.0))
+            cost = _with_domain_bound(cost, DEFAULT_BOUND_FACTOR * max(peak, 1.0))
         elif peak > cost.domain_bound + SIMPLEX_TOL:
             raise SpecError(
                 f"max base load + power = {peak} exceeds the cost validity bound "
@@ -235,27 +230,15 @@ class Profile:
 
 @dataclass(frozen=True)
 class LoadDecomposition:
-    """Per-player and aggregate charging loads over the horizon.
+    """Per-player and aggregate charging loads over the horizon, read-only.
 
     Each per-player row is the moving-sum image of that player's flow, so
-    it sums to duration * mass; the aggregate stays within [0, 1] because
-    total EV weight is one.
+    it sums to duration * mass.  Built by :func:`decompose_loads` only,
+    from a profile that :func:`validate_profile` accepted.
     """
 
     per_player: np.ndarray
     aggregate: np.ndarray
-
-    def __post_init__(self):
-        per_player = np.asarray(self.per_player, dtype=float)
-        aggregate = np.asarray(self.aggregate, dtype=float)
-        if per_player.ndim != 2 or aggregate.shape != (per_player.shape[1],):
-            raise SpecError("load decomposition shapes are inconsistent")
-        if per_player.min() < -SIMPLEX_TOL:
-            raise SpecError("per-player loads must be nonnegative")
-        if aggregate.min() < -SIMPLEX_TOL or aggregate.max() > 1.0 + SIMPLEX_TOL:
-            raise SpecError("aggregate load must stay within [0, 1]")
-        object.__setattr__(self, "per_player", _frozen_array(per_player))
-        object.__setattr__(self, "aggregate", _frozen_array(aggregate))
 
 
 def validate_profile(spec: GameSpec, profile: Profile) -> None:
@@ -282,7 +265,7 @@ def decompose_loads(spec: GameSpec, profile: Profile) -> LoadDecomposition:
     """Per-player charging loads and their per-slot aggregate."""
     validate_profile(spec, profile)
     per_player = profile.matrix() @ _incidence(spec.horizon, spec.duration)
-    return LoadDecomposition(per_player, per_player.sum(axis=0))
+    return LoadDecomposition(_frozen_array(per_player), _frozen_array(per_player.sum(axis=0)))
 
 
 def _slot_prices(spec: GameSpec, loads: LoadDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -454,17 +437,16 @@ def supports_reduced_costs(spec: GameSpec) -> bool:
     return spec.horizon == 3 and spec.duration == 2 and abs(spec.power - 1.0) <= 1e-12
 
 
-def reduced_costs(spec: GameSpec, summary: CostSummary) -> CostSummary:
-    """Subtract the common middle-slot term from every entity cost.
+def _reduced_costs(spec: GameSpec, summary: CostSummary) -> CostSummary | None:
+    """Every entity cost less the common middle-slot term, for the
+    normalized three-slot shape, and None for any other game.
 
     With two charging slots out of three, every EV charges through the
     middle slot at aggregate load one, so that term cancels from all cost
     comparisons.
     """
     if not supports_reduced_costs(spec):
-        raise UnsupportedInstanceError(
-            "reduced costs require horizon=3, duration=2 and power=1"
-        )
+        return None
     offset = spec.cost.value(1.0 + float(spec.base_load[1]))
     return CostSummary(
         individuals=summary.individuals - offset,

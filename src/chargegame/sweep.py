@@ -38,7 +38,7 @@ from .threeslot import (
     equilibrium_profile,
     instance_from_spec,
 )
-from .verify import EquilibriumReport, SolverStatus, _gaps, make_report, vi_gap
+from .verify import EquilibriumReport, SolverStatus, _gaps, make_report
 
 DEFAULT_GRID_SIZE = 101
 DEFAULT_GRID_START = 0.01
@@ -227,8 +227,7 @@ def solve(spec: GameSpec, method: str = "auto", **options) -> EquilibriumReport:
     if _method(method, spec, size) == "dynamics":
         return solve_dynamics(spec, **options)
     inst = instance_from_spec(spec, size)
-    profile = equilibrium_profile(inst)
-    return make_report(spec, profile, SolverStatus.ANALYTIC, gap=vi_gap(spec, profile))
+    return make_report(spec, equilibrium_profile(inst), SolverStatus.ANALYTIC)
 
 
 def run_sweep(

@@ -95,6 +95,8 @@ class ThreeSlotInstance:
             )
         if not 0.0 < self.coalition_size <= 1.0:
             raise SpecError("coalition_size must lie in (0, 1]")
+        if not isinstance(self.cost, CostFunction):
+            raise SpecError(f"cost must be a CostFunction, got {self.cost!r}")
 
     def to_game_spec(self) -> GameSpec:
         return GameSpec(

@@ -25,13 +25,12 @@ from .model import (
     LoadDecomposition,
     Profile,
     _coalition_mass,
+    _reduced_costs,
     _slot_prices,
     _summarize_costs,
     decompose_loads,
     player_gradients,
-    reduced_costs,
     strategy_costs,
-    supports_reduced_costs,
 )
 
 # Fraction of a player's mass below which a strategy counts as unused.
@@ -248,11 +247,14 @@ def check_cost_ordering(report: EquilibriumReport, tol: float = 1e-9) -> Orderin
 
     The ordering is an equilibrium property (individuals sit on the
     cheapest alternatives), not a general-profile one, so call this only
-    on reports whose gap is within its certification tolerance.  A NaN
-    ``tol``, which every comparison would pass, raises a SpecError.
+    on reports whose gap is within its certification tolerance.  Each
+    comparison allows ``tol`` at the cost's scale, ``tol * max(1,
+    |social|)``, so costs that differ by rounding pass at any magnitude.
+    A NaN ``tol``, which every comparison would pass, raises a SpecError.
     """
     _tolerance("cost ordering tol", tol)
     costs = report.costs
+    tol *= max(1.0, abs(costs.social))
     violations = []
     if costs.individuals > costs.social + tol:
         violations.append(
@@ -284,7 +286,6 @@ def make_report(
     loads = decompose_loads(spec, profile)
     prices, strategy = _slot_prices(spec, loads)
     costs = _summarize_costs(spec, profile, loads, prices, strategy)
-    reduced = reduced_costs(spec, costs) if supports_reduced_costs(spec) else None
     wardrop = _wardrop_at(spec, profile, strategy, eps=np.inf)
     boundary = any(
         mass > 0.0 and float(flow.values.min()) <= support_threshold(mass)
@@ -295,7 +296,7 @@ def make_report(
         profile=profile,
         loads=loads,
         costs=costs,
-        reduced=reduced,
+        reduced=_reduced_costs(spec, costs),
         vi_gap=gap,
         wardrop_slack=wardrop.worst_slack,
         boundary=boundary,

@@ -635,6 +635,19 @@ def test_verify_accepts_a_zero_gap_tol(tmp_path):
     assert main(["verify", "--report", str(out / "report.json"), "--gap-tol", "0"]) == 0
 
 
+def test_verify_certifies_a_closed_form_report_at_a_large_cost_scale(tmp_path, capsys):
+    # Social and coalition costs of ~9e300 one ulp apart: the ordering
+    # tolerance is taken at the cost's scale, so rounding does not fail it.
+    cost = {"kind": "affine", "base": {"kind": "quadratic"}, "scale": 1e300, "shift": 1e300}
+    game = dict(BAND_GAME, cost=cost)
+    config = band_config(tmp_path, game=game, solver={"method": "analytic"})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out / "report.json"), "--gap-tol", "1e-6"]) == 0
+    assert "cost ordering: pass\n" in capsys.readouterr().out
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 

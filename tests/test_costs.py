@@ -19,10 +19,9 @@ from chargegame import (
     cost_from_config,
     cost_to_config,
     make_report,
-    with_domain_bound,
 )
 from chargegame.cli import report_from_dict, report_to_dict
-from chargegame.costs import DOMAIN_SLACK
+from chargegame.costs import DOMAIN_SLACK, _with_domain_bound
 
 FAMILIES = [
     LinearCost(slope=1.0, intercept=0.0, domain_bound=5.0),
@@ -155,7 +154,7 @@ NON_FINITE_PARAMETERS = {
     "affine-scale": (lambda v: AffineCost(QuadraticCost(), v, 0.0), "scale"),
     "affine-shift": (lambda v: AffineCost(QuadraticCost(), 1.0, v), "shift"),
     "custom-domain-bound": (lambda v: CustomCost(lambda x: x, None, domain_bound=v), "domain_bound"),
-    "with-domain-bound": (lambda v: with_domain_bound(QuadraticCost(), v), "domain bound"),
+    "with-domain-bound": (lambda v: _with_domain_bound(QuadraticCost(), v), "domain bound"),
 }
 
 
@@ -255,12 +254,12 @@ def test_custom_value_never_calls_the_derivative():
 def test_with_domain_bound():
     # unresolved bound: only the lower end is enforced
     assert QuadraticCost().value(100.0) == 10000.0
-    fn = with_domain_bound(QuadraticCost(), 7.0)
+    fn = _with_domain_bound(QuadraticCost(), 7.0)
     assert fn.domain_bound == 7.0
-    wrapped = with_domain_bound(AffineCost(QuadraticCost(), 2.0, 0.0), 7.0)
+    wrapped = _with_domain_bound(AffineCost(QuadraticCost(), 2.0, 0.0), 7.0)
     assert wrapped.domain_bound == 7.0
     with pytest.raises(SpecError):
-        with_domain_bound(QuadraticCost(), 0.0)
+        _with_domain_bound(QuadraticCost(), 0.0)
 
 
 def test_config_round_trip():
@@ -295,7 +294,7 @@ def test_config_written_forms():
     assert cost_to_config(exponential) == nested
     affine = {"kind": "affine", "base": nested, "scale": 2.0, "shift": -0.5}
     assert cost_to_config(AffineCost(exponential, 2.0, -0.5)) == affine
-    pinned = with_domain_bound(AffineCost(exponential, 2.0, -0.5), 6.0)
+    pinned = _with_domain_bound(AffineCost(exponential, 2.0, -0.5), 6.0)
     assert cost_to_config(pinned) == dict(affine, base=dict(nested, domain_bound=6.0))
 
 

@@ -13,20 +13,20 @@ from chargegame import (
     Flow,
     GameSpec,
     LinearCost,
-    LoadDecomposition,
     Profile,
     QuadraticCost,
     ExponentialCost,
+    SolverStatus,
     SpecError,
     ThreeSlotInstance,
     UndefinedAverageError,
-    UnsupportedInstanceError,
     coalition_average_cost,
-    decompose_loads,
     evaluate_costs,
+    make_report,
     strategy_costs,
+    vi_gap,
 )
-from chargegame.model import reduced_costs, validate_profile
+from chargegame.model import SIMPLEX_TOL, _reduced_costs, decompose_loads, validate_profile
 from conftest import random_profile, random_three_slot
 
 
@@ -280,23 +280,22 @@ def test_reduced_costs_subtract_middle_slot_term():
     spec = three_slot_spec()
     profile = Profile.from_rows(spec, [[0.25, 0.75]])
     summary = evaluate_costs(spec, profile)
-    reduced = reduced_costs(spec, summary)
+    reduced = _reduced_costs(spec, summary)
     assert summary.individuals - reduced.individuals == pytest.approx(4.0)
     assert reduced.social == pytest.approx(3.0625, abs=1e-12)
     zero = CostSummary(0.0, (), 0.0)
     linear = three_slot_spec(cost=LinearCost())
-    assert -reduced_costs(linear, zero).social == pytest.approx(2.0)
+    assert -_reduced_costs(linear, zero).social == pytest.approx(2.0)
     expo = three_slot_spec(cost=ExponentialCost(rate=1.0))
-    assert -reduced_costs(expo, zero).social == pytest.approx(np.exp(2.0))
+    assert -_reduced_costs(expo, zero).social == pytest.approx(np.exp(2.0))
 
 
 def test_reduced_costs_reject_other_shapes():
+    # Only the normalized three-slot shape has a common middle-slot term.
     spec = GameSpec(4, 2, 1.0, np.ones(4), QuadraticCost(), np.array([1.0]))
-    with pytest.raises(UnsupportedInstanceError):
-        reduced_costs(spec, CostSummary(1.0, (), 1.0))
+    assert _reduced_costs(spec, CostSummary(1.0, (), 1.0)) is None
     off_power = GameSpec(3, 2, 2.0, np.ones(3), QuadraticCost(), np.array([1.0]))
-    with pytest.raises(UnsupportedInstanceError):
-        reduced_costs(off_power, CostSummary(1.0, (), 1.0))
+    assert _reduced_costs(off_power, CostSummary(1.0, (), 1.0)) is None
 
 
 # --- validation and immutability --------------------------------------------
@@ -318,6 +317,10 @@ def test_game_spec_validation():
     for weights in (np.array([]), np.array([[0.5, 0.5]])):
         with pytest.raises(SpecError, match="weights must be a nonempty vector"):
             GameSpec(3, 2, 1.0, np.ones(3), QuadraticCost(), weights)
+    # A cost given by name, or not at all, is refused by name.
+    for cost in ("linear", None):
+        with pytest.raises(SpecError, match="cost must be a CostFunction"):
+            GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), cost, np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -404,13 +407,24 @@ def test_profile_validation():
         Profile((Flow(np.array([0.5, 0.5]), 1.0), Flow(np.array([0.0, 0.0, 0.0]), 0.0)))
     with pytest.raises(SpecError, match=r"rows must have shape \(2, 2\), got \(2, 3\)"):
         Profile.from_rows(spec, [[0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    # A load decomposition refuses inconsistent shapes and loads out of range.
-    with pytest.raises(SpecError, match="shapes are inconsistent"):
-        LoadDecomposition(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(SpecError, match="per-player loads must be nonnegative"):
-        LoadDecomposition(np.array([[-0.1, 0.1, 0.0]]), np.zeros(3))
-    with pytest.raises(SpecError, match=r"aggregate load must stay within \[0, 1\]"):
-        LoadDecomposition(np.ones((1, 3)), np.array([0.5, 1.5, 0.0]))
+
+
+def test_every_evaluator_takes_a_profile_that_validate_profile_accepts():
+    # Each flow is within SIMPLEX_TOL of its weight, so the aggregate load of
+    # the middle slot exceeds one by about twice that; every evaluator takes
+    # the profile that validate_profile accepts.
+    d = 0.9e-9
+    spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), LinearCost(), np.array([0.5, 0.5]))
+    flow = Flow(np.array([0.25, 0.25 + d]), 0.5 + d)
+    profile = Profile((flow, flow))
+    validate_profile(spec, profile)
+    assert decompose_loads(spec, profile).aggregate[1] > 1.0 + SIMPLEX_TOL
+    costs = strategy_costs(spec, profile)
+    assert np.isfinite(vi_gap(spec, profile))
+    summary = evaluate_costs(spec, profile)
+    report = make_report(spec, profile, SolverStatus.ANALYTIC)
+    assert report.costs == summary
+    assert summary.individuals == pytest.approx(float(flow.values @ costs) / 0.5)
 
 
 def test_flow_rejects_bad_inputs():

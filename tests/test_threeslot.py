@@ -27,14 +27,20 @@ from chargegame import (
     default_grid,
     equilibrium_profile,
     instance_from_spec,
-    marginal_imbalance,
     mixing_band,
     solve_ce,
     vi_gap,
     with_coalition_size,
 )
 from chargegame import threeslot
-from chargegame.threeslot import BISECTION_TOL, ROOT_EPS, CEPoint, _grid_solution, _regime
+from chargegame.threeslot import (
+    BISECTION_TOL,
+    ROOT_EPS,
+    CEPoint,
+    _grid_solution,
+    _regime,
+    marginal_imbalance,
+)
 from conftest import random_three_slot
 
 GAP_INSTANCE = dict(peak_load=2.3, mid_load=1.0, offpeak_load=1.0)
@@ -471,6 +477,10 @@ def test_instance_validation():
         ThreeSlotInstance(2.0, 1.0, 1.0, 1.5, LinearCost())
     with pytest.raises(SpecError):
         ThreeSlotInstance(-1.0, 1.0, -2.0, 0.5, LinearCost())
+    # Without a cost family the closed form would answer without evaluating one.
+    for cost in (None, "linear"):
+        with pytest.raises(SpecError, match="cost must be a CostFunction"):
+            ThreeSlotInstance(1.5, 1.0, 1.0, 0.5, cost)
 
 
 @pytest.mark.parametrize("slot", range(3))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chargegame as cg
+from chargegame import threeslot
 from chargegame import (
     AffineCost,
     ExponentialCost,
@@ -136,7 +137,7 @@ OVERFLOWING_EVALUATORS = {
         lambda: cg.activation_threshold(OVERFLOWING_GAPPED), "activation threshold"
     ),
     "marginal_imbalance": (
-        lambda: cg.marginal_imbalance(OVERFLOWING_GAPPED, 0.1), "marginal imbalance"
+        lambda: threeslot.marginal_imbalance(OVERFLOWING_GAPPED, 0.1), "marginal imbalance"
     ),
     "ce_costs": (lambda: cg.ce_costs(OVERFLOWING_BAND, solve_ce(OVERFLOWING_BAND)), "entity costs"),
 }
@@ -267,6 +268,24 @@ def test_cost_ordering_detects_violations():
     # A NaN tolerance fails no comparison, so it would pass the violation.
     with pytest.raises(SpecError, match="tol"):
         check_cost_ordering(tampered, tol=float("nan"))
+
+
+def test_cost_ordering_tolerance_scales_with_the_social_cost():
+    inst = ThreeSlotInstance(1.5, 1.0, 1.0, 1.0, AffineCost(QuadraticCost(), 1e300, 1e300))
+    report = make_report(inst.to_game_spec(), equilibrium_profile(inst), SolverStatus.ANALYTIC)
+    social = report.costs.social
+    assert social > 1e300
+    import dataclasses
+
+    def with_costs(individuals, coalition):
+        costs = type(report.costs)(individuals, (coalition,), social)
+        return dataclasses.replace(report, costs=costs)
+
+    # One ulp apart passes; a violation of 1e-3 relative fails either way round.
+    ulp = float(np.spacing(social))
+    assert check_cost_ordering(with_costs(social + ulp, social - ulp)).passed
+    assert not check_cost_ordering(with_costs(social * (1 + 1e-3), social)).passed
+    assert not check_cost_ordering(with_costs(social, social * (1 - 1e-3))).passed
 
 
 def test_ordering_across_random_equilibria(rng):
