@@ -304,7 +304,9 @@ def report_to_dict(report: EquilibriumReport, resolved: dict) -> dict:
 
 
 def report_from_dict(data: dict) -> tuple[GameSpec, Profile, dict]:
+    _check("report", data, "a mapping", isinstance(data, dict))
     game, rows = data["game"], data["profile"]
+    _check("game", game, "a mapping", isinstance(game, dict))
     spec = build_game({"game": game, "load_profile": _reals("game.base_load", game["base_load"])})
     _check("profile", rows, "a list", isinstance(rows, list))
     rows = [_reals(f"profile[{i}]", row) for i, row in enumerate(rows)]
@@ -339,8 +341,6 @@ def _write_equilibrium_loads(path: str, report: EquilibriumReport) -> None:
 
 
 def _write_trace(path: str, report: EquilibriumReport) -> None:
-    if not report.trace:
-        raise SpecError("report carries no trace to write")
     players, slots = report.trace[0].flows.shape
     header = ["iteration", "gap"] + [
         f"x{i}_{t + 1}" for i in range(players) for t in range(slots)

@@ -44,15 +44,11 @@ class CostFunction(abc.ABC):
     @abc.abstractmethod
     def _raw_pair(self, load: np.ndarray):
         """f(load) and f'(load) without domain checks.  f' may be a scalar
-        where the family's slope is constant, and is None for a family
-        without a derivative."""
+        where the family's slope is constant."""
 
     def _raw_value(self, load: np.ndarray) -> np.ndarray:
         """f(load) without domain checks."""
         return self._raw_pair(load)[0]
-
-    def has_derivative(self) -> bool:
-        return True
 
     def value(self, load):
         """Evaluate f at a scalar or array load inside [0, W]."""
@@ -66,10 +62,7 @@ class CostFunction(abc.ABC):
 
     def _pair(self, load):
         """f and f' at a scalar or array load inside [0, W], as value() and
-        derivative() return them, after one domain check; a SpecError for
-        a family without a derivative."""
-        if not self.has_derivative():
-            raise SpecError(f"{type(self).__name__} provides no derivative")
+        derivative() return them, after one domain check."""
         arr = self._checked(load)
         value, slope = self._raw_pair(arr)
         if arr.ndim == 0:
@@ -150,16 +143,17 @@ class ExponentialCost(CostFunction):
 class CustomCost(CostFunction):
     """Host-supplied cost family.
 
-    ``value_fn`` (and ``derivative_fn`` when given) must accept numpy
-    arrays; they are always called with one, scalar loads as 0-d arrays.
+    ``value_fn`` and ``derivative_fn`` must accept numpy arrays; they are
+    always called with one, scalar loads as 0-d arrays.
     The validity interval must be declared up front because the
     shape requirements (finite, nonnegative, strictly increasing, convex)
     are spot-checked on a uniform sample grid of [0, domain_bound] at
-    construction; the derivative is trusted as supplied.
+    construction; the derivative, which every solver needs, is required
+    and trusted as supplied.
     """
 
     value_fn: Callable[[np.ndarray], np.ndarray]
-    derivative_fn: Callable[[np.ndarray], np.ndarray] | None
+    derivative_fn: Callable[[np.ndarray], np.ndarray]
     domain_bound: float
 
     def __post_init__(self):
@@ -178,16 +172,16 @@ class CustomCost(CostFunction):
         second = values[2:] - 2.0 * values[1:-1] + values[:-2]
         if second.min() < -CONVEXITY_TOL:
             raise SpecError("custom cost must be convex on [0, W]")
-
-    def has_derivative(self) -> bool:
-        return self.derivative_fn is not None
+        if not callable(self.derivative_fn):
+            raise SpecError(
+                f"custom cost requires a callable derivative_fn, got {self.derivative_fn!r}"
+            )
 
     def _raw_value(self, load):
         return np.asarray(self.value_fn(np.asarray(load)), dtype=float)
 
     def _raw_pair(self, load):
-        derivative = self.derivative_fn
-        slope = None if derivative is None else np.asarray(derivative(np.asarray(load)), dtype=float)
+        slope = np.asarray(self.derivative_fn(np.asarray(load)), dtype=float)
         return self._raw_value(load), slope
 
 
@@ -214,12 +208,9 @@ class AffineCost(CostFunction):
     def domain_bound(self) -> float | None:
         return self.base.domain_bound
 
-    def has_derivative(self) -> bool:
-        return self.base.has_derivative()
-
     def _raw_pair(self, load):
         value, slope = self.base._raw_pair(load)
-        return self.scale * value + self.shift, None if slope is None else self.scale * slope
+        return self.scale * value + self.shift, self.scale * slope
 
 
 def _with_domain_bound(fn: CostFunction, bound: float) -> CostFunction:

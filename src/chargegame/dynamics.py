@@ -167,12 +167,11 @@ def _solve_batch(
     """Run the learning dynamics of several games as one stack.
 
     The games share horizon, duration, power, base load and cost and differ
-    only in their weights; if one has coalition mass, all must.  All start
-    together, so they share the iteration count, the step scale (which
-    depends on the spec only) and the step size, and each
-    game leaves the stack once its gap reaches ``gap_tol`` or ``max_iter``
-    is hit.  With two or more players per game every game's arithmetic is
-    the same as in a stack of its own, so each outcome equals
+    only in their weights.  All start together, so they share the iteration
+    count, the step scale (which depends on the spec only) and the step
+    size, and each game leaves the stack once its gap reaches ``gap_tol`` or
+    ``max_iter`` is hit.  With two or more players per game every game's
+    arithmetic is the same as in a stack of its own, so each outcome equals
     :func:`solve_dynamics` on that game bit for bit.  (A one-player game
     alone is a single row, which numpy multiplies as a vector, not as a
     matrix, and those sums may round differently.)
@@ -193,11 +192,7 @@ def _solve_batch(
     # top gives the step scale.
     envelope = np.array([spec.base_load.min(), spec.base_load.max() + spec.power])
     try:
-        if cost.has_derivative() or weights[len(specs):].max(initial=0.0) > 0.0:
-            slope = float(np.max(cost.derivative(envelope)))  # f' is increasing
-        else:  # a family without a derivative: its secant over the envelope
-            values = cost.value(envelope)
-            slope = float((values[1] - values[0]) / (envelope[1] - envelope[0]))
+        slope = float(np.max(cost.derivative(envelope)))  # f' is increasing
     except ChargeGameError as exc:
         return [exc] * len(specs)
     lip = spec.power * spec.duration * slope

@@ -318,9 +318,9 @@ def _gradient_kernel(
     window-sums the slot prices and every coalition's load-weighted
     marginal prices; per-game terms are basic views, so a stack of one game
     runs the single-game array shapes.  f and f' are evaluated on the slot
-    loads of all games end to end, f' only when some coalition has mass;
-    ``checked`` evaluates them after one domain check of the cost family,
-    and otherwise raw, for a caller that has checked the load envelope.
+    loads of all games end to end by one ``pair`` call; ``checked``
+    evaluates them after one domain check of the cost family, and otherwise
+    raw, for a caller that has checked the load envelope.
 
     The kernel writes into buffers it allocates once, so each call returns
     the same gradient array, overwritten by the next call.
@@ -333,14 +333,13 @@ def _gradient_kernel(
     # vi_gap builds a kernel, and a dynamics batch rebuilds it whenever a
     # game leaves the stack.
     masses = weights.reshape(players, -1)  # (players, games)
-    crowded = np.maximum.reduce(masses[1:], axis=None, initial=0.0) > 0.0
     base_load = spec.base_load[None].repeat(masses.shape[1], 0).ravel()  # per game
     shares = np.array([[0.0]] + [[power]] * (players - 1))
     divisors = masses.copy()
     divisors[0] = 1.0
     divisors[masses <= 0.0] = np.inf
     divisors = divisors.repeat(slots, axis=1)
-    value, pair = (cost.value, cost._pair) if checked else (cost._raw_value, cost._raw_pair)
+    pair = cost._pair if checked else cost._raw_pair
     # Row 0 of by_player ends up holding f and row i > 0 player i's load
     # times f'; after the second product, row 0 of sums holds u of every
     # game and row i > 0 crowding_i.
@@ -358,11 +357,8 @@ def _gradient_kernel(
         np.add.reduce(by_player, 0, out=load)
         np.multiply(power, load, out=load)
         np.add(base_load, load, out=load)
-        if crowded:
-            f, slope = pair(load)
-            np.multiply(by_player, slope, out=by_player)
-        else:
-            f = value(load)
+        f, slope = pair(load)
+        np.multiply(by_player, slope, out=by_player)
         by_player[0] = f
         np.dot(per_player, window, out=sums)
         np.multiply(shares, by_game, out=out_by_game)

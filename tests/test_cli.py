@@ -197,6 +197,22 @@ def test_equilibrium_loads_columns_and_totals(tmp_path):
         assert float(row["total"]) == pytest.approx(parts, abs=1e-9)
 
 
+def test_equilibrium_loads_name_each_of_several_coalitions(tmp_path):
+    config = write_config(
+        tmp_path / "two.json",
+        {"game": {"horizon": 3, "duration": 2, "weights": [0.4, 0.3, 0.3]},
+         "load_profile": [1.5, 1.0, 1.0]},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    with open(out / "equilibrium_loads.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert list(rows[0]) == ["t", "non_ev", "individuals", "coalition_1", "coalition_2", "total"]
+    for row in rows:
+        parts = sum(float(row[name]) for name in list(row)[1:-1])
+        assert float(row["total"]) == pytest.approx(parts, abs=1e-9)
+
+
 def test_solve_deterministic_output(tmp_path):
     config = band_config(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -829,6 +845,7 @@ def set_field(*path, value):
 # Each report case, and the field its error names (None: no field named).
 MALFORMED_REPORTS = {
     "report-without-status": (lambda data: data.pop("status"), None),
+    "report-game-a-list": (set_field("game", value=lambda _: []), "game must be a mapping, got []"),
     "report-horizon-not-integral": (
         set_field("game", "horizon", value=lambda _: 3.5), "game.horizon must be an integer"
     ),
@@ -865,6 +882,15 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
         assert err.startswith(f"error: malformed config: {MALFORMED_FIELDS[case]}")
     if case in MALFORMED_REPORTS and MALFORMED_REPORTS[case][1] is not None:
         assert err.startswith(f"error: malformed report: {MALFORMED_REPORTS[case][1]}")
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", '"x"'], ids=["list", "string"])
+def test_a_report_that_is_not_a_mapping_is_named(tmp_path, capsys, document):
+    # The error names the report, not Python's list or string indexing.
+    (tmp_path / "report.json").write_text(document)
+    assert main(["verify", "--report", str(tmp_path / "report.json")]) == 2
+    want = f"error: malformed report: report must be a mapping, got {json.loads(document)!r}\n"
+    assert capsys.readouterr().err == want
 
 
 @pytest.mark.parametrize("count", [1e300, MAX_SWEEP_COUNT + 1], ids=["1e300", "bound-plus-one"])

@@ -213,27 +213,12 @@ def test_custom_cost_rejects_bad_shapes():
         CustomCost(lambda x: np.ones_like(x), None, domain_bound=2.0)
 
 
-def test_custom_cost_without_derivative():
-    fn = CustomCost(lambda x: x * x, None, domain_bound=2.0)
-    assert not fn.has_derivative()
-    with pytest.raises(SpecError):
-        fn.derivative(1.0)
-
-
-@pytest.mark.parametrize("wrap", [False, True], ids=["custom", "affine-over-custom"])
-def test_a_value_only_family_evaluates_f_and_refuses_f_prime(wrap):
-    fn = CustomCost(lambda x: x * x, None, domain_bound=2.0)
-    if wrap:
-        fn = AffineCost(fn, 2.0, 1.0)
-    assert fn.value(1.5) == (5.5 if wrap else 2.25)
-    np.testing.assert_array_equal(fn.value(np.array([0.0, 1.0])), [1.0, 3.0] if wrap else [0.0, 1.0])
-    message = f"^{type(fn).__name__} provides no derivative$"
-    for evaluate in (fn.derivative, fn._pair):
-        with pytest.raises(SpecError, match=message):
-            evaluate(1.0)
-        # The missing derivative is named before the load is checked.
-        with pytest.raises(SpecError, match=message):
-            evaluate(5.0)
+@pytest.mark.parametrize("derivative", [None, 2.0], ids=["none", "number"])
+def test_custom_cost_requires_a_callable_derivative(derivative):
+    # Every solver needs f', so a family without one is refused when built,
+    # after the shape checks of its values.
+    with pytest.raises(SpecError, match="derivative_fn"):
+        CustomCost(lambda x: x * x, derivative, domain_bound=2.0)
 
 
 def test_custom_value_never_calls_the_derivative():
@@ -279,7 +264,7 @@ def test_config_errors():
     with pytest.raises(SpecError):
         cost_from_config(["linear"])
     with pytest.raises(SpecError, match="CustomCost is not serializable"):
-        cost_to_config(CustomCost(lambda x: x, None, domain_bound=2.0))
+        cost_to_config(CustomCost(lambda x: x, np.ones_like, domain_bound=2.0))
 
 
 def test_config_written_forms():

@@ -405,18 +405,6 @@ def test_solver_rejects_options_that_cannot_work(option):
         run_sweep(spec, np.array([0.25, 0.5]), solver="dynamics", **option)
 
 
-def test_derivative_needed_only_for_massive_coalitions():
-    exp_without_derivative = CustomCost(value_fn=np.exp, derivative_fn=None, domain_bound=10.0)
-    loads = np.array([1.5, 1.0, 1.0])
-    with pytest.raises(SpecError, match="no derivative"):
-        solve_dynamics(GameSpec(3, 2, 1.0, loads, exp_without_derivative, np.array([0.5, 0.5])))
-    for weights in ([1.0], [1.0, 0.0]):
-        spec = GameSpec(3, 2, 1.0, loads, exp_without_derivative, np.array(weights))
-        report = solve_dynamics(spec)
-        assert report.status is SolverStatus.CONVERGED
-        assert report.profile.flows[0].values[0] == pytest.approx(0.25, abs=1e-3)
-
-
 # --- learning step -----------------------------------------------------------
 
 
@@ -623,17 +611,12 @@ def test_step_scale_keeps_steep_games_stable(inst):
         assert unscaled.vi_gap > 1.0
 
 
-@pytest.mark.parametrize("derivative", [True, False], ids=["derivative", "secant"])
+@pytest.mark.parametrize("derivative", [lambda x: 3.0 * np.exp(3.0 * x)], ids=["derivative"])
 def test_first_step_is_scaled_by_the_envelope_slope(derivative):
-    cost = CustomCost(
-        value_fn=lambda x: np.exp(3.0 * x),
-        derivative_fn=(lambda x: 3.0 * np.exp(3.0 * x)) if derivative else None,
-        domain_bound=10.0,
-    )
+    cost = CustomCost(value_fn=lambda x: np.exp(3.0 * x), derivative_fn=derivative, domain_bound=10.0)
     spec = GameSpec(3, 2, 1.0, np.array([2.0, 1.0, 1.0]), cost, np.array([1.0]))
-    # Slot loads stay in [1, 3].  Lip = power * duration * f'(3); a family
-    # without a derivative uses its secant (f(3) - f(1)) / 2 instead.
-    slope = 3.0 * np.exp(9.0) if derivative else (np.exp(9.0) - np.exp(3.0)) / 2.0
+    # Slot loads stay in [1, 3], so Lip = power * duration * f'(3).
+    slope = 3.0 * np.exp(9.0)
     scale = 32.0 / (1.0 * 2 * slope)
     report = solve_dynamics(spec, max_iter=1, gap_tol=-1.0, trace_every=1)
     first_costs = strategy_costs(spec, Profile.uniform(spec))[None]

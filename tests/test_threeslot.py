@@ -529,10 +529,3 @@ def test_lying_derivative_breaks_bracketing():
     inst = ThreeSlotInstance(1.2, 1.0, 1.0, 1.0, liar)
     with pytest.raises(BracketingError):
         solve_ce(inst)
-
-
-def test_solver_requires_a_derivative():
-    value_only = CustomCost(lambda x: np.asarray(x, float) ** 2 + 1.0, None, 30.0)
-    inst = ThreeSlotInstance(1.2, 1.0, 1.0, 0.9, value_only)
-    with pytest.raises(SpecError):
-        solve_ce(inst)

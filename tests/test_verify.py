@@ -113,6 +113,22 @@ def test_non_finite_gap_raises_without_warnings():
             make_report(spec, profile, SolverStatus.ANALYTIC)
 
 
+def test_a_coalition_row_needs_a_finite_slope_even_without_mass():
+    # exp(2 x) stays finite at the load 354.7 while f' = 2 exp(2 x)
+    # overflows.  The kernel takes f and f' from one pair whenever the game
+    # has a coalition row, so a massless coalition's 0 * inf is a NaN
+    # gradient and the certificate an error; the individuals alone need f.
+    def uniform_gap(weights):
+        spec = GameSpec(2, 1, 0.001, np.array([354.7, 0.0]), ExponentialCost(2.0), np.array(weights))
+        return vi_gap(spec, Profile.uniform(spec))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="non-finite strategy costs"):
+            uniform_gap([1.0, 0.0])
+        assert uniform_gap([1.0]) == pytest.approx(6.136e307, rel=1e-3)
+
+
 # exp(400 x) overflows on the peak load 2.3, and, with the mixing band
 # open, on the closed form's common load 2.4.
 OVERFLOWING = ExponentialCost(rate=400)
@@ -162,8 +178,8 @@ def test_an_analytic_sweep_point_with_overflowing_costs_carries_the_ce_costs_err
 
 @pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.5), (0.3, 0.3, 0.4)])
 def test_vi_gap_checks_the_cost_domain_once(monkeypatch, weights):
-    # f and f' come from one checked pair (f alone without a coalition), so
-    # the certificate runs one domain check.
+    # f and f' come from one checked pair, so the certificate runs one
+    # domain check.
     checks = []
     check = LinearCost._check_domain
 
