@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -296,9 +296,9 @@ def report_to_dict(report: EquilibriumReport, resolved: dict) -> dict:
             "wardrop_slack": report.wardrop_slack,
             "boundary": report.boundary,
             "profile": report.profile.matrix(),
-            "loads": asdict(report.loads),
-            "costs": asdict(report.costs),
-            "reduced_costs": None if report.reduced is None else asdict(report.reduced),
+            "loads": report.loads._asdict(),
+            "costs": report.costs._asdict(),
+            "reduced_costs": None if report.reduced is None else report.reduced._asdict(),
         }
     )
 

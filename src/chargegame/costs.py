@@ -161,6 +161,8 @@ class CustomCost(CostFunction):
             raise SpecError(
                 f"custom cost requires a finite positive domain_bound, got {self.domain_bound}"
             )
+        if not callable(self.value_fn):
+            raise SpecError(f"custom cost requires a callable value_fn, got {self.value_fn!r}")
         grid = np.linspace(0.0, self.domain_bound, VALIDATION_GRID_SIZE)
         values = np.asarray(self.value_fn(grid), dtype=float)
         if values.shape != grid.shape or not np.all(np.isfinite(values)):
@@ -199,6 +201,8 @@ class AffineCost(CostFunction):
     shift: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.base, CostFunction):
+            raise SpecError(f"affine base must be a CostFunction, got {self.base!r}")
         if not 0 < self.scale < math.inf:
             raise SpecError(f"affine scale must be finite and positive, got {self.scale}")
         if not abs(self.shift) < math.inf:

@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ChargeGameError, SpecError, _finite, _is_integer, _quiet
-from .model import Flow, GameSpec, Profile, _gradient_kernel
+from .model import GameSpec, Profile, _gradient_kernel
 from .verify import SolverStatus, TraceRow, _gap_reduction, make_report
 
 DEFAULT_MAX_ITER = 100_000
@@ -255,7 +255,7 @@ def _outcome(spec: GameSpec, rows: np.ndarray, gap: float, gap_tol: float, itera
             if trace[-1].iteration != iteration:
                 trace.append(TraceRow(iteration, gap, rows.copy()))
             trace = tuple(trace)
-        profile = Profile(tuple(Flow(row, float(mass)) for row, mass in zip(rows, spec.weights)))
+        profile = Profile.from_rows(spec, rows)
         return make_report(spec, profile, status, iterations=iteration, gap=gap, trace=trace)
     except ChargeGameError as exc:
         return exc

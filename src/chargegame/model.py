@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -228,8 +228,7 @@ class Profile:
         return np.array([f.values for f in self.flows])
 
 
-@dataclass(frozen=True)
-class LoadDecomposition:
+class LoadDecomposition(NamedTuple):
     """Per-player and aggregate charging loads over the horizon, read-only.
 
     Each per-player row is the moving-sum image of that player's flow, so
@@ -284,9 +283,8 @@ def strategy_costs(spec: GameSpec, profile: Profile) -> np.ndarray:
 
 def coalition_average_cost(spec: GameSpec, profile: Profile, k: int) -> float:
     """Average cost paid by coalition ``k`` (player index, 1-based up to K)."""
-    mass = _coalition_mass(spec, k)
-    costs = strategy_costs(spec, profile)
-    return float(profile.flows[k].values @ costs) / mass
+    _coalition_mass(spec, k)
+    return evaluate_costs(spec, profile).coalitions[k - 1]
 
 
 def _coalition_mass(spec: GameSpec, k: int) -> float:
@@ -385,8 +383,7 @@ def player_gradients(spec: GameSpec, profile: Profile) -> np.ndarray:
         return _finite(kernel(profile.matrix()))
 
 
-@dataclass(frozen=True)
-class CostSummary:
+class CostSummary(NamedTuple):
     """Average cost per entity at one profile.
 
     When the individuals have zero mass their entry holds the cheapest

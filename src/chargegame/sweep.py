@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from itertools import repeat
 from operator import eq
 from typing import NamedTuple
@@ -87,8 +87,7 @@ class SweepPoint(NamedTuple):
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class AuditVerdict:
+class AuditVerdict(NamedTuple):
     """Result of one monotonicity/concavity audit.
 
     ``worst_value`` is the most adverse difference observed (negative or
@@ -101,8 +100,7 @@ class AuditVerdict:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     grid: np.ndarray
     points: tuple[SweepPoint, ...]
     audits: dict[str, AuditVerdict]
@@ -483,4 +481,4 @@ def _write_rows(path, header, rows) -> None:
 
 
 def audits_to_dict(result: SweepResult) -> dict:
-    return {name: asdict(verdict) for name, verdict in result.audits.items()}
+    return {name: verdict._asdict() for name, verdict in result.audits.items()}

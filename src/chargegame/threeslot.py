@@ -109,8 +109,7 @@ class ThreeSlotInstance:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class CEPoint:
+class CEPoint(NamedTuple):
     """Equilibrium weights on the first (peak) alternative.
 
     ``coalition_on_peak`` lies in [0, M] and ``individuals_on_peak`` in

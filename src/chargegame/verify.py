@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,8 +137,7 @@ def _gap_reduction(masses: np.ndarray, players: int):
     return gaps
 
 
-@dataclass(frozen=True)
-class WardropCheck:
+class WardropCheck(NamedTuple):
     """Outcome of the individuals' equilibrium-condition check.
 
     ``worst_slack`` is the largest excess of a used strategy's cost over
@@ -178,8 +177,7 @@ def _wardrop_at(
     )
 
 
-@dataclass(frozen=True)
-class OptimalityCheck:
+class OptimalityCheck(NamedTuple):
     """Outcome of one coalition's best-response check (its own gap term)."""
 
     passed: bool
@@ -202,16 +200,14 @@ def check_coalition_optimality(
     return OptimalityCheck(passed=gap <= eps, gap=gap)
 
 
-@dataclass(frozen=True)
-class OrderingCheck:
+class OrderingCheck(NamedTuple):
     """Outcome of the equilibrium cost-ordering check."""
 
     passed: bool
     violations: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """Convergence-log entry: the profile and its gap at one iteration."""
 
     iteration: int
@@ -219,8 +215,7 @@ class TraceRow:
     flows: np.ndarray
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """A solved profile with its certification diagnostics.
 
     ``reduced`` carries the middle-slot-normalized costs for three-slot

@@ -178,6 +178,17 @@ def test_affine_transform_values():
         AffineCost(QuadraticCost(), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("base", [None, "x"], ids=["none", "string"])
+def test_affine_cost_refuses_a_base_that_is_not_a_cost_function(base):
+    # Refused when built, by name, instead of failing at the first evaluation.
+    with pytest.raises(SpecError, match="base"):
+        AffineCost(base)
+    with pytest.raises(SpecError, match="base"):
+        AffineCost(base, 2.0, 0.0)
+    with pytest.raises(SpecError, match="base"):
+        GameSpec(3, 2, 1.0, [1.5, 1, 1], AffineCost(base), [0.5, 0.5])
+
+
 def test_affine_transform_inherits_domain():
     base = ExponentialCost(rate=0.5, domain_bound=3.0)
     wrapped = AffineCost(base, 2.0, -1.0)
@@ -211,6 +222,12 @@ def test_custom_cost_rejects_bad_shapes():
         CustomCost(lambda x: np.float64(1.0), None, domain_bound=2.0)
     with pytest.raises(SpecError, match="strictly increasing"):  # flat
         CustomCost(lambda x: np.ones_like(x), None, domain_bound=2.0)
+
+
+def test_custom_cost_requires_a_callable_value_fn():
+    # Refused before the sample grid is evaluated, by name.
+    with pytest.raises(SpecError, match="value_fn"):
+        CustomCost("x", np.ones_like, 2.0)
 
 
 @pytest.mark.parametrize("derivative", [None, 2.0], ids=["none", "number"])

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,19 +13,28 @@ from chargegame import (
     AffineCost,
     AuditVerdict,
     BracketingError,
+    CEPoint,
     ChargeGameError,
+    CostSummary,
     CustomCost,
     DomainError,
+    EquilibriumReport,
     ExponentialCost,
     GameSpec,
     LinearCost,
     NumericsError,
+    OptimalityCheck,
+    OrderingCheck,
     QuadraticCost,
+    ReducedCosts,
     Regime,
     SolverStatus,
     SpecError,
     SweepPoint,
+    SweepResult,
     ThreeSlotInstance,
+    TraceRow,
+    WardropCheck,
     activation_threshold,
     audit_concave,
     audit_concave_branches,
@@ -44,6 +55,7 @@ from chargegame import (
 )
 from chargegame import sweep, threeslot, verify
 from chargegame.dynamics import default_step_schedule
+from chargegame.model import LoadDecomposition
 from chargegame.sweep import DEFAULT_AUDIT_TOL, write_csv
 from chargegame.threeslot import BISECTION_TOL, _grid_solution
 from conftest import random_three_slot
@@ -167,6 +179,74 @@ def test_sweep_point_is_an_immutable_record_with_fixed_fields():
                         gap=math.nan, status="error", error="boom")
     assert failed.error == "boom"
     assert failed.regime is None
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# Every result record: its fields in order, its defaults, and one instance's
+# values.  The records validate nothing, so compound fields hold labels.
+RECORDS = [
+    (WardropCheck, ("passed", "worst_slack", "witness"), {"witness": None},
+     (False, 0.5, (2, 1.5, 1.0))),
+    (OptimalityCheck, ("passed", "gap"), {}, (True, 0.0)),
+    (OrderingCheck, ("passed", "violations"), {"violations": ()},
+     (False, ("individuals 2.0 > social 1.0",))),
+    (TraceRow, ("iteration", "gap", "flows"), {}, (3, 1e-3, np.array([[0.5, 0.5]]))),
+    (EquilibriumReport,
+     ("game", "profile", "loads", "costs", "reduced", "vi_gap", "wardrop_slack",
+      "boundary", "status", "iterations", "trace"),
+     {"trace": None},
+     ("game", "profile", "loads", "costs", None, 0.0, 0.0, False,
+      SolverStatus.ANALYTIC, 0, None)),
+    (LoadDecomposition, ("per_player", "aggregate"), {},
+     (np.array([[1.0, 1.0]]), np.array([1.0, 1.0]))),
+    (CostSummary, ("individuals", "coalitions", "social", "individuals_extended"),
+     {"individuals_extended": False}, (1.0, (2.0, None), 1.5, False)),
+    (AuditVerdict, ("passed", "worst_value", "worst_pair", "note"),
+     {"worst_pair": None, "note": ""}, (False, 0.25, (3, 4), "")),
+    (SweepResult, ("grid", "points", "audits", "solver"), {},
+     (np.array([0.5]), (), {}, "analytic")),
+    (CEPoint, ("coalition_on_peak", "individuals_on_peak", "regime"), {},
+     (0.25, 0.0, Regime.COALITION_SPLIT)),
+    (SweepPoint,
+     ("m", "x1", "x0", "cost_individuals", "cost_coalition", "cost_social",
+      "regime", "gap", "status", "error"),
+     {"error": None},
+     (0.5, 0.25, 0.0, 1.0, 2.0, 1.5, "coalition-split", 0.0, "analytic", None)),
+    (ReducedCosts, ("social", "individuals", "coalition"), {}, (1.5, 1.0, 2.0)),
+]
+
+
+def _golden_json(name, artifact):
+    with open(os.path.join(GOLDEN, name, artifact)) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("cls, fields, defaults, values", RECORDS,
+                         ids=[record[0].__name__ for record in RECORDS])
+def test_result_records_are_named_tuples_with_fixed_fields(cls, fields, defaults, values):
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    record = cls(*values)
+    assert tuple(record) == values
+    assert record == cls(**dict(zip(fields, values)))
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(record) == f"{cls.__name__}({shown})"
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+
+
+def test_record_dicts_carry_the_keys_the_artifacts_write():
+    report = _golden_json("three_slot_solve", "report.json")
+    loads = LoadDecomposition(np.ones((2, 3)), np.ones(3))
+    costs = CostSummary(1.0, (2.0,), 1.5)
+    assert sorted(loads._asdict()) == sorted(report["loads"])
+    assert sorted(costs._asdict()) == sorted(report["costs"]) == sorted(report["reduced_costs"])
+    verdict = AuditVerdict(passed=True, worst_value=0.0)
+    for name in ("three_slot_gap_sweep", "three_slot_quadratic_sweep"):
+        for written in _golden_json(name, "sweep_audits.json")["audits"].values():
+            assert sorted(verdict._asdict()) == sorted(written)
 
 
 # --- closed-form sweeps ------------------------------------------------------

@@ -279,7 +279,7 @@ def test_cost_ordering_detects_violations():
     )
     import dataclasses
 
-    tampered = dataclasses.replace(report, costs=broken)
+    tampered = report._replace(costs=broken)
     assert not check_cost_ordering(tampered).passed
     # A NaN tolerance fails no comparison, so it would pass the violation.
     with pytest.raises(SpecError, match="tol"):
@@ -295,7 +295,7 @@ def test_cost_ordering_tolerance_scales_with_the_social_cost():
 
     def with_costs(individuals, coalition):
         costs = type(report.costs)(individuals, (coalition,), social)
-        return dataclasses.replace(report, costs=costs)
+        return report._replace(costs=costs)
 
     # One ulp apart passes; a violation of 1e-3 relative fails either way round.
     ulp = float(np.spacing(social))
