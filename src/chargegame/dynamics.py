@@ -28,12 +28,17 @@ DEFAULT_GAP_TOL = 1e-6
 StepSize = Union[float, Callable[[int], float]]
 
 
-# The steps of a game are scaled by min(1, STEP_SCALE_BOUND / Lip), where
-# Lip = power * duration * f'(max L + P) bounds how fast a strategy's cost
-# changes as weight moves.  Games with Lip <= 32, the shipped configs among
-# them, keep their steps; steeper games, which can cycle under full steps, take
-# proportionally smaller ones.
+# The steps of a game are scaled by a factor set by
+# Lip = power * duration * f'(max L + P), which bounds how fast a strategy's
+# cost changes as weight moves.  Games steeper than STEP_SCALE_BOUND, which
+# can cycle under full steps, take steps times STEP_SCALE_BOUND / Lip.  Under
+# the default schedule a gently sloped game with 0 < Lip < STEP_SCALE_FLOOR
+# takes steps times STEP_SCALE_FLOOR / Lip, so it learns at the same pace in
+# any unit its cost is written in.  Every other game keeps its steps, and so
+# does a constant step or a caller's own schedule on a gentle game: a
+# constant step does not decay, and raised it cycles.
 STEP_SCALE_BOUND = 32.0
+STEP_SCALE_FLOOR = 8.0
 
 
 def default_step_schedule(iteration: int) -> float:
@@ -42,9 +47,9 @@ def default_step_schedule(iteration: int) -> float:
     Any schedule whose steps sum to infinity keeps the fixed points and the
     dual-averaging convergence argument; this one decays slowly enough that
     degenerate equilibria (a tie on an unused strategy) are still reached.
-    The solver multiplies every step, this schedule's or a constant's, by
-    the game's step scale (see ``STEP_SCALE_BOUND``), which tames the steep
-    cost families.
+    The solver multiplies this schedule's steps by the game's step scale,
+    which tames the steep cost families and measures the gentle ones in
+    their own cost units (see ``STEP_SCALE_BOUND``).
     """
     return 1.0 / (1.0 + math.sqrt(math.sqrt(iteration)))
 
@@ -101,7 +106,19 @@ def _softmax(weights: np.ndarray, slots: int) -> Callable[[np.ndarray], np.ndarr
 
 
 def _step_value(step: StepSize, iteration: int) -> float:
-    return step(iteration) if callable(step) else float(step)
+    """The step at ``iteration``; a schedule's value that is not a finite
+    number > 0 raises SpecError, as a constant step does at entry."""
+    if not callable(step):
+        return float(step)
+    value = step(iteration)
+    try:
+        if 0.0 < value < math.inf:
+            return value
+    except (TypeError, ValueError):  # not a number, or an array
+        pass
+    raise SpecError(
+        f"step_size schedule must give a finite number > 0, got {value!r} at iteration {iteration}"
+    )
 
 
 def _check_options(max_iter, gap_tol, step_size, trace_every) -> None:
@@ -136,15 +153,18 @@ def solve_dynamics(
     ``max_iter`` steps, whichever comes first; the report's status says
     which happened, since convergence is not guaranteed for nonlinear
     cost families.  ``trace_every`` > 0 records every that-many-th iterate
-    (plus the final one) for convergence plots.
+    (plus the final one) for convergence plots.  Every step is multiplied
+    by the game's step scale (see ``STEP_SCALE_BOUND``): under the default
+    schedule by ``min(32, max(8, Lip)) / Lip``, otherwise by
+    ``min(1, 32 / Lip)``; a game with Lip = 0 keeps its steps.
 
     Returns:
         :class:`~chargegame.verify.EquilibriumReport` for the final iterate.
 
     Raises:
         SpecError: ``max_iter`` or ``trace_every`` is not an integer >= 0,
-            ``gap_tol`` is not finite or a constant ``step_size`` is not a
-            finite number > 0.
+            ``gap_tol`` is not finite, or a constant ``step_size`` or a
+            value of a ``step_size`` schedule is not a finite number > 0.
     """
     (outcome,) = _solve_batch(
         (spec,), max_iter=max_iter, gap_tol=gap_tol, step_size=step_size,
@@ -197,6 +217,8 @@ def _solve_batch(
         return [exc] * len(specs)
     lip = spec.power * spec.duration * slope
     scale = STEP_SCALE_BOUND / lip if lip > STEP_SCALE_BOUND else 1.0
+    if step_size is default_step_schedule and 0.0 < lip < STEP_SCALE_FLOOR:
+        scale = STEP_SCALE_FLOOR / lip
     outcomes: list = [None] * len(specs)
     live = list(range(len(specs)))  # the games in the stack, in stack order
     traces = [[] for _ in specs] if trace_every > 0 else None

@@ -7,6 +7,7 @@ import pytest
 
 from chargegame import (
     AffineCost,
+    CostFunction,
     CustomCost,
     ExponentialCost,
     GameSpec,
@@ -159,24 +160,28 @@ def reference_softmax(cum_costs, weights):
     return rows
 
 
-def reference_step_scale(spec):
-    """min(1, 32 / Lip), Lip = power * duration * f' at the highest load."""
+def reference_step_scale(spec, step_size=default_step_schedule):
+    """min(1, 32 / Lip), Lip = power * duration * f' at the highest load;
+    under the default schedule a game with 0 < Lip < 8 takes 8 / Lip."""
     envelope = np.array([spec.base_load.min(), spec.base_load.max() + spec.power])
     lip = spec.power * spec.duration * float(spec.cost.derivative(envelope)[1])
+    if step_size is default_step_schedule and 0.0 < lip < 8.0:
+        return 8.0 / lip
     return min(1.0, 32.0 / lip)
 
 
-def reference_solve(spec, max_iter, gap_tol):
+def reference_solve(spec, max_iter, gap_tol, step_size=default_step_schedule):
     cum_costs = np.zeros((spec.num_players, spec.num_start_slots))
     rows = reference_softmax(cum_costs, spec.weights)
-    scale = reference_step_scale(spec)
+    scale = reference_step_scale(spec, step_size)
+    step = step_size if callable(step_size) else lambda n: step_size
     iteration = 0
     while True:
         gradients = reference_gradients(spec, rows)
         gap = reference_gap(spec.weights, rows, gradients)
         if gap <= gap_tol or iteration >= max_iter:
             return rows, gap, iteration
-        cum_costs += scale * default_step_schedule(iteration) * gradients
+        cum_costs += scale * step(iteration) * gradients
         rows = reference_softmax(cum_costs, spec.weights)
         iteration += 1
 
@@ -405,6 +410,27 @@ def test_solver_rejects_options_that_cannot_work(option):
         run_sweep(spec, np.array([0.25, 0.5]), solver="dynamics", **option)
 
 
+@pytest.mark.parametrize(
+    "value", [-1.0, 0.0, math.nan, math.inf, "x", None, np.ones(2)],
+    ids=["negative", "zero", "nan", "inf", "string", "none", "array"],
+)
+@pytest.mark.parametrize("first_bad", [0, 5])
+def test_solver_rejects_schedule_values_that_cannot_work(value, first_bad):
+    # A schedule's values are held to the rule of a constant step: a step
+    # <= 0 stands still or climbs to the costly corner, and the rest would
+    # fail later as a numerics error or a TypeError.
+    spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), LinearCost(), np.array([0.5, 0.5]))
+
+    def schedule(n):
+        return default_step_schedule(n) if n < first_bad else value
+
+    message = rf"step_size schedule .* at iteration {first_bad}$"
+    with pytest.raises(SpecError, match=message):
+        solve_dynamics(spec, max_iter=200, step_size=schedule)
+    with pytest.raises(SpecError, match=message):
+        run_sweep(spec, np.array([0.25, 0.5]), solver="dynamics", max_iter=200, step_size=schedule)
+
+
 # --- learning step -----------------------------------------------------------
 
 
@@ -623,6 +649,54 @@ def test_first_step_is_scaled_by_the_envelope_slope(derivative):
     np.testing.assert_allclose(
         report.trace[1].flows, reference_softmax(scale * first_costs, spec.weights), rtol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "step_size", [0.5, lambda n: 1.0 / (1.0 + n**0.25)], ids=["constant", "own-schedule"]
+)
+def test_other_steps_keep_the_cap_only_scale_on_a_gentle_game(step_size):
+    # Lip = 2 here: the default schedule's steps are raised to 8 / Lip, a
+    # constant step's or a caller's own schedule's (even one equal to the
+    # default) are not.
+    spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), LinearCost(), np.array([0.5, 0.5]))
+    assert reference_step_scale(spec, step_size) == 1.0 < reference_step_scale(spec)
+    report = solve_dynamics(spec, max_iter=12, gap_tol=1e-9, step_size=step_size)
+    rows, gap, iterations = reference_solve(spec, 12, 1e-9, step_size)
+    assert report.iterations == iterations
+    assert_matches_reference(
+        report.profile.matrix(), Profile.from_rows(spec, rows).matrix(), exact=True
+    )
+    assert_matches_reference(report.vi_gap, gap, exact=True)
+
+
+@pytest.mark.parametrize(
+    "cost, scale, shift",
+    [
+        (cost, scale, shift)
+        for cost in (LinearCost(0.5, 0.1), QuadraticCost(), ExponentialCost(0.4))
+        for scale, shift in ((3.0, 2.0), (0.25, -0.5), (4.0, 1.0))
+        # Four times the quadratic has Lip 9.36, above the floor.
+        if not (isinstance(cost, QuadraticCost) and scale == 4.0)
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, CostFunction) else str(value),
+)
+def test_default_dynamics_do_not_depend_on_the_cost_unit(cost, scale, shift):
+    # scale * f + shift has the same equilibria as f; with both games' Lip
+    # below the floor, their steps times Lip are the same, so they take the
+    # same iterates and their gaps differ by the factor scale.
+    def night(cost):
+        loads = np.array([0.9, 1.0, 0.95, 0.7, 0.5, 0.45, 0.6])
+        return GameSpec(7, 3, 0.3, loads, cost, np.array([0.5, 0.3, 0.2]))
+
+    spec, rescaled = night(cost), night(AffineCost(cost, scale, shift))
+    assert reference_step_scale(spec) > 1.0 and reference_step_scale(rescaled) > 1.0
+    a = solve_dynamics(spec, max_iter=300, gap_tol=-1.0)
+    b = solve_dynamics(rescaled, max_iter=300, gap_tol=-1.0)
+    np.testing.assert_allclose(b.profile.matrix(), a.profile.matrix(), rtol=0.0, atol=1e-12)
+    a = solve_dynamics(spec, gap_tol=1e-7)
+    b = solve_dynamics(rescaled, gap_tol=1e-7 * scale)
+    assert a.status is b.status is SolverStatus.CONVERGED
+    assert a.iterations == b.iterations
 
 
 def test_dynamics_agree_with_closed_form_on_random_instances(rng):

@@ -485,6 +485,11 @@ def test_auto_is_the_dynamics_where_the_gate_refuses(horizon, power, loads):
     assert report_bits(solve(spec)) == report_bits(solve_dynamics(spec))
     with pytest.raises(SpecError):
         run_sweep(spec, grid, solver="analytic")
+    # Under a linear cost auto's dynamics converge in a few thousand steps,
+    # the mirror image of a closed-form game (the last case) among them.
+    linear = solve(dataclasses.replace(spec, cost=LinearCost()))
+    assert linear.status is SolverStatus.CONVERGED
+    assert linear.iterations <= 5000
 
 
 def test_an_unknown_method_is_refused_by_solve_and_run_sweep():
