@@ -369,7 +369,7 @@ def test_shipped_sweeps_write_their_golden_artifacts(tmp_path, name):
 def test_shipped_solve_writes_its_golden_artifacts(tmp_path, command, golden, artifacts):
     # The single-point closed form, pinned like the sweeps: its report
     # carries the certificate gap of the split the root-finder returns.
-    # The dynamics-trace run (16 iterations) pins a dynamics report and a
+    # The dynamics-trace run (10 iterations) pins a dynamics report and a
     # trace; its softmax takes exp, so its last digits rest on the
     # platform's libm agreeing to 12 significant digits.
     config = os.path.join(SHIPPED_CONFIGS, "three_slot_solve.json")
