@@ -68,44 +68,61 @@ def default_step_schedule(iteration: int) -> float:
 # stack of one game runs the single-game array shapes, and every game's
 # arithmetic is the same in any stack.
 #
-# A live stack owns its buffers: the kernel's loads, window sums and
-# gradients, the gap reduction's dots, minima and terms, and the softmax's
-# minima, exponentials, totals and rows, each with the reshaped views the
-# loop writes through.  They are built together when the stack is and
-# rebuilt only when a game leaves it; the kernel, the gap reduction and the
-# softmax write into them with out=, and only the cost family's f and f'
-# come as new arrays.  The gap reduction picks its form by the stack's game
-# count: one game loops over its few rows, which costs less than array
-# calls, and a larger stack takes a fixed number of array calls.  So an
-# iteration costs a fixed number of numpy calls whatever the stack's size.
-# Nothing the loop hands out is a buffer: a trace row and a report take
-# copies of their rows, and the gaps come as a list of floats.
+# A live stack owns its buffers, built together when the stack is and
+# rebuilt only when a game leaves it.  The gradients G and the cumulative
+# costs share one (2, rows, slots) state.  Iteration n adds
+# scale * eta_n * G to the costs through a step buffer of its own, which
+# leaves G unscaled for the gap, and then takes one minimum over the
+# state's slot axis: G's row minima for the gap, and the costs' row minima,
+# by which the softmax shifts its exponents.  A minimum is exact, so the
+# floats are those of taking the gap before the update.  The stop test
+# follows the update, so eta_n is taken at every n < max_iter, the
+# iteration at which the last game stops included.  When games leave, the
+# new stack gets the kept rows' costs and minima, then runs the softmax.
+# The gap's row dots go through views of the rows and G built with the
+# stack; the ufuncs are bound once per stack and, but for np.maximum, take
+# their outputs by position; only the cost family's f and f' come as new
+# arrays.  The gap reduction picks its form by the stack's game count: one
+# game loops over its few rows, which costs less than array calls, and a
+# larger stack takes a fixed number of array calls.  So an iteration costs
+# a fixed number of numpy calls whatever the stack's size.  Nothing the
+# loop hands out is a buffer: a trace row and a report take copies of
+# their rows, and the gaps come as a list of floats.
 
 
-def _softmax(weights: np.ndarray, slots: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Map cumulative costs to rows: row i is weights[i] times the softmax
-    of -cum_costs[i].
+def _softmax(
+    weights: np.ndarray, cum_costs: np.ndarray, lows: np.ndarray, rows: np.ndarray
+) -> Callable[[], None]:
+    """A function that writes into ``rows`` the rows of ``cum_costs`` as
+    they stand: row i is weights[i] times the softmax of -cum_costs[i].
 
-    Each row of exponents is shifted by its maximum, which leaves the
-    distribution unchanged but avoids overflow.  Every call returns the
-    same row buffer, overwritten by the next call.
+    ``lows`` holds each row's minimum cost, one per row with its axis kept.
+    Shifting the exponents by it leaves the distribution unchanged but
+    avoids overflow.
     """
-    lows = np.empty((weights.size, 1))
-    scaled = np.empty((weights.size, slots))
+    scaled = np.empty_like(cum_costs)
     totals = np.empty(weights.size)
     factors = totals[:, None]
-    rows = np.empty_like(scaled)
+    subtract, exp, divide, multiply = np.subtract, np.exp, np.divide, np.multiply
+    add_reduce = np.add.reduce
 
-    def softmax(cum_costs: np.ndarray) -> np.ndarray:
-        # ufunc reductions skip the Python-level wrappers of the array methods.
-        np.minimum.reduce(cum_costs, 1, keepdims=True, out=lows)
-        np.subtract(lows, cum_costs, out=scaled)
-        np.exp(scaled, out=scaled)
-        np.add.reduce(scaled, 1, out=totals)
-        np.divide(weights, totals, out=totals)
-        return np.multiply(factors, scaled, out=rows)
+    def softmax() -> None:
+        subtract(lows, cum_costs, scaled)
+        exp(scaled, scaled)
+        add_reduce(scaled, 1, None, totals)
+        divide(weights, totals, totals)
+        multiply(factors, scaled, rows)
 
     return softmax
+
+
+def _between(value, low: float, high: float) -> bool:
+    """Whether low < value < high; False for a value that is not a real
+    number (a string, None, a complex number) or is an array."""
+    try:
+        return bool(low < value < high)
+    except (TypeError, ValueError):
+        return False
 
 
 def _step_value(step: StepSize, iteration: int) -> float:
@@ -114,11 +131,8 @@ def _step_value(step: StepSize, iteration: int) -> float:
     if not callable(step):
         return float(step)
     value = step(iteration)
-    try:
-        if 0.0 < value < math.inf:
-            return value
-    except (TypeError, ValueError):  # not a number, or an array
-        pass
+    if _between(value, 0.0, math.inf):
+        return value
     raise SpecError(
         f"step_size schedule must give a finite number > 0, got {value!r} at iteration {iteration}"
     )
@@ -128,17 +142,18 @@ def _check_options(max_iter, gap_tol, step_size, trace_every) -> None:
     """Raise SpecError for options the loop cannot honour: an iteration cap
     or a trace interval that is not a whole number >= 0 (the CLI's rule for
     the cap; a trace interval of 0 records no trace), a tolerance that is
-    not finite, which every gap meets (inf) or none meets or misses (NaN),
-    and a constant step that is not a finite number > 0, which stands still
-    or climbs.  A finite negative tolerance is fine: it runs all
-    ``max_iter`` steps."""
+    not a finite number, which every gap meets (inf), none meets or misses
+    (NaN) or none compares with (a string, None, a complex number, an
+    array), and a constant step that is not a finite number > 0, which
+    stands still, climbs or cannot scale a gradient.  A finite negative
+    tolerance is fine: it runs all ``max_iter`` steps."""
     if not _is_integer(max_iter, 0):
         raise SpecError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not _is_integer(trace_every, 0):
         raise SpecError(f"trace_every must be an integer >= 0, got {trace_every!r}")
-    if not math.isfinite(gap_tol):
+    if not _between(gap_tol, -math.inf, math.inf):
         raise SpecError(f"gap_tol must be a finite number, got {gap_tol!r}")
-    if not (callable(step_size) or 0.0 < step_size < math.inf):
+    if not (callable(step_size) or _between(step_size, 0.0, math.inf)):
         raise SpecError(f"step_size must be a schedule or a finite number > 0, got {step_size!r}")
 
 
@@ -159,14 +174,17 @@ def solve_dynamics(
     (plus the final one) for convergence plots.  Every step is multiplied
     by the game's step scale (see ``STEP_SCALE_BOUND``): under the default
     schedule by ``min(32, max(4, Lip)) / Lip``, otherwise by
-    ``min(1, 32 / Lip)``; a game with Lip = 0 keeps its steps.
+    ``min(1, 32 / Lip)``; a game with Lip = 0 keeps its steps.  A
+    ``step_size`` schedule is called once at each iteration n < max_iter,
+    in order, the iteration at which the solve converges included, and
+    never at ``max_iter``.
 
     Returns:
         :class:`~chargegame.verify.EquilibriumReport` for the final iterate.
 
     Raises:
         SpecError: ``max_iter`` or ``trace_every`` is not an integer >= 0,
-            ``gap_tol`` is not finite, or a constant ``step_size`` or a
+            ``gap_tol`` is not a finite number, or a constant ``step_size`` or a
             value of a ``step_size`` schedule is not a finite number > 0.
     """
     (outcome,) = _solve_batch(
@@ -225,49 +243,67 @@ def _solve_batch(
     outcomes: list = [None] * len(specs)
     live = list(range(len(specs)))  # the games in the stack, in stack order
     traces = [[] for _ in specs] if trace_every > 0 else None
-    cum_costs = np.zeros((weights.size, spec.num_start_slots))
+    slots = spec.num_start_slots
 
-    def stack(weights):
-        """The kernel, gap reduction and softmax of a live stack, with
-        their buffers."""
-        return (
-            _gradient_kernel(spec, weights, checked=False),
-            _gap_reduction(weights, players),
-            _softmax(weights, spec.num_start_slots),
-        )
+    def stack(weights, cum_costs, shifts):
+        """The buffers and steps of a live stack whose cumulative costs
+        start at ``cum_costs``, with row minima ``shifts``.
 
-    kernel, gaps_of, softmax = stack(weights)
-    rows = softmax(cum_costs)
+        Returns its rows, its state (the gradients, then the costs), their
+        row minima, ``advance(step)``, which takes the gradients at the
+        rows, adds ``step`` times them to the costs (nothing when ``step``
+        is None) and returns the gaps, and ``settle()``, which writes the
+        costs' rows."""
+        state = np.empty((2, weights.size, slots))
+        gradients, costs = state
+        costs[...] = cum_costs
+        minima = np.empty((2, weights.size, 1))
+        minima[1] = shifts
+        rows, steps = np.empty_like(costs), np.empty_like(costs)
+        kernel = _gradient_kernel(spec, weights, checked=False, out=gradients)
+        gaps = _gap_reduction(weights, players, rows, gradients, minima[0, :, 0])
+        multiply, add, lowest = np.multiply, np.add, np.minimum.reduce
+
+        def advance(step):
+            kernel(rows)
+            if step is not None:
+                multiply(gradients, step, steps)
+                add(costs, steps, costs)
+            lowest(state, 2, None, minima, True)
+            return gaps()
+
+        return rows, state, minima, advance, _softmax(weights, costs, minima[1], rows)
+
+    rows, state, minima, advance, settle = stack(weights, 0.0, 0.0)
+    settle()
     iteration = 0
     while True:
-        gradients = kernel(rows)
-        gaps = gaps_of(rows, gradients)
+        step = scale * _step_value(step_size, iteration) if iteration < max_iter else None
+        gaps = advance(step)
         if traces is not None and iteration % trace_every == 0:
             for j, game in enumerate(live):
                 traces[game].append(TraceRow(iteration, gaps[j], rows[j::len(live)].copy()))
         # A game stays while its gap is above gap_tol, which a NaN gap is not.
-        done = iteration >= max_iter
+        done = step is None
         for gap in gaps:
             if not gap > gap_tol:
                 done = True
                 break
         if done:
-            keep = [iteration < max_iter and gap > gap_tol for gap in gaps]
+            keep = [step is not None and gap > gap_tol for gap in gaps]
             for j, game in enumerate(live):
                 if not keep[j]:
                     trace = None if traces is None else traces[game]
                     outcomes[game] = _outcome(
                         specs[game], rows[j::len(live)], gaps[j], gap_tol, iteration, trace
                     )
-            kept = np.tile(keep, players)
-            cum_costs, gradients, weights = cum_costs[kept], gradients[kept], weights[kept]
             live = [game for game, stays in zip(live, keep) if stays]
             if not live:
                 return outcomes
-            kernel, gaps_of, softmax = stack(weights)
-        gradients *= scale * _step_value(step_size, iteration)
-        cum_costs += gradients
-        rows = softmax(cum_costs)
+            kept = np.tile(keep, players)
+            weights = weights[kept]
+            rows, state, minima, advance, settle = stack(weights, state[1, kept], minima[1, kept])
+        settle()
         iteration += 1
 
 

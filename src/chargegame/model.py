@@ -301,7 +301,7 @@ def _coalition_mass(spec: GameSpec, k: int) -> float:
 
 
 def _gradient_kernel(
-    spec: GameSpec, weights: np.ndarray, checked: bool = True
+    spec: GameSpec, weights: np.ndarray, checked: bool = True, out: np.ndarray | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Map a stack of weight rows to marginal-cost rows.
 
@@ -320,8 +320,9 @@ def _gradient_kernel(
     evaluates them after one domain check of the cost family, and otherwise
     raw, for a caller that has checked the load envelope.
 
-    The kernel writes into buffers it allocates once, so each call returns
-    the same gradient array, overwritten by the next call.
+    The kernel writes into buffers it allocates once, and its gradients
+    into ``out`` when given (a C-contiguous stack-shaped array), so each
+    call returns the same gradient array, overwritten by the next call.
     """
     cost = spec.cost
     incidence = _incidence(spec.horizon, spec.duration)
@@ -329,7 +330,8 @@ def _gradient_kernel(
     players, slots, power = spec.num_players, spec.num_start_slots, spec.power
     # ufunc calls and array methods skip numpy's Python-level wrappers: every
     # vi_gap builds a kernel, and a dynamics batch rebuilds it whenever a
-    # game leaves the stack.
+    # game leaves the stack.  The kernel binds its ufuncs here and passes
+    # outputs by position, which saves lookups and keyword parsing per call.
     masses = weights.reshape(players, -1)  # (players, games)
     base_load = spec.base_load[None].repeat(masses.shape[1], 0).ravel()  # per game
     shares = np.array([[0.0]] + [[power]] * (players - 1))
@@ -347,21 +349,24 @@ def _gradient_kernel(
     sums = np.empty((weights.size, slots))
     by_game = sums.reshape(players, -1)
     u = by_game[0]
-    out = np.empty_like(sums)
+    if out is None:
+        out = np.empty_like(sums)
     out_by_game = out.reshape(players, -1)
+    dot, add_reduce = np.dot, np.add.reduce
+    add, multiply, divide = np.add, np.multiply, np.divide
 
     def gradients(rows: np.ndarray) -> np.ndarray:
-        np.dot(rows, incidence, out=per_player)
-        np.add.reduce(by_player, 0, out=load)
-        np.multiply(power, load, out=load)
-        np.add(base_load, load, out=load)
+        dot(rows, incidence, per_player)
+        add_reduce(by_player, 0, None, load)
+        multiply(power, load, load)
+        add(base_load, load, load)
         f, slope = pair(load)
-        np.multiply(by_player, slope, out=by_player)
+        multiply(by_player, slope, by_player)
         by_player[0] = f
-        np.dot(per_player, window, out=sums)
-        np.multiply(shares, by_game, out=out_by_game)
-        np.add(u, out_by_game, out=out_by_game)
-        np.divide(out_by_game, divisors, out=out_by_game)
+        dot(per_player, window, sums)
+        multiply(shares, by_game, out_by_game)
+        add(u, out_by_game, out_by_game)
+        divide(out_by_game, divisors, out_by_game)
         return out
 
     return gradients

@@ -72,12 +72,17 @@ def _gaps(masses, rows: np.ndarray, gradients: np.ndarray, players: int) -> list
     ``masses`` lists the rows' masses.  One-shot form of
     :func:`_gap_reduction`, which holds the rules.
     """
-    return _gap_reduction(np.asarray(masses, dtype=float), players)(rows, gradients)
+    lows = np.minimum.reduce(gradients, 1)
+    return _gap_reduction(np.asarray(masses, dtype=float), players, rows, gradients, lows)()
 
 
-def _gap_reduction(masses: np.ndarray, players: int):
+def _gap_reduction(
+    masses: np.ndarray, players: int, rows: np.ndarray, gradients: np.ndarray, lows: np.ndarray
+):
     """The gap of every game in a player-major stack of rows with these
-    masses, as a function of the rows and their gradients.
+    masses, as a function that reads the arrays ``rows``, ``gradients`` and
+    ``lows`` (the gradients' row minima, one per row) as they stand when it
+    is called.
 
     Each row with mass adds max(<row, gradient> - mass * min gradient, 0),
     in player order from 0.0.  A game gets NaN when any of its rows, with
@@ -86,22 +91,26 @@ def _gap_reduction(masses: np.ndarray, players: int):
     -inf makes it -inf, and +inf makes the row's dot inf (NaN where the
     row puts no weight, as 0 * inf).
 
-    A stack of one game runs a loop over its few rows, which costs less
-    than the array calls.  A larger stack runs a fixed number of array
-    calls on buffers built here, whatever its size; their float operations
-    and order are the loop's, so each game's gap is the one it gets alone.
-    The function returns the gaps as a list of floats, never a buffer.
+    The row dots take one BLAS ddot per row, written into a buffer through
+    views of the rows and gradients built here.  A stack of one game loops
+    over its few rows, which costs less than array calls.  A larger stack
+    runs a fixed number of array calls on buffers built here, whatever its
+    size; their float operations and order are the loop's, so each game's
+    gap is the one it gets alone.  The function returns the gaps as a list
+    of floats, never a buffer.
     """
     rows_count = masses.size
+    matmul = np.matmul
+    row_views, gradient_views = rows[:, None], gradients[:, :, None]
+    dots = np.empty((rows_count, 1, 1))
     if rows_count == players:
         weights = masses.tolist()
+        dot_list = dots.ravel()
 
-        def gaps(rows, gradients):
-            # A BLAS ddot per row.
-            dots = np.matmul(rows[:, None], gradients[:, :, None]).ravel().tolist()
-            lows = np.minimum.reduce(gradients, 1).tolist()
+        def gaps():
+            matmul(row_views, gradient_views, dots)
             gap = 0.0
-            for dot, low, mass in zip(dots, lows, weights):
+            for dot, low, mass in zip(dot_list.tolist(), lows.tolist(), weights):
                 if not (math.isfinite(dot) and math.isfinite(low)):
                     return [math.nan]
                 if mass > 0.0:
@@ -113,26 +122,26 @@ def _gap_reduction(masses: np.ndarray, players: int):
     shape = (players, rows_count // players)
     stacked = masses.reshape(shape)
     has_mass = (stacked > 0.0).astype(float)
-    dots = np.empty((rows_count, 1, 1))
-    lows = np.empty(rows_count)
     dots_by_game, lows_by_game = dots.reshape(shape), lows.reshape(shape)
     terms, probe = np.empty(shape), np.empty(shape)
+    # np.maximum deprecates a positional output; it alone takes out=.
+    add, subtract, multiply, maximum = np.add, np.subtract, np.multiply, np.maximum
+    add_reduce = np.add.reduce
 
-    def gaps(rows, gradients):
-        np.matmul(rows[:, None], gradients[:, :, None], out=dots)
-        np.minimum.reduce(gradients, 1, out=lows)
-        np.multiply(stacked, lows_by_game, out=terms)
-        np.subtract(dots_by_game, terms, out=terms)
-        np.maximum(terms, 0.0, out=terms)
+    def gaps():
+        matmul(row_views, gradient_views, dots)
+        multiply(stacked, lows_by_game, terms)
+        subtract(dots_by_game, terms, terms)
+        maximum(terms, 0.0, out=terms)
         # A row without mass adds a zero of either sign, which leaves a sum
         # that starts at 0.0 unchanged.
-        np.multiply(terms, has_mass, out=terms)
+        multiply(terms, has_mass, terms)
         # x - x is 0.0 for a finite x and NaN otherwise.  The dot alone
         # marks the game: a minimum is non-finite only when some entry is,
         # and that entry makes the dot non-finite (x * inf, 0 * inf, 0 * NaN).
-        np.subtract(dots_by_game, dots_by_game, out=probe)
-        np.add(terms, probe, out=terms)
-        return np.add.reduce(terms, 0, initial=0.0).tolist()
+        subtract(dots_by_game, dots_by_game, probe)
+        add(terms, probe, terms)
+        return add_reduce(terms, 0, initial=0.0).tolist()
 
     return gaps
 

@@ -28,6 +28,7 @@ from chargegame import (
     vi_gap,
 )
 from chargegame.dynamics import _softmax, _solve_batch, default_step_schedule
+from chargegame.model import _gradient_kernel
 from chargegame.verify import _gaps
 from conftest import random_profile, random_three_slot
 
@@ -160,6 +161,13 @@ def reference_softmax(cum_costs, weights):
     return rows
 
 
+def softmax_rows(weights, cum_costs):
+    """The solver's softmax of these costs, shifted by their row minima."""
+    rows = np.empty_like(cum_costs)
+    _softmax(weights, cum_costs, np.minimum.reduce(cum_costs, 1, keepdims=True), rows)()
+    return rows
+
+
 def reference_step_scale(spec, step_size=default_step_schedule):
     """min(1, 32 / Lip), Lip = power * duration * f' at the highest load;
     under the default schedule a game with 0 < Lip < 4 takes 4 / Lip."""
@@ -217,18 +225,23 @@ def reference_families(rng):
     ]
 
 
-def random_reference_game(rng, horizon, duration, family):
-    raw = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 5)))
+def random_masses(rng, players):
+    raw = rng.uniform(0.0, 1.0, size=players)
     raw[rng.uniform(size=raw.size) < 0.3] = 0.0  # zero-mass players
     if raw.sum() == 0.0:
         raw[int(rng.integers(0, raw.size))] = 1.0
+    return raw / raw.sum()
+
+
+def random_reference_game(rng, horizon, duration, family):
+    masses = random_masses(rng, int(rng.integers(1, 5)))
     return GameSpec(
         horizon,
         duration,
         float(rng.uniform(0.1, 1.0)),
         rng.uniform(0.0, 2.0, size=horizon),
         family,
-        raw / raw.sum(),
+        masses,
     )
 
 
@@ -253,7 +266,7 @@ def test_kernel_matches_per_row_reference(rng):
                 )
                 cum_costs = rng.normal(0.0, 5.0, size=rows.shape)
                 assert_matches_reference(
-                    _softmax(spec.weights, cum_costs.shape[1])(cum_costs),
+                    softmax_rows(spec.weights, cum_costs),
                     reference_softmax(cum_costs, spec.weights),
                     exact,
                 )
@@ -360,6 +373,67 @@ def test_batch_of_games_matches_single_solves(rng):
             ]
 
 
+def oracle_batch(specs, max_iter, gap_tol):
+    """The batch's learning loop under the default schedule, composed from
+    unfused operations: the kernel, the per-row gap, reference_softmax and
+    cum += scale * step * G, with each game leaving the stack at the
+    iteration its gap reaches gap_tol or max_iter is hit.  Per game:
+    (iteration, gap, rows)."""
+    spec, players = specs[0], specs[0].num_players
+    scale = reference_step_scale(spec)
+    weights = np.stack([game.weights for game in specs], axis=1).ravel()
+    live, outcomes = list(range(len(specs))), [None] * len(specs)
+    cum_costs = np.zeros((weights.size, spec.num_start_slots))
+    rows = reference_softmax(cum_costs, weights)
+    iteration = 0
+    while True:
+        gradients = _gradient_kernel(spec, weights, checked=False)(rows).copy()
+        gaps = [
+            reference_gap(weights[j::len(live)], rows[j::len(live)], gradients[j::len(live)])
+            for j in range(len(live))
+        ]
+        keep = [iteration < max_iter and gap > gap_tol for gap in gaps]
+        for j, game in enumerate(live):
+            if not keep[j]:
+                outcomes[game] = (iteration, gaps[j], rows[j::len(live)].copy())
+        if not any(keep):
+            return outcomes
+        live = [game for game, stays in zip(live, keep) if stays]
+        kept = np.tile(keep, players)
+        weights, gradients, cum_costs = weights[kept], gradients[kept], cum_costs[kept]
+        cum_costs += scale * default_step_schedule(iteration) * gradients
+        rows = reference_softmax(cum_costs, weights)
+        iteration += 1
+
+
+def test_batch_equals_the_unfused_loop_bit_for_bit(rng):
+    # The batch keeps the gradients and cumulative costs in one buffer and
+    # takes both row minima in one reduction; every float operation and its
+    # order must stay the oracle's, for any family, duration and stack,
+    # zero-mass players included, whatever iteration each game leaves at.
+    for family in reference_families(rng):
+        for duration in range(1, 5):
+            for games in range(1, 4):
+                horizon = int(rng.integers(duration, duration + 4))
+                base = random_reference_game(rng, horizon, duration, family)
+                specs = [base] + [
+                    GameSpec(horizon, duration, base.power, base.base_load, family,
+                             random_masses(rng, base.num_players))
+                    for _ in range(games - 1)
+                ]
+                # A loose tolerance lets games leave the stack early.
+                gap_tol = float(rng.choice([1e-9, 1e-4, 1e-3]))
+                expected = oracle_batch(specs, 30, gap_tol)
+                for spec, report, (iterations, gap, rows) in zip(
+                    specs, _solve_batch(specs, max_iter=30, gap_tol=gap_tol), expected
+                ):
+                    assert report.iterations == iterations
+                    np.testing.assert_array_equal(report.vi_gap, gap)
+                    np.testing.assert_array_equal(
+                        report.profile.matrix(), Profile.from_rows(spec, rows).matrix()
+                    )
+
+
 @pytest.mark.parametrize(
     "option",
     [
@@ -370,8 +444,14 @@ def test_batch_of_games_matches_single_solves(rng):
         {"gap_tol": float("nan")},
         {"gap_tol": math.inf},
         {"gap_tol": -math.inf},
+        {"gap_tol": "1e-6"},
+        {"gap_tol": None},
+        {"gap_tol": 1j},
         {"step_size": 0.0},
         {"step_size": -0.5},
+        {"step_size": "1"},
+        {"step_size": None},
+        {"step_size": np.array([1.0, 2.0])},
         {"trace_every": 2.5},
         {"trace_every": True},
         {"trace_every": math.nan},
@@ -386,8 +466,14 @@ def test_batch_of_games_matches_single_solves(rng):
         "nan-gap-tol",
         "inf-gap-tol",
         "minus-inf-gap-tol",
+        "string-gap-tol",
+        "none-gap-tol",
+        "complex-gap-tol",
         "zero-step",
         "negative-step",
+        "string-step",
+        "none-step",
+        "array-step",
         "fractional-trace-every",
         "bool-trace-every",
         "nan-trace-every",
@@ -399,6 +485,8 @@ def test_solver_rejects_options_that_cannot_work(option):
     # Each would run to max_iter, stop at once, stand still or climb, or
     # (a fractional cap) run past the cap it reports; a trace interval that
     # is not a whole number >= 0 would trace at odd iterations or not at all.
+    # A tolerance or step that is not a real number would escape as a raw
+    # TypeError or ValueError.
     spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), QuadraticCost(), np.array([0.5, 0.5]))
     with pytest.raises(SpecError, match=next(iter(option))):
         solve_dynamics(spec, **option)
@@ -429,6 +517,42 @@ def test_solver_rejects_schedule_values_that_cannot_work(value, first_bad):
         solve_dynamics(spec, max_iter=200, step_size=schedule)
     with pytest.raises(SpecError, match=message):
         run_sweep(spec, np.array([0.25, 0.5]), solver="dynamics", max_iter=200, step_size=schedule)
+
+
+def recording_schedule(calls):
+    def schedule(n):
+        calls.append(n)
+        return default_step_schedule(n)
+
+    return schedule
+
+
+def test_schedule_is_called_once_per_iteration_before_max_iter():
+    # The contract: a schedule is called at every iteration n < max_iter, in
+    # order, the one at which the last game stops included, and never at
+    # max_iter.
+    inst = ThreeSlotInstance(1.5, 1.0, 1.0, 0.3, LinearCost())
+    calls = []
+    report = solve_dynamics(inst.to_game_spec(), step_size=recording_schedule(calls))
+    assert report.status is SolverStatus.CONVERGED and report.iterations > 0
+    assert calls == list(range(report.iterations + 1))
+
+    calls = []
+    report = solve_dynamics(
+        inst.to_game_spec(), max_iter=25, gap_tol=1e-12, step_size=recording_schedule(calls)
+    )
+    assert report.status is SolverStatus.MAX_ITER_REACHED and report.iterations == 25
+    assert calls == list(range(25))
+
+    # A batch calls it once per iteration, however many games are left.
+    specs = [ThreeSlotInstance(1.5, 1.0, 1.0, m, LinearCost()).to_game_spec()
+             for m in (0.2, 0.5, 0.8)]
+    calls = []
+    reports = _solve_batch(specs, gap_tol=1e-5, step_size=recording_schedule(calls))
+    iterations = [report.iterations for report in reports]
+    assert len(set(iterations)) == 3
+    assert all(report.status is SolverStatus.CONVERGED for report in reports)
+    assert calls == list(range(max(iterations) + 1))
 
 
 # --- learning step -----------------------------------------------------------
@@ -466,8 +590,8 @@ def test_max_shift_invariance():
     cum_costs = player_gradients(spec, Profile.uniform(spec))
     shifted = cum_costs + np.array([[100.0], [250.0]])
     np.testing.assert_allclose(
-        _softmax(spec.weights, cum_costs.shape[1])(cum_costs),
-        _softmax(spec.weights, shifted.shape[1])(shifted),
+        softmax_rows(spec.weights, cum_costs),
+        softmax_rows(spec.weights, shifted),
         atol=1e-12,
     )
 
