@@ -27,7 +27,7 @@ from dataclasses import fields
 import numpy as np
 
 from .costs import cost_from_config, cost_to_config
-from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER, default_step_schedule
+from .dynamics import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER
 from .errors import (
     ChargeGameError,
     SpecError,
@@ -146,7 +146,7 @@ def _peak_normalized(loads: np.ndarray, source: str) -> np.ndarray:
         raise SpecError(f"{source}: cannot normalize an empty load profile")
     peak = loads.max()
     if peak <= 0:
-        raise SpecError(f"{source}: cannot normalize an all-zero load profile")
+        raise SpecError(f"{source}: cannot normalize a load profile with no positive load")
     return loads / peak
 
 
@@ -271,17 +271,6 @@ def build_game(resolved: dict) -> GameSpec:
     )
 
 
-def _solver_options(resolved: dict) -> dict:
-    """The learning-dynamics keyword arguments of a resolved config."""
-    solver = resolved["solver"]
-    step = solver["step_size"]
-    return {
-        "max_iter": solver["max_iter"],
-        "gap_tol": solver["gap_tol"],
-        "step_size": default_step_schedule if step == "default" else step,
-    }
-
-
 def report_to_dict(report: EquilibriumReport, resolved: dict) -> dict:
     spec = report.game
     game = {f.name: getattr(spec, f.name) for f in fields(spec)}
@@ -398,9 +387,11 @@ def _cmd_solve(args, trace_every: int = 0) -> int:
     if loaded is None:
         return EXIT_OK
     resolved, spec = loaded
+    options = dict(resolved["solver"])
     # Traces only exist for the iterative solver.
-    method = "dynamics" if trace_every > 0 else resolved["solver"]["method"]
-    report = solve(spec, method, trace_every=trace_every, **_solver_options(resolved))
+    if trace_every > 0:
+        options["method"] = "dynamics"
+    report = solve(spec, **options, trace_every=trace_every)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), report_to_dict(report, resolved))
     _write_loads_echo(os.path.join(args.out, "loads.csv"), spec)
@@ -425,7 +416,8 @@ def _cmd_sweep(args) -> int:
         grid = np.array(sweep_cfg["grid"])
     else:
         grid = default_grid(sweep_cfg["count"], sweep_cfg["start"], sweep_cfg["stop"])
-    result = run_sweep(spec, grid, resolved["solver"]["method"], **_solver_options(resolved))
+    options = dict(resolved["solver"])
+    result = run_sweep(spec, grid, options.pop("method"), **options)
     os.makedirs(args.out, exist_ok=True)
     write_csv(result, os.path.join(args.out, "sweep.csv"))
     _write_json(

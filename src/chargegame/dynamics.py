@@ -14,7 +14,7 @@ the solver reports the status it actually reached.
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -25,36 +25,25 @@ from .verify import SolverStatus, TraceRow, _gap_reduction, make_report
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_GAP_TOL = 1e-6
 
-StepSize = Union[float, Callable[[int], float]]
 
-
-# The steps of a game are scaled by a factor set by
+# A step is either a constant or, by default, eta_n = 1/(1 + n**(1/4)) at
+# iteration n.  Any schedule whose steps sum to infinity keeps the fixed
+# points and the dual-averaging convergence argument; this one decays slowly
+# enough that degenerate equilibria (a tie on an unused strategy) are still
+# reached.  The steps of a game are scaled by a factor set by
 # Lip = power * duration * f'(max L + P), which bounds how fast a strategy's
 # cost changes as weight moves.  Games steeper than STEP_SCALE_BOUND, which
 # can cycle under full steps, take steps times STEP_SCALE_BOUND / Lip.  Under
 # the default schedule a gently sloped game with 0 < Lip < STEP_SCALE_FLOOR
 # takes steps times STEP_SCALE_FLOOR / Lip, so it learns at the same pace in
 # any unit its cost is written in.  Every other game keeps its steps, and so
-# does a constant step or a caller's own schedule on a gentle game: a
-# constant step does not decay, and raised it cycles.  A floor of 6 to 12
-# is faster on typical games but brings near-degenerate ones (a strategy
-# left with a sliver of weight) to finish near max_iter, at iteration counts
-# that a 1% change of the loads moves by thousands.
+# does a constant step on a gentle game: a constant step does not decay,
+# and raised it cycles.  A floor of 6 to 12 is faster on typical games but
+# brings near-degenerate ones (a strategy left with a sliver of weight) to
+# finish near max_iter, at iteration counts that a 1% change of the loads
+# moves by thousands.
 STEP_SCALE_BOUND = 32.0
 STEP_SCALE_FLOOR = 4.0
-
-
-def default_step_schedule(iteration: int) -> float:
-    """Decreasing learning rate 1/(1 + n**(1/4)).
-
-    Any schedule whose steps sum to infinity keeps the fixed points and the
-    dual-averaging convergence argument; this one decays slowly enough that
-    degenerate equilibria (a tie on an unused strategy) are still reached.
-    The solver multiplies this schedule's steps by the game's step scale,
-    which tames the steep cost families and measures the gentle ones in
-    their own cost units (see ``STEP_SCALE_BOUND``).
-    """
-    return 1.0 / (1.0 + math.sqrt(math.sqrt(iteration)))
 
 
 # --- the update rule ---------------------------------------------------------
@@ -125,36 +114,28 @@ def _between(value, low: float, high: float) -> bool:
         return False
 
 
-def _step_value(step: StepSize, iteration: int) -> float:
-    """The step at ``iteration``; a schedule's value that is not a finite
-    number > 0 raises SpecError, as a constant step does at entry."""
-    if not callable(step):
-        return float(step)
-    value = step(iteration)
-    if _between(value, 0.0, math.inf):
-        return value
-    raise SpecError(
-        f"step_size schedule must give a finite number > 0, got {value!r} at iteration {iteration}"
-    )
-
-
 def _check_options(max_iter, gap_tol, step_size, trace_every) -> None:
     """Raise SpecError for options the loop cannot honour: an iteration cap
     or a trace interval that is not a whole number >= 0 (the CLI's rule for
     the cap; a trace interval of 0 records no trace), a tolerance that is
     not a finite number, which every gap meets (inf), none meets or misses
     (NaN) or none compares with (a string, None, a complex number, an
-    array), and a constant step that is not a finite number > 0, which
-    stands still, climbs or cannot scale a gradient.  A finite negative
-    tolerance is fine: it runs all ``max_iter`` steps."""
+    array), and a step that is neither "default" nor a finite number > 0,
+    which stands still, climbs or cannot scale a gradient.  A finite
+    negative tolerance is fine: it runs all ``max_iter`` steps."""
     if not _is_integer(max_iter, 0):
         raise SpecError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not _is_integer(trace_every, 0):
         raise SpecError(f"trace_every must be an integer >= 0, got {trace_every!r}")
     if not _between(gap_tol, -math.inf, math.inf):
         raise SpecError(f"gap_tol must be a finite number, got {gap_tol!r}")
-    if not (callable(step_size) or _between(step_size, 0.0, math.inf)):
-        raise SpecError(f"step_size must be a schedule or a finite number > 0, got {step_size!r}")
+    # Only a string is compared with "default": an array's == is an array.
+    if isinstance(step_size, str):
+        step_ok = step_size == "default"
+    else:
+        step_ok = _between(step_size, 0.0, math.inf)
+    if not step_ok:
+        raise SpecError(f'step_size must be "default" or a finite number > 0, got {step_size!r}')
 
 
 def solve_dynamics(
@@ -162,7 +143,7 @@ def solve_dynamics(
     *,
     max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
-    step_size: StepSize = default_step_schedule,
+    step_size: str | float = "default",
     trace_every: int = 0,
 ):
     """Iterate the learning dynamics from the uniform profile.
@@ -171,21 +152,20 @@ def solve_dynamics(
     ``max_iter`` steps, whichever comes first; the report's status says
     which happened, since convergence is not guaranteed for nonlinear
     cost families.  ``trace_every`` > 0 records every that-many-th iterate
-    (plus the final one) for convergence plots.  Every step is multiplied
-    by the game's step scale (see ``STEP_SCALE_BOUND``): under the default
-    schedule by ``min(32, max(4, Lip)) / Lip``, otherwise by
-    ``min(1, 32 / Lip)``; a game with Lip = 0 keeps its steps.  A
-    ``step_size`` schedule is called once at each iteration n < max_iter,
-    in order, the iteration at which the solve converges included, and
-    never at ``max_iter``.
+    (plus the final one) for convergence plots.  ``step_size`` is
+    "default", the schedule 1/(1 + n**(1/4)) at iteration n, or a constant
+    finite number > 0.  Every step is multiplied by the game's step scale
+    (see ``STEP_SCALE_BOUND``): under the default schedule by
+    ``min(32, max(4, Lip)) / Lip``, and a constant step by
+    ``min(1, 32 / Lip)``; a game with Lip = 0 keeps its steps.
 
     Returns:
         :class:`~chargegame.verify.EquilibriumReport` for the final iterate.
 
     Raises:
         SpecError: ``max_iter`` or ``trace_every`` is not an integer >= 0,
-            ``gap_tol`` is not a finite number, or a constant ``step_size`` or a
-            value of a ``step_size`` schedule is not a finite number > 0.
+            ``gap_tol`` is not a finite number, or ``step_size`` is neither
+            "default" nor a finite number > 0.
     """
     (outcome,) = _solve_batch(
         (spec,), max_iter=max_iter, gap_tol=gap_tol, step_size=step_size,
@@ -202,7 +182,7 @@ def _solve_batch(
     *,
     max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
-    step_size: StepSize = default_step_schedule,
+    step_size: str | float = "default",
     trace_every: int = 0,
 ) -> list:
     """Run the learning dynamics of several games as one stack.
@@ -238,7 +218,9 @@ def _solve_batch(
         return [exc] * len(specs)
     lip = spec.power * spec.duration * slope
     scale = STEP_SCALE_BOUND / lip if lip > STEP_SCALE_BOUND else 1.0
-    if step_size is default_step_schedule and 0.0 < lip < STEP_SCALE_FLOOR:
+    # A constant step, scaled; None under the default schedule.
+    constant = None if isinstance(step_size, str) else scale * float(step_size)
+    if constant is None and 0.0 < lip < STEP_SCALE_FLOOR:
         scale = STEP_SCALE_FLOOR / lip
     outcomes: list = [None] * len(specs)
     live = list(range(len(specs)))  # the games in the stack, in stack order
@@ -278,7 +260,12 @@ def _solve_batch(
     settle()
     iteration = 0
     while True:
-        step = scale * _step_value(step_size, iteration) if iteration < max_iter else None
+        if iteration >= max_iter:
+            step = None
+        elif constant is None:
+            step = scale * (1.0 / (1.0 + math.sqrt(math.sqrt(iteration))))  # eta_n
+        else:
+            step = constant
         gaps = advance(step)
         if traces is not None and iteration % trace_every == 0:
             for j, game in enumerate(live):

@@ -282,19 +282,24 @@ def strategy_costs(spec: GameSpec, profile: Profile) -> np.ndarray:
 
 
 def coalition_average_cost(spec: GameSpec, profile: Profile, k: int) -> float:
-    """Average cost paid by coalition ``k`` (player index, 1-based up to K)."""
-    _coalition_mass(spec, k)
+    """Average cost paid by coalition ``k`` (player index, 1-based up to K);
+    any other index raises IndexError, a zero-mass coalition
+    UndefinedAverageError."""
+    k, _ = _coalition_mass(spec, k)
     return evaluate_costs(spec, profile).coalitions[k - 1]
 
 
-def _coalition_mass(spec: GameSpec, k: int) -> float:
-    """Mass of coalition ``k``; raises unless 1 <= k <= K and the mass is positive."""
-    if not 1 <= k <= spec.num_coalitions:
-        raise IndexError(f"coalition index {k} out of range [1, {spec.num_coalitions}]")
+def _coalition_mass(spec: GameSpec, k) -> tuple[int, float]:
+    """Coalition ``k``'s index as an int and its mass.  Raises IndexError
+    unless ``k`` is a whole number in [1, K] (a bool, a string or None is
+    not), and UndefinedAverageError unless the mass is positive."""
+    if not (_is_integer(k, 1) and k <= spec.num_coalitions):
+        raise IndexError(f"coalition index {k!r} out of range [1, {spec.num_coalitions}]")
+    k = int(k)
     mass = float(spec.weights[k])
     if mass <= 0.0:
         raise UndefinedAverageError(f"coalition {k} has zero mass")
-    return mass
+    return k, mass
 
 
 # --- marginal costs ----------------------------------------------------------

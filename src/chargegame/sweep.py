@@ -23,9 +23,8 @@ import numpy as np
 from .dynamics import (
     DEFAULT_GAP_TOL,
     DEFAULT_MAX_ITER,
-    StepSize,
+    _check_options,
     _solve_batch,
-    default_step_schedule,
     solve_dynamics,
 )
 from .errors import ChargeGameError, SpecError, _finite, _is_integer, _is_number, _quiet, _tolerance
@@ -126,15 +125,6 @@ def audit_monotone(values, direction: str, tol: float = DEFAULT_AUDIT_TOL) -> Au
     return _monotone(values[None, :], [[_DIRECTIONS[direction]]], tol)[0]
 
 
-def audit_concave(values, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
-    """Check second differences on a uniform grid stay below tol."""
-    _tolerance("audit tol", tol)
-    values = np.asarray(values, dtype=float)
-    if len(values) < 3:
-        return AuditVerdict(passed=True, worst_value=0.0)
-    return _worst(_second_differences(values), 2, tol)
-
-
 def audit_concave_branches(
     values, tags, tol: float = DEFAULT_AUDIT_TOL
 ) -> AuditVerdict:
@@ -164,11 +154,13 @@ def _concave_branches(values: np.ndarray, same: np.ndarray, tol: float) -> Audit
     clean = AuditVerdict(passed=True, worst_value=0.0, note="per-branch")
     if len(values) < 3:
         return clean
-    second = np.where(same[1:] & same[:-1], _second_differences(values), -math.inf)
-    verdict = _worst(second, 2, tol, note="per-branch")
-    if verdict.worst_value == -math.inf:  # no branch of three points
+    second = values[2:] - 2.0 * values[1:-1] + values[:-2]
+    second = np.where(same[1:] & same[:-1], second, -math.inf)
+    worst = int(np.argmax(second))  # a NaN counts as the largest
+    value = float(second[worst])
+    if value == -math.inf:  # no branch of three points
         return clean
-    return verdict
+    return AuditVerdict(value <= tol, value, (worst, worst + 2), "per-branch")
 
 
 def _monotone(series: np.ndarray, signs, tol: float) -> list[AuditVerdict]:
@@ -185,20 +177,6 @@ def _monotone(series: np.ndarray, signs, tol: float) -> list[AuditVerdict]:
     ]
 
 
-def _second_differences(values: np.ndarray) -> np.ndarray:
-    return values[2:] - 2.0 * values[1:-1] + values[:-2]
-
-
-def _worst(adverse: np.ndarray, span: int, tol: float, note: str = "") -> AuditVerdict:
-    """Verdict on the largest entry of ``adverse`` (a NaN counts as the
-    largest), entry i coming from grid points i and i + ``span``."""
-    worst = int(np.argmax(adverse))
-    value = float(adverse[worst])
-    return AuditVerdict(
-        passed=value <= tol, worst_value=value, worst_pair=(worst, worst + span), note=note
-    )
-
-
 def _method(method: str, spec: GameSpec, coalition_size: float) -> str:
     """``method`` of :data:`METHODS`, with "auto" read as "analytic" exactly
     when the closed form's gate accepts ``spec`` at ``coalition_size``."""
@@ -213,17 +191,30 @@ def _method(method: str, spec: GameSpec, coalition_size: float) -> str:
     return "analytic"
 
 
-def solve(spec: GameSpec, method: str = "auto", **options) -> EquilibriumReport:
+def solve(
+    spec: GameSpec,
+    method: str = "auto",
+    *,
+    max_iter: int = DEFAULT_MAX_ITER,
+    gap_tol: float = DEFAULT_GAP_TOL,
+    step_size: str | float = "default",
+    trace_every: int = 0,
+) -> EquilibriumReport:
     """One equilibrium of ``spec`` by ``method``: "analytic" (the closed
     form with its vi_gap, for a game that :func:`instance_from_spec`
     accepts; a game outside raises its SpecError), "dynamics"
-    (:func:`solve_dynamics` with ``options``) or "auto", which is
-    "analytic" exactly when that gate accepts the game.  A solver error is
-    raised, never answered by the other method."""
+    (:func:`solve_dynamics` with the learning options) or "auto", which is
+    "analytic" exactly when that gate accepts the game.  The learning
+    options are checked whichever method runs, and a bad one raises the
+    SpecError of :func:`solve_dynamics`.  A solver error is raised, never
+    answered by the other method."""
+    _check_options(max_iter, gap_tol, step_size, trace_every)
     # The gate refuses any coalition count but one before it reads the size.
     size = float(spec.weights[-1])
     if _method(method, spec, size) == "dynamics":
-        return solve_dynamics(spec, **options)
+        return solve_dynamics(
+            spec, max_iter=max_iter, gap_tol=gap_tol, step_size=step_size, trace_every=trace_every
+        )
     inst = instance_from_spec(spec, size)
     return make_report(spec, equilibrium_profile(inst), SolverStatus.ANALYTIC)
 
@@ -236,7 +227,7 @@ def run_sweep(
     audit_tol: float = DEFAULT_AUDIT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
-    step_size: StepSize = default_step_schedule,
+    step_size: str | float = "default",
 ) -> SweepResult:
     """Solve the equilibrium at every grid coalition size and audit it.
 
@@ -252,13 +243,15 @@ def run_sweep(
     :func:`~chargegame.threeslot.solve_ce`, ``ce_costs`` and ``vi_gap`` of
     the point alone; the dynamics run as one batch, each point leaving it
     once its gap reaches ``gap_tol`` or ``max_iter`` is hit, and each equal
-    to a separate :func:`~chargegame.dynamics.solve_dynamics` run.  Points
-    are ordered by m, and a point whose solve fails, or whose certificate
-    is not finite, carries its own error.
+    to a separate :func:`~chargegame.dynamics.solve_dynamics` run with
+    ``max_iter``, ``gap_tol`` and ``step_size``, which are checked whichever
+    method runs.  Points are ordered by m, and a point whose solve fails, or
+    whose certificate is not finite, carries its own error.
     """
     if isinstance(base, ThreeSlotInstance):
         base = base.to_game_spec()
     _tolerance("audit_tol", audit_tol)
+    _check_options(max_iter, gap_tol, step_size, 0)
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)

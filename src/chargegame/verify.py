@@ -198,12 +198,12 @@ def check_coalition_optimality(
 ) -> OptimalityCheck:
     """Pass iff coalition ``k``'s linearized improvement is at most eps.
 
-    ``k`` runs from 1 to K; an index outside raises IndexError and a
-    zero-mass coalition UndefinedAverageError.  A NaN ``eps`` raises a
+    ``k`` is a whole number from 1 to K; any other index raises IndexError
+    and a zero-mass coalition UndefinedAverageError.  A NaN ``eps`` raises a
     SpecError.
     """
     _tolerance("coalition optimality eps", eps)
-    mass = _coalition_mass(spec, k)
+    k, mass = _coalition_mass(spec, k)
     gradients = player_gradients(spec, profile)
     (gap,) = _gaps([mass], profile.flows[k].values[None], gradients[k][None], 1)
     return OptimalityCheck(passed=gap <= eps, gap=gap)

@@ -255,10 +255,15 @@ def test_normalizing_an_all_zero_profile_is_refused(tmp_path, capsys):
     (tmp_path / "loads.csv").write_text("t,load\n1,0.0\n2,0.0\n3,0.0\n")
     from_csv = band_config(tmp_path, load_profile={"csv": "loads.csv", "normalize": True})
     assert main(["solve", "--config", from_csv, "--print-config"]) == 2
-    assert "loads.csv: cannot normalize an all-zero load profile" in capsys.readouterr().err
+    refused = "cannot normalize a load profile with no positive load"
+    assert f"loads.csv: {refused}" in capsys.readouterr().err
     inline = band_config(tmp_path, load_profile=[0.0, 0.0, 0.0])
     assert main(["solve", "--config", inline, "--normalize", "--print-config"]) == 2
-    assert "inline load_profile: cannot normalize" in capsys.readouterr().err
+    assert f"inline load_profile: {refused}" in capsys.readouterr().err
+    # A negative profile is not all zero, but it has no positive load either.
+    negative = band_config(tmp_path, load_profile=[-1.0, -2.0, -0.5])
+    assert main(["solve", "--config", negative, "--normalize", "--print-config"]) == 2
+    assert f"inline load_profile: {refused}" in capsys.readouterr().err
     # An empty profile has no maximum; numpy's reduction error must not leak.
     empty = band_config(tmp_path, load_profile=[])
     assert main(["solve", "--config", empty, "--normalize", "--print-config"]) == 2

@@ -27,7 +27,7 @@ from chargegame import (
     strategy_costs,
     vi_gap,
 )
-from chargegame.dynamics import _softmax, _solve_batch, default_step_schedule
+from chargegame.dynamics import _softmax, _solve_batch
 from chargegame.model import _gradient_kernel
 from chargegame.verify import _gaps
 from conftest import random_profile, random_three_slot
@@ -168,21 +168,32 @@ def softmax_rows(weights, cum_costs):
     return rows
 
 
-def reference_step_scale(spec, step_size=default_step_schedule):
+def default_step(n):
+    """The default schedule, 1/(1 + n**(1/4)), in the solver's float operations."""
+    return 1.0 / (1.0 + math.sqrt(math.sqrt(n)))
+
+
+def reference_step_scale(spec, step_size="default"):
     """min(1, 32 / Lip), Lip = power * duration * f' at the highest load;
     under the default schedule a game with 0 < Lip < 4 takes 4 / Lip."""
     envelope = np.array([spec.base_load.min(), spec.base_load.max() + spec.power])
     lip = spec.power * spec.duration * float(spec.cost.derivative(envelope)[1])
-    if step_size is default_step_schedule and 0.0 < lip < 4.0:
+    if step_size == "default" and 0.0 < lip < 4.0:
         return 4.0 / lip
     return min(1.0, 32.0 / lip)
 
 
-def reference_solve(spec, max_iter, gap_tol, step_size=default_step_schedule):
+def reference_solve(spec, max_iter, gap_tol, step_size="default"):
+    """The learning loop of one game, unfused.  Beside the solver's two
+    forms of ``step_size``, the oracle also takes a function of the
+    iteration, scaled as a constant step is."""
     cum_costs = np.zeros((spec.num_players, spec.num_start_slots))
     rows = reference_softmax(cum_costs, spec.weights)
     scale = reference_step_scale(spec, step_size)
-    step = step_size if callable(step_size) else lambda n: step_size
+    if step_size == "default":
+        step = default_step
+    else:
+        step = step_size if callable(step_size) else lambda n: step_size
     iteration = 0
     while True:
         gradients = reference_gradients(spec, rows)
@@ -401,7 +412,7 @@ def oracle_batch(specs, max_iter, gap_tol):
         live = [game for game, stays in zip(live, keep) if stays]
         kept = np.tile(keep, players)
         weights, gradients, cum_costs = weights[kept], gradients[kept], cum_costs[kept]
-        cum_costs += scale * default_step_schedule(iteration) * gradients
+        cum_costs += scale * default_step(iteration) * gradients
         rows = reference_softmax(cum_costs, weights)
         iteration += 1
 
@@ -450,8 +461,11 @@ def test_batch_equals_the_unfused_loop_bit_for_bit(rng):
         {"step_size": 0.0},
         {"step_size": -0.5},
         {"step_size": "1"},
+        {"step_size": "Default"},
+        {"step_size": ""},
         {"step_size": None},
         {"step_size": np.array([1.0, 2.0])},
+        {"step_size": lambda n: 1.0 / (1.0 + n**0.25)},
         {"trace_every": 2.5},
         {"trace_every": True},
         {"trace_every": math.nan},
@@ -472,8 +486,11 @@ def test_batch_equals_the_unfused_loop_bit_for_bit(rng):
         "zero-step",
         "negative-step",
         "string-step",
+        "capitalized-default-step",
+        "empty-step",
         "none-step",
         "array-step",
+        "callable-step",
         "fractional-trace-every",
         "bool-trace-every",
         "nan-trace-every",
@@ -486,16 +503,21 @@ def test_solver_rejects_options_that_cannot_work(option):
     # (a fractional cap) run past the cap it reports; a trace interval that
     # is not a whole number >= 0 would trace at odd iterations or not at all.
     # A tolerance or step that is not a real number would escape as a raw
-    # TypeError or ValueError.
+    # TypeError or ValueError.  The step is "default" or a number, never a
+    # function.  The options are checked whichever method runs, the closed
+    # form included, which takes no learning step.
     spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), QuadraticCost(), np.array([0.5, 0.5]))
-    with pytest.raises(SpecError, match=next(iter(option))):
+    name = next(iter(option))
+    with pytest.raises(SpecError, match=name):
         solve_dynamics(spec, **option)
-    with pytest.raises(SpecError, match=next(iter(option))):
-        solve(spec, "dynamics", **option)
-    if "trace_every" in option:  # sweeps record no trace
+    for method in ("dynamics", "analytic", "auto"):
+        with pytest.raises(SpecError, match=name):
+            solve(spec, method, **option)
+    if name == "trace_every":  # sweeps record no trace
         return
-    with pytest.raises(SpecError, match=next(iter(option))):
-        run_sweep(spec, np.array([0.25, 0.5]), solver="dynamics", **option)
+    for method in ("dynamics", "analytic", "auto"):
+        with pytest.raises(SpecError, match=name):
+            run_sweep(spec, np.array([0.25, 0.5]), solver=method, **option)
 
 
 @pytest.mark.parametrize(
@@ -504,55 +526,33 @@ def test_solver_rejects_options_that_cannot_work(option):
 )
 @pytest.mark.parametrize("first_bad", [0, 5])
 def test_solver_rejects_schedule_values_that_cannot_work(value, first_bad):
-    # A schedule's values are held to the rule of a constant step: a step
-    # <= 0 stands still or climbs to the costly corner, and the rest would
-    # fail later as a numerics error or a TypeError.
+    # A schedule, even one whose first steps are the default's, is refused
+    # before it is called, on every path: the step is "default" or a number.
     spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), LinearCost(), np.array([0.5, 0.5]))
+    calls = []
 
     def schedule(n):
-        return default_step_schedule(n) if n < first_bad else value
+        calls.append(n)
+        return 1.0 / (1.0 + n**0.25) if n < first_bad else value
 
-    message = rf"step_size schedule .* at iteration {first_bad}$"
+    message = "step_size must be \"default\" or a finite number > 0"
     with pytest.raises(SpecError, match=message):
         solve_dynamics(spec, max_iter=200, step_size=schedule)
     with pytest.raises(SpecError, match=message):
-        run_sweep(spec, np.array([0.25, 0.5]), solver="dynamics", max_iter=200, step_size=schedule)
+        _solve_batch([spec, spec], max_iter=200, step_size=schedule)
+    for method in ("dynamics", "analytic", "auto"):
+        with pytest.raises(SpecError, match=message):
+            solve(spec, method, max_iter=200, step_size=schedule)
+        with pytest.raises(SpecError, match=message):
+            run_sweep(spec, np.array([0.25, 0.5]), solver=method, step_size=schedule)
+    assert calls == []
 
 
-def recording_schedule(calls):
-    def schedule(n):
-        calls.append(n)
-        return default_step_schedule(n)
-
-    return schedule
-
-
-def test_schedule_is_called_once_per_iteration_before_max_iter():
-    # The contract: a schedule is called at every iteration n < max_iter, in
-    # order, the one at which the last game stops included, and never at
-    # max_iter.
-    inst = ThreeSlotInstance(1.5, 1.0, 1.0, 0.3, LinearCost())
-    calls = []
-    report = solve_dynamics(inst.to_game_spec(), step_size=recording_schedule(calls))
-    assert report.status is SolverStatus.CONVERGED and report.iterations > 0
-    assert calls == list(range(report.iterations + 1))
-
-    calls = []
-    report = solve_dynamics(
-        inst.to_game_spec(), max_iter=25, gap_tol=1e-12, step_size=recording_schedule(calls)
-    )
-    assert report.status is SolverStatus.MAX_ITER_REACHED and report.iterations == 25
-    assert calls == list(range(25))
-
-    # A batch calls it once per iteration, however many games are left.
-    specs = [ThreeSlotInstance(1.5, 1.0, 1.0, m, LinearCost()).to_game_spec()
-             for m in (0.2, 0.5, 0.8)]
-    calls = []
-    reports = _solve_batch(specs, gap_tol=1e-5, step_size=recording_schedule(calls))
-    iterations = [report.iterations for report in reports]
-    assert len(set(iterations)) == 3
-    assert all(report.status is SolverStatus.CONVERGED for report in reports)
-    assert calls == list(range(max(iterations) + 1))
+@pytest.mark.parametrize("method", ["dynamics", "analytic", "auto"])
+def test_solve_refuses_an_unknown_option(method):
+    spec = ThreeSlotInstance(1.5, 1.0, 1.0, 0.5, LinearCost()).to_game_spec()
+    with pytest.raises(TypeError, match="bogus"):
+        solve(spec, method, bogus=1)
 
 
 # --- learning step -----------------------------------------------------------
@@ -671,7 +671,7 @@ def test_linear_night_instance_reaches_gap_within_budget():
     # At m = 0.5 the equilibrium ties an unused strategy at minimal cost, so
     # the weight on it decays only polynomially; the default schedule and
     # the constant (linear-safe) rate both get there within the budget.
-    for step_size in (default_step_schedule, 1.0):
+    for step_size in ("default", 1.0):
         report = solve_dynamics(night(0.5), step_size=step_size)
         assert report.status is SolverStatus.CONVERGED
         assert report.iterations <= 100_000
@@ -751,14 +751,15 @@ def test_step_scale_keeps_steep_games_stable(inst):
     )
     # Lip is near 560 here, so the steps are scaled by about 1/18.  Without
     # the scale (the step divided back by it) n**(-1/4) and n**(-1/3) decay
-    # alike cycle with a gap in the hundreds.
+    # alike cycle with a gap in the hundreds.  The solver takes no such
+    # schedule, so the oracle runs them; it is exact for duration <= 2.
     scale = reference_step_scale(spec)
-    assert scale < 0.1
+    assert scale < 0.1 and spec.duration == 2
     for decay in (1 / 4, 1 / 3):
-        unscaled = solve_dynamics(
-            spec, max_iter=2000, step_size=lambda n: 1.0 / (1.0 + n**decay) / scale
+        _, gap, _ = reference_solve(
+            spec, 2000, 1e-6, lambda n: 1.0 / (1.0 + n**decay) / scale
         )
-        assert unscaled.vi_gap > 1.0
+        assert gap > 1.0
 
 
 @pytest.mark.parametrize("derivative", [lambda x: 3.0 * np.exp(3.0 * x)], ids=["derivative"])
@@ -775,13 +776,10 @@ def test_first_step_is_scaled_by_the_envelope_slope(derivative):
     )
 
 
-@pytest.mark.parametrize(
-    "step_size", [0.5, lambda n: 1.0 / (1.0 + n**0.25)], ids=["constant", "own-schedule"]
-)
+@pytest.mark.parametrize("step_size", [0.5], ids=["constant"])
 def test_other_steps_keep_the_cap_only_scale_on_a_gentle_game(step_size):
     # Lip = 2 here: the default schedule's steps are raised to 4 / Lip, a
-    # constant step's or a caller's own schedule's (even one equal to the
-    # default) are not.
+    # constant step's are not.
     spec = GameSpec(3, 2, 1.0, np.array([1.5, 1.0, 1.0]), LinearCost(), np.array([0.5, 0.5]))
     assert reference_step_scale(spec, step_size) == 1.0 < reference_step_scale(spec)
     report = solve_dynamics(spec, max_iter=12, gap_tol=1e-9, step_size=step_size)

@@ -65,6 +65,29 @@ def test_no_function_imports_a_sibling_module():
     assert inside == []
 
 
+def test_every_module_level_import_is_used():
+    # A name a module imports at its top and never reads is left over from a
+    # deletion; the package's __init__ reads its names through __all__.
+    unused = []
+    for name, tree in parse_modules().items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(f"{name} imports {bound}")
+    assert unused == []
+
+
 def test_imports_point_down_the_layer_order():
     upward = []
     for name, tree in parse_modules().items():

@@ -1,6 +1,7 @@
 """Flow/load algebra, cost evaluations and their structural invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,8 +173,14 @@ def test_zero_mass_queries_raise():
     profile2 = Profile.from_rows(spec2, [[0.5, 0.5], [0, 0]])
     with pytest.raises(UndefinedAverageError):
         coalition_average_cost(spec2, profile2, 1)
-    with pytest.raises(IndexError):
-        coalition_average_cost(spec2, profile2, 2)
+    # An index that is not a whole number in [1, K] is refused by name.
+    for k in (0, 2, True, 1.5, "1", None, math.inf):
+        with pytest.raises(IndexError, match=f"coalition index {re.escape(repr(k))} "):
+            coalition_average_cost(spec2, profile2, k)
+    # A whole number of another type is the same index.
+    for k in (1.0, np.int64(1), np.float64(1.0)):
+        with pytest.raises(UndefinedAverageError):
+            coalition_average_cost(spec2, profile2, k)
 
 
 def test_individuals_cost_examples():

@@ -36,7 +36,6 @@ from chargegame import (
     TraceRow,
     WardropCheck,
     activation_threshold,
-    audit_concave,
     audit_concave_branches,
     audit_monotone,
     ce_costs,
@@ -54,7 +53,6 @@ from chargegame import (
     with_coalition_size,
 )
 from chargegame import sweep, threeslot, verify
-from chargegame.dynamics import default_step_schedule
 from chargegame.model import LoadDecomposition
 from chargegame.sweep import DEFAULT_AUDIT_TOL, write_csv
 from chargegame.threeslot import BISECTION_TOL, _grid_solution
@@ -101,11 +99,13 @@ def test_a_one_point_sweep_passes_every_audit(solver):
 
 def test_audit_concave_on_linear_segment():
     values = np.linspace(0.0, 1.0, 10)
-    verdict = audit_concave(values)
+    verdict = audit_concave_branches(values, ["a"] * 10)
     assert verdict.passed
     assert verdict.worst_value == pytest.approx(0.0, abs=1e-12)
     # Fewer than three values have no second difference to fail.
-    assert audit_concave([1.0, 0.0]) == AuditVerdict(passed=True, worst_value=0.0)
+    assert audit_concave_branches([1.0, 0.0], ["a"] * 2) == AuditVerdict(
+        passed=True, worst_value=0.0, note="per-branch"
+    )
 
 
 def test_audit_concave_flags_convex_kink_globally_but_not_per_branch():
@@ -113,7 +113,7 @@ def test_audit_concave_flags_convex_kink_globally_but_not_per_branch():
     grid = default_grid(25)
     values = np.maximum(0.0, (grid - 0.3) / 4.0)
     tags = ["flat" if m <= 0.3 else "rising" for m in grid]
-    assert not audit_concave(values).passed
+    assert not audit_concave_branches(values, ["one"] * len(values)).passed
     assert audit_concave_branches(values, tags).passed
     with pytest.raises(SpecError):
         audit_concave_branches(values, tags[:-1])
@@ -125,7 +125,6 @@ def test_audits_refuse_a_nan_tolerance():
     values, nan = [0.0, 0.1, 0.2], math.nan
     for audit in (
         lambda: audit_monotone(values, "nondecreasing", nan),
-        lambda: audit_concave(values, nan),
         lambda: audit_concave_branches(values, "aaa", nan),
     ):
         with pytest.raises(SpecError, match="audit tol must be a number, got nan"):
@@ -136,11 +135,10 @@ def test_audits_refuse_a_nan_tolerance():
 
 
 def test_per_branch_concavity_fails_on_nan():
-    # A NaN second difference inside a branch fails the audit, as it fails
-    # audit_concave and audit_monotone; one that straddles a branch
-    # boundary is not part of any branch.
+    # A NaN second difference inside a branch fails the audit, as a NaN
+    # difference fails audit_monotone; one that straddles a branch boundary
+    # is not part of any branch.
     values = [0.0, 1.0, math.nan, 3.0]
-    assert not audit_concave(values).passed
     verdict = audit_concave_branches(values, ["a"] * 4)
     assert not verdict.passed
     assert math.isnan(verdict.worst_value)
@@ -570,7 +568,7 @@ def test_batched_dynamics_sweep_matches_per_point_solves(rng):
             domain_bound=30.0,
         ),
     ]
-    steps = [default_step_schedule, 1.0, lambda n: 0.5 / math.sqrt(1.0 + n)]
+    steps = ["default", 1.0, 0.5]
     statuses = set()
     case = 0
     for horizon in range(1, 9):

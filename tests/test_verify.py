@@ -1,5 +1,7 @@
 """Equilibrium certification: gap function, condition checks, orderings."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -234,12 +236,18 @@ def test_coalition_optimality_trio():
 
 
 def test_coalition_optimality_validates_index():
-    """k outside [1, K] raises IndexError, a zero-mass coalition UndefinedAverageError."""
+    """k that is not a whole number in [1, K] raises IndexError naming it, a
+    zero-mass coalition UndefinedAverageError."""
     spec = GameSpec(3, 2, 1.0, np.array([2.3, 1, 1]), LinearCost(), np.array([0.5, 0.5, 0.0]))
     profile = corner_profile(spec)
-    for k in (0, -1, 3):
-        with pytest.raises(IndexError):
+    for k in (0, -1, 3, True, 1.5, "1", None, math.nan):
+        with pytest.raises(IndexError, match=f"coalition index {re.escape(repr(k))} "):
             check_coalition_optimality(spec, profile, k, eps=1.0)
+    # A whole number of another type is the same index.
+    for k in (1.0, np.int64(1), np.float64(1.0)):
+        assert check_coalition_optimality(spec, profile, k, eps=1e-8) == (
+            check_coalition_optimality(spec, profile, 1, eps=1e-8)
+        )
     with pytest.raises(UndefinedAverageError):
         check_coalition_optimality(spec, profile, 2, eps=1.0)
     assert not check_coalition_optimality(spec, profile, 1, eps=1e-8).passed
