@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ChargeGameError, SpecError, _finite, _is_integer, _quiet
+from .errors import ChargeGameError, SpecError, _finite, _is_integer, _is_number, _quiet
 from .model import GameSpec, Profile, _gradient_kernel
 from .verify import SolverStatus, TraceRow, _gap_reduction, make_report
 
@@ -71,12 +71,17 @@ STEP_SCALE_FLOOR = 4.0
 # The gap's row dots go through views of the rows and G built with the
 # stack; the ufuncs are bound once per stack and, but for np.maximum, take
 # their outputs by position; only the cost family's f and f' come as new
-# arrays.  The gap reduction picks its form by the stack's game count: one
-# game loops over its few rows, which costs less than array calls, and a
-# larger stack takes a fixed number of array calls.  So an iteration costs
-# a fixed number of numpy calls whatever the stack's size.  Nothing the
-# loop hands out is a buffer: a trace row and a report take copies of
-# their rows, and the gaps come as a list of floats.
+# arrays.  A linear game's raw kernel needs neither: it is the affine map
+# (c, B) of model._linear_form, three numpy calls, which sums in another
+# order than the general kernel.  The certificates (vi_gap,
+# player_gradients, a sweep's) keep the checked general kernel, with f
+# evaluated under the domain check, so they do not rest on the map the
+# loop learned by.  The gap reduction picks its form by the stack's game
+# count: one game loops over its few rows, which costs less than array
+# calls, and a larger stack takes a fixed number of array calls.  So an
+# iteration costs a fixed number of numpy calls whatever the stack's size.
+# Nothing the loop hands out is a buffer: a trace row and a report take
+# copies of their rows, and the gaps come as a list of floats.
 
 
 def _softmax(
@@ -105,15 +110,6 @@ def _softmax(
     return softmax
 
 
-def _between(value, low: float, high: float) -> bool:
-    """Whether low < value < high; False for a value that is not a real
-    number (a string, None, a complex number) or is an array."""
-    try:
-        return bool(low < value < high)
-    except (TypeError, ValueError):
-        return False
-
-
 def _check_options(max_iter, gap_tol, step_size, trace_every) -> None:
     """Raise SpecError for options the loop cannot honour: an iteration cap
     or a trace interval that is not a whole number >= 0 (the CLI's rule for
@@ -121,19 +117,20 @@ def _check_options(max_iter, gap_tol, step_size, trace_every) -> None:
     not a finite number, which every gap meets (inf), none meets or misses
     (NaN) or none compares with (a string, None, a complex number, an
     array), and a step that is neither "default" nor a finite number > 0,
-    which stands still, climbs or cannot scale a gradient.  A finite
-    negative tolerance is fine: it runs all ``max_iter`` steps."""
+    which stands still, climbs or cannot scale a gradient.  A bool is no
+    number here, as in a config.  A finite negative tolerance is fine: it
+    runs all ``max_iter`` steps."""
     if not _is_integer(max_iter, 0):
         raise SpecError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not _is_integer(trace_every, 0):
         raise SpecError(f"trace_every must be an integer >= 0, got {trace_every!r}")
-    if not _between(gap_tol, -math.inf, math.inf):
+    if not _is_number(gap_tol):
         raise SpecError(f"gap_tol must be a finite number, got {gap_tol!r}")
     # Only a string is compared with "default": an array's == is an array.
     if isinstance(step_size, str):
         step_ok = step_size == "default"
     else:
-        step_ok = _between(step_size, 0.0, math.inf)
+        step_ok = _is_number(step_size) and step_size > 0.0
     if not step_ok:
         raise SpecError(f'step_size must be "default" or a finite number > 0, got {step_size!r}')
 

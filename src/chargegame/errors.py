@@ -56,10 +56,13 @@ def _finite(values, what: str = "strategy costs encountered"):
 
 
 def _tolerance(what: str, tol: float) -> None:
-    """Raise a SpecError naming ``what`` when the tolerance ``tol`` is NaN:
-    a check against it would fail (or pass) every value silently."""
-    if math.isnan(tol):
-        raise SpecError(f"{what} must be a number, got nan")
+    """Raise a SpecError naming ``what`` unless the tolerance ``tol`` is a
+    real number other than NaN: a check against NaN would fail (or pass)
+    every value silently, one against a string or None would raise a raw
+    TypeError, and a bool would be read as 1 or 0.  An infinite tolerance
+    is a number, which every check passes."""
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and not math.isnan(tol)):
+        raise SpecError(f"{what} must be a number, got {tol!r}")
 
 
 class _FieldError(SpecError):

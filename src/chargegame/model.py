@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .costs import CostFunction, _with_domain_bound
+from .costs import CostFunction, LinearCost, _with_domain_bound
 from .errors import SpecError, UndefinedAverageError, _finite, _is_integer, _quiet
 
 # Additive tolerance for membership in a scaled simplex.  Inputs further
@@ -305,6 +305,21 @@ def _coalition_mass(spec: GameSpec, k) -> tuple[int, float]:
 # --- marginal costs ----------------------------------------------------------
 
 
+def _linear_form(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(c, B) of a game whose cost is a :class:`~chargegame.costs.LinearCost`
+    f(l) = a*l + b.
+
+    The undivided gradient of player i at weight rows x_0, ..., x_N-1 is
+    H_i = c + B @ (sum_j x_j) + [i >= 1] * B @ x_i, with B = P*a*A*A^T
+    (symmetric) and c = A*(a*L + b): the strategy costs are affine in the
+    total flow, and a coalition's crowding term is affine in its own.
+    """
+    cost = spec.cost
+    incidence = _incidence(spec.horizon, spec.duration)
+    offsets = incidence @ (cost.slope * spec.base_load + cost.intercept)
+    return offsets, (spec.power * cost.slope) * (incidence @ incidence.T)
+
+
 def _gradient_kernel(
     spec: GameSpec, weights: np.ndarray, checked: bool = True, out: np.ndarray | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -325,25 +340,58 @@ def _gradient_kernel(
     evaluates them after one domain check of the cost family, and otherwise
     raw, for a caller that has checked the load envelope.
 
+    A raw kernel (``checked`` false) of a game whose cost is exactly a
+    :class:`~chargegame.costs.LinearCost` takes the affine map of
+    :func:`_linear_form` instead: ``rows @ B`` fills the first N rows of an
+    (N+1, games*slots) buffer whose last row holds c once per game, and
+    ``[K | 1] @ buffer`` with K = 11^T + diag(0, 1, ..., 1) gives every
+    player's undivided row, which is then divided as above.  That is three
+    numpy calls and no f or f'.  It sums in another order than the general
+    kernel, so the two agree to rounding, not bit for bit.  A checked
+    kernel always runs the general path: the certificates (``vi_gap``,
+    :func:`player_gradients`, the sweep's) evaluate f under the domain
+    check, independently of the map the dynamics learned by.
+
     The kernel writes into buffers it allocates once, and its gradients
     into ``out`` when given (a C-contiguous stack-shaped array), so each
     call returns the same gradient array, overwritten by the next call.
     """
     cost = spec.cost
-    incidence = _incidence(spec.horizon, spec.duration)
-    window = incidence.T
     players, slots, power = spec.num_players, spec.num_start_slots, spec.power
     # ufunc calls and array methods skip numpy's Python-level wrappers: every
     # vi_gap builds a kernel, and a dynamics batch rebuilds it whenever a
     # game leaves the stack.  The kernel binds its ufuncs here and passes
     # outputs by position, which saves lookups and keyword parsing per call.
     masses = weights.reshape(players, -1)  # (players, games)
-    base_load = spec.base_load[None].repeat(masses.shape[1], 0).ravel()  # per game
-    shares = np.array([[0.0]] + [[power]] * (players - 1))
     divisors = masses.copy()
     divisors[0] = 1.0
     divisors[masses <= 0.0] = np.inf
     divisors = divisors.repeat(slots, axis=1)
+    if out is None:
+        out = np.empty((weights.size, slots))
+    out_by_game = out.reshape(players, -1)
+    dot, divide = np.dot, np.divide
+    if not checked and type(cost) is LinearCost:
+        offsets, form = _linear_form(spec)
+        stacked = np.empty((players + 1, out_by_game.shape[1]))
+        products = stacked[:players].reshape(out.shape)  # a view, player-major
+        stacked[players] = np.tile(offsets, masses.shape[1])
+        mixing = np.ones((players, players + 1))
+        own = np.arange(1, players)
+        mixing[own, own] = 2.0
+
+        def affine(rows: np.ndarray) -> np.ndarray:
+            dot(rows, form, products)
+            dot(mixing, stacked, out_by_game)
+            divide(out_by_game, divisors, out_by_game)
+            return out
+
+        return affine
+
+    incidence = _incidence(spec.horizon, spec.duration)
+    window = incidence.T
+    base_load = spec.base_load[None].repeat(masses.shape[1], 0).ravel()  # per game
+    shares = np.array([[0.0]] + [[power]] * (players - 1))
     pair = cost._pair if checked else cost._raw_pair
     # Row 0 of by_player ends up holding f and row i > 0 player i's load
     # times f'; after the second product, row 0 of sums holds u of every
@@ -354,11 +402,7 @@ def _gradient_kernel(
     sums = np.empty((weights.size, slots))
     by_game = sums.reshape(players, -1)
     u = by_game[0]
-    if out is None:
-        out = np.empty_like(sums)
-    out_by_game = out.reshape(players, -1)
-    dot, add_reduce = np.dot, np.add.reduce
-    add, multiply, divide = np.add, np.multiply, np.divide
+    add_reduce, add, multiply = np.add.reduce, np.add, np.multiply
 
     def gradients(rows: np.ndarray) -> np.ndarray:
         dot(rows, incidence, per_player)

@@ -116,8 +116,9 @@ _DIRECTIONS = {"nondecreasing": -1.0, "nonincreasing": 1.0}
 
 
 def audit_monotone(values, direction: str, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
-    """Check adjacent differences against a direction within tol; a NaN
-    ``tol`` raises a SpecError, as it does for every audit."""
+    """Check adjacent differences against a direction within tol; a ``tol``
+    that is NaN or not a real number raises a SpecError, as it does for
+    every audit."""
     if direction not in _DIRECTIONS:
         raise SpecError(f"unknown direction {direction!r}")
     _tolerance("audit tol", tol)

@@ -161,7 +161,7 @@ class WardropCheck(NamedTuple):
 
 def check_wardrop(spec: GameSpec, profile: Profile, eps: float) -> WardropCheck:
     """Pass iff every strategy the individuals use is within eps of cheapest;
-    a NaN ``eps`` raises a SpecError."""
+    an ``eps`` that is NaN or not a real number raises a SpecError."""
     _tolerance("wardrop eps", eps)
     return _wardrop_at(spec, profile, strategy_costs(spec, profile), eps)
 
@@ -199,8 +199,8 @@ def check_coalition_optimality(
     """Pass iff coalition ``k``'s linearized improvement is at most eps.
 
     ``k`` is a whole number from 1 to K; any other index raises IndexError
-    and a zero-mass coalition UndefinedAverageError.  A NaN ``eps`` raises a
-    SpecError.
+    and a zero-mass coalition UndefinedAverageError.  An ``eps`` that is NaN
+    or not a real number raises a SpecError.
     """
     _tolerance("coalition optimality eps", eps)
     k, mass = _coalition_mass(spec, k)
@@ -254,7 +254,8 @@ def check_cost_ordering(report: EquilibriumReport, tol: float = 1e-9) -> Orderin
     on reports whose gap is within its certification tolerance.  Each
     comparison allows ``tol`` at the cost's scale, ``tol * max(1,
     |social|)``, so costs that differ by rounding pass at any magnitude.
-    A NaN ``tol``, which every comparison would pass, raises a SpecError.
+    A NaN ``tol``, which every comparison would pass, or one that is not a
+    real number raises a SpecError.
     """
     _tolerance("cost ordering tol", tol)
     costs = report.costs

@@ -376,7 +376,9 @@ def test_shipped_solve_writes_its_golden_artifacts(tmp_path, command, golden, ar
     # carries the certificate gap of the split the root-finder returns.
     # The dynamics-trace run (10 iterations) pins a dynamics report and a
     # trace; its softmax takes exp, so its last digits rest on the
-    # platform's libm agreeing to 12 significant digits.
+    # platform's libm agreeing to 12 significant digits.  The game is
+    # linear, so its learning steps also rest on two small BLAS products,
+    # rows @ B and [K | 1] @ [rows @ B; c] (model._linear_form).
     config = os.path.join(SHIPPED_CONFIGS, "three_slot_solve.json")
     assert main([command, "--config", config, "--out", str(tmp_path)]) == 0
     for artifact in ("report.json", "loads.csv", "equilibrium_loads.csv", *artifacts):

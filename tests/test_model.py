@@ -24,10 +24,18 @@ from chargegame import (
     coalition_average_cost,
     evaluate_costs,
     make_report,
+    player_gradients,
     strategy_costs,
     vi_gap,
 )
-from chargegame.model import SIMPLEX_TOL, _reduced_costs, decompose_loads, validate_profile
+from chargegame.model import (
+    SIMPLEX_TOL,
+    _gradient_kernel,
+    _linear_form,
+    _reduced_costs,
+    decompose_loads,
+    validate_profile,
+)
 from conftest import random_profile, random_three_slot
 
 
@@ -495,3 +503,67 @@ def test_charging_load_conserves_mass(weights, duration):
     )
     y = decompose_loads(spec, Profile((Flow(values * (1.0 / mass), 1.0),))).per_player[0]
     assert float(y.sum()) == pytest.approx(duration, rel=1e-12)
+
+
+# --- the linear form ---------------------------------------------------------
+
+
+def random_linear_game(rng, horizon, duration, players):
+    """A linear game with 1-4 players, some of them without mass."""
+    masses = rng.uniform(0.0, 1.0, size=players)
+    masses[rng.uniform(size=players) < 0.3] = 0.0
+    if masses.sum() == 0.0:
+        masses[int(rng.integers(0, players))] = 1.0
+    cost = LinearCost(slope=rng.uniform(0.5, 2.0), intercept=rng.uniform(0.0, 1.0))
+    return GameSpec(horizon, duration, float(rng.uniform(0.1, 1.0)),
+                    rng.uniform(0.0, 2.0, size=horizon), cost, masses / masses.sum())
+
+
+def test_linear_form_is_the_undivided_gradient(rng):
+    # H_i = c + B @ sum_j x_j + [i >= 1] * B @ x_i is player i's gradient
+    # row times its mass (times 1 for the individuals); a zero-mass player's
+    # row is zeros whatever H says.
+    for horizon in range(1, 9):
+        for duration in range(1, horizon + 1):
+            spec = random_linear_game(rng, horizon, duration, int(rng.integers(1, 5)))
+            profile = random_profile(rng, spec)
+            rows = profile.matrix()
+            offsets, form = _linear_form(spec)
+            coalitions = (np.arange(spec.num_players) >= 1)[:, None]
+            forms = offsets + rows.sum(axis=0) @ form + coalitions * (rows @ form)
+            gradients = player_gradients(spec, profile)
+            undivided = gradients * np.r_[1.0, spec.weights[1:]][:, None]
+            used = spec.weights > 0.0
+            scale = np.abs(undivided).max()
+            np.testing.assert_allclose(forms[used], undivided[used], rtol=0.0, atol=1e-13 * scale)
+            assert not gradients[~used].any()
+
+
+def test_raw_linear_kernel_matches_the_checked_kernel(rng, monkeypatch):
+    # The dynamics' raw kernel of a linear game takes the affine map and
+    # never evaluates f or f'; the checked kernel, which the certificates
+    # use, evaluates both.  On stacks of 1-4 games they agree to rounding.
+    cases = []
+    for horizon in range(1, 9):
+        for duration in range(1, horizon + 1):
+            games = int(rng.integers(1, 5))
+            spec = random_linear_game(rng, horizon, duration, int(rng.integers(1, 5)))
+            masses = [spec.weights] + [
+                random_linear_game(rng, horizon, duration, spec.num_players).weights
+                for _ in range(games - 1)
+            ]
+            weights = np.stack(masses, axis=1).ravel()  # player-major
+            raw = rng.uniform(size=(weights.size, spec.num_start_slots))
+            cases.append((spec, weights, weights[:, None] * raw / raw.sum(axis=1, keepdims=True)))
+    checked = [_gradient_kernel(spec, weights)(rows).copy() for spec, weights, rows in cases]
+
+    def no_pair(self, load):
+        raise AssertionError("the raw linear kernel evaluated the cost family")
+
+    monkeypatch.setattr(LinearCost, "_raw_pair", no_pair)
+    for (spec, weights, rows), expected in zip(cases, checked):
+        got = _gradient_kernel(spec, weights, checked=False)(rows)
+        np.testing.assert_allclose(
+            got, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max()
+        )
+

@@ -39,6 +39,9 @@ from chargegame import (
     audit_concave_branches,
     audit_monotone,
     ce_costs,
+    check_coalition_optimality,
+    check_cost_ordering,
+    check_wardrop,
     default_grid,
     equilibrium_profile,
     make_report,
@@ -132,6 +135,45 @@ def test_audits_refuse_a_nan_tolerance():
     for solver in ("analytic", "dynamics"):
         with pytest.raises(SpecError, match="audit_tol must be a number, got nan"):
             run_sweep(band_instance(), default_grid(5), solver, audit_tol=nan)
+
+
+def tolerance_callers():
+    """Each library function that takes a tolerance, with the name its
+    SpecError gives it, as a call on that tolerance alone."""
+    spec = band_instance().to_game_spec()
+    report = solve(spec, "analytic")
+    values = [0.0, 0.1, 0.2]
+    return {
+        "run_sweep": ("audit_tol", lambda tol: run_sweep(spec, [0.3, 0.6], audit_tol=tol)),
+        "audit_monotone": ("audit tol", lambda tol: audit_monotone(values, "nondecreasing", tol)),
+        "audit_concave_branches": (
+            "audit tol", lambda tol: audit_concave_branches(values, "aaa", tol)
+        ),
+        "check_wardrop": ("wardrop eps", lambda tol: check_wardrop(spec, report.profile, tol)),
+        "check_coalition_optimality": (
+            "coalition optimality eps",
+            lambda tol: check_coalition_optimality(spec, report.profile, 1, tol),
+        ),
+        "check_cost_ordering": ("cost ordering tol", lambda tol: check_cost_ordering(report, tol)),
+    }
+
+
+@pytest.mark.parametrize("value", ["1e-9", None, True, False, 1j, math.nan],
+                         ids=["string", "none", "true", "false", "complex", "nan"])
+@pytest.mark.parametrize(
+    "caller",
+    ["run_sweep", "audit_monotone", "audit_concave_branches", "check_wardrop",
+     "check_coalition_optimality", "check_cost_ordering"],
+)
+def test_tolerances_must_be_real_numbers(caller, value):
+    # A string, None or a complex number would escape as a raw TypeError, a
+    # bool would be read as 1 or 0 and NaN would fail (or pass) every check;
+    # each is refused by name.  An infinite tolerance is a number.
+    name, call = tolerance_callers()[caller]
+    with pytest.raises(SpecError, match=f"{name} must be a number, got {value!r}"):
+        call(value)
+    call(1e-9)
+    call(math.inf)
 
 
 def test_per_branch_concavity_fails_on_nan():
