@@ -50,62 +50,66 @@ STEP_SCALE_FLOOR = 4.0
 #
 # The loop works on a raw stack of weight rows, so it neither rebuilds
 # Flow/Profile objects every iteration nor loops over the games of a sweep.
-# The stack of B games with N players each is player-major: row i*B + g
-# holds player i of game g.  Each iteration takes the marginal-cost rows
-# from the model's gradient kernel, the per-game gaps from verify's gap
-# reduction, and redistributes weight by the row-wise softmax below; a
-# stack of one game runs the single-game array shapes, and every game's
-# arithmetic is the same in any stack.
+# The stack of B games with N players each is slot-major: every per-player
+# array is (slots, B*N), column g*N + i holding player i of game g, and
+# every per-player scalar (a column minimum, a softmax total, a gap term)
+# is one entry of a (B*N,) vector.  Each reduction over a player's slots
+# then runs along the outer axis, where numpy's cost does not grow with the
+# number of columns, and adds the slots in slot order in any stack of two
+# or more columns.  A game's players are adjacent columns, which are
+# summed one add per player.  So an iteration costs the same numpy calls
+# whatever the stack's size, and each game's floats are those it gets
+# alone.  Each iteration takes the marginal-cost columns from the model's
+# gradient kernel, the per-game gaps from verify's gap reduction, and
+# redistributes weight by the softmax below.  Profiles, trace rows and
+# reports stay player-major: a game's columns are transposed when it
+# leaves the stack or is traced.
 #
 # A live stack owns its buffers, built together when the stack is and
 # rebuilt only when a game leaves it.  The gradients G and the cumulative
-# costs share one (2, rows, slots) state.  Iteration n adds
-# scale * eta_n * G to the costs through a step buffer of its own, which
-# leaves G unscaled for the gap, and then takes one minimum over the
-# state's slot axis: G's row minima for the gap, and the costs' row minima,
-# by which the softmax shifts its exponents.  A minimum is exact, so the
-# floats are those of taking the gap before the update.  The stop test
-# follows the update, so eta_n is taken at every n < max_iter, the
-# iteration at which the last game stops included.  When games leave, the
-# new stack gets the kept rows' costs and minima, then runs the softmax.
-# The gap's row dots go through views of the rows and G built with the
-# stack; the ufuncs are bound once per stack and, but for np.maximum, take
-# their outputs by position; only the cost family's f and f' come as new
-# arrays.  A linear game's raw kernel needs neither: it is the affine map
-# (c, B) of model._linear_form, three numpy calls, which sums in another
-# order than the general kernel.  The certificates (vi_gap,
-# player_gradients, a sweep's) keep the checked general kernel, with f
-# evaluated under the domain check, so they do not rest on the map the
-# loop learned by.  The gap reduction picks its form by the stack's game
-# count: one game loops over its few rows, which costs less than array
-# calls, and a larger stack takes a fixed number of array calls.  So an
-# iteration costs a fixed number of numpy calls whatever the stack's size.
-# Nothing the loop hands out is a buffer: a trace row and a report take
-# copies of their rows, and the gaps come as a list of floats.
+# costs C share one (2, slots, B*N) state.  Iteration n adds
+# scale * eta_n * G to C through a step buffer of its own, which leaves G
+# unscaled for the gap, takes one minimum over the state's slot axis and
+# subtracts the state from its minima: min G - G for the gap, and
+# min C - C, the softmax's exponents, shifted so that none overflows.  A
+# minimum is exact, so the floats are those of taking the gap before the
+# update.  The gap is sum x * (G - min G) per column, summed per game (see
+# verify._gap_reduction); a game whose gap is not finite, from a
+# non-finite gradient entry anywhere in it, leaves with its NumericsError.
+# The stop test follows the update, so eta_n is taken at every
+# n < max_iter, the iteration at which the last game stops included.  When
+# games leave, the new stack gets the kept columns' costs and exponents,
+# then runs the softmax.  The ufuncs are bound once per stack and take
+# their outputs by position, and the step is a 0-d array; only the cost
+# family's f and f' come as new arrays.  A linear game's raw kernel needs
+# neither: it is the affine map (c, B) of model._linear_form, four numpy
+# calls, which sums in another order than the general kernel.  The
+# certificates (vi_gap, player_gradients, a sweep's) keep the checked
+# general kernel, with f evaluated under the domain check, so they do not
+# rest on the map the loop learned by.  Nothing the loop hands out is a
+# buffer: a trace row and a report take copies of their rows, and the gaps
+# come as a list of floats.
 
 
-def _softmax(
-    weights: np.ndarray, cum_costs: np.ndarray, lows: np.ndarray, rows: np.ndarray
-) -> Callable[[], None]:
-    """A function that writes into ``rows`` the rows of ``cum_costs`` as
-    they stand: row i is weights[i] times the softmax of -cum_costs[i].
+def _softmax(weights: np.ndarray, exponents: np.ndarray, rows: np.ndarray) -> Callable[[], None]:
+    """A function that writes into ``rows`` the softmax of ``exponents`` as
+    they stand: column i is weights[i] times exp(exponents[:, i]) over its
+    sum.
 
-    ``lows`` holds each row's minimum cost, one per row with its axis kept.
-    Shifting the exponents by it leaves the distribution unchanged but
+    Both are slot-major (slots, columns) arrays.  The exponents are a
+    column's minimum cumulative cost less its costs, so none is positive:
+    shifting them by the minimum leaves the distribution unchanged but
     avoids overflow.
     """
-    scaled = np.empty_like(cum_costs)
+    scaled = np.empty_like(exponents)
     totals = np.empty(weights.size)
-    factors = totals[:, None]
-    subtract, exp, divide, multiply = np.subtract, np.exp, np.divide, np.multiply
-    add_reduce = np.add.reduce
+    exp, divide, multiply, add_reduce = np.exp, np.divide, np.multiply, np.add.reduce
 
     def softmax() -> None:
-        subtract(lows, cum_costs, scaled)
-        exp(scaled, scaled)
-        add_reduce(scaled, 1, None, totals)
+        exp(exponents, scaled)
+        add_reduce(scaled, 0, None, totals)
         divide(weights, totals, totals)
-        multiply(factors, scaled, rows)
+        multiply(totals, scaled, rows)
 
     return softmax
 
@@ -188,11 +192,13 @@ def _solve_batch(
     only in their weights.  All start together, so they share the iteration
     count, the step scale (which depends on the spec only) and the step
     size, and each game leaves the stack once its gap reaches ``gap_tol`` or
-    ``max_iter`` is hit.  With two or more players per game every game's
-    arithmetic is the same as in a stack of its own, so each outcome equals
-    :func:`solve_dynamics` on that game bit for bit.  (A one-player game
-    alone is a single row, which numpy multiplies as a vector, not as a
-    matrix, and those sums may round differently.)
+    ``max_iter`` is hit, or with a NumericsError once its gap is not finite.
+    With two or more players per game every game's arithmetic is the same
+    as in a stack of its own, so each outcome equals :func:`solve_dynamics`
+    on that game bit for bit.  A one-player game does so in any stack of
+    two or more games.  Alone it is a single column, which numpy multiplies
+    as a vector, not as a matrix, and whose eight or more slots it sums
+    pairwise in the softmax, so it may round differently there.
 
     Returns:
         Per game, in order, its report or the ChargeGameError that ended it.
@@ -203,7 +209,7 @@ def _solve_batch(
     _check_options(max_iter, gap_tol, step_size, trace_every)
     spec = specs[0]
     cost, players = spec.cost, spec.num_players
-    weights = np.stack([game.weights for game in specs], axis=1).ravel()  # player-major
+    weights = np.concatenate([game.weights for game in specs])  # column order
     # Rows sum to their masses, which sum to one, so every iterate's slot loads
     # lie in [min L, max L + P]: checking the cost domain (and f') on that
     # envelope once lets the loop call the raw cost functions, and f' at its
@@ -223,70 +229,84 @@ def _solve_batch(
     live = list(range(len(specs)))  # the games in the stack, in stack order
     traces = [[] for _ in specs] if trace_every > 0 else None
     slots = spec.num_start_slots
+    inf = math.inf
 
-    def stack(weights, cum_costs, shifts):
+    def stack(weights, cum_costs, exponents):
         """The buffers and steps of a live stack whose cumulative costs
-        start at ``cum_costs``, with row minima ``shifts``.
+        start at ``cum_costs``, and its softmax exponents at ``exponents``.
 
-        Returns its rows, its state (the gradients, then the costs), their
-        row minima, ``advance(step)``, which takes the gradients at the
-        rows, adds ``step`` times them to the costs (nothing when ``step``
-        is None) and returns the gaps, and ``settle()``, which writes the
-        costs' rows."""
-        state = np.empty((2, weights.size, slots))
+        Returns its rows, its state (the gradients, then the costs), its
+        differences (the state's column minima less the state),
+        ``advance(step)``, which takes the gradients at the rows, adds
+        ``step`` times them to the costs (nothing when ``step`` is None),
+        takes the differences and returns the gaps, and ``settle()``, which
+        writes the costs' rows."""
+        state = np.empty((2, slots, weights.size))
         gradients, costs = state
         costs[...] = cum_costs
-        minima = np.empty((2, weights.size, 1))
-        minima[1] = shifts
+        differences = np.empty_like(state)
+        differences[1] = exponents
+        minima = np.empty((2, 1, weights.size))
+        lows = minima[:, 0]
         rows, steps = np.empty_like(costs), np.empty_like(costs)
         kernel = _gradient_kernel(spec, weights, checked=False, out=gradients)
-        gaps = _gap_reduction(weights, players, rows, gradients, minima[0, :, 0])
-        multiply, add, lowest = np.multiply, np.add, np.minimum.reduce
+        gaps = _gap_reduction(players, rows, differences[0])
+        multiply, add, subtract, lowest = np.multiply, np.add, np.subtract, np.minimum.reduce
 
         def advance(step):
             kernel(rows)
             if step is not None:
                 multiply(gradients, step, steps)
                 add(costs, steps, costs)
-            lowest(state, 2, None, minima, True)
+            lowest(state, 1, None, lows)
+            subtract(minima, state, differences)
             return gaps()
 
-        return rows, state, minima, advance, _softmax(weights, costs, minima[1], rows)
+        return rows, state, differences, advance, _softmax(weights, differences[1], rows)
 
-    rows, state, minima, advance, settle = stack(weights, 0.0, 0.0)
+    rows, state, differences, advance, settle = stack(weights, 0.0, 0.0)
     settle()
+    # The step reaches numpy as a 0-d array, which a ufunc takes with less
+    # work than a float.
+    size = np.array(0.0 if constant is None else constant)
     iteration = 0
     while True:
         if iteration >= max_iter:
             step = None
-        elif constant is None:
-            step = scale * (1.0 / (1.0 + math.sqrt(math.sqrt(iteration))))  # eta_n
         else:
-            step = constant
+            if constant is None:
+                size[()] = scale * (1.0 / (1.0 + math.sqrt(math.sqrt(iteration))))  # eta_n
+            step = size
         gaps = advance(step)
         if traces is not None and iteration % trace_every == 0:
             for j, game in enumerate(live):
-                traces[game].append(TraceRow(iteration, gaps[j], rows[j::len(live)].copy()))
-        # A game stays while its gap is above gap_tol, which a NaN gap is not.
+                traces[game].append(
+                    TraceRow(iteration, gaps[j], rows[:, j * players : (j + 1) * players].T.copy())
+                )
+        # A game stays while its gap is above gap_tol and finite: a NaN or
+        # inf gap marks a non-finite gradient, and the game leaves with it.
         done = step is None
         for gap in gaps:
-            if not gap > gap_tol:
+            if not gap_tol < gap < inf:
                 done = True
                 break
         if done:
-            keep = [step is not None and gap > gap_tol for gap in gaps]
+            keep = [step is not None and gap_tol < gap < inf for gap in gaps]
             for j, game in enumerate(live):
                 if not keep[j]:
                     trace = None if traces is None else traces[game]
                     outcomes[game] = _outcome(
-                        specs[game], rows[j::len(live)], gaps[j], gap_tol, iteration, trace
+                        specs[game], rows[:, j * players : (j + 1) * players].T, gaps[j],
+                        gap_tol, iteration, trace,
                     )
             live = [game for game, stays in zip(live, keep) if stays]
             if not live:
                 return outcomes
-            kept = np.tile(keep, players)
+            kept = np.repeat(keep, players)
             weights = weights[kept]
-            rows, state, minima, advance, settle = stack(weights, state[1, kept], minima[1, kept])
+            rows, state, differences, advance, settle = stack(
+                weights, state[1][:, kept], differences[1][:, kept]
+            )
         settle()
         iteration += 1
 

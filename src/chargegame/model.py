@@ -54,15 +54,16 @@ def _window_sum(spec: GameSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _onto_masses(rows: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
-    """A :class:`Flow`'s renormalization of one row or a stack of rows.
+    """A :class:`Flow`'s renormalization of one row or of a slot-major
+    stack of rows, one per column.
 
-    Negative entries are clipped to zero, then each row (last axis) is
+    Negative entries are clipped to zero, then each row (first axis) is
     scaled by its mass over its total, and a row whose total is zero
     becomes zeros.  ``masses`` broadcasts against the totals, which keep
     their axis.  Returns the scaled rows and the totals before scaling.
     """
     rows = np.maximum(rows, 0.0)
-    totals = np.add.reduce(rows, -1, keepdims=True)
+    totals = np.add.reduce(rows, 0, keepdims=True)
     positive = totals > 0.0
     scale = np.divide(masses, totals, out=np.zeros(totals.shape), where=positive)
     return np.where(positive, rows * scale, 0.0), totals
@@ -326,31 +327,33 @@ def _gradient_kernel(
     """Map a stack of weight rows to marginal-cost rows.
 
     The stack holds games that differ from ``spec`` only in their masses,
-    ``weights`` in stack order.  It is player-major: row i*B + g holds
-    player i of game g.  Row i of a game is
-    (u + share_i * crowding_i) / divisor_i, with u the game's strategy costs
-    and crowding_i the window sums of player i's load times f': the
-    individuals get u (share 0, divisor 1), a coalition its average-cost
-    gradient (share P, divisor its mass) and a zero-mass player zeros
-    (divisor inf).  Loads are ``rows @ A`` and one product ``terms @ A.T``
-    window-sums the slot prices and every coalition's load-weighted
-    marginal prices; per-game terms are basic views, so a stack of one game
-    runs the single-game array shapes.  f and f' are evaluated on the slot
-    loads of all games end to end by one ``pair`` call; ``checked``
-    evaluates them after one domain check of the cost family, and otherwise
-    raw, for a caller that has checked the load envelope.
+    ``weights`` in stack order.  It is slot-major: an array of shape
+    (slots, B*N) whose column g*N + i holds player i of game g, so a game's
+    players are adjacent and every reduction over slots runs along the
+    outer axis.  Column i of a game is (u + share_i * crowding_i) /
+    divisor_i, with u the game's strategy costs and crowding_i the window
+    sums of player i's load times f': the individuals get u (share 0,
+    divisor 1), a coalition its average-cost gradient (share P, divisor its
+    mass) and a zero-mass player zeros (divisor inf).  Loads are
+    ``A.T @ rows``, summed over each game's players one add at a time in
+    player order, and one product ``A @ terms`` window-sums the slot prices
+    and every coalition's load-weighted marginal prices.  f and f' are
+    evaluated on the slot loads of all games by one ``pair`` call, as one
+    vector; ``checked`` evaluates them after one domain check of the cost
+    family, and otherwise raw, for a caller that has checked the load
+    envelope.
 
     A raw kernel (``checked`` false) of a game whose cost is exactly a
     :class:`~chargegame.costs.LinearCost` takes the affine map of
-    :func:`_linear_form` instead: ``rows @ B`` fills the first N rows of an
-    (N+1, games*slots) buffer whose last row holds c once per game, and
-    ``[K | 1] @ buffer`` with K = 11^T + diag(0, 1, ..., 1) gives every
-    player's undivided row, which is then divided as above.  That is three
-    numpy calls and no f or f'.  It sums in another order than the general
-    kernel, so the two agree to rounding, not bit for bit.  A checked
-    kernel always runs the general path: the certificates (``vi_gap``,
-    :func:`player_gradients`, the sweep's) evaluate f under the domain
-    check, independently of the map the dynamics learned by.
+    :func:`_linear_form` instead: ``B @ rows`` gives every player's
+    column, ``@ K`` with K = 11^T + diag(0, 1, ..., 1) mixes each game's
+    players, a row (slot, game) at a time, and c is added before the
+    division above.  That is four numpy calls and no f or f'.  It sums in
+    another order than the general kernel, so the two agree to rounding,
+    not bit for bit.  A checked kernel always runs the general path: the
+    certificates (``vi_gap``, :func:`player_gradients`, the sweep's)
+    evaluate f under the domain check, independently of the map the
+    dynamics learned by.
 
     The kernel writes into buffers it allocates once, and its gradients
     into ``out`` when given (a C-contiguous stack-shaped array), so each
@@ -362,60 +365,73 @@ def _gradient_kernel(
     # vi_gap builds a kernel, and a dynamics batch rebuilds it whenever a
     # game leaves the stack.  The kernel binds its ufuncs here and passes
     # outputs by position, which saves lookups and keyword parsing per call.
-    masses = weights.reshape(players, -1)  # (players, games)
+    # Elementwise calls take operands of one shape where they can, which
+    # numpy runs without building an iterator.
+    games = weights.size // players
+    masses = weights.reshape(games, players)
     divisors = masses.copy()
-    divisors[0] = 1.0
+    divisors[:, 0] = 1.0
     divisors[masses <= 0.0] = np.inf
-    divisors = divisors.repeat(slots, axis=1)
+    divisors = np.tile(divisors.ravel(), (slots, 1))
     if out is None:
-        out = np.empty((weights.size, slots))
-    out_by_game = out.reshape(players, -1)
-    dot, divide = np.dot, np.divide
+        out = np.empty((slots, weights.size))
+    dot, add, divide = np.dot, np.add, np.divide
     if not checked and type(cost) is LinearCost:
         offsets, form = _linear_form(spec)
-        stacked = np.empty((players + 1, out_by_game.shape[1]))
-        products = stacked[:players].reshape(out.shape)  # a view, player-major
-        stacked[players] = np.tile(offsets, masses.shape[1])
-        mixing = np.ones((players, players + 1))
-        own = np.arange(1, players)
-        mixing[own, own] = 2.0
+        offsets = offsets.repeat(weights.size).reshape(out.shape)
+        products = np.empty(out.shape)
+        by_row, out_by_row = products.reshape(-1, players), out.reshape(-1, players)
+        mixing = np.ones((players, players)) + np.diag(np.arange(players) > 0)
 
         def affine(rows: np.ndarray) -> np.ndarray:
-            dot(rows, form, products)
-            dot(mixing, stacked, out_by_game)
-            divide(out_by_game, divisors, out_by_game)
+            dot(form, rows, products)
+            dot(by_row, mixing, out_by_row)
+            add(out, offsets, out)
+            divide(out, divisors, out)
             return out
 
         return affine
 
     incidence = _incidence(spec.horizon, spec.duration)
     window = incidence.T
-    base_load = spec.base_load[None].repeat(masses.shape[1], 0).ravel()  # per game
-    shares = np.array([[0.0]] + [[power]] * (players - 1))
+    base_load = spec.base_load[:, None, None]
+    shares = np.array([0.0] + [power] * (players - 1))
     pair = cost._pair if checked else cost._raw_pair
-    # Row 0 of by_player ends up holding f and row i > 0 player i's load
-    # times f'; after the second product, row 0 of sums holds u of every
-    # game and row i > 0 crowding_i.
-    per_player = np.empty((weights.size, spec.horizon))
-    by_player = per_player.reshape(players, -1)  # a view: writes reach per_player
-    load = np.empty(by_player.shape[1])
-    sums = np.empty((weights.size, slots))
-    by_game = sums.reshape(players, -1)
-    u = by_game[0]
-    add_reduce, add, multiply = np.add.reduce, np.add, np.multiply
+    # The individuals' column of each game in by_player ends up holding f
+    # and column i > 0 player i's load times f'; after the second product,
+    # column 0 of each game in sums holds its u and column i > 0 crowding_i.
+    per_player = np.empty((spec.horizon, weights.size))
+    by_player = per_player.reshape(spec.horizon, games, players)  # a view
+    columns = [by_player[:, :, i : i + 1] for i in range(players)]
+    # The cost family sees the slot loads as one vector, slot by slot and
+    # game by game; the kernel reads it per slot, game and player.
+    load = np.empty(spec.horizon * games)
+    grid = columns[0].shape
+    loads = load.reshape(grid)
+    # The players' loads are summed one add at a time in player order, as a
+    # reduction would sum them in a stack of games: numpy sums a lone run of
+    # eight or more contiguous entries pairwise.
+    summands = list(zip([columns[0]] + [loads] * (players - 2), columns[1:]))
+    total = loads if players > 1 else columns[0]
+    sums = np.empty(out.shape)
+    by_game, out_by_game = sums.reshape(slots, games, players), out.reshape(slots, games, players)
+    u = by_game[:, :, :1]
+    multiply, ndim = np.multiply, np.ndim
 
     def gradients(rows: np.ndarray) -> np.ndarray:
-        dot(rows, incidence, per_player)
-        add_reduce(by_player, 0, None, load)
-        multiply(power, load, load)
-        add(base_load, load, load)
+        dot(window, rows, per_player)
+        for first, second in summands:
+            add(first, second, loads)
+        multiply(power, total, loads)
+        add(base_load, loads, loads)
         f, slope = pair(load)
-        multiply(by_player, slope, by_player)
-        by_player[0] = f
-        dot(per_player, window, sums)
+        # f' is a scalar where a family's slope is constant.
+        multiply(by_player, slope.reshape(grid) if ndim(slope) else slope, by_player)
+        columns[0][...] = f.reshape(grid)
+        dot(incidence, per_player, sums)
         multiply(shares, by_game, out_by_game)
         add(u, out_by_game, out_by_game)
-        divide(out_by_game, divisors, out_by_game)
+        divide(out, divisors, out)
         return out
 
     return gradients
@@ -431,10 +447,17 @@ def player_gradients(spec: GameSpec, profile: Profile) -> np.ndarray:
     divided by the coalition's mass.  Zero-mass players get a zero row,
     matching their zero flow.  A non-finite entry raises a NumericsError.
     """
+    return _profile_gradients(spec, profile)[1].T.copy()
+
+
+def _profile_gradients(spec: GameSpec, profile: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``profile`` and their :func:`player_gradients`, both
+    slot-major: one column per player.  A non-finite entry raises a
+    NumericsError."""
     validate_profile(spec, profile)
-    kernel = _gradient_kernel(spec, spec.weights)
+    rows = profile.matrix().T.copy()
     with _quiet():
-        return _finite(kernel(profile.matrix()))
+        return rows, _finite(_gradient_kernel(spec, spec.weights)(rows))
 
 
 class CostSummary(NamedTuple):

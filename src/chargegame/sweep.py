@@ -324,21 +324,20 @@ def _certified_points(
     """
     gapped, x1, x0, split = _grid_solution(inst, sizes)
     social, individuals, coalition = _grid_costs(inst, sizes, x1, split)
-    # The stack is player-major: every game's individuals, then every
-    # game's coalition, each row its weights on the two alternatives.
-    count = len(sizes)
+    # The stack is slot-major, as the dynamics': a row per alternative, and
+    # each game's individuals and coalition as adjacent columns.
     rest = 1.0 - sizes
-    masses = np.concatenate((rest, sizes))
-    rows = np.empty((2 * count, 2))
-    rows[:count, 0] = x0
-    rows[count:, 0] = x1
-    np.subtract(rest, x0, out=rows[:count, 1])
-    np.subtract(sizes, x1, out=rows[count:, 1])
-    rows, _ = _onto_masses(rows, masses[:, None])
+    masses = np.stack((rest, sizes), 1)
+    rows = np.empty((2,) + masses.shape)
+    rows[0, :, 0] = x0
+    rows[0, :, 1] = x1
+    np.subtract(rest, x0, out=rows[1, :, 0])
+    np.subtract(sizes, x1, out=rows[1, :, 1])
+    rows, _ = _onto_masses(rows.reshape(2, -1), masses.ravel())
     # What GameSpec stores: each game's masses over their sum.
-    weights = np.divide(masses.reshape(2, count), rest + sizes).ravel()
+    weights = np.divide(masses, (rest + sizes)[:, None]).ravel()
     kernel = _gradient_kernel(spec, weights)
-    gaps = _finite(_gaps(weights, rows, kernel(rows), spec.num_players))
+    gaps = _finite(_gaps(rows, kernel(rows), spec.num_players))
     regimes = (_regime(gapped, False).value, _regime(gapped, True).value)
     columns = (values.tolist() for values in (sizes, x1, x0, individuals, coalition, social))
     names = map(regimes.__getitem__, split.tolist())

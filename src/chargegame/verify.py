@@ -13,7 +13,6 @@ carry it as the certification value.
 from __future__ import annotations
 
 import enum
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -25,11 +24,11 @@ from .model import (
     LoadDecomposition,
     Profile,
     _coalition_mass,
+    _profile_gradients,
     _reduced_costs,
     _slot_prices,
     _summarize_costs,
     decompose_loads,
-    player_gradients,
     strategy_costs,
 )
 
@@ -51,97 +50,67 @@ def support_threshold(mass: float) -> float:
 def vi_gap(spec: GameSpec, profile: Profile) -> float:
     """Total linearized improvement available to all players at once.
 
-    Per player this is the inner product of its marginal costs with its own
-    flow, minus the mass times the smallest marginal cost: the best score a
-    linearized unilateral deviation over the player's scaled simplex could
-    reach.  Nonnegative always; zero exactly at composite equilibria.
+    This is the gap function sum_i <x_i, G_i - min G_i> of the players'
+    flows x_i and marginal costs G_i: per player, how far its own flow
+    could lower its linearized cost by moving onto its cheapest strategy.
+    Nonnegative always; zero exactly at composite equilibria.
 
     Raises:
         NumericsError: some strategy cost is not finite, so the profile
             has no certificate.
     """
-    gradients = player_gradients(spec, profile)
-    gap = _gaps(spec.weights, profile.matrix(), gradients, spec.num_players)[0]
-    return _finite(gap)
+    rows, gradients = _profile_gradients(spec, profile)
+    return _finite(_gaps(rows, gradients, spec.num_players)[0])
 
 
-def _gaps(masses, rows: np.ndarray, gradients: np.ndarray, players: int) -> list:
-    """Variational gap of every game in a player-major stack of rows; NaN
-    for a game whose gradients are not all finite.
+def _gaps(rows: np.ndarray, gradients: np.ndarray, players: int) -> list:
+    """Variational gap of every game in a slot-major stack of rows, which
+    is non-finite for a game whose gradients are not all finite.
 
-    ``masses`` lists the rows' masses.  One-shot form of
-    :func:`_gap_reduction`, which holds the rules.
+    One-shot form of :func:`_gap_reduction`, which holds the rules.
     """
-    lows = np.minimum.reduce(gradients, 1)
-    return _gap_reduction(np.asarray(masses, dtype=float), players, rows, gradients, lows)()
+    differences = np.subtract(np.minimum.reduce(gradients, 0), gradients)
+    return _gap_reduction(players, rows, differences)()
 
 
-def _gap_reduction(
-    masses: np.ndarray, players: int, rows: np.ndarray, gradients: np.ndarray, lows: np.ndarray
-):
-    """The gap of every game in a player-major stack of rows with these
-    masses, as a function that reads the arrays ``rows``, ``gradients`` and
-    ``lows`` (the gradients' row minima, one per row) as they stand when it
-    is called.
+def _gap_reduction(players: int, rows: np.ndarray, differences: np.ndarray):
+    """The gap of every game in a slot-major stack of rows, as a function
+    that reads the arrays ``rows`` and ``differences`` (each column's
+    minimum gradient less its gradients) as they stand when it is called.
 
-    Each row with mass adds max(<row, gradient> - mass * min gradient, 0),
-    in player order from 0.0.  A game gets NaN when any of its rows, with
-    mass or without, has a non-finite dot or minimum.  That check rides on
-    the same per-row reductions: a NaN entry makes the row's minimum NaN,
-    -inf makes it -inf, and +inf makes the row's dot inf (NaN where the
-    row puts no weight, as 0 * inf).
+    Each column x adds sum_s x_s * (G_s - min G), summed over the slots in
+    slot order and then over the game's players in player order.  That is
+    <x, G> - mass * min G for a column that carries its mass, written as a
+    sum of products that are never negative: it needs no clamp, loses no
+    digits to cancellation, and a column without mass adds zero.  A
+    non-finite gradient entry, on a used slot, an unused one or a column
+    without mass, makes its game's gap non-finite by itself: a NaN or a
+    -inf makes the column's minimum non-finite, and with it every
+    difference, and a +inf makes its own difference -inf, which a zero
+    weight turns into NaN.
 
-    The row dots take one BLAS ddot per row, written into a buffer through
-    views of the rows and gradients built here.  A stack of one game loops
-    over its few rows, which costs less than array calls.  A larger stack
-    runs a fixed number of array calls on buffers built here, whatever its
-    size; their float operations and order are the loop's, so each game's
-    gap is the one it gets alone.  The function returns the gaps as a list
-    of floats, never a buffer.
+    The differences come with the sign that the dynamics' softmax takes
+    from the same subtraction, so a column's sum is taken as
+    0 - x_0 * (min G - G_0) - x_1 * (min G - G_1) - ..., which is the sum
+    above to the bit: numpy subtracts the rows of a C-ordered buffer one
+    after another, in slot order, whatever the stack's size.  Each game's
+    adjacent players are then added one at a time, so each game's gap is
+    the one it gets alone.  The function returns the gaps as a list of
+    floats, never a buffer.
     """
-    rows_count = masses.size
-    matmul = np.matmul
-    row_views, gradient_views = rows[:, None], gradients[:, :, None]
-    dots = np.empty((rows_count, 1, 1))
-    if rows_count == players:
-        weights = masses.tolist()
-        dot_list = dots.ravel()
-
-        def gaps():
-            matmul(row_views, gradient_views, dots)
-            gap = 0.0
-            for dot, low, mass in zip(dot_list.tolist(), lows.tolist(), weights):
-                if not (math.isfinite(dot) and math.isfinite(low)):
-                    return [math.nan]
-                if mass > 0.0:
-                    gap += max(dot - mass * low, 0.0)
-            return [gap]
-
-        return gaps
-
-    shape = (players, rows_count // players)
-    stacked = masses.reshape(shape)
-    has_mass = (stacked > 0.0).astype(float)
-    dots_by_game, lows_by_game = dots.reshape(shape), lows.reshape(shape)
-    terms, probe = np.empty(shape), np.empty(shape)
-    # np.maximum deprecates a positional output; it alone takes out=.
-    add, subtract, multiply, maximum = np.add, np.subtract, np.multiply, np.maximum
-    add_reduce = np.add.reduce
+    # A zero row above the terms starts every column's subtraction at 0.0.
+    terms = np.zeros((differences.shape[0] + 1, differences.shape[1]))
+    products = terms[1:]
+    sums = np.empty(differences.shape[1])
+    first, *others = sums.reshape(-1, players).T  # per player, one entry per game
+    multiply, add, subtract_reduce = np.multiply, np.add, np.subtract.reduce
 
     def gaps():
-        matmul(row_views, gradient_views, dots)
-        multiply(stacked, lows_by_game, terms)
-        subtract(dots_by_game, terms, terms)
-        maximum(terms, 0.0, out=terms)
-        # A row without mass adds a zero of either sign, which leaves a sum
-        # that starts at 0.0 unchanged.
-        multiply(terms, has_mass, terms)
-        # x - x is 0.0 for a finite x and NaN otherwise.  The dot alone
-        # marks the game: a minimum is non-finite only when some entry is,
-        # and that entry makes the dot non-finite (x * inf, 0 * inf, 0 * NaN).
-        subtract(dots_by_game, dots_by_game, probe)
-        add(terms, probe, terms)
-        return add_reduce(terms, 0, initial=0.0).tolist()
+        multiply(rows, differences, products)
+        subtract_reduce(terms, 0, None, sums)
+        for other in others:
+            add(first, other, first)
+        return first.tolist()
 
     return gaps
 
@@ -203,9 +172,9 @@ def check_coalition_optimality(
     or not a real number raises a SpecError.
     """
     _tolerance("coalition optimality eps", eps)
-    k, mass = _coalition_mass(spec, k)
-    gradients = player_gradients(spec, profile)
-    (gap,) = _gaps([mass], profile.flows[k].values[None], gradients[k][None], 1)
+    k, _ = _coalition_mass(spec, k)
+    rows, gradients = _profile_gradients(spec, profile)
+    (gap,) = _gaps(rows[:, k : k + 1], gradients[:, k : k + 1], 1)
     return OptimalityCheck(passed=gap <= eps, gap=gap)
 
 

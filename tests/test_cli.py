@@ -378,7 +378,7 @@ def test_shipped_solve_writes_its_golden_artifacts(tmp_path, command, golden, ar
     # trace; its softmax takes exp, so its last digits rest on the
     # platform's libm agreeing to 12 significant digits.  The game is
     # linear, so its learning steps also rest on two small BLAS products,
-    # rows @ B and [K | 1] @ [rows @ B; c] (model._linear_form).
+    # B @ rows and (B @ rows) @ K (model._linear_form).
     config = os.path.join(SHIPPED_CONFIGS, "three_slot_solve.json")
     assert main([command, "--config", config, "--out", str(tmp_path)]) == 0
     for artifact in ("report.json", "loads.csv", "equilibrium_loads.csv", *artifacts):
@@ -585,13 +585,13 @@ def test_verify_computes_the_gap_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["solve", "--config", config, "--out", str(out)]) == 0
     calls = []
-    real = verify.player_gradients
+    real = verify._profile_gradients
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "player_gradients", counted)
+    monkeypatch.setattr(verify, "_profile_gradients", counted)
     assert main(["verify", "--report", str(out / "report.json"), "--gap-tol", "1e-8"]) == 0
     assert len(calls) == 1
 

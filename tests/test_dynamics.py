@@ -1,5 +1,6 @@
 """Learning dynamics: gradients, update map, convergence behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from chargegame import (
     strategy_costs,
     vi_gap,
 )
+from chargegame import dynamics
 from chargegame.dynamics import _softmax, _solve_batch
 from chargegame.model import _gradient_kernel
 from chargegame.verify import _gaps
@@ -140,32 +142,49 @@ def reference_gradients(spec, rows):
     return out
 
 
-def reference_gap(weights, rows, gradients):
+def reference_gap(rows, gradients):
+    """The gap function sum_i <x_i, G_i - min G_i> of player-major rows, in
+    Python floats: per player over its slots in order from 0.0, then over
+    the players in order."""
     gap = 0.0
-    for i, mass in enumerate(weights):
-        if mass <= 0.0:
-            continue
-        row = gradients[i]
-        gap += max(float(rows[i] @ row) - mass * float(row.min()), 0.0)
+    for row, costs in zip(rows.tolist(), gradients.tolist()):
+        low, term = min(costs), 0.0
+        for weight, cost in zip(row, costs):
+            term += weight * (cost - low)
+        gap += term
     return gap
 
 
 def reference_softmax(cum_costs, weights):
+    """Each player-major row's mass times the softmax of its negated costs,
+    the exponentials summed in slot order from 0.0."""
     rows = np.zeros_like(cum_costs)
     for i, mass in enumerate(weights):
         if mass <= 0.0:
             continue
         logits = -cum_costs[i]
         scaled = np.exp(logits - logits.max())
-        rows[i] = (mass / scaled.sum()) * scaled
+        total = 0.0
+        for value in scaled.tolist():
+            total += value
+        rows[i] = (mass / total) * scaled
     return rows
 
 
 def softmax_rows(weights, cum_costs):
-    """The solver's softmax of these costs, shifted by their row minima."""
-    rows = np.empty_like(cum_costs)
-    _softmax(weights, cum_costs, np.minimum.reduce(cum_costs, 1, keepdims=True), rows)()
-    return rows
+    """The solver's softmax of player-major costs, taken slot-major with
+    the exponents shifted by each column's minimum, as the loop does."""
+    costs = cum_costs.T.copy()
+    rows = np.empty_like(costs)
+    _softmax(weights, np.minimum.reduce(costs, 0) - costs, rows)()
+    return rows.T
+
+
+def lone_column_is_summed_pairwise(spec):
+    """Whether numpy sums the softmax of ``spec`` alone pairwise: a one-player
+    game is a single column, and numpy sums a lone run of eight or more
+    entries pairwise, where a stack of columns is summed in slot order."""
+    return spec.num_players == 1 and spec.num_start_slots >= 8
 
 
 def default_step(n):
@@ -197,7 +216,7 @@ def reference_solve(spec, max_iter, gap_tol, step_size="default"):
     iteration = 0
     while True:
         gradients = reference_gradients(spec, rows)
-        gap = reference_gap(spec.weights, rows, gradients)
+        gap = reference_gap(rows, gradients)
         if gap <= gap_tol or iteration >= max_iter:
             return rows, gap, iteration
         cum_costs += scale * step(iteration) * gradients
@@ -267,23 +286,24 @@ def test_kernel_matches_per_row_reference(rng):
                 expected = reference_gradients(spec, rows)
                 got = player_gradients(spec, profile)
                 assert_matches_reference(got, expected, exact)
-                # The gap is a difference of mass-weighted gradient entries,
+                # The gap sums products of mass-weighted gradient entries,
                 # so its tolerance is relative to their size, not its own.
                 assert_matches_reference(
                     vi_gap(spec, profile),
-                    reference_gap(spec.weights, rows, expected),
+                    reference_gap(rows, expected),
                     exact,
                     gap_scale(spec, expected),
                 )
                 cum_costs = rng.normal(0.0, 5.0, size=rows.shape)
+                exact_softmax = exact and not lone_column_is_summed_pairwise(spec)
                 assert_matches_reference(
                     softmax_rows(spec.weights, cum_costs),
                     reference_softmax(cum_costs, spec.weights),
-                    exact,
+                    exact_softmax,
                 )
                 # The dynamics of a linear game learn through the affine
                 # map of model._linear_form, which sums in another order.
-                learned_exact = exact and type(family) is not LinearCost
+                learned_exact = exact_softmax and type(family) is not LinearCost
                 report = solve_dynamics(spec, max_iter=12, gap_tol=1e-9)
                 ref_rows, ref_gap, ref_iterations = reference_solve(spec, 12, 1e-9)
                 assert report.iterations == ref_iterations
@@ -300,62 +320,182 @@ def test_kernel_matches_per_row_reference(rng):
                 )
 
 
+def random_stack(rng, players, games, slots):
+    """Slot-major rows of a stack of games, game-major columns (column
+    g * players + i is player i of game g): masses of 0 to 1, some of them
+    zero, and rows that leave some slots without weight."""
+    masses = rng.uniform(0.0, 1.0, size=players * games)
+    masses[rng.uniform(size=masses.size) < 0.3] = 0.0
+    raw = rng.uniform(size=(slots, masses.size))
+    raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
+    raw[0] += 1e-3
+    return masses, masses * raw / raw.sum(axis=0)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_gap_marks_every_non_finite_gradient(rng):
-    # The solver checks the gradients for NaN and inf through the gap's
-    # per-row minimum and dot; rows put zero weight on some slots and some
-    # players have no mass, where the bad entry meets a zero.
+    # A NaN or an infinite gradient entry makes its game's gap non-finite by
+    # itself, on a used slot, an unused one or a player without mass, and
+    # leaves every other game's gap as it was.
     players, games, slots = 3, 4, 5
-    masses = np.array([[0.5, 0.0, 0.3, 1.0], [0.5, 0.6, 0.0, 0.0], [0.0, 0.4, 0.7, 0.0]])
-    weights = masses.ravel()  # player-major: row i * games + g
     for bad in (np.nan, np.inf, -np.inf):
-        for row in range(players * games):
+        for column in range(players * games):
             for slot in range(slots):
-                raw = rng.uniform(size=(players * games, slots))
-                raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
-                raw[:, 0] += 1e-3
-                rows = weights[:, None] * raw / raw.sum(axis=1, keepdims=True)
+                masses, rows = random_stack(rng, players, games, slots)
+                rows[:, 3] = 0.0  # player 0 of game 1 has no mass
+                rows[slot, 2] = 0.0  # player 2 of game 0 leaves this slot unused
                 gradients = rng.normal(size=rows.shape)
-                clean = _gaps(weights.tolist(), rows, gradients, players)
-                gradients[row, slot] = bad
-                gaps = _gaps(weights.tolist(), rows, gradients, players)
-                game = row % games
-                assert np.isnan(gaps[game])
+                clean = _gaps(rows, gradients, players)
+                gradients[slot, column] = bad
+                gaps = _gaps(rows, gradients, players)
+                game = column // players
+                assert not math.isfinite(gaps[game])
                 assert gaps[:game] + gaps[game + 1:] == clean[:game] + clean[game + 1:]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_stacked_gaps_match_each_game_alone(rng):
-    # A stack of two or more games takes the array reduction and a game alone
-    # the per-row loop; every game's gap must be the same, compared by repr.
+    # Every game's gap is the same in a stack as alone, compared by repr.
     # Some rows have no mass, some sit on their cheapest slot (a term of
     # exactly zero, with signed-zero gradient entries among them), and some
     # gradients hold NaN or +-inf.
     for case in range(300):
         players, games = int(rng.integers(2, 5)), int(rng.integers(1, 31))
-        size, slots = players * games, int(rng.integers(1, 7))
-        masses = rng.uniform(0.0, 1.0, size=size)
-        masses[rng.uniform(size=size) < 0.3] = 0.0
-        raw = rng.uniform(size=(size, slots))
-        raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
-        raw[:, 0] += 1e-3
-        rows = masses[:, None] * raw / raw.sum(axis=1, keepdims=True)
-        if case % 2:  # a row without mass adds nothing, whatever it holds
-            rows[masses == 0.0] = raw[masses == 0.0]
+        masses, rows = random_stack(rng, players, games, int(rng.integers(1, 10)))
         gradients = np.round(rng.normal(size=rows.shape), 1)
         gradients[gradients == 0.0] = -0.0
-        for i in np.flatnonzero(rng.uniform(size=size) < 0.3):
-            rows[i] = 0.0
-            rows[i, np.argmin(gradients[i])] = masses[i]
+        for i in np.flatnonzero(rng.uniform(size=masses.size) < 0.3):
+            rows[:, i] = 0.0
+            rows[np.argmin(gradients[:, i]), i] = masses[i]
         if case % 3:
             bad = rng.uniform(size=rows.shape) < 0.02
             gradients[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
-        stacked = _gaps(masses.tolist(), rows, gradients, players)
+        stacked = _gaps(rows, gradients, players)
         alone = [
-            _gaps(masses[g::games].tolist(), rows[g::games], gradients[g::games], players)[0]
+            _gaps(rows[:, g * players : (g + 1) * players],
+                  gradients[:, g * players : (g + 1) * players], players)[0]
             for g in range(games)
         ]
         assert [repr(gap) for gap in stacked] == [repr(gap) for gap in alone]
+
+
+def test_vi_gap_is_the_gap_function_summed_in_order(rng):
+    # vi_gap is sum_i <x_i, G_i - min G_i>, each player's terms added in
+    # slot order and the players in order: equal to that per-row sum to the
+    # bit, and never negative, for every family, horizon and duration.
+    for horizon in range(1, 11):
+        for duration in range(1, horizon + 1):
+            for family in reference_families(rng):
+                spec = random_reference_game(rng, horizon, duration, family)
+                profile = random_profile(rng, spec)
+                gap = vi_gap(spec, profile)
+                gradients = player_gradients(spec, profile)
+                assert gap >= 0.0
+                assert repr(gap) == repr(reference_gap(profile.matrix(), gradients))
+
+
+def outcome_bits(outcome):
+    """Everything a solve returns, compared bit for bit (repr keeps every
+    float bit and tells -0.0 from 0.0); an error by its type and message."""
+    if isinstance(outcome, Exception):
+        return (type(outcome), str(outcome))
+    trace = tuple((r.iteration, repr(r.gap), r.flows.tobytes()) for r in outcome.trace or ())
+    return (outcome.iterations, outcome.status, repr(outcome.vi_gap),
+            outcome.profile.matrix().tobytes(), outcome.costs, trace)
+
+
+def stack_of(rng, base, games, massless):
+    """``games`` games that share ``base``'s shape and cost: the first is
+    ``base``, the others draw their masses, the coalition at index
+    ``massless`` (when given) keeping none."""
+    specs = [base]
+    for _ in range(games - 1):
+        raw = rng.uniform(0.05, 1.0, size=base.num_players)
+        if massless is not None:
+            raw[massless] = 0.0
+        specs.append(dataclasses.replace(base, weights=raw / raw.sum()))
+    return specs
+
+
+@pytest.mark.parametrize("games", [1, 2, 7, 20])
+def test_every_stack_size_matches_the_lone_solves(rng, games):
+    # Each game of a stack equals its solve_dynamics bit for bit: two to
+    # four players, the last coalition of some stacks without mass, horizons
+    # with eight or more start slots, every kind of family.
+    families = reference_families(rng)[1:] + [LinearCost(slope=1.3, intercept=0.2)]
+    for case, (horizon, duration) in enumerate([(10, 1), (10, 3), (12, 2), (5, 2), (9, 9)]):
+        players = case % 3 + 2
+        raw = rng.uniform(0.05, 1.0, size=players)
+        massless = players - 1 if case % 2 else None
+        if massless is not None:
+            raw[massless] = 0.0
+        base = GameSpec(horizon, duration, float(rng.uniform(0.1, 1.0)),
+                        rng.uniform(0.0, 2.0, size=horizon), families[case % len(families)],
+                        raw / raw.sum())
+        specs = stack_of(rng, base, games, massless)
+        options = {"max_iter": 40, "gap_tol": 1e-7, "step_size": float(rng.choice([0.5, 1.0])),
+                   "trace_every": 9}
+        batch = _solve_batch(specs, **options)
+        assert [outcome_bits(r) for r in batch] == [
+            outcome_bits(solve_dynamics(spec, **options)) for spec in specs
+        ]
+
+
+def test_a_one_player_game_rounds_alike_in_every_stack_of_two_or_more(rng):
+    # A one-player game in a stack of two or more games is the same game in
+    # every such stack.  Alone it is a single column: numpy multiplies it as
+    # a vector and sums its softmax pairwise from eight slots on, so it may
+    # round differently, and agrees to rounding.
+    options = {"max_iter": 60, "gap_tol": -1.0, "step_size": 1.0}
+    for horizon, duration in [(3, 2), (10, 1), (12, 3)]:
+        base = GameSpec(horizon, duration, 0.4, rng.uniform(0.0, 2.0, size=horizon),
+                        QuadraticCost(), np.array([1.0]))
+        stacked = [_solve_batch([base] * games, **options)[0] for games in (2, 7, 20)]
+        assert len({outcome_bits(report) for report in stacked}) == 1
+        alone = solve_dynamics(base, **options)
+        np.testing.assert_allclose(
+            alone.profile.matrix(), stacked[0].profile.matrix(), rtol=1e-9, atol=1e-15
+        )
+
+
+@pytest.mark.parametrize("games", [1, 2, 7, 20])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["used slot", "unused slot", "massless player"])
+def test_a_non_finite_gradient_ends_only_its_game(monkeypatch, rng, games, bad, where):
+    # One gradient entry of the middle game turns non-finite at iteration 1:
+    # that game leaves with a NumericsError, and every other game of the
+    # stack still equals its own solve.  A large step leaves the rows
+    # without weight on the dearer slots at that iteration.
+    base = GameSpec(4, 2, 0.5, np.array([1.4, 1.0, 0.6, 1.1]), QuadraticCost(),
+                    np.array([0.6, 0.4, 0.0]))
+    specs = stack_of(rng, base, games, 2)
+    options = {"max_iter": 30, "gap_tol": 1e-9, "step_size": 1e4}
+    expected = [outcome_bits(solve_dynamics(spec, **options)) for spec in specs]
+    target = games // 2
+    calls = []
+    real = dynamics._gradient_kernel
+
+    def faulty(spec, weights, checked=True, out=None):
+        kernel = real(spec, weights, checked, out)
+
+        def gradients(rows):
+            result = kernel(rows)
+            calls.append(None)
+            if len(calls) == 2:
+                player = 2 if where == "massless player" else 0
+                column = rows[:, target * base.num_players + player]
+                slot = int(np.argmax(column if where == "used slot" else column == 0.0))
+                assert (column[slot] > 0.0) == (where == "used slot")
+                result[slot, target * base.num_players + player] = bad
+            return result
+
+        return gradients
+
+    monkeypatch.setattr(dynamics, "_gradient_kernel", faulty)
+    outcomes = _solve_batch(specs, **options)
+    assert isinstance(outcomes[target], NumericsError)
+    bits = [outcome_bits(outcome) for outcome in outcomes]
+    assert bits[:target] + bits[target + 1:] == expected[:target] + expected[target + 1:]
 
 
 def test_batch_of_games_matches_single_solves(rng):
@@ -395,25 +535,23 @@ def oracle_batch(specs, max_iter, gap_tol):
     (iteration, gap, rows)."""
     spec, players = specs[0], specs[0].num_players
     scale = reference_step_scale(spec)
-    weights = np.stack([game.weights for game in specs], axis=1).ravel()
+    weights = np.concatenate([game.weights for game in specs])
     live, outcomes = list(range(len(specs))), [None] * len(specs)
-    cum_costs = np.zeros((weights.size, spec.num_start_slots))
+    cum_costs = np.zeros((weights.size, spec.num_start_slots))  # player-major rows
     rows = reference_softmax(cum_costs, weights)
     iteration = 0
     while True:
-        gradients = _gradient_kernel(spec, weights, checked=False)(rows).copy()
-        gaps = [
-            reference_gap(weights[j::len(live)], rows[j::len(live)], gradients[j::len(live)])
-            for j in range(len(live))
-        ]
+        gradients = _gradient_kernel(spec, weights, checked=False)(rows.T.copy()).T
+        games = [slice(j * players, (j + 1) * players) for j in range(len(live))]
+        gaps = [reference_gap(rows[game], gradients[game]) for game in games]
         keep = [iteration < max_iter and gap > gap_tol for gap in gaps]
         for j, game in enumerate(live):
             if not keep[j]:
-                outcomes[game] = (iteration, gaps[j], rows[j::len(live)].copy())
+                outcomes[game] = (iteration, gaps[j], rows[games[j]].copy())
         if not any(keep):
             return outcomes
         live = [game for game, stays in zip(live, keep) if stays]
-        kept = np.tile(keep, players)
+        kept = np.repeat(keep, players)
         weights, gradients, cum_costs = weights[kept], gradients[kept], cum_costs[kept]
         cum_costs += scale * default_step(iteration) * gradients
         rows = reference_softmax(cum_costs, weights)

@@ -552,9 +552,9 @@ def test_raw_linear_kernel_matches_the_checked_kernel(rng, monkeypatch):
                 random_linear_game(rng, horizon, duration, spec.num_players).weights
                 for _ in range(games - 1)
             ]
-            weights = np.stack(masses, axis=1).ravel()  # player-major
-            raw = rng.uniform(size=(weights.size, spec.num_start_slots))
-            cases.append((spec, weights, weights[:, None] * raw / raw.sum(axis=1, keepdims=True)))
+            weights = np.concatenate(masses)  # game by game
+            raw = rng.uniform(size=(spec.num_start_slots, weights.size))
+            cases.append((spec, weights, weights * raw / raw.sum(axis=0)))  # slot-major
     checked = [_gradient_kernel(spec, weights)(rows).copy() for spec, weights, rows in cases]
 
     def no_pair(self, load):
