@@ -12,13 +12,12 @@ requirements on a sample grid.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SpecError, _check, _known_keys, _real
+from .errors import DomainError, SpecError, _check, _is_number, _known_keys, _real
 
 # Slack on domain checks so loads assembled from renormalized flows do not
 # trip the upper bound by float rounding.
@@ -96,12 +95,12 @@ class LinearCost(CostFunction):
     domain_bound: float | None = None
 
     def __post_init__(self):
-        # Negated comparisons, so that NaN fails each check.
-        if not 0 < self.slope < math.inf:
-            raise SpecError(f"linear cost slope must be finite and positive, got {self.slope}")
-        if not 0 <= self.intercept < math.inf:
+        # A bool, a string or None is no number here, as in a config.
+        if not (_is_number(self.slope) and self.slope > 0):
+            raise SpecError(f"linear cost slope must be finite and positive, got {self.slope!r}")
+        if not (_is_number(self.intercept) and self.intercept >= 0):
             raise SpecError(
-                f"linear cost intercept must be finite and nonnegative, got {self.intercept}"
+                f"linear cost intercept must be finite and nonnegative, got {self.intercept!r}"
             )
         _check_bound(self.domain_bound)
 
@@ -130,8 +129,8 @@ class ExponentialCost(CostFunction):
     domain_bound: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise SpecError(f"exponential cost rate must be finite and positive, got {self.rate}")
+        if not (_is_number(self.rate) and self.rate > 0):
+            raise SpecError(f"exponential cost rate must be finite and positive, got {self.rate!r}")
         _check_bound(self.domain_bound)
 
     def _raw_pair(self, load):
@@ -157,9 +156,9 @@ class CustomCost(CostFunction):
     domain_bound: float
 
     def __post_init__(self):
-        if self.domain_bound is None or not 0 < self.domain_bound < math.inf:
+        if not (_is_number(self.domain_bound) and self.domain_bound > 0):
             raise SpecError(
-                f"custom cost requires a finite positive domain_bound, got {self.domain_bound}"
+                f"custom cost requires a finite positive domain_bound, got {self.domain_bound!r}"
             )
         if not callable(self.value_fn):
             raise SpecError(f"custom cost requires a callable value_fn, got {self.value_fn!r}")
@@ -203,10 +202,10 @@ class AffineCost(CostFunction):
     def __post_init__(self):
         if not isinstance(self.base, CostFunction):
             raise SpecError(f"affine base must be a CostFunction, got {self.base!r}")
-        if not 0 < self.scale < math.inf:
-            raise SpecError(f"affine scale must be finite and positive, got {self.scale}")
-        if not abs(self.shift) < math.inf:
-            raise SpecError(f"affine shift must be finite, got {self.shift}")
+        if not (_is_number(self.scale) and self.scale > 0):
+            raise SpecError(f"affine scale must be finite and positive, got {self.scale!r}")
+        if not _is_number(self.shift):
+            raise SpecError(f"affine shift must be finite, got {self.shift!r}")
 
     @property
     def domain_bound(self) -> float | None:
@@ -283,5 +282,5 @@ def cost_to_config(fn: CostFunction) -> dict:
 
 
 def _check_bound(bound: float | None) -> None:
-    if bound is not None and not 0 < bound < math.inf:
-        raise SpecError(f"domain bound must be finite and positive, got {bound}")
+    if bound is not None and not (_is_number(bound) and bound > 0):
+        raise SpecError(f"domain bound must be finite and positive, got {bound!r}")

@@ -85,6 +85,21 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _numbers(what: str, values) -> np.ndarray:
+    """``values`` as a float array, or a SpecError naming ``what`` unless
+    each entry is a real number: a string, None, a bool or an array is
+    none, as in a config."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        array = None
+    others = (bool, np.bool_, np.ndarray)
+    listed = isinstance(values, (list, tuple)) and any(isinstance(v, others) for v in values)
+    if array is None or array.dtype.kind not in "iuf" or listed:
+        raise SpecError(f"{what} must be numbers, got {values!r}")
+    return np.asarray(array, dtype=float)
+
+
 def _is_integer(value, minimum: int) -> bool:
     """Whether ``value`` is a finite whole number >= ``minimum``, not a bool."""
     return _is_number(value) and value == int(value) and value >= minimum

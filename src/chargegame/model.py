@@ -12,14 +12,21 @@ start-slot and player indices in this package are 0-based.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .costs import CostFunction, LinearCost, _with_domain_bound
-from .errors import SpecError, UndefinedAverageError, _finite, _is_integer, _quiet
+from .errors import (
+    SpecError,
+    UndefinedAverageError,
+    _finite,
+    _is_integer,
+    _is_number,
+    _numbers,
+    _quiet,
+)
 
 # Additive tolerance for membership in a scaled simplex.  Inputs further
 # out are rejected; inputs within are renormalized by scaling, since
@@ -102,10 +109,11 @@ class GameSpec:
             )
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "duration", int(self.duration))
-        if not 0 <= self.power < math.inf:
-            raise SpecError("power must be finite and nonnegative")
+        if not (_is_number(self.power) and self.power >= 0):
+            raise SpecError(f"power must be finite and nonnegative, got {self.power!r}")
+        object.__setattr__(self, "power", float(self.power))
 
-        load = np.asarray(self.base_load, dtype=float)
+        load = _numbers("base_load entries", self.base_load)
         if load.shape != (self.horizon,):
             raise SpecError(
                 f"base_load must have length {self.horizon}, got shape {load.shape}"
@@ -113,7 +121,7 @@ class GameSpec:
         if not (np.isfinite(load).all() and load.min() >= 0):
             raise SpecError("base_load entries must be finite and nonnegative")
 
-        weights = np.asarray(self.weights, dtype=float)
+        weights = _numbers("weights", self.weights)
         if weights.ndim != 1 or weights.size < 1:
             raise SpecError("weights must be a nonempty vector")
         if not (np.isfinite(weights).all() and weights.min() >= 0):
@@ -165,13 +173,12 @@ class Flow:
     mass: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _numbers("flow entries", self.values)
         if values.ndim != 1 or values.size < 1:
             raise SpecError("flow values must be a nonempty vector")
-        mass = float(self.mass)
-        if not -SIMPLEX_TOL <= mass < math.inf:
-            raise SpecError("flow mass must be finite and nonnegative")
-        mass = max(mass, 0.0)
+        if not (_is_number(self.mass) and self.mass >= -SIMPLEX_TOL):
+            raise SpecError(f"flow mass must be finite and nonnegative, got {self.mass!r}")
+        mass = max(float(self.mass), 0.0)
         if not (np.isfinite(values).all() and values.min() >= -SIMPLEX_TOL):
             raise SpecError("flow entries must be finite and nonnegative")
         values, total = _onto_masses(values, mass)
@@ -202,7 +209,12 @@ class Profile:
     flows: tuple[Flow, ...]
 
     def __post_init__(self):
-        flows = tuple(self.flows)
+        try:
+            flows = tuple(self.flows)
+        except TypeError:
+            flows = None
+        if flows is None or not all(isinstance(f, Flow) for f in flows):
+            raise SpecError(f"profile flows must be a sequence of Flow, got {self.flows!r}")
         if not flows:
             raise SpecError("profile needs at least the individuals' flow")
         width = len(flows[0].values)

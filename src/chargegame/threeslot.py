@@ -27,14 +27,13 @@ formulas on arrays.  :func:`solve_ce` and :func:`ce_costs` are grids of one.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .costs import CostFunction
-from .errors import BracketingError, SpecError, _finite, _quiet
+from .errors import BracketingError, SpecError, _finite, _is_number, _quiet
 from .model import Flow, GameSpec, Profile, supports_reduced_costs
 
 # Width of a split bracket that needs no search: such a bracket's midpoint
@@ -87,14 +86,15 @@ class ThreeSlotInstance:
     def __post_init__(self):
         for name in ("peak_load", "mid_load", "offpeak_load"):
             load = getattr(self, name)
-            if not 0 <= load < math.inf:
+            if not (_is_number(load) and load >= 0):
                 raise SpecError(f"slot loads must be finite and nonnegative, got {name}={load!r}")
         if not self.peak_load >= self.offpeak_load:
             raise SpecError(
                 "peak_load must be >= offpeak_load; swap the outer slots"
             )
-        if not 0.0 < self.coalition_size <= 1.0:
-            raise SpecError("coalition_size must lie in (0, 1]")
+        size = self.coalition_size
+        if not (_is_number(size) and 0.0 < size <= 1.0):
+            raise SpecError(f"coalition_size must lie in (0, 1], got {size!r}")
         if not isinstance(self.cost, CostFunction):
             raise SpecError(f"cost must be a CostFunction, got {self.cost!r}")
 

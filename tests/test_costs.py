@@ -166,6 +166,24 @@ def test_a_non_finite_parameter_is_refused_by_name(case, value):
         build(value)
 
 
+@pytest.mark.parametrize(
+    "value", [True, "1", None, [1.0], np.array(1.0)],
+    ids=["bool", "string", "none", "list", "array"],
+)
+@pytest.mark.parametrize("case", list(NON_FINITE_PARAMETERS))
+def test_a_parameter_that_is_no_number_is_refused_by_name(case, value):
+    # The rule of a config's fields: a bool, a string, None or an array is
+    # no number, and each raises the SpecError that names the parameter
+    # instead of a raw TypeError or a bool read as 1.  A named family's
+    # domain bound may be None, which leaves it to the game.
+    build, name = NON_FINITE_PARAMETERS[case]
+    if value is None and "domain-bound" in case and case != "custom-domain-bound":
+        assert build(value).domain_bound is None
+        return
+    with pytest.raises(SpecError, match=name):
+        build(value)
+
+
 def test_affine_transform_values():
     doubled = AffineCost(QuadraticCost(domain_bound=5.0), 2.0, 3.0)
     assert doubled.value(2.0) == pytest.approx(11.0)

@@ -389,6 +389,45 @@ def test_a_non_finite_number_is_refused_by_name(case, value):
         build(value)
 
 
+NOT_NUMBERS = {"bool": True, "string": "1", "none": None, "list": [1.0], "array": np.array(1.0)}
+
+
+@pytest.mark.parametrize("value", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+@pytest.mark.parametrize("case", list(NUMBER_PARAMETERS))
+def test_a_value_that_is_no_number_is_refused_by_name(case, value):
+    # A bool, a string, None or an array is no number, as in a config: each
+    # raises the SpecError that names the field, not a raw TypeError, and
+    # no bool is read as 1.
+    build, name = NUMBER_PARAMETERS[case]
+    if case in ("base_load", "weights", "flow-values"):
+        # A vector's entries are given as a list, where numpy would read a
+        # bool or a 0-d array as a number.
+        build, name = VECTOR_ENTRIES[case]
+    with pytest.raises(SpecError, match=name):
+        build(value)
+
+
+VECTOR_ENTRIES = {
+    "base_load": (
+        lambda v: GameSpec(3, 2, 1.0, [1.0, v, 1.0], QuadraticCost(), [0.5, 0.5]), "base_load"
+    ),
+    "weights": (lambda v: GameSpec(3, 2, 1.0, [1.0] * 3, QuadraticCost(), [0.5, v]), "weights"),
+    "flow-values": (lambda v: Flow([0.5, v], 1.0), "flow entries"),
+}
+
+
+def test_power_is_stored_as_a_float():
+    for power in (1, np.float64(0.5), np.int64(2)):
+        spec = small_game(power=power)
+        assert type(spec.power) is float and spec.power == power
+
+
+def test_a_profile_of_anything_but_flows_is_refused():
+    for flows in ([1, 2], 5, (Flow(np.array([1.0]), 1.0), None)):
+        with pytest.raises(SpecError, match="profile flows"):
+            Profile(flows)
+
+
 @pytest.mark.parametrize("value", [1.5, 2.5, True, False])
 @pytest.mark.parametrize("count", ["horizon", "duration"])
 def test_a_fractional_or_boolean_count_is_refused_by_name(count, value):
