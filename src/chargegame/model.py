@@ -420,9 +420,9 @@ def _gradient_kernel(
     load = np.empty(spec.horizon * games)
     grid = columns[0].shape
     loads = load.reshape(grid)
-    # The players' loads are summed one add at a time in player order, as a
-    # reduction would sum them in a stack of games: numpy sums a lone run of
-    # eight or more contiguous entries pairwise.
+    # The players' loads are summed one add per player, in player order: a
+    # reduction over each game's adjacent players would cost numpy a loop
+    # per slot and game.
     summands = list(zip([columns[0]] + [loads] * (players - 2), columns[1:]))
     total = loads if players > 1 else columns[0]
     sums = np.empty(out.shape)
