@@ -56,8 +56,8 @@ STEP_SCALE_FLOOR = 4.0
 # is one entry of a (B*N,) vector.  Each reduction over a player's slots
 # then runs along the outer axis, where numpy's cost does not grow with the
 # number of columns, and adds the slots in slot order in any stack of two
-# or more columns.  A game's players are adjacent columns, which are
-# summed one add per player.  So an iteration costs the same numpy calls
+# or more columns.  A game's players are adjacent columns, summed as one
+# contiguous run in any stack.  So an iteration costs the same numpy calls
 # whatever the stack's size, and each game's floats are those it gets
 # alone.  Each iteration takes the marginal-cost columns from the model's
 # gradient kernel, the per-game gaps from verify's gap reduction, and
@@ -67,28 +67,29 @@ STEP_SCALE_FLOOR = 4.0
 #
 # A live stack owns its buffers, built together when the stack is and
 # rebuilt only when a game leaves it.  The gradients G and the cumulative
-# costs C share one (2, slots, B*N) state.  Iteration n adds
+# costs C share one (2, slots, B*N) state.  Iteration n writes the rows,
+# the softmax of the exponents min C - C, takes G at them, adds
 # scale * eta_n * G to C through a step buffer of its own, which leaves G
 # unscaled for the gap, takes one minimum over the state's slot axis and
-# subtracts the state from its minima: min G - G for the gap, and
-# min C - C, the softmax's exponents, shifted so that none overflows.  A
-# minimum is exact, so the floats are those of taking the gap before the
-# update.  The gap is sum x * (G - min G) per column, summed per game (see
+# subtracts the state from its minima: min G - G for the gap, and the next
+# exponents, shifted so that none overflows.  A minimum is exact, so the
+# floats are those of taking the gap before the update.  The gap is
+# sum x * (G - min G) per column, summed per game (see
 # verify._gap_reduction); a game whose gap is not finite, from a
 # non-finite gradient entry anywhere in it, leaves with its NumericsError.
 # The stop test follows the update, so eta_n is taken at every
 # n < max_iter, the iteration at which the last game stops included.  When
-# games leave, the new stack gets the kept columns' costs and exponents,
-# then runs the softmax.  The ufuncs are bound once per stack and take
-# their outputs by position, and the step is a 0-d array; only the cost
-# family's f and f' come as new arrays.  A linear game's raw kernel needs
-# neither: it is the affine map (c, B) of model._linear_form, four numpy
-# calls, which sums in another order than the general kernel.  The
-# certificates (vi_gap, player_gradients, a sweep's) keep the checked
-# general kernel, with f evaluated under the domain check, so they do not
-# rest on the map the loop learned by.  Nothing the loop hands out is a
-# buffer: a trace row and a report take copies of their rows, and the gaps
-# come as a list of floats.
+# games leave, the new stack gets the kept columns' costs and exponents.
+# The ufuncs are bound once per stack and take their outputs by position,
+# and the step is a 0-d array; only the cost family's f and f' come as new
+# arrays.  A linear game's raw kernel needs neither: it is the affine map
+# (c, B) of model._linear_form, four numpy calls, which sums in another
+# order than the general kernel.  The certificates (vi_gap,
+# player_gradients, a sweep's) keep the checked general kernel, with f
+# evaluated under the domain check, so they do not rest on the map the
+# loop learned by.  Nothing the loop hands out is a buffer: a trace row
+# and a report take copies of their rows, and the gaps come as a list of
+# floats.
 
 
 def _softmax(weights: np.ndarray, exponents: np.ndarray, rows: np.ndarray) -> Callable[[], None]:
@@ -232,15 +233,15 @@ def _solve_batch(
     inf = math.inf
 
     def stack(weights, cum_costs, exponents):
-        """The buffers and steps of a live stack whose cumulative costs
-        start at ``cum_costs``, and its softmax exponents at ``exponents``.
+        """The buffers and step of a live stack whose cumulative costs start
+        at ``cum_costs``, and its softmax exponents at ``exponents``.
 
         Returns its rows, its state (the gradients, then the costs), its
-        differences (the state's column minima less the state),
-        ``advance(step)``, which takes the gradients at the rows, adds
-        ``step`` times them to the costs (nothing when ``step`` is None),
-        takes the differences and returns the gaps, and ``settle()``, which
-        writes the costs' rows."""
+        differences (the state's column minima less the state) and
+        ``advance(step)``, which writes the rows of the exponents as they
+        stand, takes the gradients at those rows, adds ``step`` times them
+        to the costs (nothing when ``step`` is None), takes the differences
+        and returns the gaps."""
         state = np.empty((2, slots, weights.size))
         gradients, costs = state
         costs[...] = cum_costs
@@ -249,11 +250,13 @@ def _solve_batch(
         minima = np.empty((2, 1, weights.size))
         lows = minima[:, 0]
         rows, steps = np.empty_like(costs), np.empty_like(costs)
+        settle = _softmax(weights, differences[1], rows)
         kernel = _gradient_kernel(spec, weights, checked=False, out=gradients)
         gaps = _gap_reduction(players, rows, differences[0])
         multiply, add, subtract, lowest = np.multiply, np.add, np.subtract, np.minimum.reduce
 
         def advance(step):
+            settle()
             kernel(rows)
             if step is not None:
                 multiply(gradients, step, steps)
@@ -262,10 +265,9 @@ def _solve_batch(
             subtract(minima, state, differences)
             return gaps()
 
-        return rows, state, differences, advance, _softmax(weights, differences[1], rows)
+        return rows, state, differences, advance
 
-    rows, state, differences, advance, settle = stack(weights, 0.0, 0.0)
-    settle()
+    rows, state, differences, advance = stack(weights, 0.0, 0.0)
     # The step reaches numpy as a 0-d array, which a ufunc takes with less
     # work than a float.
     size = np.array(0.0 if constant is None else constant)
@@ -304,10 +306,9 @@ def _solve_batch(
                 return outcomes
             kept = np.repeat(keep, players)
             weights = weights[kept]
-            rows, state, differences, advance, settle = stack(
+            rows, state, differences, advance = stack(
                 weights, state[1][:, kept], differences[1][:, kept]
             )
-        settle()
         iteration += 1
 
 

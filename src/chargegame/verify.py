@@ -74,7 +74,8 @@ def _gaps(rows: np.ndarray, gradients: np.ndarray, players: int) -> list:
 
 
 def _gap_reduction(players: int, rows: np.ndarray, differences: np.ndarray):
-    """The gap of every game in a slot-major stack of rows, as a function
+    """The gap of every game in a slot-major stack of rows (column g*N + i
+    holds player i of game g), as a function
     that reads the arrays ``rows`` and ``differences`` (each column's
     minimum gradient less its gradients) as they stand when it is called.
 
@@ -94,23 +95,23 @@ def _gap_reduction(players: int, rows: np.ndarray, differences: np.ndarray):
     0 - x_0 * (min G - G_0) - x_1 * (min G - G_1) - ..., which is the sum
     above to the bit: numpy subtracts the rows of a C-ordered buffer one
     after another, in slot order, whatever the stack's size.  Each game's
-    adjacent players are then added one at a time, so each game's gap is
-    the one it gets alone.  The function returns the gaps as a list of
-    floats, never a buffer.
+    adjacent players are then summed as one contiguous run, in any stack,
+    so each game's gap is the one it gets alone.  The function returns the
+    gaps as a list of floats, never a buffer.
     """
     # A zero row above the terms starts every column's subtraction at 0.0.
     terms = np.zeros((differences.shape[0] + 1, differences.shape[1]))
     products = terms[1:]
     sums = np.empty(differences.shape[1])
-    first, *others = sums.reshape(-1, players).T  # per player, one entry per game
-    multiply, add, subtract_reduce = np.multiply, np.add, np.subtract.reduce
+    by_game = sums.reshape(-1, players)
+    totals = np.empty(by_game.shape[0])
+    multiply, subtract_reduce, add_reduce = np.multiply, np.subtract.reduce, np.add.reduce
 
     def gaps():
         multiply(rows, differences, products)
         subtract_reduce(terms, 0, None, sums)
-        for other in others:
-            add(first, other, first)
-        return first.tolist()
+        add_reduce(by_game, 1, None, totals)
+        return totals.tolist()
 
     return gaps
 
