@@ -347,15 +347,14 @@ def _gradient_kernel(
     sums of player i's load times f': the individuals get u (share 0,
     divisor 1), a coalition its average-cost gradient (share P, divisor its
     mass) and a zero-mass player zeros (divisor inf).  The per-player loads
-    are ``rows.T @ A``, a row per column, summed over each game's players in
-    player order, and one product ``A @ terms.T`` window-sums the slot
-    prices and every coalition's load-weighted marginal prices back into
-    columns; both products see the stack's columns as their free
-    dimension, so a lone game of two or more players is a matrix, as a
-    stack is.  f and f' are evaluated on the slot loads of all games by one
-    ``pair`` call, as one vector; ``checked`` evaluates them after one
-    domain check of the cost family, and otherwise raw, for a caller that
-    has checked the load envelope.
+    are ``A.T @ rows``, summed over each game's adjacent players as one
+    run, and one product ``A @ terms`` window-sums the slot prices and
+    every coalition's load-weighted marginal prices; both products see the
+    stack's columns as their free dimension, so a lone game of two or more
+    players is a matrix, as a stack is.  f and f' are evaluated on the slot
+    loads of all games by one ``pair`` call, as one vector; ``checked``
+    evaluates them after one domain check of the cost family, and
+    otherwise raw, for a caller that has checked the load envelope.
 
     A raw kernel (``checked`` false) of a game whose cost is exactly a
     :class:`~chargegame.costs.LinearCost` takes the affine map of
@@ -407,22 +406,20 @@ def _gradient_kernel(
         return affine
 
     incidence = _incidence(spec.horizon, spec.duration)
-    base_load = np.tile(spec.base_load, games)  # per game
+    window = incidence.T
+    base_load = np.repeat(spec.base_load, games)  # per slot, then game
     shares = np.array([0.0] + [power] * (players - 1))
     pair = cost._pair if checked else cost._raw_pair
-    # The loads are taken a row per column, (games*N, T): one reduction over
-    # the middle axis of (games, N, T) sums each game's players in player
-    # order.  Row 0 of each game in by_player ends up holding f and row
-    # i > 0 player i's load times f'; the second product window-sums them
-    # back into slot-major columns, where column 0 of each game holds its u
-    # and column i > 0 crowding_i.
-    per_player = np.empty((weights.size, spec.horizon))
-    by_player = per_player.reshape(games, players, spec.horizon)  # a view
-    individuals = by_player[:, 0]
-    # The cost family sees the slot loads as one vector, game by game.
-    load = np.empty(games * spec.horizon)
+    # Column 0 of each game in by_player ends up holding f and column i > 0
+    # player i's load times f'; after the second product, column 0 of each
+    # game in sums holds its u and column i > 0 crowding_i.
+    per_player = np.empty((spec.horizon, weights.size))
+    by_player = per_player.reshape(spec.horizon, games, players)  # a view
+    individuals = by_player[:, :, 0]
+    # The cost family sees the slot loads as one vector, slot by slot.
+    load = np.empty(spec.horizon * games)
     loads = load.reshape(individuals.shape)
-    grid = (games, 1, spec.horizon)
+    grid = (spec.horizon, games, 1)
     sums = np.empty(out.shape)
     by_game, out_by_game = sums.reshape(slots, games, players), out.reshape(slots, games, players)
     u = by_game[:, :, :1]
@@ -430,15 +427,15 @@ def _gradient_kernel(
     add_reduce, multiply = np.add.reduce, np.multiply
 
     def gradients(rows: np.ndarray) -> np.ndarray:
-        dot(rows.T, incidence, per_player)
-        add_reduce(by_player, 1, None, loads)
+        dot(window, rows, per_player)
+        add_reduce(by_player, 2, None, loads)
         multiply(power, load, load)
         add(base_load, load, load)
         f, slope = pair(load)
         # f' is a scalar where a family's slope is constant.
         multiply(by_player, slope.reshape(grid) if getattr(slope, "ndim", 0) else slope, by_player)
         individuals[...] = f.reshape(plane)
-        dot(incidence, per_player.T, sums)
+        dot(incidence, per_player, sums)
         multiply(shares, by_game, out_by_game)
         add(u, out_by_game, out_by_game)
         divide(out, divisors, out)
