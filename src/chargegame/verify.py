@@ -75,12 +75,13 @@ def _gaps(rows: np.ndarray, gradients: np.ndarray, players: int) -> list:
 
 def _gap_reduction(players: int, rows: np.ndarray, differences: np.ndarray):
     """The gap of every game in a slot-major stack of rows (column g*N + i
-    holds player i of game g), as a function
-    that reads the arrays ``rows`` and ``differences`` (each column's
-    minimum gradient less its gradients) as they stand when it is called.
+    holds player i of game g), as a function that reads the arrays
+    ``rows`` and ``differences`` (each column's minimum gradient less its
+    gradients) as they stand when it is called.
 
     Each column x adds sum_s x_s * (G_s - min G), summed over the slots in
-    slot order and then over the game's players in player order.  That is
+    slot order, and then the game's players are summed as one run: in
+    player order for up to seven players, pairwise from eight.  That is
     <x, G> - mass * min G for a column that carries its mass, written as a
     sum of products that are never negative: it needs no clamp, loses no
     digits to cancellation, and a column without mass adds zero.  A
@@ -94,10 +95,10 @@ def _gap_reduction(players: int, rows: np.ndarray, differences: np.ndarray):
     from the same subtraction, so a column's sum is taken as
     0 - x_0 * (min G - G_0) - x_1 * (min G - G_1) - ..., which is the sum
     above to the bit: numpy subtracts the rows of a C-ordered buffer one
-    after another, in slot order, whatever the stack's size.  Each game's
-    adjacent players are then summed as one contiguous run, in any stack,
-    so each game's gap is the one it gets alone.  The function returns the
-    gaps as a list of floats, never a buffer.
+    after another, in slot order, whatever the stack's size.  A game's
+    players are adjacent, so their run is the same in any stack, and each
+    game's gap is the one it gets alone.  The function returns the gaps as
+    a list of floats, never a buffer.
     """
     # A zero row above the terms starts every column's subtraction at 0.0.
     terms = np.zeros((differences.shape[0] + 1, differences.shape[1]))

@@ -463,9 +463,10 @@ def test_a_one_player_game_rounds_alike_in_every_stack_of_two_or_more(rng):
 @pytest.mark.parametrize("where", ["used slot", "unused slot", "massless player"])
 def test_a_non_finite_gradient_ends_only_its_game(monkeypatch, rng, games, bad, where):
     # One gradient entry of the middle game turns non-finite at iteration 1:
-    # that game leaves with a NumericsError, and every other game of the
-    # stack still equals its own solve.  A large step leaves the rows
-    # without weight on the dearer slots at that iteration.
+    # that game leaves with a NumericsError at that iteration, so the stack
+    # it was in takes no third step, and every other game of the stack
+    # still equals its own solve.  A large step leaves the rows without
+    # weight on the dearer slots at that iteration.
     base = GameSpec(4, 2, 0.5, np.array([1.4, 1.0, 0.6, 1.1]), QuadraticCost(),
                     np.array([0.6, 0.4, 0.0]))
     specs = stack_of(rng, base, games, 2)
@@ -476,11 +477,11 @@ def test_a_non_finite_gradient_ends_only_its_game(monkeypatch, rng, games, bad, 
     real = dynamics._gradient_kernel
 
     def faulty(spec, weights, checked=True, out=None):
-        kernel = real(spec, weights, checked, out)
+        kernel, stack = real(spec, weights, checked, out), weights.size
 
         def gradients(rows):
             result = kernel(rows)
-            calls.append(None)
+            calls.append(stack)
             if len(calls) == 2:
                 player = 2 if where == "massless player" else 0
                 column = rows[:, target * base.num_players + player]
@@ -494,6 +495,7 @@ def test_a_non_finite_gradient_ends_only_its_game(monkeypatch, rng, games, bad, 
     monkeypatch.setattr(dynamics, "_gradient_kernel", faulty)
     outcomes = _solve_batch(specs, **options)
     assert isinstance(outcomes[target], NumericsError)
+    assert calls.count(games * base.num_players) == 2
     bits = [outcome_bits(outcome) for outcome in outcomes]
     assert bits[:target] + bits[target + 1:] == expected[:target] + expected[target + 1:]
 
@@ -502,7 +504,7 @@ def test_batch_of_games_matches_single_solves(rng):
     # Games that differ only in their weights, 2-4 players, zero-mass
     # individuals or coalitions included: each outcome of the stack is the
     # separate solve's report, bit for bit.  (A one-player game solved alone
-    # is a single row, which numpy multiplies as a vector, not a matrix.)
+    # is a single column, which numpy multiplies as a vector, not a matrix.)
     for case in range(12):
         players = case % 3 + 2
         horizon = int(rng.integers(2, 8))
@@ -537,7 +539,7 @@ def oracle_batch(specs, max_iter, gap_tol):
     scale = reference_step_scale(spec)
     weights = np.concatenate([game.weights for game in specs])
     live, outcomes = list(range(len(specs))), [None] * len(specs)
-    cum_costs = np.zeros((weights.size, spec.num_start_slots))  # player-major rows
+    cum_costs = np.zeros((weights.size, spec.num_start_slots))  # a row per column
     rows = reference_softmax(cum_costs, weights)
     iteration = 0
     while True:
