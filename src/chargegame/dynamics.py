@@ -55,11 +55,11 @@ STEP_SCALE_FLOOR = 4.0
 # every per-player scalar (a column minimum, a softmax total, a gap term)
 # is one entry of a (B*N,) vector.  Each reduction over a player's slots
 # then runs along the outer axis, where numpy's cost does not grow with the
-# number of columns, and adds the slots in slot order in any stack of two
-# or more columns.  A game's players are adjacent columns, summed as one
-# contiguous run in any stack.  So an iteration costs the same numpy calls
-# whatever the stack's size, and each game's floats are those it gets
-# alone.  Each iteration takes the marginal-cost columns from the model's
+# number of columns, and adds the slots in slot order in any stack.  A
+# game's players are adjacent columns, summed as one contiguous run in any
+# stack.  So an iteration costs the same numpy calls whatever the stack's
+# size, and each game's floats are those it gets alone (a one-player game
+# aside, see _solve_batch).  Each iteration takes the marginal-cost columns from the model's
 # gradient kernel, the per-game gaps from verify's gap reduction, and
 # redistributes weight by the softmax below.  Profiles, trace rows and
 # reports stay player-major: a game's columns are transposed when it
@@ -101,16 +101,25 @@ def _softmax(weights: np.ndarray, exponents: np.ndarray, rows: np.ndarray) -> Ca
     column's minimum cumulative cost less its costs, so none is positive:
     shifting them by the minimum leaves the distribution unchanged but
     avoids overflow.
+
+    Each column's exponentials are summed in slot order, whatever the
+    stack's size.  numpy would sum a lone column of eight or more entries
+    pairwise, but it subtracts one row after another, so a column's total
+    is taken negated, as 0 - e_0 - e_1 - ... below a zero row (the sum to
+    the bit, sign aside), and divides the negated weights.
     """
-    scaled = np.empty_like(exponents)
+    # A zero row above the exponentials starts every column's subtraction at 0.0.
+    scaled = np.zeros((exponents.shape[0] + 1, weights.size))
+    terms = scaled[1:]
     totals = np.empty(weights.size)
-    exp, divide, multiply, add_reduce = np.exp, np.divide, np.multiply, np.add.reduce
+    negated = -weights
+    exp, divide, multiply, subtract_reduce = np.exp, np.divide, np.multiply, np.subtract.reduce
 
     def softmax() -> None:
-        exp(exponents, scaled)
-        add_reduce(scaled, 0, None, totals)
-        divide(weights, totals, totals)
-        multiply(totals, scaled, rows)
+        exp(exponents, terms)
+        subtract_reduce(scaled, 0, None, totals)
+        divide(negated, totals, totals)
+        multiply(totals, terms, rows)
 
     return softmax
 
@@ -198,8 +207,7 @@ def _solve_batch(
     as in a stack of its own, so each outcome equals :func:`solve_dynamics`
     on that game bit for bit.  A one-player game does so in any stack of
     two or more games.  Alone it is a single column, which numpy multiplies
-    as a vector, not as a matrix, and whose eight or more slots it sums
-    pairwise in the softmax, so it may round differently there.
+    as a vector, not as a matrix, so it may round differently there.
 
     Returns:
         Per game, in order, its report or the ChargeGameError that ended it.

@@ -86,18 +86,18 @@ def _is_number(value) -> bool:
 
 
 def _numbers(what: str, values) -> np.ndarray:
-    """``values`` as a float array, or a SpecError naming ``what`` unless
-    each entry is a real number: a string, None, a bool or an array is
-    none, as in a config."""
-    try:
-        array = np.asarray(values)
-    except ValueError:  # a ragged nesting
-        array = None
-    others = (bool, np.bool_, np.ndarray)
-    listed = isinstance(values, (list, tuple)) and any(isinstance(v, others) for v in values)
-    if array is None or array.dtype.kind not in "iuf" or listed:
+    """``values`` as a float array, or a SpecError naming ``what``.  A list
+    or tuple must hold numbers by :func:`_is_number`, or non-finite floats,
+    for which the callers word their own message: a string, None, a bool, an
+    array or a nested list is none, as in a config.  Any other input is read
+    by numpy, and must give an array of integers or floats."""
+    if isinstance(values, (list, tuple)):
+        ok = all(_is_number(v) or (isinstance(v, float) and not math.isfinite(v)) for v in values)
+    else:
+        ok = np.asarray(values).dtype.kind in "iuf"
+    if not ok:
         raise SpecError(f"{what} must be numbers, got {values!r}")
-    return np.asarray(array, dtype=float)
+    return np.asarray(values, dtype=float)
 
 
 def _is_integer(value, minimum: int) -> bool:

@@ -410,31 +410,33 @@ def _gradient_kernel(
     base_load = np.repeat(spec.base_load, games)  # per slot, then game
     shares = np.array([0.0] + [power] * (players - 1))
     pair = cost._pair if checked else cost._raw_pair
-    # Column 0 of each game in by_player ends up holding f and column i > 0
-    # player i's load times f'; after the second product, column 0 of each
-    # game in sums holds its u and column i > 0 crowding_i.
+    # Every view below is two-dimensional, with a row per (slot, game) and a
+    # column per player, or its transpose: numpy runs a 2-d broadcast with
+    # less work than a 3-d one.  Column 0 of per_player ends up holding f
+    # and column i > 0 player i's load times f'; after the second product,
+    # column 0 of sums holds each game's u and column i > 0 crowding_i.
     per_player = np.empty((spec.horizon, weights.size))
-    by_player = per_player.reshape(spec.horizon, games, players)  # a view
-    individuals = by_player[:, :, 0]
-    # The cost family sees the slot loads as one vector, slot by slot.
-    load = np.empty(spec.horizon * games)
-    loads = load.reshape(individuals.shape)
-    grid = (spec.horizon, games, 1)
+    by_slot = per_player.reshape(-1, players)  # a view
+    # The cost family sees the slot loads as one vector, slot by slot, then
+    # game.  Row i of by_player holds player i of every (slot, game), so
+    # that f and f' (a scalar where a family's slope is constant) broadcast
+    # along its rows as they come.
+    by_player = by_slot.T
+    individuals = by_player[0]
+    load = np.empty(individuals.size)
     sums = np.empty(out.shape)
-    by_game, out_by_game = sums.reshape(slots, games, players), out.reshape(slots, games, players)
-    u = by_game[:, :, :1]
-    plane = loads.shape
+    by_game, out_by_game = sums.reshape(-1, players), out.reshape(-1, players)
+    u = by_game[:, :1]
     add_reduce, multiply = np.add.reduce, np.multiply
 
     def gradients(rows: np.ndarray) -> np.ndarray:
         dot(window, rows, per_player)
-        add_reduce(by_player, 2, None, loads)
+        add_reduce(by_slot, 1, None, load)
         multiply(power, load, load)
         add(base_load, load, load)
         f, slope = pair(load)
-        # f' is a scalar where a family's slope is constant.
-        multiply(by_player, slope.reshape(grid) if getattr(slope, "ndim", 0) else slope, by_player)
-        individuals[...] = f.reshape(plane)
+        multiply(by_player, slope, by_player)
+        individuals[...] = f
         dot(incidence, per_player, sums)
         multiply(shares, by_game, out_by_game)
         add(u, out_by_game, out_by_game)

@@ -180,13 +180,6 @@ def softmax_rows(weights, cum_costs):
     return rows.T
 
 
-def lone_column_is_summed_pairwise(spec):
-    """Whether numpy sums the softmax of ``spec`` alone pairwise: a one-player
-    game is a single column, and numpy sums a lone run of eight or more
-    entries pairwise, where a stack of columns is summed in slot order."""
-    return spec.num_players == 1 and spec.num_start_slots >= 8
-
-
 def default_step(n):
     """The default schedule, 1/(1 + n**(1/4)), in the solver's float operations."""
     return 1.0 / (1.0 + math.sqrt(math.sqrt(n)))
@@ -295,15 +288,14 @@ def test_kernel_matches_per_row_reference(rng):
                     gap_scale(spec, expected),
                 )
                 cum_costs = rng.normal(0.0, 5.0, size=rows.shape)
-                exact_softmax = exact and not lone_column_is_summed_pairwise(spec)
                 assert_matches_reference(
                     softmax_rows(spec.weights, cum_costs),
                     reference_softmax(cum_costs, spec.weights),
-                    exact_softmax,
+                    exact,
                 )
                 # The dynamics of a linear game learn through the affine
                 # map of model._linear_form, which sums in another order.
-                learned_exact = exact_softmax and type(family) is not LinearCost
+                learned_exact = exact and type(family) is not LinearCost
                 report = solve_dynamics(spec, max_iter=12, gap_tol=1e-9)
                 ref_rows, ref_gap, ref_iterations = reference_solve(spec, 12, 1e-9)
                 assert report.iterations == ref_iterations
@@ -443,9 +435,9 @@ def test_every_stack_size_matches_the_lone_solves(rng, games):
 
 def test_a_one_player_game_rounds_alike_in_every_stack_of_two_or_more(rng):
     # A one-player game in a stack of two or more games is the same game in
-    # every such stack.  Alone it is a single column: numpy multiplies it as
-    # a vector and sums its softmax pairwise from eight slots on, so it may
-    # round differently, and agrees to rounding.
+    # every such stack.  Alone it is a single column, which numpy multiplies
+    # as a vector, not a matrix, so it may round differently, and agrees to
+    # rounding.
     options = {"max_iter": 60, "gap_tol": -1.0, "step_size": 1.0}
     for horizon, duration in [(3, 2), (10, 1), (12, 3)]:
         base = GameSpec(horizon, duration, 0.4, rng.uniform(0.0, 2.0, size=horizon),

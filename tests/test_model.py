@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -420,6 +421,18 @@ def test_power_is_stored_as_a_float():
     for power in (1, np.float64(0.5), np.int64(2)):
         spec = small_game(power=power)
         assert type(spec.power) is float and spec.power == power
+
+
+def test_a_fraction_is_a_number_in_every_field():
+    # One rule decides what a number is: a field that takes one number and
+    # an entry of a vector alike.
+    half = Fraction(1, 2)
+    spec = GameSpec(3, 2, half, [1.0, half, 1.0], QuadraticCost(), [half, half])
+    assert spec.power == 0.5 and spec.base_load[1] == 0.5
+    np.testing.assert_array_equal(spec.weights, [0.5, 0.5])
+    flow = Flow([half, half], 1)
+    np.testing.assert_array_equal(flow.values, [0.5, 0.5])
+    assert Flow([0.25, 0.25], half).mass == 0.5
 
 
 def test_a_profile_of_anything_but_flows_is_refused():
