@@ -347,8 +347,8 @@ def _gradient_kernel(
     sums of player i's load times f': the individuals get u (share 0,
     divisor 1), a coalition its average-cost gradient (share P, divisor its
     mass) and a zero-mass player zeros (divisor inf).  The per-player loads
-    are ``A.T @ rows``, summed over each game's adjacent players as one
-    run, and one product ``A @ terms`` window-sums the slot prices and
+    are ``A.T @ rows``, summed over each game's players in player order,
+    and one product ``A @ terms`` window-sums the slot prices and
     every coalition's load-weighted marginal prices; both products see the
     stack's columns as their free dimension, so a lone game of two or more
     players is a matrix, as a stack is.  f and f' are evaluated on the slot
@@ -408,38 +408,43 @@ def _gradient_kernel(
     incidence = _incidence(spec.horizon, spec.duration)
     window = incidence.T
     base_load = np.repeat(spec.base_load, games)  # per slot, then game
-    shares = np.array([0.0] + [power] * (players - 1))
     pair = cost._pair if checked else cost._raw_pair
-    # Every view below is two-dimensional, with a row per (slot, game) and a
-    # column per player, or its transpose: numpy runs a 2-d broadcast with
-    # less work than a 3-d one.  Column 0 of per_player ends up holding f
-    # and column i > 0 player i's load times f'; after the second product,
-    # column 0 of sums holds each game's u and column i > 0 crowding_i.
+    # Each player's part of per_player and sums is a strided vector, a row
+    # per (slot, game): the kernel works on these views one player at a
+    # time, since numpy runs a call on a lone vector through one inner loop,
+    # where a broadcast over each game's few adjacent players would take one
+    # per (slot, game).  Player 0's part of per_player ends up holding f and
+    # player i > 0's its load times f'; after the second product, player 0's
+    # part of sums holds u and player i > 0's crowding_i.
     per_player = np.empty((spec.horizon, weights.size))
-    by_slot = per_player.reshape(-1, players)  # a view
-    # The cost family sees the slot loads as one vector, slot by slot, then
-    # game.  Row i of by_player holds player i of every (slot, game), so
-    # that f and f' (a scalar where a family's slope is constant) broadcast
-    # along its rows as they come.
-    by_player = by_slot.T
-    individuals = by_player[0]
-    load = np.empty(individuals.size)
     sums = np.empty(out.shape)
-    by_game, out_by_game = sums.reshape(-1, players), out.reshape(-1, players)
-    u = by_game[:, :1]
-    add_reduce, multiply = np.add.reduce, np.multiply
+    # Lists of views, one per player.
+    individuals, *coalitions = per_player.reshape(-1, players).T
+    u, *crowdings = sums.reshape(-1, players).T
+    own, *terms = out.reshape(-1, players).T
+    # The slot loads are summed over each game's players in player order
+    # into one vector, slot by slot, then game, which the cost family sees.
+    load = np.empty(individuals.size)
+    summed = load if coalitions else individuals
+    addends = list(zip([individuals] + [load] * (players - 2), coalitions))
+    shares = list(zip(crowdings, terms))
+    multiply = np.multiply
 
     def gradients(rows: np.ndarray) -> np.ndarray:
         dot(window, rows, per_player)
-        add_reduce(by_slot, 1, None, load)
-        multiply(power, load, load)
+        for first, second in addends:
+            add(first, second, load)
+        multiply(power, summed, load)
         add(base_load, load, load)
         f, slope = pair(load)
-        multiply(by_player, slope, by_player)
+        for coalition in coalitions:
+            multiply(coalition, slope, coalition)
         individuals[...] = f
         dot(incidence, per_player, sums)
-        multiply(shares, by_game, out_by_game)
-        add(u, out_by_game, out_by_game)
+        own[...] = u
+        for crowding, term in shares:
+            multiply(power, crowding, term)
+            add(u, term, term)
         divide(out, divisors, out)
         return out
 
