@@ -52,18 +52,19 @@ STEP_SCALE_FLOOR = 4.0
 # Flow/Profile objects every iteration nor loops over the games of a sweep.
 # The stack of B games with N players each is slot-major: every per-player
 # array is (slots, B*N), column g*N + i holding player i of game g, and
-# every per-player scalar (a column minimum, a softmax total, a gap term)
-# is one entry of a (B*N,) vector.  Each reduction over a player's slots
-# then runs along the outer axis, where numpy's cost does not grow with the
+# every per-player scalar (a column minimum, a softmax total, a gap term) is
+# one entry of a (B*N,) vector.  Each reduction over a player's slots then
+# runs along the outer axis, where numpy's cost does not grow with the
 # number of columns, and adds the slots in slot order in any stack.  A
-# game's players are adjacent columns, summed as one contiguous run in any
-# stack.  So an iteration costs the same numpy calls whatever the stack's
-# size, and each game's floats are those it gets alone (a one-player game
-# aside, see _solve_batch).  Each iteration takes the marginal-cost columns from the model's
-# gradient kernel, the per-game gaps from verify's gap reduction, and
-# redistributes weight by the softmax below.  Profiles, trace rows and
-# reports stay player-major: a game's columns are transposed when it
-# leaves the stack or is traced.
+# game's players are adjacent columns, and every sum over them (the kernel's
+# slot loads, the gap's players) adds them in player order in any stack.
+# So an iteration costs the same numpy calls whatever the stack's size, and
+# each game's floats are those it gets alone (a one-player game aside, see
+# _solve_batch).  Each iteration takes the marginal-cost columns from the
+# model's gradient kernel, the per-game gaps from verify's gap reduction,
+# and redistributes weight by the softmax below.  Profiles, trace rows and
+# reports stay player-major: a game's columns are transposed when it leaves
+# the stack or is traced.
 #
 # A live stack owns its buffers, built together when the stack is and
 # rebuilt only when a game leaves it.  The gradients G and the cumulative

@@ -351,7 +351,11 @@ def _gradient_kernel(
     and one product ``A @ terms`` window-sums the slot prices and
     every coalition's load-weighted marginal prices; both products see the
     stack's columns as their free dimension, so a lone game of two or more
-    players is a matrix, as a stack is.  f and f' are evaluated on the slot
+    players is a matrix, as a stack is.  The crowdings are scaled by P in
+    one call, and one product ``@ M`` per (slot, game) row, with M the
+    identity but for a row of ones, adds u to every column: each entry
+    sums u and one scaled crowding, every other term an exact zero, so it
+    is u + P * crowding_i to the bit.  f and f' are evaluated on the slot
     loads of all games by one ``pair`` call, as one vector; ``checked``
     evaluates them after one domain check of the cost family, and
     otherwise raw, for a caller that has checked the load envelope.
@@ -409,25 +413,26 @@ def _gradient_kernel(
     window = incidence.T
     base_load = np.repeat(spec.base_load, games)  # per slot, then game
     pair = cost._pair if checked else cost._raw_pair
-    # Each player's part of per_player and sums is a strided vector, a row
-    # per (slot, game): the kernel works on these views one player at a
-    # time, since numpy runs a call on a lone vector through one inner loop,
-    # where a broadcast over each game's few adjacent players would take one
-    # per (slot, game).  Player 0's part of per_player ends up holding f and
-    # player i > 0's its load times f'; after the second product, player 0's
-    # part of sums holds u and player i > 0's crowding_i.
+    # Each player's part of per_player is a strided vector, a row per
+    # (slot, game): the kernel sums the loads and scales the coalitions by
+    # f' on these views one player at a time, since numpy runs a call on a
+    # lone vector through one inner loop, where a broadcast over each
+    # game's few adjacent players would take one per (slot, game).  Player
+    # 0's part of per_player ends up holding f and player i > 0's its load
+    # times f'; after the second product, player 0's part of sums holds u
+    # and player i > 0's crowding_i, which shares scales by P.
     per_player = np.empty((spec.horizon, weights.size))
     sums = np.empty(out.shape)
-    # Lists of views, one per player.
+    shares = np.tile([1.0] + [power] * (players - 1), out.size // players).reshape(out.shape)
+    mixing = np.eye(players)
+    mixing[0] = 1.0
+    by_row, out_by_row = sums.reshape(-1, players), out.reshape(-1, players)
     individuals, *coalitions = per_player.reshape(-1, players).T
-    u, *crowdings = sums.reshape(-1, players).T
-    own, *terms = out.reshape(-1, players).T
     # The slot loads are summed over each game's players in player order
     # into one vector, slot by slot, then game, which the cost family sees.
     load = np.empty(individuals.size)
     summed = load if coalitions else individuals
     addends = list(zip([individuals] + [load] * (players - 2), coalitions))
-    shares = list(zip(crowdings, terms))
     multiply = np.multiply
 
     def gradients(rows: np.ndarray) -> np.ndarray:
@@ -441,10 +446,8 @@ def _gradient_kernel(
             multiply(coalition, slope, coalition)
         individuals[...] = f
         dot(incidence, per_player, sums)
-        own[...] = u
-        for crowding, term in shares:
-            multiply(power, crowding, term)
-            add(u, term, term)
+        multiply(sums, shares, sums)
+        dot(by_row, mixing, out_by_row)
         divide(out, divisors, out)
         return out
 

@@ -80,11 +80,11 @@ def _gap_reduction(players: int, rows: np.ndarray, differences: np.ndarray):
     gradients) as they stand when it is called.
 
     Each column x adds sum_s x_s * (G_s - min G), summed over the slots in
-    slot order, and then the game's players are summed as one run: in
-    player order for up to seven players, pairwise from eight.  That is
-    <x, G> - mass * min G for a column that carries its mass, written as a
-    sum of products that are never negative: it needs no clamp, loses no
-    digits to cancellation, and a column without mass adds zero.  A
+    slot order, and then the game's players are summed in player order,
+    one add per player after the first.  That is <x, G> - mass * min G for
+    a column that carries its mass, written as a sum of products that are
+    never negative: it needs no clamp, loses no digits to cancellation,
+    and a column without mass adds zero.  A
     non-finite gradient entry, on a used slot, an unused one or a column
     without mass, makes its game's gap non-finite by itself: a NaN or a
     -inf makes the column's minimum non-finite, and with it every
@@ -96,22 +96,27 @@ def _gap_reduction(players: int, rows: np.ndarray, differences: np.ndarray):
     0 - x_0 * (min G - G_0) - x_1 * (min G - G_1) - ..., which is the sum
     above to the bit: numpy subtracts the rows of a C-ordered buffer one
     after another, in slot order, whatever the stack's size.  A game's
-    players are adjacent, so their run is the same in any stack, and each
-    game's gap is the one it gets alone.  The function returns the gaps as
-    a list of floats, never a buffer.
+    players are added in the same order in any stack, so each game's gap
+    is the one it gets alone.  The function returns the gaps as a list of
+    floats, never a buffer.
     """
     # A zero row above the terms starts every column's subtraction at 0.0.
     terms = np.zeros((differences.shape[0] + 1, differences.shape[1]))
     products = terms[1:]
     sums = np.empty(differences.shape[1])
-    by_game = sums.reshape(-1, players)
-    totals = np.empty(by_game.shape[0])
-    multiply, subtract_reduce, add_reduce = np.multiply, np.subtract.reduce, np.add.reduce
+    # One strided view per player, a game per entry: a call on such a
+    # vector runs one inner loop, where a reduction over each game's few
+    # adjacent players would run one per game.
+    first, *others = sums.reshape(-1, players).T
+    totals = np.empty(first.size) if others else sums
+    addends = list(zip([first] + [totals] * (players - 2), others))
+    multiply, add, subtract_reduce = np.multiply, np.add, np.subtract.reduce
 
     def gaps():
         multiply(rows, differences, products)
         subtract_reduce(terms, 0, None, sums)
-        add_reduce(by_game, 1, None, totals)
+        for augend, addend in addends:
+            add(augend, addend, totals)
         return totals.tolist()
 
     return gaps

@@ -384,6 +384,17 @@ def test_vi_gap_is_the_gap_function_summed_in_order(rng):
                 gradients = player_gradients(spec, profile)
                 assert gap >= 0.0
                 assert repr(gap) == repr(reference_gap(profile.matrix(), gradients))
+    # Eight or more players are added in order too, where a numpy reduction
+    # over them would add pairwise.
+    for players in (8, 9, 12):
+        for _ in range(20):
+            spec = GameSpec(6, 2, 0.5, rng.uniform(0.0, 2.0, size=6), QuadraticCost(),
+                            random_masses(rng, players))
+            profile = random_profile(rng, spec)
+            gradients = player_gradients(spec, profile)
+            assert repr(vi_gap(spec, profile)) == repr(
+                reference_gap(profile.matrix(), gradients)
+            )
 
 
 def outcome_bits(outcome):
