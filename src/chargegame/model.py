@@ -389,7 +389,7 @@ def _gradient_kernel(
     divisors = masses.copy()
     divisors[:, 0] = 1.0
     divisors[masses <= 0.0] = np.inf
-    divisors = np.tile(divisors.ravel(), (slots, 1))
+    divisors = divisors.reshape(1, -1).repeat(slots, 0)
     if out is None:
         out = np.empty((slots, weights.size))
     dot, add, divide = np.dot, np.add, np.divide
@@ -411,7 +411,7 @@ def _gradient_kernel(
 
     incidence = _incidence(spec.horizon, spec.duration)
     window = incidence.T
-    base_load = np.repeat(spec.base_load, games)  # per slot, then game
+    base_load = spec.base_load.repeat(games)  # per slot, then game
     pair = cost._pair if checked else cost._raw_pair
     # Each player's part of per_player is a strided vector, a row per
     # (slot, game): the kernel sums the loads and scales the coalitions by
@@ -423,7 +423,8 @@ def _gradient_kernel(
     # and player i > 0's crowding_i, which shares scales by P.
     per_player = np.empty((spec.horizon, weights.size))
     sums = np.empty(out.shape)
-    shares = np.tile([1.0] + [power] * (players - 1), out.size // players).reshape(out.shape)
+    shares = np.full(out.shape, power)
+    shares[:, ::players] = 1.0
     mixing = np.eye(players)
     mixing[0] = 1.0
     by_row, out_by_row = sums.reshape(-1, players), out.reshape(-1, players)
