@@ -14,7 +14,6 @@ the solver reports the status it actually reached.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -60,69 +59,46 @@ STEP_SCALE_FLOOR = 4.0
 # slot loads, the gap's players) adds them in player order in any stack.
 # So an iteration costs the same numpy calls whatever the stack's size, and
 # each game's floats are those it gets alone (a one-player game aside, see
-# _solve_batch).  Each iteration takes the marginal-cost columns from the
-# model's gradient kernel, the per-game gaps from verify's gap reduction,
-# and redistributes weight by the softmax below.  Profiles, trace rows and
-# reports stay player-major: a game's columns are transposed when it leaves
-# the stack or is traced.
+# _solve_batch).  A game leaves the stack with its raw rows, gap and
+# iteration, player-major; solve_dynamics builds its report from them, and
+# a sweep only the record it keeps.
 #
 # A live stack owns its buffers, built together when the stack is and
 # rebuilt only when a game leaves it.  The gradients G and the cumulative
-# costs C share one (2, slots, B*N) state.  Iteration n writes the rows,
-# the softmax of the exponents min C - C, takes G at them, adds
+# costs C share one (2, slots, B*N) state, and the terms of the loop's two
+# sums over slots share one (2, slots + 1, B*N) buffer, each half below a
+# zero row.  Iteration n first writes the rows, the softmax of the
+# numerators exp(min C - C) that the last iteration left: each column's
+# weight over its total, times its numerators.  It takes G at the rows
+# from the model's gradient kernel, which writes into the state, and adds
 # scale * eta_n * G to C through a step buffer of its own, which leaves G
-# unscaled for the gap, takes one minimum over the state's slot axis and
-# subtracts the state from its minima: min G - G for the gap, and the next
-# exponents, shifted so that none overflows.  A minimum is exact, so the
-# floats are those of taking the gap before the update.  The gap is
-# sum x * (G - min G) per column, summed per game (see
-# verify._gap_reduction); a game whose gap is not finite, from a
-# non-finite gradient entry anywhere in it, leaves with its NumericsError.
-# The stop test follows the update, so eta_n is taken at every
-# n < max_iter, the iteration at which the last game stops included.  When
-# games leave, the new stack gets the kept columns' costs and exponents.
-# The ufuncs are bound once per stack and take their outputs by position,
-# and the step is a 0-d array; only the cost family's f and f' come as new
-# arrays.  A linear game's raw kernel needs neither: it is the affine map
-# (c, B) of model._linear_form, four numpy calls, which sums in another
-# order than the general kernel.  The certificates (vi_gap,
-# player_gradients, a sweep's) keep the checked general kernel, with f
-# evaluated under the domain check, so they do not rest on the map the
-# loop learned by.  Nothing the loop hands out is a buffer: a trace row
-# and a report take copies of their rows, and the gaps come as a list of
-# floats.
-
-
-def _softmax(weights: np.ndarray, exponents: np.ndarray, rows: np.ndarray) -> Callable[[], None]:
-    """A function that writes into ``rows`` the softmax of ``exponents`` as
-    they stand: column i is weights[i] times exp(exponents[:, i]) over its
-    sum.
-
-    Both are slot-major (slots, columns) arrays.  The exponents are a
-    column's minimum cumulative cost less its costs, so none is positive:
-    shifting them by the minimum leaves the distribution unchanged but
-    avoids overflow.
-
-    Each column's exponentials are summed in slot order, whatever the
-    stack's size.  numpy would sum a lone column of eight or more entries
-    pairwise, but it subtracts one row after another, so a column's total
-    is taken negated, as 0 - e_0 - e_1 - ... below a zero row (the sum to
-    the bit, sign aside), and divides the negated weights.
-    """
-    # A zero row above the exponentials starts every column's subtraction at 0.0.
-    scaled = np.zeros((exponents.shape[0] + 1, weights.size))
-    terms = scaled[1:]
-    totals = np.empty(weights.size)
-    negated = -weights
-    exp, divide, multiply, subtract_reduce = np.exp, np.divide, np.multiply, np.subtract.reduce
-
-    def softmax() -> None:
-        exp(exponents, terms)
-        subtract_reduce(scaled, 0, None, totals)
-        divide(negated, totals, totals)
-        multiply(totals, terms, rows)
-
-    return softmax
+# unscaled for the gap.  One minimum over the state's slot axis, and the
+# state subtracted from its minima into the two halves of the terms, give
+# min G - G, which the rows then multiply, and min C - C, whose
+# exponentials are the next numerators, shifted so that none overflows.
+# One np.subtract.reduce over the terms' slot axis then takes, per column,
+# both 0 - x_0 * (min G_0 - G_0) - x_1 * (...) - ..., the gap's sum
+# x * (G - min G), and the negated total of the next numerators.  numpy
+# subtracts one row after another, in slot order in any stack, where it
+# would add a lone column of eight or more entries pairwise, so each is
+# the slot-order sum to the bit.  verify._gap_reduction then adds each
+# game's players in player order.  A minimum is exact, so the floats are
+# those of taking the gap before the update, as verify._gaps does, and of
+# the softmax after it.  A game whose gap is not finite, from a non-finite
+# gradient entry anywhere in it, leaves with its NumericsError.  The stop
+# test follows the update, so eta_n is taken at every n < max_iter, the
+# iteration at which the last game stops included.  When games leave, the
+# new stack gets the kept columns' costs and numerators and takes their
+# totals by the same reduction.  The ufuncs are bound once per stack and
+# take their outputs by position, and the step is a 0-d array; only the
+# cost family's f and f' come as new arrays.  A linear game's raw kernel
+# needs neither: it is the affine map (c, B) of model._linear_form, three
+# numpy calls, which sums in another order than the general kernel.  The
+# certificates (vi_gap, player_gradients, a sweep's) keep the checked
+# general kernel, with f evaluated under the domain check, so they do not
+# rest on the map the loop learned by.  Nothing the loop hands out is a
+# buffer: a leaving game and a trace row take copies of their rows, and
+# the gaps come as a list of floats.
 
 
 def _check_options(max_iter, gap_tol, step_size, trace_every) -> None:
@@ -150,6 +126,7 @@ def _check_options(max_iter, gap_tol, step_size, trace_every) -> None:
         raise SpecError(f'step_size must be "default" or a finite number > 0, got {step_size!r}')
 
 
+@_quiet()
 def solve_dynamics(
     spec: GameSpec,
     *,
@@ -180,17 +157,20 @@ def solve_dynamics(
             "default" nor a finite number > 0.
     """
     (outcome,) = _solve_batch(
-        (spec,), max_iter=max_iter, gap_tol=gap_tol, step_size=step_size,
+        spec, (spec.weights,), max_iter=max_iter, gap_tol=gap_tol, step_size=step_size,
         trace_every=trace_every,
     )
     if isinstance(outcome, ChargeGameError):
         raise outcome
-    return outcome
+    rows, gap, status, iteration, trace = outcome
+    profile = Profile.from_rows(spec, rows)
+    return make_report(spec, profile, status, iterations=iteration, gap=gap, trace=trace)
 
 
 @_quiet()
 def _solve_batch(
-    specs,
+    spec: GameSpec,
+    weights,
     *,
     max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float = DEFAULT_GAP_TOL,
@@ -199,27 +179,35 @@ def _solve_batch(
 ) -> list:
     """Run the learning dynamics of several games as one stack.
 
-    The games share horizon, duration, power, base load and cost and differ
-    only in their weights.  All start together, so they share the iteration
-    count, the step scale (which depends on the spec only) and the step
-    size, and each game leaves the stack once its gap reaches ``gap_tol`` or
-    ``max_iter`` is hit, or with a NumericsError once its gap is not finite.
-    With two or more players per game every game's arithmetic is the same
-    as in a stack of its own, so each outcome equals :func:`solve_dynamics`
-    on that game bit for bit.  A one-player game does so in any stack of
-    two or more games.  Alone it is a single column, which numpy multiplies
-    as a vector, not as a matrix, so it may round differently there.
+    The games are ``spec`` with each of ``weights`` (one vector of
+    ``spec.num_players`` masses per game, as GameSpec stores them) in
+    place of its own: they share horizon, duration, power, base load and
+    cost and differ only in their weights.  All start together, so they
+    share the iteration count, the step scale (which depends on the spec
+    only) and the step size, and each game leaves the stack once its gap
+    reaches ``gap_tol`` or ``max_iter`` is hit, or with a NumericsError
+    once its gap is not finite.  With two or more players per game every
+    game's arithmetic is the same as in a stack of its own, so each
+    outcome equals :func:`solve_dynamics` on that game bit for bit.  A
+    one-player game does so in any stack of two or more games.  Alone it
+    is a single column, which numpy multiplies as a vector, not as a
+    matrix, so it may round differently there.
 
     Returns:
-        Per game, in order, its report or the ChargeGameError that ended it.
+        Per game, in order, the ChargeGameError that ended it, or its exit
+        ``(rows, gap, status, iteration, trace)``: its final rows as a
+        fresh player-major array, not yet renormalized as a Flow, their
+        finite gap, its SolverStatus, the iteration it left at, and its
+        trace as a tuple of TraceRow ending at that iteration (None when
+        ``trace_every`` is 0).
 
     Raises:
         SpecError: for the options, as :func:`solve_dynamics`.
     """
     _check_options(max_iter, gap_tol, step_size, trace_every)
-    spec = specs[0]
     cost, players = spec.cost, spec.num_players
-    weights = np.concatenate([game.weights for game in specs])  # column order
+    weights = np.concatenate(weights)  # column order
+    games = weights.size // players
     # Rows sum to their masses, which sum to one, so every iterate's slot loads
     # lie in [min L, max L + P]: checking the cost domain (and f') on that
     # envelope once lets the loop call the raw cost functions, and f' at its
@@ -228,55 +216,68 @@ def _solve_batch(
     try:
         slope = float(np.max(cost.derivative(envelope)))  # f' is increasing
     except ChargeGameError as exc:
-        return [exc] * len(specs)
+        return [exc] * games
     lip = spec.power * spec.duration * slope
     scale = STEP_SCALE_BOUND / lip if lip > STEP_SCALE_BOUND else 1.0
     # A constant step, scaled; None under the default schedule.
     constant = None if isinstance(step_size, str) else scale * float(step_size)
     if constant is None and 0.0 < lip < STEP_SCALE_FLOOR:
         scale = STEP_SCALE_FLOOR / lip
-    outcomes: list = [None] * len(specs)
-    live = list(range(len(specs)))  # the games in the stack, in stack order
-    traces = [[] for _ in specs] if trace_every > 0 else None
+    outcomes: list = [None] * games
+    live = list(range(games))  # the games in the stack, in stack order
+    traces = [[] for _ in range(games)] if trace_every > 0 else None
     slots = spec.num_start_slots
     inf = math.inf
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+    exp, lowest, subtract_reduce = np.exp, np.minimum.reduce, np.subtract.reduce
 
-    def stack(weights, cum_costs, exponents):
+    def stack(weights, cum_costs, numerators):
         """The buffers and step of a live stack whose cumulative costs start
-        at ``cum_costs``, and its softmax exponents at ``exponents``.
+        at ``cum_costs``, and its softmax numerators at ``numerators``.
 
-        Returns its rows, its state (the gradients, then the costs), its
-        differences (the state's column minima less the state) and
-        ``advance(step)``, which writes the rows of the exponents as they
-        stand, takes the gradients at those rows, adds ``step`` times them
-        to the costs (nothing when ``step`` is None), takes the differences
-        and returns the gaps."""
+        Returns its rows, its costs, its numerators and ``advance(step)``,
+        which writes the rows of the numerators and totals as they stand,
+        takes the gradients at those rows, adds ``step`` times them to the
+        costs (nothing when ``step`` is None), takes the next numerators and
+        totals and returns the gaps."""
         state = np.empty((2, slots, weights.size))
         gradients, costs = state
         costs[...] = cum_costs
-        differences = np.empty_like(state)
-        differences[1] = exponents
         minima = np.empty((2, 1, weights.size))
         lows = minima[:, 0]
-        rows, steps = np.empty_like(costs), np.empty_like(costs)
-        settle = _softmax(weights, differences[1], rows)
-        kernel = _gradient_kernel(spec, weights, checked=False, out=gradients)
-        gaps = _gap_reduction(players, rows, differences[0])
-        multiply, add, subtract, lowest = np.multiply, np.add, np.subtract, np.minimum.reduce
+        # Below a zero row, which starts every column's subtraction at 0.0:
+        # x * (min G - G) for the gap, then the numerators exp(min C - C).
+        terms = np.zeros((2, slots + 1, weights.size))
+        differences = terms[:, 1:]
+        products, exponentials = differences
+        exponentials[...] = numerators
+        # The gap's column sums, then the negated totals of the numerators.
+        sums = np.empty((2, weights.size))
+        totals = sums[1]
+        subtract_reduce(terms, 1, None, sums)
+        rows, kernel = _gradient_kernel(spec, weights, checked=False, out=gradients)
+        steps = np.empty_like(costs)
+        negated = -weights
+        gaps = _gap_reduction(players, sums[0])
 
         def advance(step):
-            settle()
-            kernel(rows)
+            divide(negated, totals, totals)
+            multiply(totals, exponentials, rows)
+            kernel()
             if step is not None:
                 multiply(gradients, step, steps)
                 add(costs, steps, costs)
             lowest(state, 1, None, lows)
             subtract(minima, state, differences)
+            multiply(rows, products, products)
+            exp(exponentials, exponentials)
+            subtract_reduce(terms, 1, None, sums)
             return gaps()
 
-        return rows, state, differences, advance
+        return rows, costs, exponentials, advance
 
-    rows, state, differences, advance = stack(weights, 0.0, 0.0)
+    # exp(0 - 0) is 1.0 exactly.
+    rows, costs, numerators, advance = stack(weights, 0.0, 1.0)
     # The step reaches numpy as a 0-d array, which a ufunc takes with less
     # work than a float.
     size = np.array(0.0 if constant is None else constant)
@@ -305,32 +306,31 @@ def _solve_batch(
             keep = [step is not None and gap_tol < gap < inf for gap in gaps]
             for j, game in enumerate(live):
                 if not keep[j]:
-                    trace = None if traces is None else traces[game]
-                    outcomes[game] = _outcome(
-                        specs[game], rows[:, j * players : (j + 1) * players].T, gaps[j],
-                        gap_tol, iteration, trace,
+                    outcomes[game] = _exit(
+                        rows[:, j * players : (j + 1) * players].T.copy(), gaps[j], gap_tol,
+                        iteration, None if traces is None else traces[game],
                     )
             live = [game for game, stays in zip(live, keep) if stays]
             if not live:
                 return outcomes
             kept = np.repeat(keep, players)
             weights = weights[kept]
-            rows, state, differences, advance = stack(
-                weights, state[1][:, kept], differences[1][:, kept]
+            rows, costs, numerators, advance = stack(
+                weights, costs[:, kept], numerators[:, kept]
             )
         iteration += 1
 
 
-def _outcome(spec: GameSpec, rows: np.ndarray, gap: float, gap_tol: float, iteration: int, trace):
-    """The report of a game leaving the stack, or the error that ended it."""
+def _exit(rows: np.ndarray, gap: float, gap_tol: float, iteration: int, trace):
+    """The exit of a game leaving the stack, as :func:`_solve_batch`
+    returns it, or the NumericsError of a gap that is not finite."""
     try:
         gap = _finite(gap)
-        status = SolverStatus.CONVERGED if gap <= gap_tol else SolverStatus.MAX_ITER_REACHED
-        if trace is not None:
-            if trace[-1].iteration != iteration:
-                trace.append(TraceRow(iteration, gap, rows.copy()))
-            trace = tuple(trace)
-        profile = Profile.from_rows(spec, rows)
-        return make_report(spec, profile, status, iterations=iteration, gap=gap, trace=trace)
     except ChargeGameError as exc:
         return exc
+    status = SolverStatus.CONVERGED if gap <= gap_tol else SolverStatus.MAX_ITER_REACHED
+    if trace is not None:
+        if trace[-1].iteration != iteration:
+            trace.append(TraceRow(iteration, gap, rows.copy()))
+        trace = tuple(trace)
+    return rows, gap, status, iteration, trace

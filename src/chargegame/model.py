@@ -36,6 +36,11 @@ SIMPLEX_TOL = 1e-9
 # Unresolved cost-family bounds get W = this factor * (max base load + power).
 DEFAULT_BOUND_FACTOR = 10.0
 
+# Largest start-slot x slot incidence a game may ask for: the dense matrix A
+# of 10**7 float64 entries takes 80 MB, and admits a one-minute day
+# (horizon 1,440) at any duration.
+MAX_INCIDENCE_ENTRIES = 10_000_000
+
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -83,7 +88,9 @@ class GameSpec:
     Attributes:
         horizon: number of time slots, a whole number, stored as an int.
         duration: consecutive charging slots per EV, a whole number
-            between 1 and horizon, stored as an int.
+            between 1 and horizon, stored as an int.  The start slots
+            times the slots, (horizon - duration + 1) * horizon, may not
+            exceed :data:`MAX_INCIDENCE_ENTRIES`.
         power: total EV charging power scale multiplying the aggregate load.
         base_load: non-EV load per slot, length ``horizon``, nonnegative.
         cost: per-unit cost family; an unresolved validity bound is pinned
@@ -109,6 +116,12 @@ class GameSpec:
             )
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "duration", int(self.duration))
+        entries = self.num_start_slots * self.horizon
+        if entries > MAX_INCIDENCE_ENTRIES:
+            raise SpecError(
+                f"horizon {self.horizon} with duration {self.duration} needs a start-slot x "
+                f"slot incidence of {entries} entries, more than {MAX_INCIDENCE_ENTRIES}"
+            )
         if not (_is_number(self.power) and self.power >= 0):
             raise SpecError(f"power must be finite and nonnegative, got {self.power!r}")
         object.__setattr__(self, "power", float(self.power))
@@ -245,8 +258,9 @@ class LoadDecomposition(NamedTuple):
     """Per-player and aggregate charging loads over the horizon, read-only.
 
     Each per-player row is the moving-sum image of that player's flow, so
-    it sums to duration * mass.  Built by :func:`decompose_loads` only,
-    from a profile that :func:`validate_profile` accepted.
+    it sums to duration * mass.  Built from the rows of a profile that
+    :func:`validate_profile` accepted (:func:`decompose_loads`), or of a
+    solver's iterate.
     """
 
     per_player: np.ndarray
@@ -276,7 +290,13 @@ def validate_profile(spec: GameSpec, profile: Profile) -> None:
 def decompose_loads(spec: GameSpec, profile: Profile) -> LoadDecomposition:
     """Per-player charging loads and their per-slot aggregate."""
     validate_profile(spec, profile)
-    per_player = profile.matrix() @ _incidence(spec.horizon, spec.duration)
+    return _loads(spec, profile.matrix())
+
+
+def _loads(spec: GameSpec, rows: np.ndarray) -> LoadDecomposition:
+    """:func:`decompose_loads` of player-major ``rows``, a C-ordered
+    matrix with one player's flow per row."""
+    per_player = rows @ _incidence(spec.horizon, spec.duration)
     return LoadDecomposition(_frozen_array(per_player), _frozen_array(per_player.sum(axis=0)))
 
 
@@ -335,10 +355,13 @@ def _linear_form(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _gradient_kernel(
     spec: GameSpec, weights: np.ndarray, checked: bool = True, out: np.ndarray | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Map a stack of weight rows to marginal-cost rows.
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """A buffer for a stack of weight rows, and a function that maps the
+    rows it holds when called to marginal-cost rows.
 
-    The stack holds games that differ from ``spec`` only in their masses,
+    The caller writes the rows into the buffer, which the kernel keeps, so
+    a raw linear kernel can hold a row of its own below them.  The stack
+    holds games that differ from ``spec`` only in their masses,
     ``weights`` in stack order.  It is slot-major: an array of shape
     (slots, B*N) whose column g*N + i holds player i of game g, so a game's
     players are adjacent and every reduction over slots runs along the
@@ -362,10 +385,13 @@ def _gradient_kernel(
 
     A raw kernel (``checked`` false) of a game whose cost is exactly a
     :class:`~chargegame.costs.LinearCost` takes the affine map of
-    :func:`_linear_form` instead: ``B @ rows`` gives every player's
-    column, ``@ K`` with K = 11^T + diag(0, 1, ..., 1) mixes each game's
-    players, a row (slot, game) at a time, and c is added before the
-    division above.  That is four numpy calls and no f or f'.  It sums in
+    :func:`_linear_form` instead: ``[B | c] @ [rows; e]``, with e = 1 on
+    each game's individuals' column and 0 elsewhere, gives every player's
+    column, the individuals' with c added; ``@ K`` with K = 11^T +
+    diag(0, 1, ..., 1) mixes each game's players, a row (slot, game) at a
+    time, which adds the individuals' column, and with it c, to every
+    column; then comes the division above.  That is three numpy calls and
+    no f or f'.  It sums in
     another order than the general kernel, so the two agree to rounding,
     not bit for bit.  A checked kernel always runs the general path: the
     certificates (``vi_gap``, :func:`player_gradients`, the sweep's)
@@ -375,6 +401,7 @@ def _gradient_kernel(
     The kernel writes into buffers it allocates once, and its gradients
     into ``out`` when given (a C-contiguous stack-shaped array), so each
     call returns the same gradient array, overwritten by the next call.
+    The rows buffer is C-contiguous and stack-shaped too.
     """
     cost = spec.cost
     players, slots, power = spec.num_players, spec.num_start_slots, spec.power
@@ -395,19 +422,20 @@ def _gradient_kernel(
     dot, add, divide = np.dot, np.add, np.divide
     if not checked and type(cost) is LinearCost:
         offsets, form = _linear_form(spec)
-        offsets = offsets.repeat(weights.size).reshape(out.shape)
+        form = np.hstack((form, offsets[:, None]))
+        extended = np.zeros((slots + 1, weights.size))
+        extended[slots, ::players] = 1.0  # e
         products = np.empty(out.shape)
         by_row, out_by_row = products.reshape(-1, players), out.reshape(-1, players)
         mixing = np.ones((players, players)) + np.diag(np.arange(players) > 0)
 
-        def affine(rows: np.ndarray) -> np.ndarray:
-            dot(form, rows, products)
+        def affine() -> np.ndarray:
+            dot(form, extended, products)
             dot(by_row, mixing, out_by_row)
-            add(out, offsets, out)
             divide(out, divisors, out)
             return out
 
-        return affine
+        return extended[:slots], affine
 
     incidence = _incidence(spec.horizon, spec.duration)
     window = incidence.T
@@ -435,8 +463,9 @@ def _gradient_kernel(
     summed = load if coalitions else individuals
     addends = list(zip([individuals] + [load] * (players - 2), coalitions))
     multiply = np.multiply
+    rows = np.empty(out.shape)
 
-    def gradients(rows: np.ndarray) -> np.ndarray:
+    def gradients() -> np.ndarray:
         dot(window, rows, per_player)
         for first, second in addends:
             add(first, second, load)
@@ -452,7 +481,7 @@ def _gradient_kernel(
         divide(out, divisors, out)
         return out
 
-    return gradients
+    return rows, gradients
 
 
 def player_gradients(spec: GameSpec, profile: Profile) -> np.ndarray:
@@ -473,9 +502,10 @@ def _profile_gradients(spec: GameSpec, profile: Profile) -> tuple[np.ndarray, np
     slot-major: one column per player.  A non-finite entry raises a
     NumericsError."""
     validate_profile(spec, profile)
-    rows = profile.matrix().T.copy()
+    rows, gradients = _gradient_kernel(spec, spec.weights)
+    rows[...] = profile.matrix().T
     with _quiet():
-        return rows, _finite(_gradient_kernel(spec, spec.weights)(rows))
+        return rows, _finite(gradients())
 
 
 class CostSummary(NamedTuple):
@@ -495,24 +525,25 @@ class CostSummary(NamedTuple):
 
 def evaluate_costs(spec: GameSpec, profile: Profile) -> CostSummary:
     """All entity costs at ``profile`` in one pass."""
-    loads = decompose_loads(spec, profile)
-    return _summarize_costs(spec, profile, loads, *_slot_prices(spec, loads))
+    validate_profile(spec, profile)
+    return _entity_costs(spec, spec.weights, profile.matrix())[2]
 
 
-def _summarize_costs(
-    spec: GameSpec,
-    profile: Profile,
-    loads: LoadDecomposition,
-    prices: np.ndarray,
-    costs: np.ndarray,
-) -> CostSummary:
-    """Entity costs from the slot prices and their strategy-cost window sums."""
+def _entity_costs(
+    spec: GameSpec, weights: np.ndarray, rows: np.ndarray
+) -> tuple[LoadDecomposition, np.ndarray, CostSummary]:
+    """The loads of player-major ``rows`` (as :func:`_loads` takes them),
+    their strategy costs and the entity costs of players of masses
+    ``weights`` who play them, from one load decomposition and one
+    evaluation of the slot prices."""
+    loads = _loads(spec, rows)
+    prices, costs = _slot_prices(spec, loads)
     averages = [
-        float(flow.values @ costs) / float(mass) if mass > 0.0 else None
-        for flow, mass in zip(profile.flows, spec.weights)
+        float(row @ costs) / float(mass) if mass > 0.0 else None
+        for row, mass in zip(rows, weights)
     ]
     extended = averages[0] is None
-    return CostSummary(
+    return loads, costs, CostSummary(
         individuals=float(costs.min()) if extended else averages[0],
         coalitions=tuple(averages[1:]),
         social=float(loads.aggregate @ prices),

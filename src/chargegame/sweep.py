@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import replace
 from itertools import repeat
 from operator import eq
 from typing import NamedTuple
@@ -27,8 +26,24 @@ from .dynamics import (
     _solve_batch,
     solve_dynamics,
 )
-from .errors import ChargeGameError, SpecError, _finite, _is_integer, _is_number, _quiet, _tolerance
-from .model import GameSpec, _gradient_kernel, _onto_masses, _window_sum
+from .errors import (
+    ChargeGameError,
+    SpecError,
+    _finite,
+    _is_integer,
+    _is_number,
+    _numbers,
+    _quiet,
+    _tolerance,
+)
+from .model import (
+    GameSpec,
+    _entity_costs,
+    _gradient_kernel,
+    _onto_masses,
+    _reduced_costs,
+    _window_sum,
+)
 from .threeslot import (
     ThreeSlotInstance,
     _grid_costs,
@@ -117,12 +132,13 @@ _DIRECTIONS = {"nondecreasing": -1.0, "nonincreasing": 1.0}
 
 def audit_monotone(values, direction: str, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
     """Check adjacent differences against a direction within tol; a ``tol``
-    that is NaN or not a real number raises a SpecError, as it does for
-    every audit."""
+    that is NaN or not a real number, or ``values`` that are not a vector
+    of numbers (by :func:`~chargegame.errors._numbers`' rule), raise a
+    SpecError, as they do for every audit."""
     if direction not in _DIRECTIONS:
         raise SpecError(f"unknown direction {direction!r}")
     _tolerance("audit tol", tol)
-    values = np.asarray(values, dtype=float)
+    values = _series(values)
     return _monotone(values[None, :], [[_DIRECTIONS[direction]]], tol)[0]
 
 
@@ -137,11 +153,19 @@ def audit_concave_branches(
     fails the audit.
     """
     _tolerance("audit tol", tol)
-    values = np.asarray(values, dtype=float)
+    values = _series(values)
     tags = list(tags)
     if len(values) != len(tags):
         raise SpecError("values and tags must align")
     return _concave_branches(values, _same_tags(tags), tol)
+
+
+def _series(values) -> np.ndarray:
+    """An audit's ``values`` as a float vector, or a SpecError naming them."""
+    values = _numbers("values", values)
+    if values.ndim != 1:
+        raise SpecError(f"values must be a vector, got shape {values.shape}")
+    return values
 
 
 def _same_tags(tags) -> np.ndarray:
@@ -255,7 +279,7 @@ def run_sweep(
     _check_options(max_iter, gap_tol, step_size, 0)
     if grid is None:
         grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = _numbers("grid", grid)
     if grid.ndim != 1 or grid.size == 0:
         raise SpecError("sweep grid must be a nonempty vector")
     # Negated comparisons, so that a NaN fails them; ufunc reductions, which
@@ -274,7 +298,7 @@ def run_sweep(
         points, columns = _analytic_points(base, grid)
     else:
         points = _dynamics_points(
-            base, [float(m) for m in grid], max_iter=max_iter, gap_tol=gap_tol, step_size=step_size
+            base, grid, max_iter=max_iter, gap_tol=gap_tol, step_size=step_size
         )
     audits = _run_audits(points, solver, audit_tol, columns)
     return SweepResult(grid=grid, points=tuple(points), audits=audits, solver=solver)
@@ -326,18 +350,16 @@ def _certified_points(
     social, individuals, coalition = _grid_costs(inst, sizes, x1, split)
     # The stack is slot-major, as the dynamics': a row per alternative, and
     # each game's individuals and coalition as adjacent columns.
-    rest = 1.0 - sizes
-    masses = np.stack((rest, sizes), 1)
+    masses, weights = _grid_masses(sizes)
+    rest = masses[:, 0]
     rows = np.empty((2,) + masses.shape)
     rows[0, :, 0] = x0
     rows[0, :, 1] = x1
     np.subtract(rest, x0, out=rows[1, :, 0])
     np.subtract(sizes, x1, out=rows[1, :, 1])
-    rows, _ = _onto_masses(rows.reshape(2, -1), masses.ravel())
-    # What GameSpec stores: each game's masses over their sum.
-    weights = np.divide(masses, (rest + sizes)[:, None]).ravel()
-    kernel = _gradient_kernel(spec, weights)
-    gaps = _finite(_gaps(rows, kernel(rows), spec.num_players))
+    stack, gradients = _gradient_kernel(spec, weights.ravel())
+    stack[...] = _onto_masses(rows.reshape(2, -1), masses.ravel())[0]
+    gaps = _finite(_gaps(stack, gradients(), spec.num_players))
     regimes = (_regime(gapped, False).value, _regime(gapped, True).value)
     columns = (values.tolist() for values in (sizes, x1, x0, individuals, coalition, social))
     names = map(regimes.__getitem__, split.tolist())
@@ -350,26 +372,56 @@ def _certified_points(
     return points, (series, np.equal(split[1:], split[:-1]))
 
 
-def _dynamics_points(spec: GameSpec, grid: list[float], **options) -> list[SweepPoint]:
-    specs = [replace(spec, weights=np.array([1.0 - m, m])) for m in grid]
-    peak = peak_start_slot(specs[0])
+def _grid_masses(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masses (1 - m, m) of the one-coalition game at each of the
+    coalition sizes ``sizes``, a game per row, and the weights GameSpec
+    stores for them: each game's masses over their sum."""
+    masses = np.stack((1.0 - sizes, sizes), 1)
+    return masses, np.divide(masses, np.add.reduce(masses, 1, keepdims=True))
+
+
+@_quiet()
+def _dynamics_points(spec: GameSpec, grid: np.ndarray, **options) -> list[SweepPoint]:
+    """The records of the learning dynamics at ``grid``, from one batch.
+
+    Each is the record that the report of a solve of the point's game
+    gives: the rows are renormalized as a Flow renormalizes them (a
+    column sums its slots as Flow sums its row), and the costs are those
+    make_report takes, reduced for three-slot games.  Flow's checks always
+    pass on a finished game's rows, which are finite, nonnegative and sum
+    to their masses to rounding.  The point's GameSpec, Wardrop slack and
+    boundary flag, which a record does not keep, are never built.  A point
+    whose solve fails, or whose costs are not finite, carries its own
+    error.
+    """
+    weights = _grid_masses(grid)[1]
+    peak = peak_start_slot(spec)
     points = []
-    for m, report in zip(grid, _solve_batch(specs, **options)):
-        if isinstance(report, ChargeGameError):
-            points.append(_error_point(m, report))
+    for m, masses, outcome in zip(grid.tolist(), weights, _solve_batch(spec, weights, **options)):
+        if isinstance(outcome, ChargeGameError):
+            points.append(_error_point(m, outcome))
             continue
-        costs = report.reduced if report.reduced is not None else report.costs
+        rows, gap, status, _, _ = outcome
+        rows = np.ascontiguousarray(_onto_masses(rows.T, masses)[0].T)
+        try:
+            costs = _entity_costs(spec, masses, rows)[2]
+        except ChargeGameError as exc:
+            points.append(_error_point(m, exc))
+            continue
+        reduced = _reduced_costs(spec, costs)
+        if reduced is not None:
+            costs = reduced
         points.append(
             SweepPoint(
                 m=m,
-                x1=float(report.profile.flows[1].values[peak]),
-                x0=float(report.profile.flows[0].values[peak]),
+                x1=float(rows[1, peak]),
+                x0=float(rows[0, peak]),
                 cost_individuals=costs.individuals,
                 cost_coalition=costs.coalitions[0],
                 cost_social=costs.social,
                 regime=None,
-                gap=report.vi_gap,
-                status=report.status.value,
+                gap=gap,
+                status=status.value,
             )
         )
     return points

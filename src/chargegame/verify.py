@@ -24,12 +24,11 @@ from .model import (
     LoadDecomposition,
     Profile,
     _coalition_mass,
+    _entity_costs,
     _profile_gradients,
     _reduced_costs,
-    _slot_prices,
-    _summarize_costs,
-    decompose_loads,
     strategy_costs,
+    validate_profile,
 )
 
 # Fraction of a player's mass below which a strategy counts as unused.
@@ -64,57 +63,55 @@ def vi_gap(spec: GameSpec, profile: Profile) -> float:
 
 
 def _gaps(rows: np.ndarray, gradients: np.ndarray, players: int) -> list:
-    """Variational gap of every game in a slot-major stack of rows, which
-    is non-finite for a game whose gradients are not all finite.
-
-    One-shot form of :func:`_gap_reduction`, which holds the rules.
-    """
-    differences = np.subtract(np.minimum.reduce(gradients, 0), gradients)
-    return _gap_reduction(players, rows, differences)()
-
-
-def _gap_reduction(players: int, rows: np.ndarray, differences: np.ndarray):
-    """The gap of every game in a slot-major stack of rows (column g*N + i
-    holds player i of game g), as a function that reads the arrays
-    ``rows`` and ``differences`` (each column's minimum gradient less its
-    gradients) as they stand when it is called.
+    """Variational gap of every game in a slot-major stack of rows (column
+    g*N + i holds player i of game g), which is non-finite for a game whose
+    gradients are not all finite.
 
     Each column x adds sum_s x_s * (G_s - min G), summed over the slots in
-    slot order, and then the game's players are summed in player order,
-    one add per player after the first.  That is <x, G> - mass * min G for
-    a column that carries its mass, written as a sum of products that are
-    never negative: it needs no clamp, loses no digits to cancellation,
-    and a column without mass adds zero.  A
-    non-finite gradient entry, on a used slot, an unused one or a column
-    without mass, makes its game's gap non-finite by itself: a NaN or a
-    -inf makes the column's minimum non-finite, and with it every
-    difference, and a +inf makes its own difference -inf, which a zero
-    weight turns into NaN.
+    slot order, and then the game's players are summed in player order
+    (:func:`_gap_reduction`).  That is <x, G> - mass * min G for a column
+    that carries its mass, written as a sum of products that are never
+    negative: it needs no clamp, loses no digits to cancellation, and a
+    column without mass adds zero.  A non-finite gradient entry, on a used
+    slot, an unused one or a column without mass, makes its game's gap
+    non-finite by itself: a NaN or a -inf makes the column's minimum
+    non-finite, and with it every difference, and a +inf makes its own
+    difference -inf, which a zero weight turns into NaN.
 
-    The differences come with the sign that the dynamics' softmax takes
-    from the same subtraction, so a column's sum is taken as
-    0 - x_0 * (min G - G_0) - x_1 * (min G - G_1) - ..., which is the sum
-    above to the bit: numpy subtracts the rows of a C-ordered buffer one
-    after another, in slot order, whatever the stack's size.  A game's
-    players are added in the same order in any stack, so each game's gap
-    is the one it gets alone.  The function returns the gaps as a list of
-    floats, never a buffer.
+    The differences are taken as min G - G, the sign of the dynamics'
+    softmax exponents, so a column's sum is taken as
+    0 - x_0 * (min G - G_0) - x_1 * (min G - G_1) - ... below a zero row,
+    which is the sum above to the bit: numpy subtracts the rows of a
+    C-ordered buffer one after another, in slot order, whatever the
+    stack's size, where it would add a lone column of eight or more
+    entries pairwise.  The dynamics take their column sums the same way,
+    in one reduction with their softmax totals.
     """
     # A zero row above the terms starts every column's subtraction at 0.0.
-    terms = np.zeros((differences.shape[0] + 1, differences.shape[1]))
-    products = terms[1:]
-    sums = np.empty(differences.shape[1])
+    terms = np.zeros((rows.shape[0] + 1, rows.shape[1]))
+    differences = np.subtract(np.minimum.reduce(gradients, 0), gradients)
+    np.multiply(rows, differences, terms[1:])
+    return _gap_reduction(players, np.subtract.reduce(terms, 0))()
+
+
+def _gap_reduction(players: int, sums: np.ndarray):
+    """The gap of every game in a stack from its column sums (see
+    :func:`_gaps`), as a function that reads the vector ``sums`` as it
+    stands when it is called.
+
+    A game's players are added in player order, one add per player after
+    the first, in any stack, so each game's gap is the one it gets alone.
+    The function returns the gaps as a list of floats, never a buffer.
+    """
     # One strided view per player, a game per entry: a call on such a
     # vector runs one inner loop, where a reduction over each game's few
     # adjacent players would run one per game.
     first, *others = sums.reshape(-1, players).T
     totals = np.empty(first.size) if others else sums
     addends = list(zip([first] + [totals] * (players - 2), others))
-    multiply, add, subtract_reduce = np.multiply, np.add, np.subtract.reduce
+    add = np.add
 
     def gaps():
-        multiply(rows, differences, products)
-        subtract_reduce(terms, 0, None, sums)
         for augend, addend in addends:
             add(augend, addend, totals)
         return totals.tolist()
@@ -264,9 +261,8 @@ def make_report(
     """
     if gap is None:
         gap = vi_gap(spec, profile)
-    loads = decompose_loads(spec, profile)
-    prices, strategy = _slot_prices(spec, loads)
-    costs = _summarize_costs(spec, profile, loads, prices, strategy)
+    validate_profile(spec, profile)
+    loads, strategy, costs = _entity_costs(spec, spec.weights, profile.matrix())
     wardrop = _wardrop_at(spec, profile, strategy, eps=np.inf)
     boundary = any(
         mass > 0.0 and float(flow.values.min()) <= support_threshold(mass)

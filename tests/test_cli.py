@@ -242,6 +242,21 @@ def test_config_error_exit_code_and_message(tmp_path, capsys):
     assert "duration" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_a_horizon_past_the_incidence_bound_is_a_config_error(tmp_path, capsys, command):
+    # 100,000 slots would need a dense start-slot x slot incidence of
+    # 74.5 GiB; the game is refused before it is built, naming the horizon.
+    config = write_config(tmp_path / "config.json", {
+        "game": dict(BAND_GAME, horizon=100_000, duration=1, weights=[0.5, 0.5]),
+        "load_profile": [1.0] * 100_000,
+        "solver": {"method": "dynamics"},
+    })
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon 100000 with duration 1 needs")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_print_config_shows_defaults(tmp_path, capsys):
     config = band_config(tmp_path)
     assert main(["solve", "--config", config, "--print-config"]) == 0

@@ -20,6 +20,7 @@ from chargegame import (
     SpecError,
     ThreeSlotInstance,
     coalition_average_cost,
+    make_report,
     player_gradients,
     run_sweep,
     solve,
@@ -29,7 +30,7 @@ from chargegame import (
     vi_gap,
 )
 from chargegame import dynamics
-from chargegame.dynamics import _softmax, _solve_batch
+from chargegame.dynamics import _solve_batch
 from chargegame.model import _gradient_kernel
 from chargegame.verify import _gaps
 from conftest import random_profile, random_three_slot
@@ -171,15 +172,6 @@ def reference_softmax(cum_costs, weights):
     return rows
 
 
-def softmax_rows(weights, cum_costs):
-    """The solver's softmax of player-major costs, taken slot-major with
-    the exponents shifted by each column's minimum, as the loop does."""
-    costs = cum_costs.T.copy()
-    rows = np.empty_like(costs)
-    _softmax(weights, np.minimum.reduce(costs, 0) - costs, rows)()
-    return rows.T
-
-
 def default_step(n):
     """The default schedule, 1/(1 + n**(1/4)), in the solver's float operations."""
     return 1.0 / (1.0 + math.sqrt(math.sqrt(n)))
@@ -286,12 +278,6 @@ def test_kernel_matches_per_row_reference(rng):
                     reference_gap(rows, expected),
                     exact,
                     gap_scale(spec, expected),
-                )
-                cum_costs = rng.normal(0.0, 5.0, size=rows.shape)
-                assert_matches_reference(
-                    softmax_rows(spec.weights, cum_costs),
-                    reference_softmax(cum_costs, spec.weights),
-                    exact,
                 )
                 # The dynamics of a linear game learn through the affine
                 # map of model._linear_form, which sums in another order.
@@ -407,6 +393,21 @@ def outcome_bits(outcome):
             outcome.profile.matrix().tobytes(), outcome.costs, trace)
 
 
+def batch_reports(specs, **options):
+    """The outcomes of ``dynamics._solve_batch`` on games that share the
+    shape and cost of ``specs[0]``, each exit made into its report as
+    solve_dynamics makes it."""
+    outcomes = _solve_batch(specs[0], [spec.weights for spec in specs], **options)
+    reports = []
+    for spec, outcome in zip(specs, outcomes):
+        if not isinstance(outcome, Exception):
+            rows, gap, status, iteration, trace = outcome
+            outcome = make_report(spec, Profile.from_rows(spec, rows), status,
+                                  iterations=iteration, gap=gap, trace=trace)
+        reports.append(outcome)
+    return reports
+
+
 def stack_of(rng, base, games, massless):
     """``games`` games that share ``base``'s shape and cost: the first is
     ``base``, the others draw their masses, the coalition at index
@@ -438,7 +439,7 @@ def test_every_stack_size_matches_the_lone_solves(rng, games):
         specs = stack_of(rng, base, games, massless)
         options = {"max_iter": 40, "gap_tol": 1e-7, "step_size": float(rng.choice([0.5, 1.0])),
                    "trace_every": 9}
-        batch = _solve_batch(specs, **options)
+        batch = batch_reports(specs, **options)
         assert [outcome_bits(r) for r in batch] == [
             outcome_bits(solve_dynamics(spec, **options)) for spec in specs
         ]
@@ -453,7 +454,7 @@ def test_a_one_player_game_rounds_alike_in_every_stack_of_two_or_more(rng):
     for horizon, duration in [(3, 2), (10, 1), (12, 3)]:
         base = GameSpec(horizon, duration, 0.4, rng.uniform(0.0, 2.0, size=horizon),
                         QuadraticCost(), np.array([1.0]))
-        stacked = [_solve_batch([base] * games, **options)[0] for games in (2, 7, 20)]
+        stacked = [batch_reports([base] * games, **options)[0] for games in (2, 7, 20)]
         assert len({outcome_bits(report) for report in stacked}) == 1
         alone = solve_dynamics(base, **options)
         np.testing.assert_allclose(
@@ -480,10 +481,10 @@ def test_a_non_finite_gradient_ends_only_its_game(monkeypatch, rng, games, bad, 
     real = dynamics._gradient_kernel
 
     def faulty(spec, weights, checked=True, out=None):
-        kernel, stack = real(spec, weights, checked, out), weights.size
+        (rows, kernel), stack = real(spec, weights, checked, out), weights.size
 
-        def gradients(rows):
-            result = kernel(rows)
+        def gradients():
+            result = kernel()
             calls.append(stack)
             if len(calls) == 2:
                 player = 2 if where == "massless player" else 0
@@ -493,10 +494,10 @@ def test_a_non_finite_gradient_ends_only_its_game(monkeypatch, rng, games, bad, 
                 result[slot, target * base.num_players + player] = bad
             return result
 
-        return gradients
+        return rows, gradients
 
     monkeypatch.setattr(dynamics, "_gradient_kernel", faulty)
-    outcomes = _solve_batch(specs, **options)
+    outcomes = batch_reports(specs, **options)
     assert isinstance(outcomes[target], NumericsError)
     assert calls.count(games * base.num_players) == 2
     bits = [outcome_bits(outcome) for outcome in outcomes]
@@ -521,7 +522,7 @@ def test_batch_of_games_matches_single_solves(rng):
             raw[int(rng.integers(0, players - 1))] *= float(rng.integers(0, 2))
             specs.append(GameSpec(horizon, duration, power, base_load, family, raw / raw.sum()))
         options = {"max_iter": 60, "gap_tol": 1e-5, "trace_every": 7}
-        for spec, report in zip(specs, _solve_batch(specs, **options)):
+        for spec, report in zip(specs, batch_reports(specs, **options)):
             single = solve_dynamics(spec, **options)
             assert (report.iterations, report.status) == (single.iterations, single.status)
             assert repr(report.vi_gap) == repr(single.vi_gap)
@@ -546,7 +547,9 @@ def oracle_batch(specs, max_iter, gap_tol):
     rows = reference_softmax(cum_costs, weights)
     iteration = 0
     while True:
-        gradients = _gradient_kernel(spec, weights, checked=False)(rows.T.copy()).T
+        buffer, kernel = _gradient_kernel(spec, weights, checked=False)
+        buffer[...] = rows.T
+        gradients = kernel().T
         games = [slice(j * players, (j + 1) * players) for j in range(len(live))]
         gaps = [reference_gap(rows[game], gradients[game]) for game in games]
         keep = [iteration < max_iter and gap > gap_tol for gap in gaps]
@@ -563,9 +566,22 @@ def oracle_batch(specs, max_iter, gap_tol):
         iteration += 1
 
 
+def assert_batch_equals_the_oracle(specs, gap_tol):
+    expected = oracle_batch(specs, 30, gap_tol)
+    for spec, report, (iterations, gap, rows) in zip(
+        specs, batch_reports(specs, max_iter=30, gap_tol=gap_tol), expected
+    ):
+        assert report.iterations == iterations
+        np.testing.assert_array_equal(report.vi_gap, gap)
+        np.testing.assert_array_equal(
+            report.profile.matrix(), Profile.from_rows(spec, rows).matrix()
+        )
+
+
 def test_batch_equals_the_unfused_loop_bit_for_bit(rng):
     # The batch keeps the gradients and cumulative costs in one buffer and
-    # takes both row minima in one reduction; every float operation and its
+    # takes both column minima in one reduction, and the gap's terms and
+    # the softmax's numerators in another; every float operation and its
     # order must stay the oracle's, for any family, duration and stack,
     # zero-mass players included, whatever iteration each game leaves at.
     for family in reference_families(rng):
@@ -580,15 +596,26 @@ def test_batch_equals_the_unfused_loop_bit_for_bit(rng):
                 ]
                 # A loose tolerance lets games leave the stack early.
                 gap_tol = float(rng.choice([1e-9, 1e-4, 1e-3]))
-                expected = oracle_batch(specs, 30, gap_tol)
-                for spec, report, (iterations, gap, rows) in zip(
-                    specs, _solve_batch(specs, max_iter=30, gap_tol=gap_tol), expected
-                ):
-                    assert report.iterations == iterations
-                    np.testing.assert_array_equal(report.vi_gap, gap)
-                    np.testing.assert_array_equal(
-                        report.profile.matrix(), Profile.from_rows(spec, rows).matrix()
-                    )
+                assert_batch_equals_the_oracle(specs, gap_tol)
+
+
+def test_batch_equals_the_unfused_loop_at_eight_or_more_start_slots(rng):
+    # From eight entries on, numpy adds a lone contiguous column pairwise.
+    # The batch's reduction of the gap's terms and the softmax's numerators
+    # still takes each column in slot order: for a lone one-player game,
+    # whose stack is that one column, and for stacks of one to three games.
+    for family in reference_families(rng):
+        for slots in range(8, 13):
+            duration = int(rng.integers(1, 4))
+            horizon = slots + duration - 1
+            base = random_reference_game(rng, horizon, duration, family)
+            lone = dataclasses.replace(base, weights=np.array([1.0]))
+            stack = [base] + [
+                dataclasses.replace(base, weights=random_masses(rng, base.num_players))
+                for _ in range(int(rng.integers(0, 3)))
+            ]
+            for specs in ([lone], [lone, lone], stack):
+                assert_batch_equals_the_oracle(specs, float(rng.choice([1e-9, 1e-4, 1e-3])))
 
 
 def test_linear_dynamics_match_the_general_kernel(rng):
@@ -721,7 +748,7 @@ def test_solver_rejects_schedule_values_that_cannot_work(value, first_bad):
     with pytest.raises(SpecError, match=message):
         solve_dynamics(spec, max_iter=200, step_size=schedule)
     with pytest.raises(SpecError, match=message):
-        _solve_batch([spec, spec], max_iter=200, step_size=schedule)
+        _solve_batch(spec, [spec.weights] * 2, max_iter=200, step_size=schedule)
     for method in ("dynamics", "analytic", "auto"):
         with pytest.raises(SpecError, match=message):
             solve(spec, method, max_iter=200, step_size=schedule)
@@ -766,14 +793,18 @@ def test_dominated_strategy_weight_strictly_decreases():
 
 
 def test_max_shift_invariance():
+    # The softmax shifts each column's cumulative costs by their minimum, so
+    # costs raised by a constant per player take the same rows.  A family
+    # raised by 100 raises each player's gradients by one constant, 200 for
+    # the individuals and 200 / 0.6 for the coalition, at every iteration.
     spec = GameSpec(
         3, 2, 1.0, np.array([1.5, 1, 1]), QuadraticCost(), np.array([0.4, 0.6])
     )
-    cum_costs = player_gradients(spec, Profile.uniform(spec))
-    shifted = cum_costs + np.array([[100.0], [250.0]])
+    shifted = dataclasses.replace(spec, cost=AffineCost(QuadraticCost(), 1.0, 100.0))
+    options = {"max_iter": 20, "gap_tol": -1.0, "step_size": 1.0}
     np.testing.assert_allclose(
-        softmax_rows(spec.weights, cum_costs),
-        softmax_rows(spec.weights, shifted),
+        solve_dynamics(shifted, **options).profile.matrix(),
+        solve_dynamics(spec, **options).profile.matrix(),
         atol=1e-12,
     )
 

@@ -30,6 +30,7 @@ from chargegame import (
     vi_gap,
 )
 from chargegame.model import (
+    MAX_INCIDENCE_ENTRIES,
     SIMPLEX_TOL,
     _gradient_kernel,
     _linear_form,
@@ -511,6 +512,22 @@ def test_flow_renormalizes_drift():
     assert flow.values.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_a_horizon_past_the_incidence_bound_is_refused():
+    # (horizon - duration + 1) * horizon entries of the dense incidence: a
+    # one-minute day fits, and one start slot more than the bound admits
+    # is refused by name before any array of that size exists.
+    def spec(horizon, duration):
+        return GameSpec(horizon, duration, 1.0, np.ones(horizon), LinearCost(), np.array([1.0]))
+
+    assert MAX_INCIDENCE_ENTRIES == 10_000_000
+    assert spec(1440, 1).num_start_slots == 1440
+    assert spec(3162, 1).num_start_slots * 3162 <= MAX_INCIDENCE_ENTRIES
+    assert spec(3163, 4).num_start_slots * 3163 <= MAX_INCIDENCE_ENTRIES
+    for horizon, duration in ((3163, 1), (3163, 2), (100_000, 1)):
+        with pytest.raises(SpecError, match=f"^horizon {horizon} with duration {duration}"):
+            spec(horizon, duration)
+
+
 def test_spec_arrays_are_read_only():
     spec = three_slot_spec()
     with pytest.raises(ValueError):
@@ -591,6 +608,13 @@ def test_linear_form_is_the_undivided_gradient(rng):
             assert not gradients[~used].any()
 
 
+def kernel_at(spec, weights, rows, checked=True):
+    """The gradient kernel's columns at the slot-major stack ``rows``."""
+    buffer, gradients = _gradient_kernel(spec, weights, checked)
+    buffer[...] = rows
+    return gradients()
+
+
 def test_raw_linear_kernel_matches_the_checked_kernel(rng, monkeypatch):
     # The dynamics' raw kernel of a linear game takes the affine map and
     # never evaluates f or f'; the checked kernel, which the certificates
@@ -607,14 +631,14 @@ def test_raw_linear_kernel_matches_the_checked_kernel(rng, monkeypatch):
             weights = np.concatenate(masses)  # game by game
             raw = rng.uniform(size=(spec.num_start_slots, weights.size))
             cases.append((spec, weights, weights * raw / raw.sum(axis=0)))  # slot-major
-    checked = [_gradient_kernel(spec, weights)(rows).copy() for spec, weights, rows in cases]
+    checked = [kernel_at(spec, weights, rows).copy() for spec, weights, rows in cases]
 
     def no_pair(self, load):
         raise AssertionError("the raw linear kernel evaluated the cost family")
 
     monkeypatch.setattr(LinearCost, "_raw_pair", no_pair)
     for (spec, weights, rows), expected in zip(cases, checked):
-        got = _gradient_kernel(spec, weights, checked=False)(rows)
+        got = kernel_at(spec, weights, rows, checked=False)
         np.testing.assert_allclose(
             got, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max()
         )

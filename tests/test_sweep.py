@@ -100,6 +100,26 @@ def test_a_one_point_sweep_passes_every_audit(solver):
         assert verdict.passed and verdict.worst_value == 0.0 and verdict.worst_pair is None
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: run_sweep(band_instance(), grid=[0.5, "x"]), "grid"),
+        (lambda: audit_monotone(["a", "b"], "nondecreasing"), "values"),
+        (lambda: audit_concave_branches(["a", "b", "c"], ["x"] * 3), "values"),
+        # None is no number, where numpy would read it as NaN and fail the audit.
+        (lambda: audit_concave_branches([1.0, None, 2.0], ["x"] * 3), "values"),
+        # An array of numbers that is no vector.
+        (lambda: audit_monotone(np.array(1.0), "nondecreasing"), "values"),
+        (lambda: audit_concave_branches(np.ones((3, 3)), ["x"] * 3), "values"),
+    ],
+    ids=["sweep-grid-string", "monotone-strings", "concave-strings", "concave-none",
+         "monotone-0-d", "concave-2-d"],
+)
+def test_a_numeric_sequence_with_a_non_number_is_refused_by_name(call, name):
+    with pytest.raises(SpecError, match=f"^{name} must be"):
+        call()
+
+
 def test_audit_concave_on_linear_segment():
     values = np.linspace(0.0, 1.0, 10)
     verdict = audit_concave_branches(values, ["a"] * 10)
