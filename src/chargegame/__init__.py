@@ -31,7 +31,6 @@ from .model import (
     Flow,
     GameSpec,
     Profile,
-    coalition_average_cost,
     evaluate_costs,
     player_gradients,
     strategy_costs,
@@ -40,8 +39,6 @@ from .sweep import (
     AuditVerdict,
     SweepPoint,
     SweepResult,
-    audit_concave_branches,
-    audit_monotone,
     default_grid,
     peak_start_slot,
     run_sweep,
@@ -109,14 +106,11 @@ __all__ = [
     "UndefinedAverageError",
     "WardropCheck",
     "activation_threshold",
-    "audit_concave_branches",
-    "audit_monotone",
     "ce_costs",
     "check_coalition_optimality",
     "check_cost_ordering",
     "check_wardrop",
     "classify",
-    "coalition_average_cost",
     "cost_from_config",
     "cost_to_config",
     "default_grid",

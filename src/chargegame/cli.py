@@ -44,6 +44,7 @@ from .sweep import (
     DEFAULT_GRID_SIZE,
     DEFAULT_GRID_START,
     DEFAULT_GRID_STOP,
+    MAX_SWEEP_COUNT,
     METHODS,
     _write_rows,
     audits_to_dict,
@@ -79,10 +80,6 @@ SWEEP_DEFAULTS = {
     "stop": DEFAULT_GRID_STOP,
     "count": DEFAULT_GRID_SIZE,
 }
-
-# Most grid points a configured sweep may have; a larger count is refused
-# at ingestion, before any grid is built.
-MAX_SWEEP_COUNT = 100_000
 
 
 def _round_floats(obj):

@@ -66,16 +66,16 @@ def _window_sum(spec: GameSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _onto_masses(rows: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
-    """A :class:`Flow`'s renormalization of one row or of a slot-major
-    stack of rows, one per column.
+    """A :class:`Flow`'s renormalization of one row or of a player-major
+    stack of rows, each summed along the last axis as Flow sums its row.
 
-    Negative entries are clipped to zero, then each row (first axis) is
-    scaled by its mass over its total, and a row whose total is zero
-    becomes zeros.  ``masses`` broadcasts against the totals, which keep
-    their axis.  Returns the scaled rows and the totals before scaling.
+    Negative entries are clipped to zero, then each row is scaled by its
+    mass over its total, and a row whose total is zero becomes zeros.
+    ``masses`` broadcasts against the totals, which keep their axis.
+    Returns the scaled rows and the totals before scaling.
     """
     rows = np.maximum(rows, 0.0)
-    totals = np.add.reduce(rows, 0, keepdims=True)
+    totals = np.add.reduce(rows, -1, keepdims=True)
     positive = totals > 0.0
     scale = np.divide(masses, totals, out=np.zeros(totals.shape), where=positive)
     return np.where(positive, rows * scale, 0.0), totals
@@ -314,14 +314,6 @@ def strategy_costs(spec: GameSpec, profile: Profile) -> np.ndarray:
     return _slot_prices(spec, decompose_loads(spec, profile))[1]
 
 
-def coalition_average_cost(spec: GameSpec, profile: Profile, k: int) -> float:
-    """Average cost paid by coalition ``k`` (player index, 1-based up to K);
-    any other index raises IndexError, a zero-mass coalition
-    UndefinedAverageError."""
-    k, _ = _coalition_mass(spec, k)
-    return evaluate_costs(spec, profile).coalitions[k - 1]
-
-
 def _coalition_mass(spec: GameSpec, k) -> tuple[int, float]:
     """Coalition ``k``'s index as an int and its mass.  Raises IndexError
     unless ``k`` is a whole number in [1, K] (a bool, a string or None is
@@ -488,11 +480,13 @@ def player_gradients(spec: GameSpec, profile: Profile) -> np.ndarray:
     """Stacked per-strategy marginal costs, one row per player.
 
     Row 0 holds the plain strategy costs (what a vanishing individual
-    pays).  Row k > 0 holds coalition k's average-cost gradient in its own
-    flow: component s is the strategy cost u_s plus the extra price the
-    coalition's members already charging in that window would pay, all
-    divided by the coalition's mass.  Zero-mass players get a zero row,
-    matching their zero flow.  A non-finite entry raises a NumericsError.
+    pays), equal to :func:`strategy_costs` to rounding, not bit for bit:
+    the kernel sums the prices over windows in another product than
+    ``A @ prices``.  Row k > 0 holds coalition k's average-cost gradient
+    in its own flow: component s is the strategy cost u_s plus the extra
+    price the coalition's members already charging in that window would
+    pay, all divided by the coalition's mass.  Zero-mass players get a
+    zero row, matching their zero flow.  A non-finite entry raises a NumericsError.
     """
     return _profile_gradients(spec, profile)[1].T.copy()
 

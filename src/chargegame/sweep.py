@@ -58,6 +58,9 @@ DEFAULT_GRID_SIZE = 101
 DEFAULT_GRID_START = 0.01
 DEFAULT_GRID_STOP = 1.0
 DEFAULT_AUDIT_TOL = 1e-9
+# Most grid points a sweep's default grid may have; a configured sweep's
+# count is refused past it at ingestion, before any grid is built.
+MAX_SWEEP_COUNT = 100_000
 METHODS = ("auto", "analytic", "dynamics")
 
 
@@ -68,11 +71,12 @@ def default_grid(
 ) -> np.ndarray:
     """Uniform grid of coalition sizes; M = 0 is approached, never hit.
 
-    A ``count`` that is not a whole number >= 1, or a ``start`` or
-    ``stop`` that is not a finite number, raises a SpecError naming it.
+    A ``count`` that is not a whole number in [1, :data:`MAX_SWEEP_COUNT`],
+    or a ``start`` or ``stop`` that is not a finite number, raises a
+    SpecError naming it.
     """
-    if not _is_integer(count, 1):
-        raise SpecError(f"grid count must be an integer >= 1, got {count!r}")
+    if not (_is_integer(count, 1) and count <= MAX_SWEEP_COUNT):
+        raise SpecError(f"grid count must be an integer in [1, {MAX_SWEEP_COUNT}], got {count!r}")
     for name, value in (("start", start), ("stop", stop)):
         if not _is_number(value):
             raise SpecError(f"grid {name} must be a finite number, got {value!r}")
@@ -126,56 +130,21 @@ def peak_start_slot(spec: GameSpec) -> int:
     return int(np.argmax(_window_sum(spec, spec.base_load)))
 
 
-# Sign that turns an adjacent difference into its excess over a direction.
-_DIRECTIONS = {"nondecreasing": -1.0, "nonincreasing": 1.0}
-
-
-def audit_monotone(values, direction: str, tol: float = DEFAULT_AUDIT_TOL) -> AuditVerdict:
-    """Check adjacent differences against a direction within tol; a ``tol``
-    that is NaN or not a real number, or ``values`` that are not a vector
-    of numbers (by :func:`~chargegame.errors._numbers`' rule), raise a
-    SpecError, as they do for every audit."""
-    if direction not in _DIRECTIONS:
-        raise SpecError(f"unknown direction {direction!r}")
-    _tolerance("audit tol", tol)
-    values = _series(values)
-    return _monotone(values[None, :], [[_DIRECTIONS[direction]]], tol)[0]
-
-
-def audit_concave_branches(
-    values, tags, tol: float = DEFAULT_AUDIT_TOL
-) -> AuditVerdict:
-    """Concavity audit applied separately to each run of equal regime tags.
-
-    The closed-form peak weight can kink convexly exactly where the regime
-    changes, so the concavity claim is checked per branch: only second
-    differences whose three points share a tag count.  A NaN among them
-    fails the audit.
-    """
-    _tolerance("audit tol", tol)
-    values = _series(values)
-    tags = list(tags)
-    if len(values) != len(tags):
-        raise SpecError("values and tags must align")
-    return _concave_branches(values, _same_tags(tags), tol)
-
-
-def _series(values) -> np.ndarray:
-    """An audit's ``values`` as a float vector, or a SpecError naming them."""
-    values = _numbers("values", values)
-    if values.ndim != 1:
-        raise SpecError(f"values must be a vector, got shape {values.shape}")
-    return values
-
-
 def _same_tags(tags) -> np.ndarray:
     """Whether each of the sequence ``tags`` equals the next one."""
     return np.fromiter(map(eq, tags, tags[1:]), dtype=bool, count=max(len(tags) - 1, 0))
 
 
 def _concave_branches(values: np.ndarray, same: np.ndarray, tol: float) -> AuditVerdict:
-    """:func:`audit_concave_branches` of ``values``, with ``same`` saying
-    whether each tag equals the next one."""
+    """Concavity audit of ``values`` within tol, applied separately to
+    each run of equal regime tags, with ``same`` saying whether each tag
+    equals the next one.
+
+    The closed-form peak weight can kink convexly exactly where the regime
+    changes, so the concavity claim is checked per branch: only second
+    differences whose three points share a tag count.  A NaN among them
+    fails the audit.
+    """
     clean = AuditVerdict(passed=True, worst_value=0.0, note="per-branch")
     if len(values) < 3:
         return clean
@@ -189,8 +158,9 @@ def _concave_branches(values: np.ndarray, same: np.ndarray, tol: float) -> Audit
 
 
 def _monotone(series: np.ndarray, signs, tol: float) -> list[AuditVerdict]:
-    """:func:`audit_monotone` of every row of ``series`` at once, each
-    row's direction given by its sign in the column ``signs``."""
+    """Monotonicity audit of every row of ``series`` at once: its adjacent
+    differences against its direction within tol, the direction given by
+    the row's sign in the column ``signs``."""
     if series.shape[1] < 2:
         return [AuditVerdict(passed=True, worst_value=0.0)] * len(series)
     adverse = np.subtract(series[:, 1:], series[:, :-1]) * signs
@@ -348,17 +318,16 @@ def _certified_points(
     """
     gapped, x1, x0, split = _grid_solution(inst, sizes)
     social, individuals, coalition = _grid_costs(inst, sizes, x1, split)
-    # The stack is slot-major, as the dynamics': a row per alternative, and
-    # each game's individuals and coalition as adjacent columns.
+    # Player-major rows, (games, players, slots), go into the kernel's
+    # slot-major stack transposed, as a profile's rows do.
     masses, weights = _grid_masses(sizes)
-    rest = masses[:, 0]
-    rows = np.empty((2,) + masses.shape)
-    rows[0, :, 0] = x0
-    rows[0, :, 1] = x1
-    np.subtract(rest, x0, out=rows[1, :, 0])
-    np.subtract(sizes, x1, out=rows[1, :, 1])
+    rows = np.empty(masses.shape + (2,))
+    rows[:, 0, 0] = x0
+    rows[:, 1, 0] = x1
+    np.subtract(masses[:, 0], x0, out=rows[:, 0, 1])
+    np.subtract(sizes, x1, out=rows[:, 1, 1])
     stack, gradients = _gradient_kernel(spec, weights.ravel())
-    stack[...] = _onto_masses(rows.reshape(2, -1), masses.ravel())[0]
+    stack[...] = _onto_masses(rows, masses[..., None])[0].reshape(-1, 2).T
     gaps = _finite(_gaps(stack, gradients(), spec.num_players))
     regimes = (_regime(gapped, False).value, _regime(gapped, True).value)
     columns = (values.tolist() for values in (sizes, x1, x0, individuals, coalition, social))
@@ -385,14 +354,13 @@ def _dynamics_points(spec: GameSpec, grid: np.ndarray, **options) -> list[SweepP
     """The records of the learning dynamics at ``grid``, from one batch.
 
     Each is the record that the report of a solve of the point's game
-    gives: the rows are renormalized as a Flow renormalizes them (a
-    column sums its slots as Flow sums its row), and the costs are those
-    make_report takes, reduced for three-slot games.  Flow's checks always
-    pass on a finished game's rows, which are finite, nonnegative and sum
-    to their masses to rounding.  The point's GameSpec, Wardrop slack and
-    boundary flag, which a record does not keep, are never built.  A point
-    whose solve fails, or whose costs are not finite, carries its own
-    error.
+    gives: the rows are renormalized as a Flow renormalizes them, and the
+    costs are those make_report takes, reduced for three-slot games.
+    Flow's checks always pass on a finished game's rows, which are finite,
+    nonnegative and sum to their masses to rounding.  The point's
+    GameSpec, Wardrop slack and boundary flag, which a record does not
+    keep, are never built.  A point whose solve fails, or whose costs are
+    not finite, carries its own error.
     """
     weights = _grid_masses(grid)[1]
     peak = peak_start_slot(spec)
@@ -402,7 +370,7 @@ def _dynamics_points(spec: GameSpec, grid: np.ndarray, **options) -> list[SweepP
             points.append(_error_point(m, outcome))
             continue
         rows, gap, status, _, _ = outcome
-        rows = np.ascontiguousarray(_onto_masses(rows.T, masses)[0].T)
+        rows = _onto_masses(rows, masses[:, None])[0]
         try:
             costs = _entity_costs(spec, masses, rows)[2]
         except ChargeGameError as exc:
@@ -444,7 +412,9 @@ def _error_point(m: float, exc: ChargeGameError) -> SweepPoint:
 
 
 # The monotone audits, each named "<point field>_<direction>", and their
-# signs as a column, in the order of the audited series.
+# signs as a column, in the order of the audited series: a direction's sign
+# turns an adjacent difference into its excess over the direction.
+_DIRECTIONS = {"nondecreasing": -1.0, "nonincreasing": 1.0}
 _MONOTONE_AUDITS = (
     ("x1", "nondecreasing"),
     ("x0", "nonincreasing"),
@@ -456,9 +426,9 @@ _MONOTONE_SIGNS = np.array([[_DIRECTIONS[direction]] for _, direction in _MONOTO
 
 
 def _run_audits(points, solver: str, tol: float, columns=None) -> dict[str, AuditVerdict]:
-    """The sweep's audits: :func:`audit_monotone` of each series of
+    """The sweep's audits: :func:`_monotone` of each series of
     ``_MONOTONE_AUDITS`` and, for the closed form, x1's
-    :func:`audit_concave_branches` over the regimes.
+    :func:`_concave_branches` over the regimes.
 
     ``columns`` holds the series as one array and the regimes' adjacent
     equalities, as :func:`_certified_points` returns them; without it,

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _finite, _quiet, _tolerance
+from .errors import SpecError, _finite, _quiet, _tolerance
 from .model import (
     CostSummary,
     GameSpec,
@@ -258,7 +258,11 @@ def make_report(
     ``gap`` is the profile's variational gap when the caller already has
     it; otherwise it is computed here.  The entity costs and the Wardrop
     slack share one load decomposition and one evaluation of the prices.
+    A ``status`` that is not a :class:`SolverStatus` raises a SpecError
+    naming it.
     """
+    if not isinstance(status, SolverStatus):
+        raise SpecError(f"status must be a SolverStatus, got {status!r}")
     if gap is None:
         gap = vi_gap(spec, profile)
     validate_profile(spec, profile)

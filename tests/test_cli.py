@@ -242,6 +242,12 @@ def test_config_error_exit_code_and_message(tmp_path, capsys):
     assert "duration" in err
 
 
+def test_an_inline_load_profile_of_the_wrong_length_is_a_config_error(tmp_path, capsys):
+    config = band_config(tmp_path, load_profile=[1.5, 1.0])
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: base_load must have length 3, got shape (2,)\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_a_horizon_past_the_incidence_bound_is_a_config_error(tmp_path, capsys, command):
     # 100,000 slots would need a dense start-slot x slot incidence of

@@ -19,7 +19,7 @@ from chargegame import (
     SolverStatus,
     SpecError,
     ThreeSlotInstance,
-    coalition_average_cost,
+    evaluate_costs,
     make_report,
     player_gradients,
     run_sweep,
@@ -47,8 +47,8 @@ def directional_fd(spec, profile, k, s, t, h=1e-6):
         return Profile.from_rows(spec, bumped)
 
     return (
-        coalition_average_cost(spec, shifted(h), k)
-        - coalition_average_cost(spec, shifted(-h), k)
+        evaluate_costs(spec, shifted(h)).coalitions[k - 1]
+        - evaluate_costs(spec, shifted(-h)).coalitions[k - 1]
     ) / (2.0 * h)
 
 

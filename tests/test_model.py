@@ -1,7 +1,6 @@
 """Flow/load algebra, cost evaluations and their structural invariants."""
 
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +21,7 @@ from chargegame import (
     SpecError,
     ThreeSlotInstance,
     UndefinedAverageError,
-    coalition_average_cost,
+    check_coalition_optimality,
     evaluate_costs,
     make_report,
     player_gradients,
@@ -34,11 +33,12 @@ from chargegame.model import (
     SIMPLEX_TOL,
     _gradient_kernel,
     _linear_form,
+    _onto_masses,
     _reduced_costs,
     decompose_loads,
     validate_profile,
 )
-from conftest import random_profile, random_three_slot
+from conftest import random_cost, random_profile, random_three_slot
 
 
 def three_slot_spec(cost=None, weights=(1.0,), base=(1.5, 1.0, 1.0)):
@@ -142,6 +142,27 @@ def test_strategy_cost_zero_power_reads_base_load():
     assert costs[1] == pytest.approx(2.0)
 
 
+def test_gradient_row_zero_is_the_strategy_costs_to_rounding(rng):
+    # Both are the strategy costs, from two products: A @ prices and the
+    # kernel's A @ per_player, which sum in different orders.
+    eps = np.finfo(float).eps
+    for _ in range(1000):
+        horizon = int(rng.integers(2, 30))
+        raw = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 5)))
+        spec = GameSpec(
+            horizon,
+            int(rng.integers(1, horizon + 1)),
+            float(rng.uniform(0.1, 1.5)),
+            rng.uniform(0.0, 2.0, size=horizon),
+            random_cost(rng),
+            raw / raw.sum(),
+        )
+        profile = random_profile(rng, spec)
+        costs = strategy_costs(spec, profile)
+        row = player_gradients(spec, profile)[0]
+        assert np.all(np.abs(row - costs) <= 8.0 * eps * np.abs(costs))
+
+
 def test_strategy_costs_constant_when_slots_symmetric():
     spec = GameSpec(4, 1, 0.5, np.full(4, 2.0), QuadraticCost(), np.array([1.0]))
     costs = strategy_costs(spec, Profile.uniform(spec))
@@ -154,7 +175,7 @@ def test_strategy_costs_constant_when_slots_symmetric():
 def test_coalition_cost_point_mass_equals_strategy_cost():
     spec = three_slot_spec(weights=(0.5, 0.5))
     profile = Profile.from_rows(spec, [[0.25, 0.25], [0.5, 0.0]])
-    assert coalition_average_cost(spec, profile, 1) == pytest.approx(
+    assert evaluate_costs(spec, profile).coalitions[0] == pytest.approx(
         strategy_costs(spec, profile)[0], abs=1e-12
     )
 
@@ -163,7 +184,7 @@ def test_coalition_cost_at_quadratic_optimum():
     # Full-coalition optimizer of the Joule-loss instance.
     spec = three_slot_spec(weights=(0.0, 1.0))
     profile = Profile.from_rows(spec, [[0.0, 0.0], [0.359375, 0.640625]])
-    assert coalition_average_cost(spec, profile, 1) == pytest.approx(6.9668, abs=1e-3)
+    assert evaluate_costs(spec, profile).coalitions[0] == pytest.approx(6.9668, abs=1e-3)
 
 
 def test_coalition_cost_even_split_over_equal_alternatives():
@@ -173,24 +194,19 @@ def test_coalition_cost_even_split_over_equal_alternatives():
     profile = Profile.from_rows(spec, [[0.0, 0.0], [0.5, 0.5]])
     costs = strategy_costs(spec, profile)
     assert costs[0] == pytest.approx(costs[1], abs=1e-12)
-    assert coalition_average_cost(spec, profile, 1) == pytest.approx(
-        costs[0], abs=1e-12
-    )
+    assert evaluate_costs(spec, profile).coalitions[0] == pytest.approx(costs[0], abs=1e-12)
 
 
 def test_zero_mass_queries_raise():
     spec2 = three_slot_spec(weights=(1.0, 0.0))
     profile2 = Profile.from_rows(spec2, [[0.5, 0.5], [0, 0]])
-    with pytest.raises(UndefinedAverageError):
-        coalition_average_cost(spec2, profile2, 1)
-    # An index that is not a whole number in [1, K] is refused by name.
-    for k in (0, 2, True, 1.5, "1", None, math.inf):
-        with pytest.raises(IndexError, match=f"coalition index {re.escape(repr(k))} "):
-            coalition_average_cost(spec2, profile2, k)
+    # A zero-mass coalition has no average cost: evaluate_costs gives it
+    # None, and a query that needs its mass raises.
+    assert evaluate_costs(spec2, profile2).coalitions == (None,)
     # A whole number of another type is the same index.
-    for k in (1.0, np.int64(1), np.float64(1.0)):
+    for k in (1, 1.0, np.int64(1), np.float64(1.0)):
         with pytest.raises(UndefinedAverageError):
-            coalition_average_cost(spec2, profile2, k)
+            check_coalition_optimality(spec2, profile2, k, eps=1.0)
 
 
 def test_individuals_cost_examples():
@@ -211,9 +227,8 @@ def test_social_cost_zero_when_nothing_costs_anything():
 def test_social_cost_equals_full_coalition_cost():
     spec = three_slot_spec(weights=(0.0, 1.0))
     profile = Profile.from_rows(spec, [[0, 0], [0.3, 0.7]])
-    assert evaluate_costs(spec, profile).social == pytest.approx(
-        coalition_average_cost(spec, profile, 1), abs=1e-12
-    )
+    costs = evaluate_costs(spec, profile)
+    assert costs.social == pytest.approx(costs.coalitions[0], abs=1e-12)
 
 
 def test_social_cost_arithmetic_example():
@@ -234,7 +249,7 @@ def test_flow_and_load_cost_forms_agree(rng):
             if spec.weights[k] <= 0:
                 continue
             load_form = float(loads.per_player[k] @ prices) / spec.weights[k]
-            flow_form = coalition_average_cost(spec, profile, k)
+            flow_form = evaluate_costs(spec, profile).coalitions[k - 1]
             assert flow_form == pytest.approx(load_form, abs=1e-9)
 
 
@@ -267,7 +282,8 @@ def test_cost_forms_agree_on_random_games(rng):
             if spec.weights[k] <= 0:
                 assert summary.coalitions[k - 1] is None
                 continue
-            flow_form = coalition_average_cost(spec, profile, k)
+            flow_form = float(profile.flows[k].values @ strategy_costs(spec, profile))
+            flow_form /= float(spec.weights[k])
             load_form = float(loads.per_player[k] @ prices) / spec.weights[k]
             assert abs(flow_form - load_form) <= 1e-9 * max(1.0, abs(flow_form))
             assert summary.coalitions[k - 1] == flow_form
@@ -331,6 +347,8 @@ def test_game_spec_validation():
         GameSpec(
             3, 2, 1.0, np.ones(3), QuadraticCost(domain_bound=1.5), np.array([1.0])
         )
+    with pytest.raises(SpecError, match=r"^base_load must have length 3, got shape \(2,\)$"):
+        GameSpec(3, 2, 1.0, np.ones(2), QuadraticCost(), np.array([1.0]))
     for weights in (np.array([]), np.array([[0.5, 0.5]])):
         with pytest.raises(SpecError, match="weights must be a nonempty vector"):
             GameSpec(3, 2, 1.0, np.ones(3), QuadraticCost(), weights)
@@ -510,6 +528,26 @@ def test_flow_renormalizes_drift():
     drifted = np.array([0.5 + 3e-10, 0.5 + 3e-10])
     flow = Flow(drifted, 1.0)
     assert flow.values.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_a_stack_of_rows_renormalizes_as_their_flows_do(rng):
+    # Each player-major row is summed along its own axis, as a Flow sums its
+    # one row, so each equals its Flow bit for bit at every width: numpy
+    # sums eight or more contiguous entries pairwise, and a sum across rows
+    # would not.  Rows drift off their masses and below zero within
+    # SIMPLEX_TOL, and some players have no mass.
+    for slots in range(1, 60):
+        for _ in range(20):
+            masses = rng.uniform(0.0, 1.0, (3, 2))
+            masses[rng.uniform(size=masses.shape) < 0.2] = 0.0
+            rows = rng.uniform(0.0, 1.0, (3, 2, slots))
+            rows *= masses[..., None] / rows.sum(-1, keepdims=True)
+            rows += rng.uniform(-0.4 * SIMPLEX_TOL, 0.4 * SIMPLEX_TOL, rows.shape) / slots
+            scaled, totals = _onto_masses(rows, masses[..., None])
+            assert scaled.shape == rows.shape and totals.shape == masses.shape + (1,)
+            pairs = zip(rows.reshape(-1, slots), masses.ravel())
+            for got, (row, mass) in zip(scaled.reshape(-1, slots), pairs):
+                assert got.tobytes() == Flow(row, mass).values.tobytes()
 
 
 def test_a_horizon_past_the_incidence_bound_is_refused():

@@ -36,8 +36,6 @@ from chargegame import (
     TraceRow,
     WardropCheck,
     activation_threshold,
-    audit_concave_branches,
-    audit_monotone,
     ce_costs,
     check_coalition_optimality,
     check_cost_ordering,
@@ -57,7 +55,7 @@ from chargegame import (
 )
 from chargegame import sweep, threeslot, verify
 from chargegame.model import LoadDecomposition
-from chargegame.sweep import DEFAULT_AUDIT_TOL, write_csv
+from chargegame.sweep import DEFAULT_AUDIT_TOL, MAX_SWEEP_COUNT, write_csv
 from chargegame.threeslot import BISECTION_TOL, _grid_solution
 from conftest import random_three_slot
 
@@ -73,20 +71,29 @@ def band_instance(cost=None):
 # --- audits ------------------------------------------------------------------
 
 
+def monotone(values, direction, tol=DEFAULT_AUDIT_TOL):
+    """The sweep's monotone audit of one series in one direction."""
+    series = np.array([values], dtype=float)
+    return sweep._monotone(series, [[sweep._DIRECTIONS[direction]]], tol)[0]
+
+
+def concave_branches(values, tags, tol=DEFAULT_AUDIT_TOL):
+    """The sweep's per-branch concavity audit of one series and its tags."""
+    return sweep._concave_branches(np.array(values, dtype=float), sweep._same_tags(tags), tol)
+
+
 def test_audit_monotone_directions():
-    up = audit_monotone([0.0, 0.1, 0.1, 0.4], "nondecreasing")
+    up = monotone([0.0, 0.1, 0.1, 0.4], "nondecreasing")
     assert up.passed
-    down = audit_monotone([0.4, 0.1, 0.1, 0.0], "nonincreasing")
+    down = monotone([0.4, 0.1, 0.1, 0.0], "nonincreasing")
     assert down.passed
-    bad = audit_monotone([0.0, 0.2, 0.1], "nondecreasing")
+    bad = monotone([0.0, 0.2, 0.1], "nondecreasing")
     assert not bad.passed
     assert bad.worst_pair == (1, 2)
     assert bad.worst_value == pytest.approx(0.1)
     constant = [0.3, 0.3, 0.3]
-    assert audit_monotone(constant, "nondecreasing").passed
-    assert audit_monotone(constant, "nonincreasing").passed
-    with pytest.raises(SpecError):
-        audit_monotone(constant, "sideways")
+    assert monotone(constant, "nondecreasing").passed
+    assert monotone(constant, "nonincreasing").passed
 
 
 @pytest.mark.parametrize("solver", ["analytic", "dynamics"])
@@ -94,8 +101,8 @@ def test_a_one_point_sweep_passes_every_audit(solver):
     # One point has no neighbour to compare with, so every audit passes
     # with nothing worst.
     result = run_sweep(band_instance(), [0.5], solver)
-    verdicts = [*result.audits.values(), audit_monotone([1.0], "nondecreasing")]
-    assert len(verdicts) == (7 if solver == "analytic" else 6)
+    verdicts = list(result.audits.values())
+    assert len(verdicts) == (6 if solver == "analytic" else 5)
     for verdict in verdicts:
         assert verdict.passed and verdict.worst_value == 0.0 and verdict.worst_pair is None
 
@@ -104,16 +111,8 @@ def test_a_one_point_sweep_passes_every_audit(solver):
     "call, name",
     [
         (lambda: run_sweep(band_instance(), grid=[0.5, "x"]), "grid"),
-        (lambda: audit_monotone(["a", "b"], "nondecreasing"), "values"),
-        (lambda: audit_concave_branches(["a", "b", "c"], ["x"] * 3), "values"),
-        # None is no number, where numpy would read it as NaN and fail the audit.
-        (lambda: audit_concave_branches([1.0, None, 2.0], ["x"] * 3), "values"),
-        # An array of numbers that is no vector.
-        (lambda: audit_monotone(np.array(1.0), "nondecreasing"), "values"),
-        (lambda: audit_concave_branches(np.ones((3, 3)), ["x"] * 3), "values"),
     ],
-    ids=["sweep-grid-string", "monotone-strings", "concave-strings", "concave-none",
-         "monotone-0-d", "concave-2-d"],
+    ids=["sweep-grid-string"],
 )
 def test_a_numeric_sequence_with_a_non_number_is_refused_by_name(call, name):
     with pytest.raises(SpecError, match=f"^{name} must be"):
@@ -122,11 +121,11 @@ def test_a_numeric_sequence_with_a_non_number_is_refused_by_name(call, name):
 
 def test_audit_concave_on_linear_segment():
     values = np.linspace(0.0, 1.0, 10)
-    verdict = audit_concave_branches(values, ["a"] * 10)
+    verdict = concave_branches(values, ["a"] * 10)
     assert verdict.passed
     assert verdict.worst_value == pytest.approx(0.0, abs=1e-12)
     # Fewer than three values have no second difference to fail.
-    assert audit_concave_branches([1.0, 0.0], ["a"] * 2) == AuditVerdict(
+    assert concave_branches([1.0, 0.0], ["a"] * 2) == AuditVerdict(
         passed=True, worst_value=0.0, note="per-branch"
     )
 
@@ -136,25 +135,16 @@ def test_audit_concave_flags_convex_kink_globally_but_not_per_branch():
     grid = default_grid(25)
     values = np.maximum(0.0, (grid - 0.3) / 4.0)
     tags = ["flat" if m <= 0.3 else "rising" for m in grid]
-    assert not audit_concave_branches(values, ["one"] * len(values)).passed
-    assert audit_concave_branches(values, tags).passed
-    with pytest.raises(SpecError):
-        audit_concave_branches(values, tags[:-1])
+    assert not concave_branches(values, ["one"] * len(values)).passed
+    assert concave_branches(values, tags).passed
 
 
 def test_audits_refuse_a_nan_tolerance():
     # Every comparison with a NaN tolerance fails, so a clean series would
     # fail its audit: a clean sweep reported x1_nondecreasing failed.
-    values, nan = [0.0, 0.1, 0.2], math.nan
-    for audit in (
-        lambda: audit_monotone(values, "nondecreasing", nan),
-        lambda: audit_concave_branches(values, "aaa", nan),
-    ):
-        with pytest.raises(SpecError, match="audit tol must be a number, got nan"):
-            audit()
     for solver in ("analytic", "dynamics"):
         with pytest.raises(SpecError, match="audit_tol must be a number, got nan"):
-            run_sweep(band_instance(), default_grid(5), solver, audit_tol=nan)
+            run_sweep(band_instance(), default_grid(5), solver, audit_tol=math.nan)
 
 
 def tolerance_callers():
@@ -162,13 +152,8 @@ def tolerance_callers():
     SpecError gives it, as a call on that tolerance alone."""
     spec = band_instance().to_game_spec()
     report = solve(spec, "analytic")
-    values = [0.0, 0.1, 0.2]
     return {
         "run_sweep": ("audit_tol", lambda tol: run_sweep(spec, [0.3, 0.6], audit_tol=tol)),
-        "audit_monotone": ("audit tol", lambda tol: audit_monotone(values, "nondecreasing", tol)),
-        "audit_concave_branches": (
-            "audit tol", lambda tol: audit_concave_branches(values, "aaa", tol)
-        ),
         "check_wardrop": ("wardrop eps", lambda tol: check_wardrop(spec, report.profile, tol)),
         "check_coalition_optimality": (
             "coalition optimality eps",
@@ -182,8 +167,7 @@ def tolerance_callers():
                          ids=["string", "none", "true", "false", "complex", "nan"])
 @pytest.mark.parametrize(
     "caller",
-    ["run_sweep", "audit_monotone", "audit_concave_branches", "check_wardrop",
-     "check_coalition_optimality", "check_cost_ordering"],
+    ["run_sweep", "check_wardrop", "check_coalition_optimality", "check_cost_ordering"],
 )
 def test_tolerances_must_be_real_numbers(caller, value):
     # A string, None or a complex number would escape as a raw TypeError, a
@@ -198,17 +182,17 @@ def test_tolerances_must_be_real_numbers(caller, value):
 
 def test_per_branch_concavity_fails_on_nan():
     # A NaN second difference inside a branch fails the audit, as a NaN
-    # difference fails audit_monotone; one that straddles a branch boundary
+    # difference fails the monotone audit; one that straddles a branch boundary
     # is not part of any branch.
     values = [0.0, 1.0, math.nan, 3.0]
-    verdict = audit_concave_branches(values, ["a"] * 4)
+    verdict = concave_branches(values, ["a"] * 4)
     assert not verdict.passed
     assert math.isnan(verdict.worst_value)
     assert verdict.worst_pair == (0, 2)
-    later = audit_concave_branches([0.0, 1.0, 2.0, 3.0, math.nan, 5.0], list("aaabbb"))
+    later = concave_branches([0.0, 1.0, 2.0, 3.0, math.nan, 5.0], list("aaabbb"))
     assert not later.passed
     assert later.worst_pair == (3, 5)
-    straddling = audit_concave_branches([0.0, 1.0, 2.0, math.nan], list("aaab"))
+    straddling = concave_branches([0.0, 1.0, 2.0, math.nan], list("aaab"))
     assert straddling.passed
     assert straddling.worst_pair == (0, 2)
 
@@ -470,6 +454,8 @@ def test_grid_validation():
         ({"count": 2.5}, "count"),
         ({"count": True}, "count"),
         ({"count": "5"}, "count"),
+        # Past the sweep bound, refused before np.linspace allocates.
+        ({"count": MAX_SWEEP_COUNT + 1}, "count"),
         ({"start": nan}, "start"),
         ({"stop": math.inf}, "stop"),
         ({"stop": None}, "stop"),
@@ -664,6 +650,33 @@ def test_batched_sweep_fails_only_the_points_whose_costs_turn_nan():
     assert all("non-finite strategy costs" in p.error for p in points[3:])
 
 
+def test_a_dynamics_point_whose_entity_costs_raise_carries_that_error(monkeypatch):
+    # The costs of the batch's exits are evaluated one point at a time; an
+    # error there ends that point alone, and its record keeps the message.
+    base = gap_instance().to_game_spec()
+    grid = np.array([0.25, 0.5, 0.75])
+    options = dict(max_iter=200, gap_tol=1e-6)
+    clean = run_sweep(base, grid, "dynamics", **options)
+    entity_costs = sweep._entity_costs
+
+    def failing_at_half(spec, masses, rows):
+        if masses[1] == 0.5:
+            raise NumericsError("non-finite entity costs at M = 0.5")
+        return entity_costs(spec, masses, rows)
+
+    monkeypatch.setattr(sweep, "_entity_costs", failing_at_half)
+    result = run_sweep(base, grid, "dynamics", **options)
+    nan, message = math.nan, "non-finite entity costs at M = 0.5"
+    failed = SweepPoint(0.5, nan, nan, nan, nan, nan, None, nan, "error", message)
+    expected = [clean.points[0], failed, clean.points[2]]
+    assert [point_bits(p) for p in result.points] == [point_bits(p) for p in expected]
+    assert result.audits == {
+        "solver_failures": AuditVerdict(
+            False, math.inf, note="1 grid points failed; audits skipped"
+        )
+    }
+
+
 @dataclasses.dataclass(frozen=True)
 class CappedLinearCost(LinearCost):
     """A linear family whose domain check also rejects loads above ``cap``."""
@@ -741,19 +754,51 @@ MONOTONE_AUDITS = (
 )
 
 
+def first_worst(excesses):
+    """Index of the first NaN among ``excesses``, or else of the first
+    largest one, as np.argmax picks it."""
+    nans = [i for i, value in enumerate(excesses) if math.isnan(value)]
+    return nans[0] if nans else excesses.index(max(excesses))
+
+
+def monotone_reference(values, direction, tol):
+    """A monotone audit by its definition: each adjacent difference times
+    the direction's sign is an excess, and the first worst one decides."""
+    sign = {"nondecreasing": -1.0, "nonincreasing": 1.0}[direction]
+    excesses = [(later - earlier) * sign for earlier, later in zip(values, values[1:])]
+    if not excesses:
+        return AuditVerdict(True, 0.0)
+    i = first_worst(excesses)
+    return AuditVerdict(excesses[i] <= tol, excesses[i], (i, i + 1))
+
+
+def concave_reference(values, tags, tol):
+    """A per-branch concavity audit by its definition: the second
+    differences over three points that share a tag, the first worst one
+    deciding."""
+    starts = [i for i in range(len(values) - 2) if tags[i] == tags[i + 1] == tags[i + 2]]
+    if not starts:
+        return AuditVerdict(True, 0.0, note="per-branch")
+    second = [values[i + 2] - 2.0 * values[i + 1] + values[i] for i in starts]
+    j = first_worst(second)
+    return AuditVerdict(second[j] <= tol, second[j], (starts[j], starts[j] + 2), "per-branch")
+
+
 def audits_from_records(points, tol=DEFAULT_AUDIT_TOL, analytic=True):
-    """A sweep's audits, from its records and the public audits; only the
-    closed form's are audited for concavity."""
+    """A sweep's audits, from its records and the reference audits above;
+    only the closed form's are audited for concavity."""
     failed = sum(p.error is not None for p in points)
     if failed:
         note = f"{failed} grid points failed; audits skipped"
         return {"solver_failures": AuditVerdict(False, math.inf, note=note)}
     audits = {
-        f"{field}_{direction}": audit_monotone([getattr(p, field) for p in points], direction, tol)
+        f"{field}_{direction}": monotone_reference(
+            [getattr(p, field) for p in points], direction, tol
+        )
         for field, direction in MONOTONE_AUDITS
     }
     if analytic:
-        audits["x1_concave_per_branch"] = audit_concave_branches(
+        audits["x1_concave_per_branch"] = concave_reference(
             [p.x1 for p in points], [p.regime for p in points], tol
         )
     return audits
@@ -783,7 +828,7 @@ def rows_from_records(points):
 
 def assert_analytic_matches_per_point(base, grid):
     """The analytic sweep's points, rows and audits against those of the
-    closed form of each point alone, audited by the public audits."""
+    closed form of each point alone, audited by the reference audits."""
     result = run_sweep(base, np.asarray(grid, dtype=float))
     expected = per_point_analytic(base, grid)
     assert [point_bits(p) for p in result.points] == [point_bits(p) for p in expected]
@@ -882,7 +927,7 @@ def test_non_finite_certificate_errors_only_its_point():
 @pytest.mark.parametrize("tol", [DEFAULT_AUDIT_TOL, -1e-3], ids=["default-tol", "negative-tol"])
 def test_sweep_audits_are_the_public_audits_of_the_points_columns(tol):
     # The closed form hands the audits its own arrays; they must equal the
-    # public audits of the records' columns.  A negative tol fails even
+    # reference audits of the records' columns.  A negative tol fails even
     # flat stretches, so failed verdicts and their worst pairs are compared.
     grid = default_grid(31)
     cases = [

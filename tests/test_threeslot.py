@@ -23,9 +23,9 @@ from chargegame import (
     activation_threshold,
     ce_costs,
     classify,
-    coalition_average_cost,
     default_grid,
     equilibrium_profile,
+    evaluate_costs,
     instance_from_spec,
     mixing_band,
     solve_ce,
@@ -149,7 +149,7 @@ def test_quadratic_root_against_brute_force_grid():
     best, best_cost = None, np.inf
     for split in splits:
         profile = Profile.from_rows(spec, [[0.0, 0.0], [split, 1.0 - split]])
-        cost = coalition_average_cost(spec, profile, 1)
+        cost = evaluate_costs(spec, profile).coalitions[0]
         if cost < best_cost:
             best, best_cost = split, cost
     assert best == pytest.approx(0.359375, abs=1e-3)

@@ -115,6 +115,17 @@ def test_non_finite_gap_raises_without_warnings():
             make_report(spec, profile, SolverStatus.ANALYTIC)
 
 
+@pytest.mark.parametrize("status", ["converged", None], ids=["string", "none"])
+def test_a_report_status_must_be_a_solver_status(status):
+    # A string status used to be kept, and the CLI's report_to_dict then
+    # failed on status.value with a raw AttributeError.
+    inst = ThreeSlotInstance(2.0, 1.0, 1.0, 0.5, LinearCost())
+    spec, profile = inst.to_game_spec(), equilibrium_profile(inst)
+    with pytest.raises(SpecError, match=f"^status must be a SolverStatus, got {status!r}$"):
+        make_report(spec, profile, status)
+    assert make_report(spec, profile, SolverStatus.CONVERGED).status is SolverStatus.CONVERGED
+
+
 def test_a_coalition_row_needs_a_finite_slope_even_without_mass():
     # exp(2 x) stays finite at the load 354.7 while f' = 2 exp(2 x)
     # overflows.  The kernel takes f and f' from one pair whenever the game
@@ -143,9 +154,6 @@ OVERFLOWING_BAND = ThreeSlotInstance(2.3, 1.0, 1.5, 0.1, OVERFLOWING)
 OVERFLOWING_EVALUATORS = {
     "evaluate_costs": (lambda: cg.evaluate_costs(OVERFLOWING_SPEC, UNIFORM), "strategy costs"),
     "strategy_costs": (lambda: cg.strategy_costs(OVERFLOWING_SPEC, UNIFORM), "strategy costs"),
-    "coalition_average_cost": (
-        lambda: cg.coalition_average_cost(OVERFLOWING_SPEC, UNIFORM, 1), "strategy costs"
-    ),
     "check_wardrop": (lambda: check_wardrop(OVERFLOWING_SPEC, UNIFORM, 1e-6), "strategy costs"),
     "player_gradients": (lambda: cg.player_gradients(OVERFLOWING_SPEC, UNIFORM), "strategy costs"),
     "check_coalition_optimality": (
@@ -240,7 +248,7 @@ def test_coalition_optimality_validates_index():
     zero-mass coalition UndefinedAverageError."""
     spec = GameSpec(3, 2, 1.0, np.array([2.3, 1, 1]), LinearCost(), np.array([0.5, 0.5, 0.0]))
     profile = corner_profile(spec)
-    for k in (0, -1, 3, True, 1.5, "1", None, math.nan):
+    for k in (0, -1, 3, True, 1.5, "1", None, math.nan, math.inf):
         with pytest.raises(IndexError, match=f"coalition index {re.escape(repr(k))} "):
             check_coalition_optimality(spec, profile, k, eps=1.0)
     # A whole number of another type is the same index.
